@@ -161,30 +161,199 @@ pub struct LatencyStats {
     pub max_ns: u64,
 }
 
-impl LatencyStats {
-    /// Computes percentiles from raw per-shot durations (need not be
-    /// sorted). Returns all-zero stats for an empty slice.
+/// Sub-buckets per power-of-two octave, as a bit count. Reporting a
+/// bucket's midpoint bounds the relative error of any percentile at
+/// `1 / 2^(SUB_BITS + 1)` = 1/64.
+const SUB_BITS: u32 = 5;
+const SUB_BUCKETS: usize = 1 << SUB_BITS;
+/// Octave 0 holds the exact values below [`SUB_BUCKETS`]; octave
+/// `k ≥ 1` holds `[2^(k+4), 2^(k+5))` in [`SUB_BUCKETS`] equal steps.
+const OCTAVES: usize = 64 - SUB_BITS as usize + 1;
+/// Bucket indices run over `0..LATENCY_BUCKETS`.
+pub(crate) const LATENCY_BUCKETS: usize = OCTAVES * SUB_BUCKETS;
+
+/// The bucket holding `v`. Indices are monotone in `v` and equal to
+/// `v` below `2 * SUB_BUCKETS`, where every bucket is one value wide.
+fn bucket_of(v: u64) -> usize {
+    if v < SUB_BUCKETS as u64 {
+        return v as usize;
+    }
+    let shift = 63 - v.leading_zeros() - SUB_BITS;
+    ((shift as usize + 1) << SUB_BITS) + (v >> shift) as usize - SUB_BUCKETS
+}
+
+/// The smallest value in `bucket` and the bucket's width.
+fn bucket_range(bucket: usize) -> (u64, u64) {
+    let (octave, sub) = (bucket >> SUB_BITS, (bucket % SUB_BUCKETS) as u64);
+    if octave == 0 {
+        return (sub, 1);
+    }
+    let shift = octave as u32 - 1;
+    ((SUB_BUCKETS as u64 + sub) << shift, 1 << shift)
+}
+
+/// A mergeable log-linear histogram of per-shot wall-clock durations
+/// (nanoseconds), in the style of HdrHistogram.
+///
+/// * Each power-of-two octave splits into 32 equal buckets, so p50,
+///   p95 and p99 are within 1/64 of the exact nearest-rank value.
+/// * The count, the `u128` sum (so the mean is exact) and the maximum
+///   are exact.
+/// * Recording is O(1): one bucket index, one popcount and one
+///   increment. Storage is one 32-count array per occupied octave, so
+///   memory and the wire encoding grow with the spread of the
+///   durations, never with the number of shots.
+/// * Merging is commutative and associative, so a job's histogram is
+///   the same whatever order its batches are folded in.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LatencyHistogram {
+    /// Bit `k` is set when octave `k` has an entry in `chunks`.
+    octaves: u64,
+    /// One count array per occupied octave, in octave order.
+    chunks: Vec<[u64; SUB_BUCKETS]>,
+    count: u64,
+    sum: u128,
+    max: u64,
+}
+
+impl LatencyHistogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        LatencyHistogram::default()
+    }
+
+    /// Records one duration.
+    pub fn record(&mut self, ns: u64) {
+        self.add(bucket_of(ns), 1);
+        self.count += 1;
+        self.sum += u128::from(ns);
+        self.max = self.max.max(ns);
+    }
+
+    /// Adds every sample of `other` into this histogram.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        for (bucket, n) in other.buckets() {
+            self.add(bucket, n);
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
+    /// Adds `n` to one bucket's count, opening its octave if needed.
+    fn add(&mut self, bucket: usize, n: u64) {
+        let octave = bucket >> SUB_BITS;
+        let pos = (self.octaves & ((1 << octave) - 1)).count_ones() as usize;
+        if self.octaves >> octave & 1 == 0 {
+            self.octaves |= 1 << octave;
+            self.chunks.insert(pos, [0; SUB_BUCKETS]);
+        }
+        self.chunks[pos][bucket % SUB_BUCKETS] += n;
+    }
+
+    /// Occupied buckets as `(index, count)`, in increasing index order.
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let octaves = (0..OCTAVES).filter(|&k| self.octaves >> k & 1 == 1);
+        octaves.zip(&self.chunks).flat_map(|(k, chunk)| {
+            chunk
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| n > 0)
+                .map(move |(sub, &n)| (k * SUB_BUCKETS + sub, n))
+        })
+    }
+
+    /// Rebuilds a histogram from its occupied buckets, its sum and its
+    /// maximum — the wire decoder's path. Rejects parts no sequence of
+    /// [`LatencyHistogram::record`] calls could produce: indices that
+    /// are out of range or not strictly increasing, zero counts, a
+    /// count that overflows, a maximum outside the highest bucket, or
+    /// a sum the buckets cannot add up to.
+    pub(crate) fn from_parts(
+        buckets: &[(usize, u64)],
+        sum: u128,
+        max: u64,
+    ) -> Result<Self, String> {
+        let mut h = LatencyHistogram::new();
+        let (mut lo, mut hi) = (0u128, 0u128);
+        let mut prev = None;
+        for &(bucket, n) in buckets {
+            if bucket >= LATENCY_BUCKETS || prev.is_some_and(|p| bucket <= p) || n == 0 {
+                return Err(format!("bucket {bucket} (count {n}) out of order or empty"));
+            }
+            prev = Some(bucket);
+            h.count = h
+                .count
+                .checked_add(n)
+                .ok_or_else(|| "sample count overflows u64".to_owned())?;
+            let (start, width) = bucket_range(bucket);
+            lo += u128::from(start) * u128::from(n);
+            hi += u128::from(start + (width - 1)) * u128::from(n);
+            h.add(bucket, n);
+        }
+        let max_fits = match prev {
+            None => max == 0,
+            Some(last) => bucket_of(max) == last,
+        };
+        if !max_fits || sum < lo || sum > hi {
+            return Err(format!(
+                "sum {sum} / max {max} disagree with the bucket counts"
+            ));
+        }
+        h.sum = sum;
+        h.max = max;
+        Ok(h)
+    }
+
+    /// Durations recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Exact sum of every duration, nanoseconds.
+    pub fn sum(&self) -> u128 {
+        self.sum
+    }
+
+    /// The slowest duration, nanoseconds (`0` when empty).
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// The nearest-rank `q`-quantile (`q` in `[0, 1]`), reported as
+    /// its bucket's midpoint capped at the exact maximum. `0` when
+    /// empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0;
+        for (bucket, n) in self.buckets() {
+            seen += n;
+            if seen >= rank {
+                let (start, width) = bucket_range(bucket);
+                return (start + (width - 1) / 2).min(self.max);
+            }
+        }
+        self.max
+    }
+
+    /// Percentiles, exact mean and exact maximum. All zero when empty.
     ///
-    /// The mean is accumulated in `u128`: a long service run sums
+    /// The mean divides the `u128` sum: a long service run sums
     /// nanosecond durations over arbitrarily many shots, and a `u64`
     /// accumulator overflows after only ~2e10 shot-seconds.
-    pub fn from_durations(durations_ns: &[u64]) -> Self {
-        if durations_ns.is_empty() {
+    pub fn stats(&self) -> LatencyStats {
+        if self.count == 0 {
             return LatencyStats::default();
         }
-        let mut sorted = durations_ns.to_vec();
-        sorted.sort_unstable();
-        let pct = |q: f64| {
-            let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-            sorted[rank.min(sorted.len() - 1)]
-        };
-        let sum: u128 = sorted.iter().map(|&d| d as u128).sum();
         LatencyStats {
-            p50_ns: pct(0.50),
-            p95_ns: pct(0.95),
-            p99_ns: pct(0.99),
-            mean_ns: (sum / sorted.len() as u128) as u64,
-            max_ns: *sorted.last().expect("nonempty"),
+            p50_ns: self.quantile(0.50),
+            p95_ns: self.quantile(0.95),
+            p99_ns: self.quantile(0.99),
+            mean_ns: (self.sum / u128::from(self.count)) as u64,
+            max_ns: self.max,
         }
     }
 }
@@ -205,15 +374,9 @@ pub struct JobResult {
     /// order (bit-identical across worker counts thanks to fixed batch
     /// boundaries).
     pub mean_prob1: Vec<f64>,
-    /// Raw per-shot wall-clock durations in shot order, nanoseconds.
-    /// **Empty unless** the engine was built with
-    /// [`crate::ShotEngine::with_raw_latencies`]`(true)` — retaining 8
-    /// bytes per shot unconditionally is unbounded growth for a
-    /// service holding results of million-shot jobs.
-    pub latencies_ns: Vec<u64>,
-    /// Percentiles over the full per-shot duration stream. Exact
-    /// whether or not [`JobResult::latencies_ns`] is retained.
-    pub latency: LatencyStats,
+    /// Per-shot wall-clock durations; [`LatencyHistogram::stats`]
+    /// gives the percentiles.
+    pub latency: LatencyHistogram,
     /// The job's active wall-clock window: from its first batch
     /// starting to its last batch finishing. Time the pool spent on
     /// *other* jobs before this one was picked up is excluded.
@@ -275,16 +438,67 @@ mod tests {
         assert_eq!(ab.ones_fraction(0), Some(2.0 / 3.0));
     }
 
+    /// The exact nearest-rank percentile, the reference the histogram
+    /// approximates.
+    fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
+    }
+
+    fn assert_within_64th(got: u64, exact: u64) {
+        assert!(
+            got.abs_diff(exact) as f64 <= exact as f64 / 64.0,
+            "{got} is not within 1/64 of {exact}"
+        );
+    }
+
     #[test]
     fn latency_percentiles() {
-        let durations: Vec<u64> = (1..=100).collect();
-        let l = LatencyStats::from_durations(&durations);
-        assert_eq!(l.p50_ns, 50);
-        assert_eq!(l.p95_ns, 95);
-        assert_eq!(l.p99_ns, 99);
-        assert_eq!(l.max_ns, 100);
-        assert_eq!(l.mean_ns, 50);
-        assert_eq!(LatencyStats::from_durations(&[]), LatencyStats::default());
+        // A skewed spread over four decades, recorded out of order.
+        let mut durations: Vec<u64> = (1..=1000u64)
+            .map(|i| (i * i * 7919) % 9_999_991 + 1)
+            .collect();
+        let mut h = LatencyHistogram::new();
+        for &d in &durations {
+            h.record(d);
+        }
+        durations.sort_unstable();
+        let l = h.stats();
+        assert_within_64th(l.p50_ns, exact_quantile(&durations, 0.50));
+        assert_within_64th(l.p95_ns, exact_quantile(&durations, 0.95));
+        assert_within_64th(l.p99_ns, exact_quantile(&durations, 0.99));
+        assert_eq!(l.max_ns, *durations.last().unwrap());
+        let sum: u128 = durations.iter().map(|&d| u128::from(d)).sum();
+        assert_eq!(l.mean_ns, (sum / durations.len() as u128) as u64);
+        assert_eq!(h.count(), 1000);
+        assert_eq!(LatencyHistogram::new().stats(), LatencyStats::default());
+    }
+
+    #[test]
+    fn small_durations_are_exact() {
+        let mut h = LatencyHistogram::new();
+        for d in 1..=60 {
+            h.record(d);
+        }
+        let l = h.stats();
+        assert_eq!((l.p50_ns, l.p95_ns, l.p99_ns, l.max_ns), (30, 57, 60, 60));
+    }
+
+    #[test]
+    fn buckets_tile_the_u64_range() {
+        let mut next = 0u64;
+        for bucket in 0..LATENCY_BUCKETS {
+            let (start, width) = bucket_range(bucket);
+            assert_eq!(start, next, "bucket {bucket} starts where the last ended");
+            assert_eq!(bucket_of(start), bucket);
+            assert_eq!(bucket_of(start + (width - 1)), bucket);
+            assert!(
+                width == 1 || width <= start / 32,
+                "bucket {bucket} is too wide"
+            );
+            next = start.wrapping_add(width);
+        }
+        assert_eq!(next, 0, "the last bucket ends at u64::MAX");
     }
 
     #[test]
@@ -292,9 +506,33 @@ mod tests {
         // Two durations near u64::MAX would overflow a u64 accumulator
         // (the long-service-run regime: ~5 GHz-ns × hours of shots).
         let big = u64::MAX / 2 + 7;
-        let l = LatencyStats::from_durations(&[big, big]);
+        let mut h = LatencyHistogram::new();
+        h.record(big);
+        h.record(big);
+        let l = h.stats();
         assert_eq!(l.mean_ns, big);
         assert_eq!(l.max_ns, big);
-        assert_eq!(l.p50_ns, big);
+        assert_within_64th(l.p50_ns, big);
+    }
+
+    #[test]
+    fn from_parts_rejects_what_record_cannot_produce() {
+        let mut h = LatencyHistogram::new();
+        for d in [5, 900, 901, 70_000] {
+            h.record(d);
+        }
+        let parts: Vec<_> = h.buckets().collect();
+        assert_eq!(
+            LatencyHistogram::from_parts(&parts, h.sum(), h.max()),
+            Ok(h.clone())
+        );
+        let mut reversed = parts.clone();
+        reversed.reverse();
+        assert!(LatencyHistogram::from_parts(&reversed, h.sum(), h.max()).is_err());
+        assert!(LatencyHistogram::from_parts(&parts, h.sum(), 6).is_err());
+        assert!(LatencyHistogram::from_parts(&parts, h.sum() + 10_000, h.max()).is_err());
+        assert!(LatencyHistogram::from_parts(&[(3, 0)], 0, 0).is_err());
+        assert!(LatencyHistogram::from_parts(&[(LATENCY_BUCKETS, 1)], 0, 0).is_err());
+        assert!(LatencyHistogram::from_parts(&[], 0, 1).is_err());
     }
 }

@@ -35,20 +35,20 @@ use std::ops::Range;
 
 use eqasm_microarch::{QuMa, RunStats};
 
-use crate::aggregate::Histogram;
+use crate::aggregate::{Histogram, LatencyHistogram};
 use crate::engine::{build_machine, run_batch};
 use crate::error::RuntimeError;
 use crate::job::Job;
 
 /// What one backend produced for one contiguous shot range.
 ///
-/// Everything in here except `durations_ns` and `elapsed_ns` is a
+/// Everything in here except `latency` and `elapsed_ns` is a
 /// **deterministic** pure function of `(job, range)`: histogram,
 /// machine counters, per-qubit `P(|1⟩)` sums (folded in shot order
-/// within the batch) and failure info. The duration fields are
-/// measured wall-clock — they vary run to run and host to host, but
-/// `durations_ns.len()` always equals the range length, which the
-/// fold relies on for `shots_done` accounting.
+/// within the batch) and failure info. The timing fields are measured
+/// wall-clock — they vary run to run and host to host, but
+/// `latency.count()` always equals the range length, which the fold
+/// relies on for `shots_done` accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchOut {
     /// Outcome counts over the range.
@@ -58,9 +58,8 @@ pub struct BatchOut {
     /// Per-qubit sum of post-run `P(|1⟩)` over the range, in shot
     /// order.
     pub prob1_sum: Vec<f64>,
-    /// Per-shot wall-clock durations, in shot order (length == range
-    /// length).
-    pub durations_ns: Vec<u64>,
+    /// Per-shot wall-clock durations (count == range length).
+    pub latency: LatencyHistogram,
     /// Shots that did not halt cleanly.
     pub non_halted: u64,
     /// Shot index and status of the first failure, if any.
@@ -73,7 +72,7 @@ pub struct BatchOut {
 impl BatchOut {
     /// Shots this batch covered.
     pub fn shots(&self) -> u64 {
-        self.durations_ns.len() as u64
+        self.latency.count()
     }
 }
 
@@ -86,8 +85,6 @@ pub enum BackendKind {
     Remote {
         /// The worker's address (`host:port`).
         addr: String,
-        /// The negotiated protocol version.
-        protocol: u16,
     },
 }
 
@@ -109,9 +106,7 @@ impl std::fmt::Display for BackendDescriptor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.kind {
             BackendKind::Local => write!(f, "{} (local)", self.name),
-            BackendKind::Remote { addr, protocol } => {
-                write!(f, "{} (remote {addr}, wire v{protocol})", self.name)
-            }
+            BackendKind::Remote { addr } => write!(f, "{} (remote {addr})", self.name),
         }
     }
 }

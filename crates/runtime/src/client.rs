@@ -6,8 +6,8 @@
 //!
 //! ## Shape
 //!
-//! * [`Client::connect`] performs the negotiating wire handshake
-//!   (version, optional PSK) against the coordinator's acceptor;
+//! * [`Client::connect`] performs the wire handshake (version,
+//!   optional PSK) against the coordinator's acceptor;
 //! * [`Client::submit`] sends any [`Submission`] — a prebuilt
 //!   [`crate::Job`] or a declarative [`crate::WorkloadSpec`] — and
 //!   returns one [`RemoteJobHandle`] per job it expanded to, mirroring
@@ -42,9 +42,8 @@ use std::time::Duration;
 use crate::aggregate::JobResult;
 use crate::error::RuntimeError;
 use crate::net::{handshake, ConnectOptions};
-use crate::serve::{PartialResult, Submission, Work};
+use crate::serve::{PartialResult, Submission};
 use crate::wire::{self, ErrorKind, ErrorMsg, RemoteJobInfo, SubmitAck, WireError};
-use crate::workload::WorkloadKind;
 
 /// How many times a broken [`RemoteJobHandle::watch`] stream retries
 /// the connection before surfacing the transport error.
@@ -59,13 +58,10 @@ const WATCH_RECONNECT_BACKOFF: Duration = Duration::from_millis(200);
 struct ClientConn {
     stream: TcpStream,
     addr: String,
-    /// Negotiated protocol version (the front door requires ≥ 2 for
-    /// submissions).
-    negotiated: u16,
     server_name: String,
     /// The options this connection was opened with — kept so a broken
     /// watch stream can transparently re-handshake (same deadline,
-    /// same PSK, same protocol cap).
+    /// same PSK).
     options: ConnectOptions,
 }
 
@@ -108,14 +104,7 @@ impl ClientConn {
             WireError::AuthFailed { message } => RuntimeError::Auth(message),
             e => self.transport(e),
         })?;
-        if ack.version < 2 {
-            return Err(RuntimeError::Service(format!(
-                "serve front door at {} negotiated wire v{} — submissions need v2",
-                self.addr, ack.version
-            )));
-        }
         self.stream = stream;
-        self.negotiated = ack.version;
         self.server_name = ack.name;
         Ok(())
     }
@@ -136,16 +125,14 @@ impl Client {
     /// # Errors
     ///
     /// [`RuntimeError::Transport`] when the coordinator is
-    /// unreachable or speaks no common protocol version;
-    /// [`RuntimeError::Auth`] when PSK authentication fails;
-    /// [`RuntimeError::Service`] when the coordinator negotiated a
-    /// pre-v2 protocol (the front door is a v2 surface).
+    /// unreachable or speaks another protocol version;
+    /// [`RuntimeError::Auth`] when PSK authentication fails.
     pub fn connect(addr: impl Into<String>) -> Result<Client, RuntimeError> {
         Client::connect_opts(addr, ConnectOptions::default())
     }
 
     /// [`Client::connect`] with explicit [`ConnectOptions`] (request
-    /// deadline, pre-shared key, protocol cap).
+    /// deadline, pre-shared key).
     pub fn connect_opts(
         addr: impl Into<String>,
         options: ConnectOptions,
@@ -158,17 +145,10 @@ impl Client {
                 message: e.to_string(),
             },
         })?;
-        if ack.version < 2 {
-            return Err(RuntimeError::Service(format!(
-                "serve front door at {addr} negotiated wire v{} — submissions need v2",
-                ack.version
-            )));
-        }
         Ok(Client {
             conn: Arc::new(Mutex::new(ClientConn {
                 stream,
                 addr,
-                negotiated: ack.version,
                 server_name: ack.name,
                 options,
             })),
@@ -182,14 +162,6 @@ impl Client {
             .expect("client connection poisoned")
             .server_name
             .clone()
-    }
-
-    /// The negotiated protocol version.
-    pub fn protocol(&self) -> u16 {
-        self.conn
-            .lock()
-            .expect("client connection poisoned")
-            .negotiated
     }
 
     /// Submits work to the remote queue and returns one
@@ -209,7 +181,6 @@ impl Client {
     ) -> Result<Vec<RemoteJobHandle>, RuntimeError> {
         let submission = submission.into();
         let mut conn = self.conn.lock().expect("client connection poisoned");
-        check_submission_version(&conn, &submission)?;
         let payload = wire::encode_submission(&submission)
             .map_err(|e| RuntimeError::Service(format!("submission cannot be encoded: {e}")))?;
         let (tag, resp) = conn.request(wire::tag::SUBMIT, &payload)?;
@@ -248,19 +219,16 @@ impl Client {
     ///
     /// [`RuntimeError::Transport`] when writing or reading frames
     /// fails mid-batch; [`RuntimeError::Service`] when a submission
-    /// cannot be encoded or needs a newer negotiated version (both
-    /// detected before anything is written).
+    /// cannot be encoded (detected before anything is written).
     pub fn submit_batch(
         &self,
         submissions: &[Submission],
     ) -> Result<Vec<Result<Vec<RemoteJobHandle>, RuntimeError>>, RuntimeError> {
         let mut conn = self.conn.lock().expect("client connection poisoned");
-        // Encode (and version-check) everything up front: a mid-batch
-        // encode failure would desynchronise the positional ack
-        // matching.
+        // Encode everything up front: a mid-batch encode failure would
+        // desynchronise the positional ack matching.
         let mut payloads = Vec::with_capacity(submissions.len());
         for submission in submissions {
-            check_submission_version(&conn, submission)?;
             payloads.push(wire::encode_submission(submission).map_err(|e| {
                 RuntimeError::Service(format!("submission cannot be encoded: {e}"))
             })?);
@@ -354,33 +322,6 @@ impl Client {
     }
 }
 
-/// The lowest negotiated protocol version that can carry
-/// `submission`. Most submissions ride the v2 front door; a
-/// `CliffordChain` workload uses wire tag 5, a v5 capability — a ≤ v4
-/// server would fail its decoder with an opaque `UnknownTag`, so the
-/// client refuses locally with a clear error instead.
-fn submission_min_version(submission: &Submission) -> u16 {
-    match submission.work() {
-        Work::Spec(spec) if matches!(spec.kind, WorkloadKind::CliffordChain { .. }) => 5,
-        _ => 2,
-    }
-}
-
-fn check_submission_version(
-    conn: &ClientConn,
-    submission: &Submission,
-) -> Result<(), RuntimeError> {
-    let needed = submission_min_version(submission);
-    if conn.negotiated < needed {
-        return Err(RuntimeError::Service(format!(
-            "submission needs wire v{needed} but {} ({}) negotiated v{} — \
-             upgrade the coordinator or drop the CliffordChain workload",
-            conn.server_name, conn.addr, conn.negotiated
-        )));
-    }
-    Ok(())
-}
-
 /// One `POLL` round trip on a shared connection.
 fn poll_on(conn: &Arc<Mutex<ClientConn>>, job_id: u64) -> Result<PartialResult, RuntimeError> {
     let mut conn = conn.lock().expect("client connection poisoned");
@@ -398,12 +339,11 @@ fn poll_on(conn: &Arc<Mutex<ClientConn>>, job_id: u64) -> Result<PartialResult, 
 ///
 /// **Resumable**: when the transport breaks mid-stream, the watch
 /// re-handshakes (a few attempts, short backoff) and re-subscribes
-/// with the last prefix it already folded — on a v4 server the resume
-/// field makes the server skip everything at or below it; on an older
-/// server the client-side monotonic filter drops the replay. Either
-/// way the callback sees every prefix exactly once, never out of
-/// order — the reassembled stream is indistinguishable from an
-/// unbroken watch.
+/// with the last prefix it already folded, so the server skips
+/// everything at or below it; the client-side monotonic filter drops
+/// keepalive re-sends. The callback sees every prefix exactly once,
+/// never out of order — the reassembled stream is indistinguishable
+/// from an unbroken watch.
 fn watch_on(
     conn: &Arc<Mutex<ClientConn>>,
     job_id: u64,
@@ -421,13 +361,7 @@ fn watch_on(
     'subscribe: loop {
         let sub = wire::Subscribe {
             job_id,
-            // Resume is a v4 capability; a v3 (or downgraded) server
-            // gets the plain 8-byte subscribe it understands.
-            resume_after: if conn.negotiated >= 4 {
-                last_batches
-            } else {
-                None
-            },
+            resume_after: last_batches,
         };
         if let Err(e) = wire::write_frame(
             &mut conn.stream,
@@ -455,10 +389,9 @@ fn watch_on(
                     let snapshot = wire::decode_partial_result(&payload)
                         .map_err(|e| conn.transport(format!("undecodable snapshot: {e}")))?;
                     // Keepalives repeat the last prefix so slow jobs
-                    // survive the read deadline, and a resumed stream
-                    // may replay prefixes on pre-v4 servers; only
-                    // strictly-new prefixes (or the completion frame)
-                    // reach the caller.
+                    // survive the read deadline; only strictly-new
+                    // prefixes (or the completion frame) reach the
+                    // caller.
                     let batches = snapshot.batches_done as u64;
                     let newer = last_batches.is_none_or(|seen| batches > seen);
                     if newer || snapshot.done {
@@ -510,7 +443,6 @@ impl std::fmt::Debug for Client {
         f.debug_struct("Client")
             .field("addr", &conn.addr)
             .field("server", &conn.server_name)
-            .field("protocol", &conn.negotiated)
             .finish()
     }
 }

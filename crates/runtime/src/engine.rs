@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use eqasm_microarch::{BackendSelect, QuMa, RunStats};
 
-use crate::aggregate::{BitString, Histogram, JobResult, LatencyStats};
+use crate::aggregate::{BitString, Histogram, JobResult, LatencyHistogram};
 use crate::backend::BatchOut;
 use crate::error::RuntimeError;
 use crate::job::{default_batch_size, partition_shots, Job};
@@ -52,7 +52,6 @@ use crate::job::{default_batch_size, partition_shots, Job};
 pub struct ShotEngine {
     workers: usize,
     batch_size: Option<u64>,
-    retain_latencies: bool,
 }
 
 /// A completed [`BatchOut`] tagged with its merge position and the
@@ -87,7 +86,6 @@ impl ShotEngine {
         ShotEngine {
             workers,
             batch_size: None,
-            retain_latencies: false,
         }
     }
 
@@ -105,18 +103,6 @@ impl ShotEngine {
     /// the smallest batch instead of panicking the pool.
     pub fn with_batch_size(mut self, batch_size: u64) -> Self {
         self.batch_size = Some(batch_size.max(1));
-        self
-    }
-
-    /// Retains the raw per-shot duration vector in each
-    /// [`JobResult`]'s [`JobResult::latencies_ns`]. Off by default:
-    /// raw retention costs 8 bytes per shot *after* the run, which is
-    /// unbounded growth for a long-lived service holding results of
-    /// million-shot jobs. [`LatencyStats`] stays exact either way —
-    /// percentiles are computed from the full duration stream before
-    /// it is dropped.
-    pub fn with_raw_latencies(mut self, retain: bool) -> Self {
-        self.retain_latencies = retain;
         self
     }
 
@@ -238,8 +224,7 @@ impl ShotEngine {
                 histogram: Histogram::new(),
                 stats: RunStats::default(),
                 mean_prob1: vec![0.0; job.inst.topology().num_qubits()],
-                latencies_ns: Vec::new(),
-                latency: LatencyStats::default(),
+                latency: LatencyHistogram::new(),
                 elapsed: Duration::ZERO,
                 shots_per_sec: 0.0,
                 window: None,
@@ -250,14 +235,8 @@ impl ShotEngine {
 
         // Per-job active window: first batch start to last batch end,
         // so a job's shots/sec is not diluted by time the pool spent
-        // on *other* jobs before this one was picked up. Durations
-        // are accumulated in a transient scratch so exact percentiles
-        // can be computed even when raw retention is off.
+        // on *other* jobs before this one was picked up.
         let mut windows: Vec<Option<(Instant, Instant)>> = vec![None; jobs.len()];
-        let mut durations: Vec<Vec<u64>> = jobs
-            .iter()
-            .map(|job| Vec::with_capacity(job.shots as usize))
-            .collect();
         for tagged in outputs {
             let r = &mut results[tagged.job];
             r.histogram.merge(&tagged.out.histogram);
@@ -265,7 +244,7 @@ impl ShotEngine {
             for (acc, s) in r.mean_prob1.iter_mut().zip(&tagged.out.prob1_sum) {
                 *acc += s;
             }
-            durations[tagged.job].extend_from_slice(&tagged.out.durations_ns);
+            r.latency.merge(&tagged.out.latency);
             r.non_halted += tagged.out.non_halted;
             if r.first_failure.is_none() {
                 r.first_failure = tagged.out.first_failure;
@@ -281,15 +260,11 @@ impl ShotEngine {
                 r.elapsed = finish.duration_since(*start);
             }
         }
-        for (r, durs) in results.iter_mut().zip(durations) {
+        for r in &mut results {
             if r.shots > 0 {
                 for p in &mut r.mean_prob1 {
                     *p /= r.shots as f64;
                 }
-            }
-            r.latency = LatencyStats::from_durations(&durs);
-            if self.retain_latencies {
-                r.latencies_ns = durs;
             }
             let secs = r.elapsed.as_secs_f64();
             r.shots_per_sec = if secs > 0.0 {
@@ -356,7 +331,7 @@ pub(crate) fn run_batch(machine: &mut QuMa, job: &Job, range: std::ops::Range<u6
     let mut histogram = Histogram::new();
     let mut stats = RunStats::default();
     let mut prob1_sum = vec![0.0f64; n];
-    let mut durations_ns = Vec::with_capacity((range.end - range.start) as usize);
+    let mut latency = LatencyHistogram::new();
     let mut non_halted = 0;
     let mut first_failure = None;
 
@@ -374,7 +349,7 @@ pub(crate) fn run_batch(machine: &mut QuMa, job: &Job, range: std::ops::Range<u6
             Some(snap) => machine.run_shot_from(snap, seed),
             None => machine.run_shot(seed),
         };
-        durations_ns.push(t0.elapsed().as_nanos() as u64);
+        latency.record(t0.elapsed().as_nanos() as u64);
         stats.merge(&result.stats);
         if !result.status.is_halted() {
             non_halted += 1;
@@ -395,17 +370,17 @@ pub(crate) fn run_batch(machine: &mut QuMa, job: &Job, range: std::ops::Range<u6
     }
 
     let m = crate::metrics::rt();
-    m.shots_executed.add(durations_ns.len() as u64);
+    m.shots_executed.add(latency.count());
     m.batches_executed.inc();
     if prefix.is_some() {
-        m.prefix_fork_shots.add(durations_ns.len() as u64);
+        m.prefix_fork_shots.add(latency.count());
     }
 
     BatchOut {
         histogram,
         stats,
         prob1_sum,
-        durations_ns,
+        latency,
         non_halted,
         first_failure,
         elapsed_ns: started_at.elapsed().as_nanos() as u64,

@@ -27,13 +27,14 @@
 //!
 //! * `Admit` — job id, the job's [`crate::wire::encode_job`] bytes
 //!   (compressed with the same varint+RLE codec and
-//!   [`crate::wire::COMPRESSED_JOB_ID_FLAG`] convention as a v3
+//!   [`crate::wire::COMPRESSED_JOB_ID_FLAG`] convention as a
 //!   `LoadJob`), and the tenant name.
 //! * `RangeDone` — job id, batch index, shot range, and the batch's
 //!   encoded [`crate::BatchOut`]. Carrying the full batch result is
 //!   what makes recovery exact *without re-executing done ranges*: the
 //!   fold consumed the data, so the journal is the only place it
-//!   still exists.
+//!   still exists. Its latencies are a histogram, so the record's size
+//!   does not grow with the range's shots.
 //! * `Complete` — job id; terminal. The job (succeeded, failed, or
 //!   evicted) leaves durable state and is never resurrected.
 //! * `Checkpoint` — opens a compacted segment. Replay resets its state
@@ -91,8 +92,10 @@ pub(crate) mod rtag {
 /// Magic bytes opening every segment file.
 const SEGMENT_MAGIC: [u8; 4] = *b"EQJL";
 
-/// Segment format version.
-const SEGMENT_VERSION: u16 = 1;
+/// Segment format version. Version 2 carries `RangeDone` latencies as
+/// a histogram; a version-1 segment is a typed
+/// [`JournalError::BadHeader`].
+const SEGMENT_VERSION: u16 = 2;
 
 /// Segment header length: magic + version + reserved.
 const HEADER_LEN: usize = 8;
@@ -314,7 +317,7 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 // Record payloads
 // ---------------------------------------------------------------------
 
-/// Builds an `Admit` payload. Job bytes reuse the v2 `LoadJob`
+/// Builds an `Admit` payload. Job bytes reuse the `LoadJob`
 /// compression convention: ship compressed when that shrinks them,
 /// flagged via [`wire::COMPRESSED_JOB_ID_FLAG`] on the id word.
 pub(crate) fn admit_payload(job_id: u64, tenant: &str, job: &Job) -> Result<Vec<u8>, WireError> {
@@ -422,6 +425,12 @@ fn decode_record(payload: &[u8]) -> Result<Record, WireError> {
             let start = r.get_u64("RangeDone.start")?;
             let end = r.get_u64("RangeDone.end")?;
             let out = Box::new(wire::decode_batch_out(&r.get_bytes("RangeDone.out")?)?);
+            if Some(out.shots()) != end.checked_sub(start) {
+                return Err(WireError::Invalid(format!(
+                    "RangeDone: {} shots recorded for range {start}..{end}",
+                    out.shots()
+                )));
+            }
             Record::RangeDone {
                 job_id,
                 batch,
@@ -1029,11 +1038,15 @@ mod tests {
     fn sample_out(shots: u64) -> BatchOut {
         let mut histogram = crate::aggregate::Histogram::new();
         histogram.add(crate::aggregate::BitString::EMPTY, shots);
+        let mut latency = crate::aggregate::LatencyHistogram::new();
+        for i in 0..shots {
+            latency.record(100 + i);
+        }
         BatchOut {
             histogram,
             stats: Default::default(),
             prob1_sum: vec![0.25, 0.75],
-            durations_ns: (0..shots).map(|i| 100 + i).collect(),
+            latency,
             non_halted: 0,
             first_failure: None,
             elapsed_ns: 12_345,
@@ -1079,7 +1092,7 @@ mod tests {
         let (range, rec) = &j3.done[&0];
         assert_eq!(*range, 0..32);
         assert_eq!(rec.histogram, out.histogram);
-        assert_eq!(rec.durations_ns, out.durations_ns);
+        assert_eq!(rec.latency, out.latency);
         assert!(replay.jobs[&4].completed);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1110,6 +1123,55 @@ mod tests {
             assert_eq!(replay.torn_tail, cut > keep_min, "cut at {cut}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_1_segment_is_a_typed_bad_header() {
+        let dir = temp_dir("v1");
+        let path = write_segment(&dir, 0, &[admit_payload(0, "t", &sample_job(8)).unwrap()]);
+        let mut bytes = std::fs::read(&path).expect("read segment");
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite header");
+        match replay_dir(&dir) {
+            Err(JournalError::BadHeader { segment, .. }) => assert_eq!(segment, path),
+            other => panic!("expected BadHeader, got {:?}", other.map(|r| r.records)),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `RangeDone` record's size does not grow with its range: a
+    /// 1-qubit RB batch stays under 1 KiB at 64 and at 65,536 shots.
+    #[test]
+    fn range_done_payload_is_small_at_any_range_length() {
+        use crate::ExecBackend as _;
+        let (inst, program) = crate::WorkloadKind::Rb {
+            k: 8,
+            interval_cycles: 20,
+            sequence_seed: 5,
+        }
+        .build()
+        .expect("builds");
+        let job = Job::new("rb", inst, program)
+            .with_shots(65_536)
+            .with_seed(1);
+        let mut backend = crate::LocalBackend::new(0);
+        for shots in [64u64, 65_536] {
+            let out = backend.run_range(&job, 0..shots).expect("runs");
+            assert_eq!(out.shots(), shots);
+            let batch = wire::encode_batch_out(&out).len();
+            let record = range_done_payload(0, 0, &(0..shots), &out).len();
+            assert!(batch < 1024, "BatchOut of {shots} shots is {batch} B");
+            assert!(record < 1024, "RangeDone of {shots} shots is {record} B");
+        }
+    }
+
+    #[test]
+    fn range_done_with_the_wrong_shot_count_is_rejected() {
+        let payload = range_done_payload(0, 0, &(0..33), &sample_out(32));
+        assert!(matches!(
+            decode_record(&payload),
+            Err(WireError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! * [`ShotEngine`] — a worker pool that fans shot batches (and whole
 //!   job streams) across threads, each driving its own `QuMa`
 //!   instance via the cheap `run_shot` reset-and-run path;
-//! * [`JobResult`] / [`Histogram`] / [`LatencyStats`] — batched
-//!   aggregation: outcome histograms, `RunStats` roll-ups, p50/p95/p99
-//!   shot latencies and shots/sec throughput;
+//! * [`JobResult`] / [`Histogram`] / [`LatencyHistogram`] —
+//!   batched aggregation: outcome histograms, `RunStats` roll-ups, a
+//!   mergeable shot-latency histogram (p50/p95/p99 within 1/64) and
+//!   shots/sec throughput;
 //! * [`WorkloadSpec`] / [`MixedWorkload`] — declarative experiment
 //!   driving: named generators from `eqasm-workloads`, weights, and a
 //!   mixed-traffic driver with per-workload and aggregate reports;
@@ -40,8 +41,8 @@
 //! * [`wire`] — the hand-rolled, length-prefixed, versioned binary
 //!   protocol behind [`RemoteBackend`] and the serve front door:
 //!   explicit encoders for jobs, batch results, snapshots and
-//!   submissions; a magic + **negotiating** handshake (v2 offers,
-//!   falls back to v1 so old workers keep serving); the v2 **job
+//!   submissions; a magic + version handshake that accepts only its
+//!   own version, with a typed error for any other; the **job
 //!   registry** (`LoadJob`/`RunRangeById` against a capacity-bounded
 //!   worker-side LRU, with a typed `JobNotLoaded` miss the client
 //!   recovers transparently — constant-size range requests instead of
@@ -188,7 +189,7 @@ mod supervisor;
 pub mod wire;
 mod workload;
 
-pub use aggregate::{BitString, Histogram, JobResult, LatencyStats};
+pub use aggregate::{BitString, Histogram, JobResult, LatencyHistogram, LatencyStats};
 pub use auth::Psk;
 pub use backend::{BackendDescriptor, BackendKind, BatchOut, ExecBackend, LocalBackend};
 pub use client::{Client, RemoteJobHandle};

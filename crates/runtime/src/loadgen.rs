@@ -25,7 +25,7 @@
 //! against (the `capacity` section of `BENCH_runtime.json`).
 //!
 //! [`churn_sweep`] is the subscriber-churn companion: instead of
-//! submissions it cycles watchers — connect, `SUBSCRIBE` (with a v4/v5
+//! submissions it cycles watchers — connect, `SUBSCRIBE` (with a
 //! resume point), read a few snapshots, disconnect — and verifies
 //! resume correctness on every reconnect while reporting cycle and
 //! reactor-wakeup rates.
@@ -1625,12 +1625,12 @@ pub fn churn_sweep(
                 // Raw subscribe: the Client API intentionally has no
                 // "abandon a live stream" — churn needs exactly that,
                 // so it speaks the wire directly.
-                let Ok((mut stream, ack)) = crate::net::handshake(&target.connect, &target.options)
+                let Ok((mut stream, _)) = crate::net::handshake(&target.connect, &target.options)
                 else {
                     std::thread::sleep(Duration::from_millis(20));
                     continue;
                 };
-                let resume_after = if ack.version >= 4 { last_seen } else { None };
+                let resume_after = last_seen;
                 let sub = wire::Subscribe {
                     job_id,
                     resume_after,

@@ -498,7 +498,6 @@ fn frame_label(tag: u8) -> &'static str {
     match tag {
         tag::HELLO => "hello",
         tag::HELLO_ACK => "hello_ack",
-        tag::RUN_RANGE => "run_range",
         tag::BATCH => "batch",
         tag::ERROR => "error",
         tag::PING => "ping",
@@ -524,7 +523,6 @@ fn frame_label(tag: u8) -> &'static str {
 const KNOWN_TAGS: &[u8] = &[
     crate::wire::tag::HELLO,
     crate::wire::tag::HELLO_ACK,
-    crate::wire::tag::RUN_RANGE,
     crate::wire::tag::BATCH,
     crate::wire::tag::ERROR,
     crate::wire::tag::PING,
@@ -799,15 +797,15 @@ impl RuntimeMetrics {
             bytes_out: FrameCounters::new(&wire_bytes, "out"),
             job_cache_hits: r.counter(
                 "eqasm_worker_job_cache_hits_total",
-                "v2 job-registry LRU hits on the worker side.",
+                "Job-registry LRU hits on the worker side.",
             ),
             job_cache_misses: r.counter(
                 "eqasm_worker_job_cache_misses_total",
-                "v2 job-registry LRU misses (answered with the typed JobNotLoaded error).",
+                "Job-registry LRU misses (answered with the typed JobNotLoaded error).",
             ),
             job_cache_evictions: r.counter(
                 "eqasm_worker_job_cache_evictions_total",
-                "v2 job-registry LRU evictions beyond the configured capacity.",
+                "Job-registry LRU evictions beyond the configured capacity.",
             ),
             job_registry_reloads: r.counter(
                 "eqasm_job_registry_reloads_total",
@@ -834,7 +832,7 @@ impl RuntimeMetrics {
             ),
             subscription_resumes: r.counter(
                 "eqasm_subscription_resumes_total",
-                "SUBSCRIBE requests carrying a v4 resume point (reconnects of dropped watches).",
+                "SUBSCRIBE requests carrying a resume point (reconnects of dropped watches).",
             ),
             backpressure_disconnects: r.counter(
                 "eqasm_net_backpressure_disconnects_total",

@@ -92,7 +92,7 @@ use std::time::{Duration, Instant};
 use eqasm_core::{Instantiation, Instruction};
 use eqasm_microarch::RunStats;
 
-use crate::aggregate::{Histogram, JobResult, LatencyStats};
+use crate::aggregate::{Histogram, JobResult, LatencyHistogram, LatencyStats};
 use crate::backend::{BackendDescriptor, BatchOut, ExecBackend, LocalBackend};
 use crate::engine::TaggedBatch;
 use crate::error::RuntimeError;
@@ -202,11 +202,6 @@ pub struct ServeConfig {
     /// In-flight-shot quota for tenants that were never explicitly
     /// registered.
     pub default_quota: u64,
-    /// Retain raw per-shot durations in final [`JobResult`]s (see
-    /// [`crate::ShotEngine::with_raw_latencies`]). Off by default:
-    /// a long-lived queue holding million-shot results must not grow
-    /// by 8 bytes per executed shot.
-    pub retain_latencies: bool,
     /// Admission cap on a tenant's queued-but-not-started shots.
     /// `u64::MAX` (the default) disables admission control. Unlike the
     /// in-flight quota — which only *paces* a tenant — this bounds
@@ -243,7 +238,6 @@ impl Default for ServeConfig {
             batch_size: None,
             default_weight: 1,
             default_quota: u64::MAX,
-            retain_latencies: false,
             pending_cap: u64::MAX,
             max_batch_retries: 3,
             hold_when_empty: false,
@@ -271,12 +265,6 @@ impl ServeConfig {
     pub fn with_tenant_defaults(mut self, weight: u32, quota: u64) -> Self {
         self.default_weight = weight.max(1);
         self.default_quota = quota;
-        self
-    }
-
-    /// Returns the config with raw per-shot latency retention.
-    pub fn with_raw_latencies(mut self, retain: bool) -> Self {
-        self.retain_latencies = retain;
         self
     }
 
@@ -634,7 +622,7 @@ struct PartialState {
     histogram: Histogram,
     stats: RunStats,
     prob1_sum: Vec<f64>,
-    durations_ns: Vec<u64>,
+    latency: LatencyHistogram,
     non_halted: u64,
     first_failure: Option<(u64, String)>,
     window: Option<(Instant, Instant)>,
@@ -649,7 +637,7 @@ impl PartialState {
             histogram: Histogram::new(),
             stats: RunStats::default(),
             prob1_sum: vec![0.0; num_qubits],
-            durations_ns: Vec::new(),
+            latency: LatencyHistogram::new(),
             non_halted: 0,
             first_failure: None,
             window: None,
@@ -664,13 +652,13 @@ impl PartialState {
     fn absorb(&mut self, tagged: TaggedBatch) {
         self.stash.insert(tagged.batch, tagged);
         while let Some(next) = self.stash.remove(&self.folded) {
-            self.shots_done += next.out.durations_ns.len() as u64;
+            self.shots_done += next.out.shots();
             self.histogram.merge(&next.out.histogram);
             self.stats.merge(&next.out.stats);
             for (acc, s) in self.prob1_sum.iter_mut().zip(&next.out.prob1_sum) {
                 *acc += s;
             }
-            self.durations_ns.extend_from_slice(&next.out.durations_ns);
+            self.latency.merge(&next.out.latency);
             self.non_halted += next.out.non_halted;
             if self.first_failure.is_none() {
                 self.first_failure = next.out.first_failure;
@@ -1192,7 +1180,6 @@ impl QueueState {
     /// Seals a fully-folded job into its final [`JobResult`] —
     /// bit-identical to the engine's merge of the same batches.
     fn finalize(&mut self, job_id: usize) {
-        let retain = self.config.retain_latencies;
         let entry = &mut self.jobs[job_id];
         let p = &mut entry.partial;
         let mut elapsed = Duration::ZERO;
@@ -1207,16 +1194,13 @@ impl QueueState {
         m.active_seconds.observe(elapsed.as_secs_f64());
         m.jobs_completed.with(&["ok"]).inc();
         let secs = elapsed.as_secs_f64();
-        let latency = LatencyStats::from_durations(&p.durations_ns);
-        let durations = std::mem::take(&mut p.durations_ns);
         entry.final_result = Some(JobResult {
             name: entry.job.name.clone(),
             shots: entry.job.shots,
             histogram: p.histogram.clone(),
             stats: p.stats,
             mean_prob1: p.mean_prob1(),
-            latencies_ns: if retain { durations } else { Vec::new() },
-            latency,
+            latency: std::mem::take(&mut p.latency),
             elapsed,
             shots_per_sec: if secs > 0.0 {
                 entry.job.shots as f64 / secs
@@ -1420,7 +1404,7 @@ impl QueueState {
         let m = crate::metrics::rt();
         for (b, (range, out)) in done {
             let cost = range.end - range.start;
-            let shots = out.durations_ns.len() as u64;
+            let shots = out.shots();
             self.journal_range_done(
                 job_id,
                 journal::range_done_payload(job_id as u64, b as u32, &range, &out),
@@ -1443,14 +1427,10 @@ impl QueueState {
         (job_id, restored)
     }
 
-    /// A snapshot of `job_id` at this instant, plus the raw prefix
-    /// durations when percentiles still need computing. Sorting a
-    /// million-shot duration vector is too expensive to do while
-    /// holding the queue mutex (it would stall every worker), so the
-    /// caller computes [`LatencyStats`] from the returned copy *after*
-    /// releasing the lock; `None` means the snapshot's `latency` field
-    /// is already final.
-    fn snapshot_inner(&self, job_id: usize, now: Instant) -> (PartialResult, Option<Vec<u64>>) {
+    /// A snapshot of `job_id` at this instant. Percentiles come from
+    /// the prefix's latency histogram in O(buckets), cheap enough to
+    /// compute under the queue mutex.
+    fn snapshot(&self, job_id: usize, now: Instant) -> PartialResult {
         let entry = &self.jobs[job_id];
         let p = &entry.partial;
         let queue_wait = match p.window {
@@ -1462,7 +1442,7 @@ impl QueueState {
             None => Duration::ZERO,
         };
         if let Some(final_result) = &entry.final_result {
-            let snapshot = PartialResult {
+            return PartialResult {
                 name: final_result.name.clone(),
                 tenant: self.tenants[entry.tenant].id.clone(),
                 shots_done: final_result.shots,
@@ -1472,18 +1452,15 @@ impl QueueState {
                 histogram: final_result.histogram.clone(),
                 stats: final_result.stats,
                 mean_prob1: final_result.mean_prob1.clone(),
-                latency: final_result.latency,
+                latency: final_result.latency.stats(),
                 non_halted: final_result.non_halted,
                 done: true,
                 failed: None,
                 queue_wait,
                 active,
             };
-            return (snapshot, None);
         }
-        // In-progress: `latency` stays default here; the caller fills
-        // it in from the returned duration copy once the lock is gone.
-        let snapshot = PartialResult {
+        PartialResult {
             name: entry.job.name.clone(),
             tenant: self.tenants[entry.tenant].id.clone(),
             shots_done: p.shots_done,
@@ -1493,26 +1470,13 @@ impl QueueState {
             histogram: p.histogram.clone(),
             stats: p.stats,
             mean_prob1: p.mean_prob1(),
-            latency: LatencyStats::default(),
+            latency: p.latency.stats(),
             non_halted: p.non_halted,
             done: entry.done(),
             failed: entry.failed.clone(),
             queue_wait,
             active,
-        };
-        (snapshot, Some(p.durations_ns.clone()))
-    }
-
-    /// A snapshot of `job_id` with percentiles resolved — test-path
-    /// convenience; the public [`JobHandle::snapshot`] does the
-    /// percentile work outside the queue lock.
-    #[cfg(test)]
-    fn snapshot(&self, job_id: usize, now: Instant) -> PartialResult {
-        let (mut snapshot, durations) = self.snapshot_inner(job_id, now);
-        if let Some(durations) = durations {
-            snapshot.latency = LatencyStats::from_durations(&durations);
         }
-        snapshot
     }
 }
 
@@ -1567,17 +1531,8 @@ impl JobHandle {
     /// including after completion.
     pub fn snapshot(&self) -> PartialResult {
         let now = Instant::now();
-        let (mut snapshot, durations) = {
-            let state = self.shared.state.lock().expect("queue state poisoned");
-            state.snapshot_inner(self.job, now)
-        };
-        // Percentiles sort the whole prefix — O(n log n) work that
-        // must not run under the queue mutex, where it would stall
-        // every worker each time a client polls a large job.
-        if let Some(durations) = durations {
-            snapshot.latency = LatencyStats::from_durations(&durations);
-        }
-        snapshot
+        let state = self.shared.state.lock().expect("queue state poisoned");
+        state.snapshot(self.job, now)
     }
 
     /// Whether the job has completed (successfully or not).
@@ -1646,7 +1601,7 @@ impl JobHandle {
         }
         // Tombstone: keep the name for diagnostics, drop everything
         // heavy (the program and instantiation dominate job memory;
-        // the histogram and duration vectors dominate result memory).
+        // the outcome and latency histograms dominate result memory).
         let name = entry.job.name.clone();
         entry.job = Arc::new(Job::new(name, Instantiation::paper_two_qubit(), Vec::new()));
         entry.partial = PartialState::new(0);
@@ -2233,9 +2188,12 @@ impl JobQueue {
         // warmer's sender (its thread drains and exits), flush and
         // stop the journal thread, then join both.
         *self.warm_tx.lock().expect("warmer channel poisoned") = None;
+        // Taken, not cloned: a second call (`Drop` after an explicit
+        // `shutdown()`) finds no journal instead of asking a stopped
+        // thread for a flush it can no longer confirm.
         let journal = {
-            let state = self.shared.state.lock().expect("queue state poisoned");
-            state.journal.clone()
+            let mut state = self.shared.state.lock().expect("queue state poisoned");
+            state.journal.take()
         };
         if let Some(journal) = journal {
             if !journal.shutdown() {
@@ -2405,6 +2363,36 @@ mod tests {
             state.enqueue_job(slot, tiny_job(&format!("job-{i}"), 8 * batches as u64));
         }
         state
+    }
+
+    #[test]
+    fn shutdown_then_drop_asks_no_stopped_journal_for_a_flush() {
+        // `Drop` runs `shutdown()` again after an explicit call; the
+        // second call must find no journal, or it asks the stopped
+        // journal thread for a flush it cannot confirm and raises a
+        // false "not confirmed durable" alarm on a clean exit.
+        let dir = std::env::temp_dir().join(format!(
+            "eqasm-serve-shutdown-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (queue, _) = JobQueue::recover(
+            ServeConfig::default(),
+            vec![Box::new(LocalBackend::new(0))],
+            &JournalConfig::new(&dir),
+        )
+        .expect("opens the journal");
+        let handle = queue
+            .submit(Submission::job("t", tiny_job("j", 8)))
+            .expect("submits")
+            .remove(0);
+        handle.wait().expect("completes");
+        queue.shutdown();
+        let journal = queue.shared.state.lock().unwrap().journal.clone();
+        assert!(journal.is_none(), "a second shutdown must find no journal");
+        drop(queue);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -305,7 +305,6 @@ fn supervise(
     let connect_opts = ConnectOptions {
         io_timeout: config.io_timeout,
         psk: config.psk.clone(),
-        ..ConnectOptions::default()
     };
     // The last registry roster that read and parsed cleanly. While
     // the file is unusable, this list stays in force — a corrupted
@@ -475,7 +474,7 @@ fn supervise(
 /// The address a slot is bound to, if it is a remote slot.
 fn slot_addr(kind: &BackendKind) -> &str {
     match kind {
-        BackendKind::Remote { addr, .. } => addr,
+        BackendKind::Remote { addr } => addr,
         BackendKind::Local => "",
     }
 }

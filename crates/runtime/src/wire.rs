@@ -6,7 +6,7 @@
 //! type that crosses a host boundary is encoded explicitly here:
 //! [`crate::Job`] (name, [`Instantiation`], instruction stream,
 //! [`SimConfig`], shots, base seed) and [`crate::BatchOut`]
-//! (histogram, [`RunStats`], `P(|1⟩)` sums, per-shot durations,
+//! (histogram, [`RunStats`], `P(|1⟩)` sums, latency histogram,
 //! failure info).
 //!
 //! ## Encoding rules
@@ -28,36 +28,32 @@
 //!   builder is the only way to construct an `OpConfig`, so any config
 //!   a job can carry round-trips exactly.
 //!
+//! * Per-shot latencies travel as a log-linear histogram: varint
+//!   occupied-bucket deltas and counts, so a batch result's size
+//!   depends on how widely its shot times spread, not on its shots.
+//!
 //! ## Framing and versioning
 //!
 //! Every message on a connection is a *frame*: a `u32` length, a `u8`
 //! message tag, then the payload. Connections open with a handshake —
-//! the client sends [`Hello`] carrying the **highest** version it
-//! speaks, the server answers [`HelloAck`] carrying the **negotiated**
-//! version (`min(client, server)`, never below
-//! [`MIN_PROTOCOL_VERSION`]) — so version skew is detected, and
-//! resolved, before any job bytes are interpreted. A v2 coordinator
-//! talking to a v1-era worker (which predates negotiation and rejects
-//! any unfamiliar version with a typed error) falls back to offering
-//! v1 outright, so old workers keep serving. All decode failures
-//! surface as [`WireError`], never as panics: a malformed or truncated
-//! frame from the network must not take down a coordinator or a
-//! worker.
+//! the client sends [`Hello`] carrying [`PROTOCOL_VERSION`], and the
+//! server answers [`HelloAck`] only when the versions are **equal**;
+//! any other offer gets a typed [`ErrorKind::Version`] error before
+//! any job bytes are interpreted. All decode failures surface as
+//! [`WireError`], never as panics: a malformed or truncated frame from
+//! the network must not take down a coordinator or a worker.
 //!
-//! ## v2: the job registry
+//! ## The job registry
 //!
-//! v1 ships the full encoded job inside every `RunRange` request —
-//! workers memcmp-cache the bytes so repeat ranges skip the decode,
-//! but a million-shot sweep of a large program still pays the job
-//! bytes per range. v2 splits the two concerns: [`LoadJob`] ships the
-//! bytes once under a caller-chosen `job_id`, [`RunRangeById`] then
-//! names the job by id (24-byte payload, independent of program
-//! size). The worker keeps a **capacity-bounded LRU** of loaded jobs
-//! per connection; a range naming an evicted (or never-loaded) id gets
-//! the typed [`ErrorKind::JobNotLoaded`] miss, which the client
-//! answers by transparently re-sending [`LoadJob`] and retrying —
-//! eviction costs one extra round trip, never a wrong answer. The
-//! full state machine is specified in `PROTOCOL.md`.
+//! [`LoadJob`] ships a job's bytes once per connection under a
+//! caller-chosen `job_id`; [`RunRangeById`] then names the job by id
+//! (24-byte payload, independent of program size). The worker keeps a
+//! **capacity-bounded LRU** of loaded jobs per connection; a range
+//! naming an evicted (or never-loaded) id gets the typed
+//! [`ErrorKind::JobNotLoaded`] miss, which the client answers by
+//! transparently re-sending [`LoadJob`] and retrying — eviction costs
+//! one extra round trip, never a wrong answer. The full state machine
+//! is specified in `PROTOCOL.md`.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -73,7 +69,9 @@ use eqasm_microarch::{
 };
 use eqasm_quantum::{NoiseModel, ReadoutModel};
 
-use crate::aggregate::{BitString, Histogram, JobResult, LatencyStats};
+use crate::aggregate::{
+    BitString, Histogram, JobResult, LatencyHistogram, LatencyStats, LATENCY_BUCKETS,
+};
 use crate::backend::BatchOut;
 use crate::job::Job;
 use crate::serve::{PartialResult, Submission, TenantId, Work};
@@ -85,56 +83,17 @@ use crate::workload::{WorkloadKind, WorkloadSpec};
 /// incompatible *version* of it).
 pub const MAGIC: [u8; 4] = *b"EQWP";
 
-/// The highest protocol version this build speaks. Bumped on any
-/// change to the frame layout or the encoding of any type below.
-/// Since v2 the handshake *negotiates*: the client offers its highest
-/// version, the server acks `min(offer, own)`, and both ends then
-/// speak the acked version — so newer builds interoperate with older
-/// peers in either direction.
-///
-/// v3 is a *capability* bump, not a layout change: it licenses the
-/// sender to set [`COMPRESSED_JOB_ID_FLAG`] on a `LoadJob`'s id word.
-/// The flag is self-describing only to decoders that know it — a
-/// v2-era worker would fail every flagged load with a typed error —
-/// so compression must be gated on the *negotiated* version, which is
-/// exactly what the version bump provides.
-///
-/// v4 is likewise a capability bump with no frame-layout change: it
-/// licenses the 16-byte `SUBSCRIBE` payload ([`encode_subscribe`] with
-/// a resume point), letting a client that lost its subscription
-/// reconnect and receive only snapshots *past* the prefix it already
-/// folded. A v4 server still accepts the bare 8-byte v3 payload, and a
-/// v4 client talking to a ≤ v3 server sends the 8-byte form and
-/// filters client-side.
-///
-/// v5 is a capability bump again: it adds [`WorkloadKind`] tag 5
-/// (`CliffordChain`, the large-n stabilizer workload). The tag is
-/// unknown to ≤ v4 decoders — they would fail the submission with a
-/// typed `UnknownTag` error — so clients gate `CliffordChain`
-/// submissions on the *negotiated* version and refuse locally with a
-/// clear error instead of tripping the peer's decoder.
-pub const PROTOCOL_VERSION: u16 = 5;
-
-/// The oldest protocol version this build still speaks. Handshakes
-/// that cannot settle on a version in
-/// `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION` fail with a typed
+/// The one protocol version this build speaks. Bumped on any change
+/// to the frame layout or the encoding of any type below. Every peer
+/// ships from the same build, so the handshake checks the offered
+/// version for equality and answers a mismatch with a typed
 /// [`ErrorKind::Version`] error.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 6;
 
-/// The version a server should ack for a client offering `offer`,
-/// capped at `cap` (a server may be configured to speak at most some
-/// version, e.g. for staged rollouts). `None` when no common version
-/// exists.
-pub fn negotiate(offer: u16, cap: u16) -> Option<u16> {
-    let agreed = offer.min(cap).min(PROTOCOL_VERSION);
-    (agreed >= MIN_PROTOCOL_VERSION).then_some(agreed)
-}
-
-/// Upper bound on a single frame's length. A `RunRange` frame carries
-/// one job (program + instantiation, typically kilobytes); a `Batch`
-/// frame carries one batch's durations (8 bytes/shot). 1 GiB is far
-/// beyond any legitimate frame and stops a corrupt length prefix from
-/// triggering a giant allocation.
+/// Upper bound on a single frame's length. A `LoadJob` frame carries
+/// one job (program + instantiation, typically kilobytes). 1 GiB is
+/// far beyond any legitimate frame and stops a corrupt length prefix
+/// from triggering a giant allocation.
 pub const MAX_FRAME_LEN: u32 = 1 << 30;
 
 // ---------------------------------------------------------------------
@@ -317,6 +276,10 @@ impl Writer {
         self.put_u32(b.len() as u32);
         self.buf.extend_from_slice(b);
     }
+
+    pub(crate) fn put_varint(&mut self, v: u64) {
+        put_varint(&mut self.buf, v);
+    }
 }
 
 /// A cursor over a received payload with typed-error primitive
@@ -400,6 +363,10 @@ impl<'a> Reader<'a> {
         Ok(self.take(len, what)?.to_vec())
     }
 
+    pub(crate) fn get_varint(&mut self, what: &'static str) -> Result<u64, WireError> {
+        get_varint(&mut self.buf, what)
+    }
+
     /// A count prefix, sanity-capped against the remaining payload so
     /// a corrupt length cannot pre-allocate unbounded memory.
     pub(crate) fn get_count(
@@ -429,11 +396,7 @@ impl<'a> Reader<'a> {
 /// 63 bits — ids are small client-side counters (or queue indices), so
 /// the top bit is free to carry the flag without changing the frame
 /// layout: a compressed load is still `u64 id + u32 len + bytes`.
-/// Only v3 decoders interpret the flag, which is why senders must gate
-/// it on the *negotiated* version (see [`PROTOCOL_VERSION`]) — a pre-v3
-/// decoder fails a flagged load with a typed length error instead of
-/// silently mis-parsing. The journal's `Admit` records reuse the same
-/// convention.
+/// The journal's `Admit` records reuse the same convention.
 pub const COMPRESSED_JOB_ID_FLAG: u64 = 1 << 63;
 
 /// Byte runs at least this long become RLE run blocks; anything
@@ -1334,6 +1297,74 @@ fn get_histogram(r: &mut Reader<'_>) -> Result<Histogram, WireError> {
     Ok(h)
 }
 
+/// Encodes a [`LatencyHistogram`]: the varint sum (low then high
+/// 64 bits) and maximum, the varint number of occupied buckets, then
+/// per bucket the varint gap from the previous index (the first is
+/// its index) and the varint count. The sample count is the sum of
+/// the bucket counts.
+fn put_latency_histogram(w: &mut Writer, h: &LatencyHistogram) {
+    w.put_varint(h.sum() as u64);
+    w.put_varint((h.sum() >> 64) as u64);
+    w.put_varint(h.max());
+    w.put_varint(h.buckets().count() as u64);
+    let mut next = 0;
+    for (bucket, n) in h.buckets() {
+        w.put_varint((bucket - next) as u64);
+        w.put_varint(n);
+        next = bucket + 1;
+    }
+}
+
+fn get_latency_histogram(r: &mut Reader<'_>) -> Result<LatencyHistogram, WireError> {
+    let sum_lo = r.get_varint("LatencyHistogram.sum")?;
+    let sum_hi = r.get_varint("LatencyHistogram.sum")?;
+    let max = r.get_varint("LatencyHistogram.max")?;
+    let n = r.get_varint("LatencyHistogram.buckets")?;
+    // Each bucket takes at least two bytes, which bounds the
+    // allocation by the payload actually present.
+    if n > LATENCY_BUCKETS as u64 || n.saturating_mul(2) > r.remaining() as u64 {
+        return Err(WireError::Invalid(format!(
+            "LatencyHistogram: {n} buckets in {} bytes",
+            r.remaining()
+        )));
+    }
+    let mut buckets = Vec::with_capacity(n as usize);
+    let mut next = 0u64;
+    for _ in 0..n {
+        let bucket = next.saturating_add(r.get_varint("LatencyHistogram.bucket")?);
+        let count = r.get_varint("LatencyHistogram.count")?;
+        buckets.push((usize::try_from(bucket).unwrap_or(usize::MAX), count));
+        next = bucket.saturating_add(1);
+    }
+    let sum = u128::from(sum_hi) << 64 | u128::from(sum_lo);
+    LatencyHistogram::from_parts(&buckets, sum, max)
+        .map_err(|e| WireError::Invalid(format!("LatencyHistogram: {e}")))
+}
+
+/// Encodes a [`LatencyHistogram`] on its own (see
+/// [`decode_latency_histogram`]); batch and job results embed the
+/// same bytes.
+pub fn encode_latency_histogram(h: &LatencyHistogram) -> Vec<u8> {
+    let mut w = Writer::new();
+    put_latency_histogram(&mut w, h);
+    w.into_bytes()
+}
+
+/// Decodes a [`LatencyHistogram`] produced by
+/// [`encode_latency_histogram`], rejecting any bytes a real histogram
+/// could not have produced.
+pub fn decode_latency_histogram(bytes: &[u8]) -> Result<LatencyHistogram, WireError> {
+    let mut r = Reader::new(bytes);
+    let h = get_latency_histogram(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(WireError::Invalid(format!(
+            "{} trailing bytes after latency histogram",
+            r.remaining()
+        )));
+    }
+    Ok(h)
+}
+
 /// Encodes a [`BatchOut`] for the return trip.
 pub fn encode_batch_out(out: &BatchOut) -> Vec<u8> {
     let mut w = Writer::new();
@@ -1343,10 +1374,7 @@ pub fn encode_batch_out(out: &BatchOut) -> Vec<u8> {
     for &p in &out.prob1_sum {
         w.put_f64(p);
     }
-    w.put_u64(out.durations_ns.len() as u64);
-    for &d in &out.durations_ns {
-        w.put_u64(d);
-    }
+    put_latency_histogram(&mut w, &out.latency);
     w.put_u64(out.non_halted);
     match &out.first_failure {
         None => w.put_u8(0),
@@ -1370,18 +1398,7 @@ pub fn decode_batch_out(bytes: &[u8]) -> Result<BatchOut, WireError> {
     for _ in 0..n {
         prob1_sum.push(r.get_f64("BatchOut.prob1")?);
     }
-    let n_durations = r.get_u64("BatchOut.durations_len")? as usize;
-    if n_durations.saturating_mul(8) > r.remaining() {
-        return Err(WireError::Truncated {
-            what: "BatchOut.durations",
-            needed: n_durations * 8,
-            have: r.remaining(),
-        });
-    }
-    let mut durations_ns = Vec::with_capacity(n_durations);
-    for _ in 0..n_durations {
-        durations_ns.push(r.get_u64("BatchOut.duration")?);
-    }
+    let latency = get_latency_histogram(&mut r)?;
     let non_halted = r.get_u64("BatchOut.non_halted")?;
     let first_failure = match r.get_u8("BatchOut.first_failure")? {
         0 => None,
@@ -1407,7 +1424,7 @@ pub fn decode_batch_out(bytes: &[u8]) -> Result<BatchOut, WireError> {
         histogram,
         stats,
         prob1_sum,
-        durations_ns,
+        latency,
         non_halted,
         first_failure,
         elapsed_ns,
@@ -1424,8 +1441,6 @@ pub mod tag {
     pub const HELLO: u8 = 1;
     /// Worker → client: magic + version + capacity + name.
     pub const HELLO_ACK: u8 = 2;
-    /// Client → worker: run a shot range of an (inlined) job.
-    pub const RUN_RANGE: u8 = 3;
     /// Worker → client: the range's [`crate::BatchOut`].
     pub const BATCH: u8 = 4;
     /// Either direction: a typed failure.
@@ -1434,13 +1449,13 @@ pub mod tag {
     pub const PING: u8 = 6;
     /// Worker → client: liveness answer.
     pub const PONG: u8 = 7;
-    /// (v2) Client → worker: register a job's encoded bytes under a
+    /// Client → worker: register a job's encoded bytes under a
     /// client-chosen id in the worker's job cache.
     pub const LOAD_JOB: u8 = 8;
-    /// (v2) Worker → client: the job loaded and validated.
+    /// Worker → client: the job loaded and validated.
     pub const LOAD_ACK: u8 = 9;
-    /// (v2) Client → worker: run a shot range of a previously loaded
-    /// job, named by id — constant-size, however large the program.
+    /// Client → worker: run a shot range of a previously loaded job,
+    /// named by id — constant-size, however large the program.
     pub const RUN_RANGE_BY_ID: u8 = 10;
     /// Server → client: PSK challenge (sent instead of `HELLO_ACK`
     /// when the server requires authentication).
@@ -1450,7 +1465,7 @@ pub mod tag {
     /// Server → client: the server's own proof (mutual auth), after
     /// which the delayed `HELLO_ACK` follows.
     pub const AUTH_OK: u8 = 13;
-    /// (v2, serve front door) Client → coordinator: a tenant-tagged
+    /// (Serve front door) Client → coordinator: a tenant-tagged
     /// submission for the job queue.
     pub const SUBMIT: u8 = 16;
     /// Coordinator → client: ids of the jobs a submission expanded to.
@@ -1714,10 +1729,8 @@ impl FrameWriter {
 /// The client half of the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
-    /// The **highest** protocol version the client speaks (since v2;
-    /// v1 peers read it as "the only version the client speaks" and
-    /// reject anything unfamiliar, which the client answers by
-    /// re-offering v1).
+    /// The protocol version the client speaks; the server accepts
+    /// only its own [`PROTOCOL_VERSION`].
     pub version: u16,
 }
 
@@ -1748,9 +1761,8 @@ impl Hello {
 /// The worker half of the handshake.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HelloAck {
-    /// The **negotiated** protocol version — `min` of what both ends
-    /// speak. Every later frame on the connection is interpreted
-    /// under this version.
+    /// The server's protocol version — equal to the client's offer,
+    /// or the server would have sent a `Version` error instead.
     pub version: u16,
     /// How many ranges the worker is willing to run concurrently
     /// (clients typically open this many connections).
@@ -1787,53 +1799,8 @@ impl HelloAck {
     }
 }
 
-/// A request to run shots `start..end` of the inlined job.
-///
-/// The job is carried as its *encoded bytes* (not re-nested structs)
-/// so a worker can compare them against its cached program with a
-/// plain memcmp and skip the decode + machine rebuild when the same
-/// job sends many ranges — exactness without a job-registry handshake.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunRange {
-    /// First shot index of the range.
-    pub start: u64,
-    /// One past the last shot index.
-    pub end: u64,
-    /// The [`encode_job`] bytes of the job.
-    pub job_bytes: Vec<u8>,
-}
-
-impl RunRange {
-    /// Encodes the request payload.
-    pub fn encode(&self) -> Vec<u8> {
-        RunRange::encode_parts(self.start, self.end, &self.job_bytes)
-    }
-
-    /// Encodes a request payload from borrowed job bytes — the
-    /// client's hot path, which keeps one cached encoding of the job
-    /// and must not clone it per range just to build the frame.
-    pub fn encode_parts(start: u64, end: u64, job_bytes: &[u8]) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.buf.reserve(8 + 8 + 4 + job_bytes.len());
-        w.put_u64(start);
-        w.put_u64(end);
-        w.put_bytes(job_bytes);
-        w.into_bytes()
-    }
-
-    /// Decodes a request payload.
-    pub fn decode(bytes: &[u8]) -> Result<RunRange, WireError> {
-        let mut r = Reader::new(bytes);
-        Ok(RunRange {
-            start: r.get_u64("RunRange.start")?,
-            end: r.get_u64("RunRange.end")?,
-            job_bytes: r.get_bytes("RunRange.job_bytes")?,
-        })
-    }
-}
-
-/// (v2) Registers a job's encoded bytes under a client-chosen id in
-/// the worker's capacity-bounded job cache, so later
+/// Registers a job's encoded bytes under a client-chosen id in the
+/// worker's capacity-bounded job cache, so later
 /// [`RunRangeById`] requests can name it without re-shipping the
 /// bytes. Ids are scoped to the connection (a fresh connection starts
 /// with an empty cache), so a simple counter on the client side is
@@ -1852,9 +1819,8 @@ impl LoadJob {
         LoadJob::encode_parts(self.job_id, &self.job_bytes)
     }
 
-    /// Encodes a request payload from borrowed job bytes — the
-    /// client keeps one cached encoding per job and must not clone it
-    /// just to build the (one-time) load frame.
+    /// Encodes a request payload from borrowed job bytes, shipped
+    /// plain.
     pub fn encode_parts(job_id: u64, job_bytes: &[u8]) -> Vec<u8> {
         let mut w = Writer::new();
         w.buf.reserve(8 + 4 + job_bytes.len());
@@ -1863,16 +1829,14 @@ impl LoadJob {
         w.into_bytes()
     }
 
-    /// Encodes a request payload, [`compress`]ing the job bytes when
-    /// that actually shrinks them (it does for any realistic program —
-    /// the fixed-width job encoding is full of zero runs). A
-    /// compressed load is flagged by [`COMPRESSED_JOB_ID_FLAG`] in the
-    /// id word; the frame layout is unchanged from v2, but only v3
-    /// decoders know the flag, so callers must use this encoding only
-    /// on connections that negotiated ≥ v3 (pre-v3 peers get
-    /// [`LoadJob::encode_parts`]). Incompressible bytes ship plain
-    /// with no flag — the decoder never pays for compression that did
-    /// not help.
+    /// Encodes a request payload from borrowed job bytes — the
+    /// client keeps one cached encoding per job and must not clone it
+    /// just to build the load frame. The job bytes are [`compress`]ed
+    /// when that actually shrinks them (it does for any realistic
+    /// program — the fixed-width job encoding is full of zero runs),
+    /// flagged by [`COMPRESSED_JOB_ID_FLAG`] in the id word.
+    /// Incompressible bytes ship plain with no flag — the decoder
+    /// never pays for compression that did not help.
     pub fn encode_parts_auto(job_id: u64, job_bytes: &[u8]) -> Vec<u8> {
         debug_assert_eq!(
             job_id & COMPRESSED_JOB_ID_FLAG,
@@ -1913,7 +1877,7 @@ impl LoadJob {
     }
 }
 
-/// (v2) Acknowledges a [`LoadJob`]: the job decoded, validated and is
+/// Acknowledges a [`LoadJob`]: the job decoded, validated and is
 /// cached under `job_id`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadAck {
@@ -1944,10 +1908,9 @@ impl LoadAck {
     }
 }
 
-/// (v2) Runs shots `start..end` of the job cached under `job_id` —
-/// the constant-size successor of [`RunRange`]. A worker that no
-/// longer holds the id answers [`ErrorKind::JobNotLoaded`], and the
-/// client re-loads transparently.
+/// Runs shots `start..end` of the job cached under `job_id`. A worker
+/// that no longer holds the id answers [`ErrorKind::JobNotLoaded`],
+/// and the client re-loads transparently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunRangeById {
     /// The id a previous [`LoadJob`] registered.
@@ -2074,7 +2037,7 @@ pub enum ErrorKind {
     Version,
     /// The peer sent bytes this version cannot interpret.
     Malformed,
-    /// (v2) A [`RunRangeById`] named a job id this worker does not
+    /// A [`RunRangeById`] named a job id this worker does not
     /// have loaded — never sent, or evicted from the job cache. The
     /// client recovers transparently: re-send [`LoadJob`], retry the
     /// range. Not a failure of the job or the connection.
@@ -2214,7 +2177,7 @@ pub fn result_fingerprint(res: &crate::JobResult) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Serve front door: submissions, snapshots, results (v2)
+// Serve front door: submissions, snapshots, results
 // ---------------------------------------------------------------------
 
 fn put_latency_stats(w: &mut Writer, l: &LatencyStats) {
@@ -2336,11 +2299,7 @@ pub fn encode_job_result(res: &JobResult) -> Vec<u8> {
     put_histogram(&mut w, &res.histogram);
     put_run_stats(&mut w, &res.stats);
     put_f64_vec(&mut w, &res.mean_prob1);
-    w.put_u64(res.latencies_ns.len() as u64);
-    for &d in &res.latencies_ns {
-        w.put_u64(d);
-    }
-    put_latency_stats(&mut w, &res.latency);
+    put_latency_histogram(&mut w, &res.latency);
     put_duration_ns(&mut w, res.elapsed);
     w.put_f64(res.shots_per_sec);
     w.put_u64(res.non_halted);
@@ -2365,19 +2324,7 @@ pub fn decode_job_result(bytes: &[u8]) -> Result<JobResult, WireError> {
     let histogram = get_histogram(&mut r)?;
     let stats = get_run_stats(&mut r)?;
     let mean_prob1 = get_f64_vec(&mut r, "JobResult.mean_prob1")?;
-    let n = r.get_u64("JobResult.latencies_len")? as usize;
-    if n.saturating_mul(8) > r.remaining() {
-        return Err(WireError::Truncated {
-            what: "JobResult.latencies_ns",
-            needed: n * 8,
-            have: r.remaining(),
-        });
-    }
-    let mut latencies_ns = Vec::with_capacity(n);
-    for _ in 0..n {
-        latencies_ns.push(r.get_u64("JobResult.latency_ns")?);
-    }
-    let latency = get_latency_stats(&mut r)?;
+    let latency = get_latency_histogram(&mut r)?;
     let elapsed = Duration::from_nanos(r.get_u64("JobResult.elapsed_ns")?);
     let shots_per_sec = r.get_f64("JobResult.shots_per_sec")?;
     let non_halted = r.get_u64("JobResult.non_halted")?;
@@ -2406,7 +2353,6 @@ pub fn decode_job_result(bytes: &[u8]) -> Result<JobResult, WireError> {
         histogram,
         stats,
         mean_prob1,
-        latencies_ns,
         latency,
         elapsed,
         shots_per_sec,
@@ -2449,8 +2395,6 @@ fn put_workload_kind(w: &mut Writer, kind: &WorkloadKind) {
             w.put_u8(4);
             w.put_str(text);
         }
-        // Tag 5 is a v5 capability: senders gate on the negotiated
-        // version (see `PROTOCOL_VERSION`).
         WorkloadKind::CliffordChain { qubits, layers } => {
             w.put_u8(5);
             w.put_u64(*qubits as u64);
@@ -2480,10 +2424,14 @@ fn get_workload_kind(r: &mut Reader<'_>) -> Result<WorkloadKind, WireError> {
         4 => WorkloadKind::Source {
             text: r.get_str("Source.text")?,
         },
-        5 => WorkloadKind::CliffordChain {
-            qubits: r.get_u64("CliffordChain.qubits")? as usize,
-            layers: r.get_u32("CliffordChain.layers")?,
-        },
+        5 => {
+            let qubits = r.get_u64("CliffordChain.qubits")?;
+            let layers = r.get_u32("CliffordChain.layers")?;
+            let qubits = usize::try_from(qubits).unwrap_or(usize::MAX);
+            crate::workload::check_clifford_chain(qubits, layers)
+                .map_err(|e| WireError::Invalid(e.to_string()))?;
+            WorkloadKind::CliffordChain { qubits, layers }
+        }
         tag => {
             return Err(WireError::UnknownTag {
                 what: "WorkloadKind",
@@ -2629,8 +2577,8 @@ pub fn decode_job_id(bytes: &[u8]) -> Result<u64, WireError> {
 }
 
 /// A `SUBSCRIBE` request: which job to stream, and — when resuming a
-/// dropped subscription (v4) — the last snapshot prefix the client
-/// already folded.
+/// dropped subscription — the last snapshot prefix the client already
+/// folded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Subscribe {
     /// The coordinator-assigned job id.
@@ -2643,9 +2591,8 @@ pub struct Subscribe {
 }
 
 /// Encodes a `SUBSCRIBE` payload. Without a resume point this is the
-/// v3-identical bare 8-byte job id; with one it is the 16-byte v4 form
-/// (job id, then last-folded `batches_done`), which only a ≥ v4 server
-/// accepts — the client gates on the negotiated version.
+/// bare 8-byte job id; with one it is 16 bytes (job id, then
+/// last-folded `batches_done`).
 pub fn encode_subscribe(sub: &Subscribe) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u64(sub.job_id);
@@ -2655,8 +2602,8 @@ pub fn encode_subscribe(sub: &Subscribe) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a `SUBSCRIBE` payload, accepting both the 8-byte v3 form
-/// and the 16-byte v4 resume form.
+/// Decodes a `SUBSCRIBE` payload, accepting both the 8-byte fresh form
+/// and the 16-byte resume form.
 pub fn decode_subscribe(bytes: &[u8]) -> Result<Subscribe, WireError> {
     let mut r = Reader::new(bytes);
     let job_id = r.get_u64("Subscribe.job_id")?;

@@ -6,14 +6,14 @@
 //! tenants hammering one control stack" scenario — and reports
 //! per-workload and aggregate statistics.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use eqasm_asm::assemble;
 use eqasm_core::{Instantiation, Instruction, Qubit};
 use eqasm_microarch::{RunStats, SimConfig};
 use eqasm_workloads as workloads;
 
-use crate::aggregate::{Histogram, JobResult, LatencyStats};
+use crate::aggregate::{Histogram, JobResult, LatencyHistogram};
 use crate::engine::ShotEngine;
 use crate::error::RuntimeError;
 use crate::job::Job;
@@ -59,8 +59,9 @@ pub enum WorkloadKind {
     /// selection routes it to the stabilizer backend — the workload
     /// that scales *past* the 10-qubit dense ceiling.
     CliffordChain {
-        /// Chain length, `2..=32` (the linear topology and u32 wire
-        /// masks cap it at 32).
+        /// Chain length, `2..=17`: a chain of `n` qubits has `2(n−1)`
+        /// directed pairs, and they must fit the 32-bit two-qubit
+        /// target mask.
         qubits: usize,
         /// Brick-wall layers, `1..=16`.
         layers: u32,
@@ -140,16 +141,7 @@ impl WorkloadKind {
             }
             WorkloadKind::CliffordChain { qubits, layers } => {
                 let n = *qubits;
-                if !(2..=32).contains(&n) {
-                    return Err(RuntimeError::Spec(format!(
-                        "clifford chain qubits {n} out of range (2..=32)"
-                    )));
-                }
-                if !(1..=16).contains(layers) {
-                    return Err(RuntimeError::Spec(format!(
-                        "clifford chain layers {layers} out of range (1..=16)"
-                    )));
-                }
+                check_clifford_chain(n, *layers)?;
                 let inst = Instantiation::paper().with_topology(eqasm_core::Topology::linear(n));
                 let all: Vec<String> = (0..n).map(|q| q.to_string()).collect();
                 let pairs = |offset: usize| -> Vec<String> {
@@ -288,6 +280,22 @@ impl WorkloadSpec {
     }
 }
 
+/// The `CliffordChain` envelope, shared by [`WorkloadKind::build`] and
+/// the wire decoder: `2..=17` qubits, `1..=16` layers.
+pub(crate) fn check_clifford_chain(qubits: usize, layers: u32) -> Result<(), RuntimeError> {
+    if !(2..=17).contains(&qubits) {
+        return Err(RuntimeError::Spec(format!(
+            "clifford chain qubits {qubits} out of range (2..=17)"
+        )));
+    }
+    if !(1..=16).contains(&layers) {
+        return Err(RuntimeError::Spec(format!(
+            "clifford chain layers {layers} out of range (1..=16)"
+        )));
+    }
+    Ok(())
+}
+
 /// Aggregated figures for one workload of a mix (or the whole mix).
 #[derive(Debug, Clone)]
 pub struct WorkloadReport {
@@ -301,8 +309,8 @@ pub struct WorkloadReport {
     pub histogram: Histogram,
     /// Machine counters summed over every shot.
     pub stats: RunStats,
-    /// Latency percentiles over every shot.
-    pub latency: LatencyStats,
+    /// Per-shot latencies over every shot.
+    pub latency: LatencyHistogram,
     /// The workload's active wall-clock span: from its earliest batch
     /// starting to its last batch finishing, across all contributing
     /// job instances.
@@ -323,31 +331,31 @@ impl WorkloadReport {
             shots: 0,
             histogram: Histogram::new(),
             stats: RunStats::default(),
-            latency: LatencyStats::default(),
+            latency: LatencyHistogram::new(),
             elapsed: Duration::ZERO,
             shots_per_sec: 0.0,
             non_halted: 0,
         }
     }
 
-    fn absorb(&mut self, result: &JobResult, scratch: &mut AbsorbScratch) {
+    /// Folds one job in; `window` accumulates the absolute active span.
+    fn absorb(&mut self, result: &JobResult, window: &mut Option<(Instant, Instant)>) {
         self.jobs += 1;
         self.shots += result.shots;
         self.histogram.merge(&result.histogram);
         self.stats.merge(&result.stats);
+        self.latency.merge(&result.latency);
         self.non_halted += result.non_halted;
-        scratch.durations.extend_from_slice(&result.latencies_ns);
         if let Some((start, finish)) = result.window {
-            scratch.window = Some(match scratch.window {
+            *window = Some(match *window {
                 None => (start, finish),
                 Some((s, f)) => (s.min(start), f.max(finish)),
             });
         }
     }
 
-    fn finalize(&mut self, scratch: &AbsorbScratch) {
-        self.latency = LatencyStats::from_durations(&scratch.durations);
-        if let Some((start, finish)) = scratch.window {
+    fn finalize(&mut self, window: Option<(Instant, Instant)>) {
+        if let Some((start, finish)) = window {
             self.elapsed = finish.duration_since(start);
         }
         let secs = self.elapsed.as_secs_f64();
@@ -357,14 +365,6 @@ impl WorkloadReport {
             0.0
         };
     }
-}
-
-/// Per-report accumulation state that does not belong in the final
-/// [`WorkloadReport`]: raw durations and the absolute time window.
-#[derive(Default)]
-struct AbsorbScratch {
-    durations: Vec<u64>,
-    window: Option<(std::time::Instant, std::time::Instant)>,
 }
 
 /// The outcome of driving a [`MixedWorkload`].
@@ -433,30 +433,25 @@ impl MixedWorkload {
         // Split the tags from the jobs by move — no job (program +
         // instantiation) is cloned on the way to the engine.
         let (tags, jobs): (Vec<usize>, Vec<Job>) = self.jobs()?.into_iter().unzip();
-        // Workload-level percentiles merge raw duration streams across
-        // job instances, so this driver opts into retention; the raw
-        // vectors die with the `JobResult`s when this call returns.
-        let results = engine.clone().with_raw_latencies(true).run_jobs(&jobs)?;
+        let results = engine.run_jobs(&jobs)?;
 
         let mut per_workload: Vec<WorkloadReport> = self
             .specs
             .iter()
             .map(|s| WorkloadReport::empty(s.name.clone()))
             .collect();
-        let mut per_scratch: Vec<AbsorbScratch> = (0..self.specs.len())
-            .map(|_| AbsorbScratch::default())
-            .collect();
+        let mut per_window = vec![None; self.specs.len()];
         let mut aggregate = WorkloadReport::empty("aggregate");
-        let mut all_scratch = AbsorbScratch::default();
+        let mut all_window = None;
 
         for (spec_idx, result) in tags.iter().zip(&results) {
-            per_workload[*spec_idx].absorb(result, &mut per_scratch[*spec_idx]);
-            aggregate.absorb(result, &mut all_scratch);
+            per_workload[*spec_idx].absorb(result, &mut per_window[*spec_idx]);
+            aggregate.absorb(result, &mut all_window);
         }
-        for (report, scratch) in per_workload.iter_mut().zip(&per_scratch) {
-            report.finalize(scratch);
+        for (report, window) in per_workload.iter_mut().zip(per_window) {
+            report.finalize(window);
         }
-        aggregate.finalize(&all_scratch);
+        aggregate.finalize(all_window);
 
         Ok(MixedReport {
             per_workload,

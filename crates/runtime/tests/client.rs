@@ -86,7 +86,6 @@ fn remote_mix_streams_bit_identical_prefixes_and_finals() {
     let batch = 8u64;
     let (_queue, server) = serve_fixture(2, batch, ServeNetConfig::default());
     let client = Client::connect(server.addr().to_string()).expect("connects");
-    assert_eq!(client.protocol(), eqasm_runtime::wire::PROTOCOL_VERSION);
 
     // A multi-tenant mix: two prebuilt jobs under different tenants
     // plus a two-instance workload spec under a third.
@@ -251,15 +250,21 @@ fn admission_rejection_crosses_the_wire_typed() {
 }
 
 #[test]
-fn front_door_requires_v2() {
+fn front_door_rejects_a_v5_hello_typed() {
+    use eqasm_runtime::wire;
     let (_queue, server) = serve_fixture(1, 8, ServeNetConfig::default());
-    let err = Client::connect_opts(
-        server.addr().to_string(),
-        ConnectOptions::default().with_protocol_cap(1),
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connects");
+    wire::write_frame(
+        &mut stream,
+        wire::tag::HELLO,
+        &wire::Hello { version: 5 }.encode(),
     )
-    .expect_err("a v1 conversation cannot submit");
-    assert!(matches!(err, RuntimeError::Service(_)), "{err}");
-    assert!(err.to_string().contains("v2"), "{err}");
+    .unwrap();
+    let (tag, payload) = wire::read_frame(&mut stream).expect("answer");
+    assert_eq!(tag, wire::tag::ERROR);
+    let msg = wire::ErrorMsg::decode(&payload).expect("typed error");
+    assert_eq!(msg.kind, wire::ErrorKind::Version);
+    assert_eq!(msg.version, wire::PROTOCOL_VERSION);
 }
 
 #[test]

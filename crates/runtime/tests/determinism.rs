@@ -192,19 +192,15 @@ fn shot_seeding_wraps_at_u64_max() {
 }
 
 #[test]
-fn raw_latencies_are_opt_in() {
+fn job_latency_histogram_counts_every_shot() {
+    // Wall-clock values differ run to run; the shot count they cover
+    // does not, whatever the worker count.
     let job = noisy_rb_job(48, 9);
-    let spare = ShotEngine::new(2).run_job(&job).expect("runs");
-    assert!(
-        spare.latencies_ns.is_empty(),
-        "raw per-shot durations must not be retained by default"
-    );
-    assert!(spare.latency.max_ns > 0, "percentiles stay exact");
-    let retained = ShotEngine::new(2)
-        .with_raw_latencies(true)
-        .run_job(&job)
-        .expect("runs");
-    assert_eq!(retained.latencies_ns.len(), 48);
+    for workers in [1, 2, 4] {
+        let r = ShotEngine::new(workers).run_job(&job).expect("runs");
+        assert_eq!(r.latency.count(), 48);
+        assert!(r.latency.stats().max_ns > 0);
+    }
 }
 
 proptest! {

@@ -2,9 +2,9 @@
 //! survives a mid-scrape coordinator restart, a tiny two-rung
 //! capacity sweep against an in-process `spawn_serve` coordinator
 //! (asserting the `capacity` JSON schema), a short subscriber-churn
-//! sweep, and end-to-end coverage of the v5 `CliffordChain` workload
+//! sweep, and end-to-end coverage of the `CliffordChain` workload
 //! (wire roundtrip, stabilizer selection above the dense ceiling, and
-//! the client-side version gate).
+//! the 17-qubit envelope).
 //!
 //! Note on metrics: every in-process server here shares the
 //! process-global default registry, and the test harness runs tests
@@ -21,9 +21,9 @@ use eqasm_microarch::{QuMa, SimBackendKind};
 use eqasm_runtime::loadgen::{scrape_metrics, scrape_with_retry, RpsStep, StopCause};
 use eqasm_runtime::serve::{JobQueue, ServeConfig, Submission};
 use eqasm_runtime::{
-    capacity_sweep, churn_sweep, spawn_serve, wire, Ceilings, ChurnConfig, Client, ConnectOptions,
-    LoadClass, LoadSpec, ServeHandle, ServeNetConfig, ShotsDist, SweepConfig, SweepTarget,
-    WorkloadKind, WorkloadSpec,
+    capacity_sweep, churn_sweep, spawn_serve, wire, Ceilings, ChurnConfig, Client, LoadClass,
+    LoadSpec, RuntimeError, ServeHandle, ServeNetConfig, ShotEngine, ShotsDist, SweepConfig,
+    SweepTarget, WorkloadKind, WorkloadSpec,
 };
 
 /// A queue with `workers` local slots behind a loopback acceptor.
@@ -308,7 +308,7 @@ fn clifford_chain_submission_roundtrips_on_the_wire() {
 
 /// A 12-qubit CliffordChain — above the 10-qubit dense-simulation
 /// comfort zone — selects the stabilizer backend and executes to a
-/// full histogram through the serve front door over wire v5.
+/// full histogram through the serve front door.
 #[test]
 fn clifford_chain_runs_above_the_dense_ceiling() {
     let spec = WorkloadSpec::new(
@@ -327,73 +327,84 @@ fn clifford_chain_runs_above_the_dense_ceiling() {
     machine.load(&job.program).expect("loads");
     assert_eq!(machine.selection().kind(), SimBackendKind::Stabilizer);
 
-    // End to end over TCP, negotiated at v5.
+    // End to end over TCP.
     let (_queue, server) = serve_fixture(2, 16);
     let client = Client::connect(server.addr().to_string()).expect("connects");
-    assert_eq!(client.protocol(), wire::PROTOCOL_VERSION);
     let handles = client
         .submit(Submission::workload("tenant-a", spec))
-        .expect("v5 client may submit CliffordChain");
+        .expect("submits CliffordChain");
     let result = handles[0].wait().expect("completes");
     assert_eq!(result.histogram.total(), 64, "every shot must land");
 }
 
 /// CliffordChain parameter validation: the generator rejects sizes
-/// outside the linear-topology and wire-mask envelope.
+/// outside the envelope with a typed `Spec` error. A chain of n qubits
+/// has 2(n−1) directed pairs, which must fit the 32-bit two-qubit
+/// target mask, so 18 qubits is the first size out.
 #[test]
 fn clifford_chain_rejects_out_of_envelope_parameters() {
-    for (qubits, layers) in [(1usize, 2u32), (33, 2), (12, 0), (12, 17)] {
+    for (qubits, layers) in [(1usize, 2u32), (18, 2), (33, 2), (12, 0), (12, 17)] {
         let err = WorkloadKind::CliffordChain { qubits, layers }
             .build()
             .expect_err("out-of-envelope parameters must be rejected");
+        assert!(matches!(err, RuntimeError::Spec(_)), "{err}");
         let msg = err.to_string();
         assert!(
-            msg.contains("CliffordChain") || msg.contains("qubits") || msg.contains("layers"),
+            msg.contains("qubits") || msg.contains("layers"),
             "error should name the offending parameter: {msg}"
         );
     }
 }
 
-/// The client-side version gate: a connection capped at v4 refuses to
-/// send a CliffordChain submission (the server would not know tag 5),
-/// while v2-encodable work still flows.
+/// 17 qubits, the top of the envelope, assembles, selects the
+/// stabilizer backend and runs every shot.
 #[test]
-fn clifford_chain_is_gated_below_wire_v5() {
-    let (_queue, server) = serve_fixture(1, 8);
-    let client = Client::connect_opts(
-        server.addr().to_string(),
-        ConnectOptions::default().with_protocol_cap(4),
+fn clifford_chain_of_17_runs_on_the_stabilizer_backend() {
+    let spec = WorkloadSpec::new(
+        "stab17",
+        WorkloadKind::CliffordChain {
+            qubits: 17,
+            layers: 2,
+        },
+        32,
     )
-    .expect("connects at v4");
-    assert_eq!(client.protocol(), 4);
+    .with_seed(4);
+    let job = spec.build_instance(0).expect("17 qubits builds");
+    let mut machine = QuMa::new(job.inst.clone(), job.config.clone());
+    machine.load(&job.program).expect("loads");
+    assert_eq!(machine.selection().kind(), SimBackendKind::Stabilizer);
+    let result = ShotEngine::serial().run_job(&job).expect("runs");
+    assert_eq!(result.histogram.total(), 32);
+    assert_eq!(result.non_halted, 0);
+}
 
-    let clifford = Submission::workload(
-        "tenant-a",
-        WorkloadSpec::new(
-            "stab",
-            WorkloadKind::CliffordChain {
-                qubits: 12,
-                layers: 2,
-            },
-            32,
-        ),
+/// The wire decoder checks the same envelope: an 18-qubit chain
+/// submission is a typed decode error, not a failure deep in the
+/// assembler.
+#[test]
+fn clifford_chain_of_18_is_a_typed_wire_error() {
+    let ok = WorkloadSpec::new(
+        "stab",
+        WorkloadKind::CliffordChain {
+            qubits: 17,
+            layers: 2,
+        },
+        8,
     );
-    let err = client.submit(clifford.clone()).expect_err("must be gated");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("v5") && msg.contains("v4"),
-        "gate should name both versions: {msg}"
+    let mut bytes = wire::encode_submission(&Submission::workload("t", ok)).expect("encodes");
+    wire::decode_submission(&bytes).expect("17 decodes");
+    // Re-encode with 18 qubits: the encoder does not validate.
+    let bad = WorkloadSpec::new(
+        "stab",
+        WorkloadKind::CliffordChain {
+            qubits: 18,
+            layers: 2,
+        },
+        8,
     );
-
-    // submit_batch refuses the whole batch before writing anything —
-    // a half-written batch would desync positional ack matching.
-    let rb = Submission::workload("tenant-a", rb_spec(16));
-    let err = client
-        .submit_batch(&[rb.clone(), clifford])
-        .expect_err("batch with gated member must fail up front");
-    assert!(err.to_string().contains("v5"));
-
-    // The connection survives the refusals: plain v2 work still runs.
-    let handles = client.submit(rb).expect("v2-encodable work flows");
-    assert_eq!(handles[0].wait().expect("completes").histogram.total(), 16);
+    bytes = wire::encode_submission(&Submission::workload("t", bad)).expect("encodes");
+    match wire::decode_submission(&bytes) {
+        Err(wire::WireError::Invalid(msg)) => assert!(msg.contains("2..=17"), "{msg}"),
+        other => panic!("expected a typed Invalid error, got {other:?}"),
+    }
 }

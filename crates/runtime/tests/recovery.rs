@@ -17,7 +17,8 @@ use eqasm_asm::assemble;
 use eqasm_core::Instantiation;
 use eqasm_runtime::prefix;
 use eqasm_runtime::{
-    ExecBackend, Job, JobQueue, JournalConfig, LocalBackend, ServeConfig, ShotEngine, Submission,
+    ExecBackend, Job, JobQueue, JournalConfig, JournalError, LocalBackend, RuntimeError,
+    ServeConfig, ShotEngine, Submission,
 };
 
 /// A Clifford-only two-qubit program with genuinely random outcomes on
@@ -239,6 +240,24 @@ fn torn_final_record_recovers_bit_identically() {
 /// Retention eviction must be durable *before* the job is released: a
 /// crash immediately after `release()` returns — simulated by copying
 /// the journal at that instant — must never resurrect the evicted job.
+/// A journal in the previous segment format (version 1, per-shot
+/// durations in every `RangeDone`) fails recovery with a typed
+/// `BadHeader` instead of a misread record.
+#[test]
+fn version_1_journal_is_a_typed_bad_header() {
+    let (mut bytes, _, _) = completed_run("segment-v1", 160);
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let dir = crash_image("segment-v1-image", &bytes, bytes.len());
+    let err = JobQueue::recover(serve_config(), local_pool(1), &JournalConfig::new(&dir))
+        .err()
+        .expect("a version-1 segment must be refused");
+    assert!(
+        matches!(err, RuntimeError::Journal(JournalError::BadHeader { .. })),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn eviction_is_durable_before_release_returns() {
     let dir = temp_dir("evict");

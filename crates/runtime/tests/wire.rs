@@ -1,6 +1,7 @@
 //! Property tests of the wire protocol: round-trip fidelity over
-//! random jobs and batch results (including `f64` bit patterns the
-//! cross-host determinism argument depends on), and typed rejection of
+//! random jobs, batch results and latency histograms (including `f64`
+//! bit patterns the cross-host determinism argument depends on), the
+//! histogram's merge laws and error bound, and typed rejection of
 //! malformed bytes.
 
 use eqasm_core::{
@@ -12,7 +13,7 @@ use eqasm_quantum::{NoiseModel, ReadoutModel};
 use eqasm_runtime::wire::{
     self, decode_batch_out, decode_job, encode_batch_out, encode_job, WireError,
 };
-use eqasm_runtime::{BatchOut, BitString, Histogram, Job};
+use eqasm_runtime::{BatchOut, BitString, Histogram, Job, LatencyHistogram};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -201,11 +202,33 @@ fn arb_job() -> impl Strategy<Value = Job> {
         })
 }
 
+/// Durations from several regimes: the exact small-value buckets,
+/// realistic shot times, long stalls and the full `u64` range.
+fn arb_durations() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(
+        (0u8..4, any::<u64>()).prop_map(|(regime, v)| match regime {
+            0 => v % 64,
+            1 => 1_000 + v % 100_000,
+            2 => v % 10_000_000_000,
+            _ => v,
+        }),
+        0..200,
+    )
+}
+
+fn histogram_of(durations: &[u64]) -> LatencyHistogram {
+    let mut h = LatencyHistogram::new();
+    for &d in durations {
+        h.record(d);
+    }
+    h
+}
+
 fn arb_batch_out() -> impl Strategy<Value = BatchOut> {
     (
         prop::collection::vec((any::<u64>(), any::<u64>(), 1u64..1000), 0..12),
         prop::collection::vec((any::<u8>(), any::<u64>()), 0..8),
-        prop::collection::vec(any::<u64>(), 0..64),
+        arb_durations(),
         (any::<u64>(), any::<u64>(), any::<bool>()),
     )
         .prop_map(
@@ -230,7 +253,7 @@ fn arb_batch_out() -> impl Strategy<Value = BatchOut> {
                         .into_iter()
                         .map(|(sel, bits)| edge_f64(sel, f64::from_bits(bits | 1).fract()))
                         .collect(),
-                    durations_ns: durations,
+                    latency: histogram_of(&durations),
                     non_halted,
                     first_failure: failed.then(|| (non_halted, "fault: test".to_owned())),
                     elapsed_ns: elapsed,
@@ -289,7 +312,7 @@ proptest! {
         prop_assert_eq!(&bytes, &encode_batch_out(&decoded));
         prop_assert_eq!(&out.histogram, &decoded.histogram);
         prop_assert_eq!(&out.stats, &decoded.stats);
-        prop_assert_eq!(&out.durations_ns, &decoded.durations_ns);
+        prop_assert_eq!(&out.latency, &decoded.latency);
         prop_assert_eq!(out.non_halted, decoded.non_halted);
         prop_assert_eq!(&out.first_failure, &decoded.first_failure);
         prop_assert_eq!(out.elapsed_ns, decoded.elapsed_ns);
@@ -321,6 +344,166 @@ proptest! {
         let mut bytes = encode_job(&job).expect("encodes");
         bytes.extend(std::iter::repeat_n(0xabu8, extra));
         prop_assert!(decode_job(&bytes).is_err());
+    }
+}
+
+// ---------------------------------------------------------------------
+// The latency histogram
+// ---------------------------------------------------------------------
+
+/// The exact nearest-rank percentile of sorted values.
+fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+/// The decoders' contract on hostile bytes: a typed error or a value,
+/// never a panic (the proptest runner reports a panic as a failure).
+fn is_typed(err: &WireError) -> bool {
+    matches!(
+        err,
+        WireError::Truncated { .. } | WireError::Invalid(_) | WireError::UnknownTag { .. }
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The histogram round-trips to an equal value and canonical bytes,
+    /// on its own and inside a job result.
+    #[test]
+    fn latency_histogram_roundtrips(durations in arb_durations()) {
+        let h = histogram_of(&durations);
+        let bytes = wire::encode_latency_histogram(&h);
+        let decoded = wire::decode_latency_histogram(&bytes).expect("decodes");
+        prop_assert_eq!(&decoded, &h);
+        prop_assert_eq!(wire::encode_latency_histogram(&decoded), bytes);
+
+        let mut result = eqasm_runtime::ShotEngine::serial()
+            .run_job(&Job::new("h", Instantiation::paper_two_qubit(), vec![Instruction::Stop]).with_shots(1))
+            .expect("runs");
+        result.latency = h.clone();
+        let bytes = wire::encode_job_result(&result);
+        let decoded = wire::decode_job_result(&bytes).expect("decodes");
+        prop_assert_eq!(&decoded.latency, &h);
+        prop_assert_eq!(wire::encode_job_result(&decoded), bytes);
+    }
+
+    /// Merging is commutative and associative, and equals recording
+    /// every sample into one histogram.
+    #[test]
+    fn latency_merge_is_commutative_and_associative(
+        a in arb_durations(),
+        b in arb_durations(),
+        c in arb_durations(),
+    ) {
+        let (ha, hb, hc) = (histogram_of(&a), histogram_of(&b), histogram_of(&c));
+        let mut ab = ha.clone();
+        ab.merge(&hb);
+        let mut ba = hb.clone();
+        ba.merge(&ha);
+        prop_assert_eq!(&ab, &ba);
+        let mut ab_c = ab.clone();
+        ab_c.merge(&hc);
+        let mut bc = hb.clone();
+        bc.merge(&hc);
+        let mut a_bc = ha.clone();
+        a_bc.merge(&bc);
+        prop_assert_eq!(&ab_c, &a_bc);
+        let all: Vec<u64> = a.iter().chain(&b).chain(&c).copied().collect();
+        prop_assert_eq!(&ab_c, &histogram_of(&all));
+    }
+
+    /// p50/p95/p99 stay within 1/64 of the exact sorted reference; the
+    /// count, mean and max are exact.
+    #[test]
+    fn latency_percentiles_are_within_a_64th(durations in arb_durations()) {
+        let h = histogram_of(&durations);
+        let stats = h.stats();
+        let mut sorted = durations.clone();
+        sorted.sort_unstable();
+        if sorted.is_empty() {
+            prop_assert_eq!(stats, eqasm_runtime::LatencyStats::default());
+        } else {
+            for (q, got) in [(0.50, stats.p50_ns), (0.95, stats.p95_ns), (0.99, stats.p99_ns)] {
+                let exact = exact_quantile(&sorted, q);
+                prop_assert!(
+                    got.abs_diff(exact) as f64 <= exact as f64 / 64.0,
+                    "q{}: {} vs exact {}", q, got, exact
+                );
+            }
+            let sum: u128 = durations.iter().map(|&d| u128::from(d)).sum();
+            prop_assert_eq!(h.count(), durations.len() as u64);
+            prop_assert_eq!(h.sum(), sum);
+            prop_assert_eq!(stats.mean_ns, (sum / durations.len() as u128) as u64);
+            prop_assert_eq!(stats.max_ns, *sorted.last().unwrap());
+        }
+    }
+
+    /// Arbitrary bytes into the histogram and batch decoders: a typed
+    /// error or a value, never a panic.
+    #[test]
+    fn latency_decoders_survive_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        if let Err(e) = wire::decode_latency_histogram(&bytes) {
+            prop_assert!(is_typed(&e), "untyped: {}", e);
+        }
+        if let Err(e) = decode_batch_out(&bytes) {
+            prop_assert!(is_typed(&e), "untyped: {}", e);
+        }
+    }
+
+    /// Every strict prefix of an encoded histogram or batch is a typed
+    /// error; a mutated byte is a typed error or decodes to a value
+    /// that survives its own round trip.
+    #[test]
+    fn latency_decoders_reject_truncated_and_mutated_bytes(
+        out in arb_batch_out(),
+        cut_seed in any::<u64>(),
+        flip in 1u8..=255,
+    ) {
+        let histogram = wire::encode_latency_histogram(&out.latency);
+        let cut = (cut_seed % histogram.len() as u64) as usize;
+        let err = wire::decode_latency_histogram(&histogram[..cut]).expect_err("prefix");
+        prop_assert!(is_typed(&err), "untyped: {}", err);
+        let mut mutated = histogram.clone();
+        mutated[cut] ^= flip;
+        match wire::decode_latency_histogram(&mutated) {
+            Ok(h) => {
+                let again = wire::encode_latency_histogram(&h);
+                prop_assert_eq!(wire::decode_latency_histogram(&again).ok(), Some(h));
+            }
+            Err(e) => prop_assert!(is_typed(&e), "untyped: {}", e),
+        }
+
+        let batch = encode_batch_out(&out);
+        let cut = (cut_seed % batch.len() as u64) as usize;
+        let err = decode_batch_out(&batch[..cut]).expect_err("prefix");
+        prop_assert!(is_typed(&err), "untyped: {}", err);
+        let mut mutated = batch.clone();
+        mutated[cut] ^= flip;
+        match decode_batch_out(&mutated) {
+            Ok(b) => {
+                let again = decode_batch_out(&encode_batch_out(&b)).expect("re-decodes");
+                prop_assert_eq!(&again.latency, &b.latency);
+                prop_assert_eq!(again.shots(), b.shots());
+            }
+            Err(e) => prop_assert!(is_typed(&e), "untyped: {}", e),
+        }
+    }
+}
+
+#[test]
+fn latency_bucket_count_is_bounded_by_the_bytes_present() {
+    // sum (0, 0), max 0, then a bucket count of 2^40 with two bytes of
+    // payload behind it: rejected before anything is allocated for it.
+    let mut bytes = vec![0, 0, 0];
+    bytes.extend([0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
+    bytes.extend([1, 1]);
+    match wire::decode_latency_histogram(&bytes) {
+        Err(WireError::Invalid(msg)) => assert!(msg.contains("buckets"), "{msg}"),
+        other => panic!("expected Invalid, got {other:?}"),
     }
 }
 
@@ -415,23 +598,6 @@ fn short_frame_body_is_io_error() {
 }
 
 #[test]
-fn run_range_frame_roundtrip() {
-    let job = Job::new(
-        "frame",
-        Instantiation::paper_two_qubit(),
-        vec![Instruction::Stop],
-    );
-    let request = wire::RunRange {
-        start: 128,
-        end: 256,
-        job_bytes: encode_job(&job).unwrap(),
-    };
-    let decoded = wire::RunRange::decode(&request.encode()).unwrap();
-    assert_eq!(decoded, request);
-    assert_eq!(decode_job(&decoded.job_bytes).unwrap(), job);
-}
-
-#[test]
 fn fingerprint_distinguishes_jobs() {
     let a = encode_job(&Job::new(
         "a",
@@ -450,33 +616,8 @@ fn fingerprint_distinguishes_jobs() {
 }
 
 // ---------------------------------------------------------------------
-// v2: negotiation, job registry, auth and service codecs
+// Job registry, auth and service codecs
 // ---------------------------------------------------------------------
-
-#[test]
-fn negotiate_picks_min_of_both_ends() {
-    use wire::{negotiate, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
-    assert_eq!(
-        negotiate(PROTOCOL_VERSION, PROTOCOL_VERSION),
-        Some(PROTOCOL_VERSION)
-    );
-    assert_eq!(
-        negotiate(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION),
-        Some(MIN_PROTOCOL_VERSION),
-        "a v1 client gets a v1 conversation"
-    );
-    assert_eq!(
-        negotiate(PROTOCOL_VERSION + 9, PROTOCOL_VERSION),
-        Some(PROTOCOL_VERSION),
-        "a future client settles on what we speak"
-    );
-    assert_eq!(
-        negotiate(PROTOCOL_VERSION, MIN_PROTOCOL_VERSION),
-        Some(MIN_PROTOCOL_VERSION),
-        "a capped server pins the conversation down"
-    );
-    assert_eq!(negotiate(0, PROTOCOL_VERSION), None, "below the floor");
-}
 
 #[test]
 fn load_job_and_run_range_by_id_roundtrip() {
@@ -514,28 +655,6 @@ fn load_job_and_run_range_by_id_roundtrip() {
         "the by-id request is constant-size whatever the program"
     );
     assert_eq!(wire::RunRangeById::decode(&encoded).unwrap(), run);
-}
-
-#[test]
-fn run_range_by_id_is_smaller_than_inline_for_any_real_job() {
-    // The bandwidth claim behind the v2 registry, as an invariant.
-    let job = Job::new("big", Instantiation::paper(), vec![Instruction::Nop; 256]);
-    let inline = wire::RunRange {
-        start: 0,
-        end: 256,
-        job_bytes: encode_job(&job).unwrap(),
-    };
-    let by_id = wire::RunRangeById {
-        job_id: 7,
-        start: 0,
-        end: 256,
-    };
-    assert!(
-        by_id.encode().len() * 10 < inline.encode().len(),
-        "by-id request ({}B) must be far below the inline request ({}B)",
-        by_id.encode().len(),
-        inline.encode().len()
-    );
 }
 
 #[test]
@@ -712,12 +831,12 @@ fn submit_ack_roundtrips() {
 }
 
 // ---------------------------------------------------------------------
-// v4: incremental framing (FrameReader / FrameWriter) and resume codec
+// Incremental framing (FrameReader / FrameWriter) and resume codec
 // ---------------------------------------------------------------------
 
 /// Every frame shape the protocol ships, as one stream: the full auth
-/// transcript, a compressed `LoadJob`, v3 and v4 subscribes, inline
-/// and by-id run requests, snapshots and typed errors. The incremental
+/// transcript, a compressed `LoadJob`, fresh and resuming subscribes,
+/// a by-id run request, snapshots and typed errors. The incremental
 /// reader must decode this stream identically to the blocking reader
 /// however the bytes are chopped up.
 fn frame_corpus() -> Vec<(u8, Vec<u8>)> {
@@ -729,6 +848,7 @@ fn frame_corpus() -> Vec<(u8, Vec<u8>)> {
     .with_shots(64)
     .with_seed(11);
     let job_bytes = encode_job(&job).unwrap();
+    let plain_load = wire::LoadJob::encode_parts(8, &job_bytes);
     // A highly repetitive program compresses, so encode_parts_auto
     // emits the flagged-compressed LoadJob form.
     let repetitive = encode_job(&Job::new(
@@ -782,15 +902,7 @@ fn frame_corpus() -> Vec<(u8, Vec<u8>)> {
             .encode(),
         ),
         (wire::tag::LOAD_JOB, compressed_load),
-        (
-            wire::tag::RUN_RANGE,
-            wire::RunRange {
-                start: 0,
-                end: 64,
-                job_bytes,
-            }
-            .encode(),
-        ),
+        (wire::tag::LOAD_JOB, plain_load),
         (
             wire::tag::RUN_RANGE_BY_ID,
             wire::RunRangeById {
@@ -916,9 +1028,8 @@ proptest! {
 }
 
 #[test]
-fn subscribe_codec_v3_and_v4_forms() {
-    // The plain form is byte-identical to a v3 job-id payload — a v4
-    // server needs no version sniffing to accept v3 subscribers.
+fn subscribe_codec_fresh_and_resume_forms() {
+    // The fresh form is byte-identical to a job-id payload.
     let plain = wire::encode_subscribe(&wire::Subscribe {
         job_id: 5,
         resume_after: None,

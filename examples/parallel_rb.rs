@@ -45,8 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "serial:  {:>8.0} shots/s  (p50 {:.1} µs, p99 {:.1} µs)",
         serial.shots_per_sec,
-        serial.latency.p50_ns as f64 / 1e3,
-        serial.latency.p99_ns as f64 / 1e3,
+        serial.latency.stats().p50_ns as f64 / 1e3,
+        serial.latency.stats().p99_ns as f64 / 1e3,
     );
 
     // Pooled execution — same job, same seeds, same results.
@@ -56,8 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "pooled:  {:>8.0} shots/s on {} workers  (p50 {:.1} µs, p99 {:.1} µs)",
         pooled.shots_per_sec,
         engine.workers(),
-        pooled.latency.p50_ns as f64 / 1e3,
-        pooled.latency.p99_ns as f64 / 1e3,
+        pooled.latency.stats().p50_ns as f64 / 1e3,
+        pooled.latency.stats().p99_ns as f64 / 1e3,
     );
 
     // The runtime's determinism contract: aggregates are bit-identical

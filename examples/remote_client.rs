@@ -2,7 +2,7 @@
 //!
 //! Stands up the full networked service on a loopback socket (exactly
 //! what `eqasm-cli serve --listen` runs for real clients): a job
-//! queue with local execution slots behind the wire-v2 acceptor.
+//! queue with local execution slots behind the wire acceptor.
 //! Then drives it as a remote client would — `Client::connect`,
 //! submit a multi-tenant mix (prebuilt jobs and a workload spec),
 //! stream `PartialResult` snapshots over TCP, and collect the final
@@ -58,12 +58,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("serve front door listening on {}", server.addr());
 
-    // The client side: a plain TCP connection speaking wire v2.
+    // The client side: a plain TCP connection speaking the wire
+    // protocol.
     let client = Client::connect(server.addr().to_string())?;
     println!(
         "connected to `{}` (wire v{})",
         client.server_name(),
-        client.protocol()
+        eqasm::runtime::wire::PROTOCOL_VERSION
     );
 
     // A multi-tenant mix: a calibration tenant's prebuilt job plus a

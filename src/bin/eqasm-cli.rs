@@ -100,7 +100,7 @@
 //!   --capacity <n>   advertised concurrent slots (default: parallelism)
 //!   --name <s>       worker name shown to coordinators (default: hostname-ish)
 //!   --psk-file <f>   require the fleet pre-shared key on every connection
-//!   --job-cache <n>  per-connection v2 job-registry capacity (default 8)
+//!   --job-cache <n>  per-connection job-registry capacity (default 8)
 //!   --max-frame <n>  per-connection frame-size budget, bytes
 //!   --rate-limit <n> per-connection request-rate budget, requests/sec
 //!   --metrics <a>    Prometheus endpoint, as for `serve`
@@ -854,9 +854,9 @@ fn cmd_run(
         engine.workers(),
         result.elapsed.as_secs_f64() * 1e3,
         result.shots_per_sec,
-        result.latency.p50_ns as f64 / 1e3,
-        result.latency.p95_ns as f64 / 1e3,
-        result.latency.p99_ns as f64 / 1e3,
+        result.latency.stats().p50_ns as f64 / 1e3,
+        result.latency.stats().p95_ns as f64 / 1e3,
+        result.latency.stats().p99_ns as f64 / 1e3,
     );
     for q in 0..inst.topology().num_qubits() {
         // Count from the histogram: a qubit whose measurement is
@@ -1003,9 +1003,9 @@ fn print_workload_row(w: &WorkloadReport) {
         w.jobs,
         w.shots,
         w.shots_per_sec,
-        w.latency.p50_ns as f64 / 1e3,
-        w.latency.p95_ns as f64 / 1e3,
-        w.latency.p99_ns as f64 / 1e3,
+        w.latency.stats().p50_ns as f64 / 1e3,
+        w.latency.stats().p95_ns as f64 / 1e3,
+        w.latency.stats().p99_ns as f64 / 1e3,
         w.stats.timeline_slips,
     );
 }
@@ -1459,7 +1459,7 @@ fn cmd_submit(
     println!(
         "connected to `{}` at {addr} (wire v{})",
         client.server_name(),
-        client.protocol()
+        eqasm::runtime::wire::PROTOCOL_VERSION
     );
 
     let started = std::time::Instant::now();
@@ -1511,8 +1511,8 @@ fn cmd_submit(
             r.name,
             r.shots,
             r.shots_per_sec,
-            r.latency.p50_ns as f64 / 1e3,
-            r.latency.p99_ns as f64 / 1e3,
+            r.latency.stats().p50_ns as f64 / 1e3,
+            r.latency.stats().p99_ns as f64 / 1e3,
         );
     }
 
@@ -1752,7 +1752,7 @@ fn cmd_serve(
                 snap.tenant,
                 r.shots,
                 r.shots_per_sec,
-                r.latency.p50_ns as f64 / 1e3,
+                r.latency.stats().p50_ns as f64 / 1e3,
                 snap.queue_wait.as_secs_f64() * 1e3,
                 snap.active.as_secs_f64() * 1e3,
             ),
