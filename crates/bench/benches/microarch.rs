@@ -1,9 +1,27 @@
 //! Benchmarks the QuMA v2 simulator: classical-cycle throughput on a
-//! feedback-free RB program and on the CFC feedback loop.
+//! feedback-free RB program and on the CFC feedback loop, and the
+//! shared-prefix fork path of the shot service's `rb1q-noisy` shape
+//! (building the prefix once, and one forked shot).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eqasm_core::{Instantiation, Qubit};
+use eqasm_core::{Instantiation, Qubit, Topology};
 use eqasm_microarch::{QuMa, SimConfig};
+use eqasm_quantum::{NoiseModel, ReadoutModel};
+
+/// The service benchmark's `rb1q-noisy` machine: 24-Clifford RB on one
+/// qubit under the Fig. 12 noise (T1 = T2 = 25 µs, 9e-4 gate error, 5%
+/// readout error), tracing off as in the shot runtime.
+fn rb1q_noisy() -> QuMa {
+    let inst = Instantiation::paper().with_topology(Topology::linear(1));
+    let (program, _) = eqasm_workloads::rb_program(&inst, Qubit::new(0), 24, 1, 1).unwrap();
+    let mut config = SimConfig::default()
+        .with_noise(NoiseModel::with_coherence(25_000.0, 25_000.0).with_gate_error(0.0009, 0.0))
+        .with_readout(ReadoutModel::symmetric(0.05));
+    config.record_trace = false;
+    let mut machine = QuMa::new(inst, config);
+    machine.load(&program).unwrap();
+    machine
+}
 
 fn bench_machine(c: &mut Criterion) {
     let inst = Instantiation::paper_two_qubit();
@@ -31,6 +49,22 @@ fn bench_machine(c: &mut Criterion) {
         b.iter(|| {
             machine.reset();
             machine.run().status.is_halted()
+        })
+    });
+
+    group.bench_function("prefix_rb1q_noisy", |b| {
+        let mut machine = rb1q_noisy();
+        b.iter(|| machine.run_prefix(0).unwrap())
+    });
+    group.bench_function("fork_shot_rb1q_noisy", |b| {
+        let mut machine = rb1q_noisy();
+        let snapshot = machine.run_prefix(0).unwrap();
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let result = machine.run_shot_from(&snapshot, seed);
+            assert!(result.status.is_halted());
+            machine.measurement_value(Qubit::new(0))
         })
     });
     group.finish();

@@ -6,6 +6,17 @@
 //! cycle of §4.4). One classical cycle executes at most one instruction,
 //! so R_allowed = `classical_per_quantum` instructions per quantum cycle.
 //!
+//! [`QuMa::step`] advances exactly one classical cycle. [`QuMa::run`]
+//! and [`QuMa::run_prefix`] are event-driven on top of it: like the
+//! paper's timing controller, which fires operations at queued
+//! timestamps and does nothing in between, they jump the clock over
+//! cycles in which the classical pipeline cannot issue (it is draining
+//! after the program ended, or an `FMR` waits for a result) straight to
+//! the next trigger tick, measurement result or write-back. The skipped
+//! cycles are counted arithmetically, so results, statistics and traces
+//! are identical to single-stepping; a program's idle waits cost
+//! nothing, and a forked shot costs what its events cost.
+//!
 //! Unit mapping to the paper's Fig. 9:
 //!
 //! | Fig. 9 unit | here |
@@ -21,10 +32,11 @@
 //! | codeword-triggered pulse generation (ADI) | pulse → backend unitary/measurement |
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use eqasm_core::{
     CmpFlags, ExecFlag, ExecFlagRegister, Gpr, Instantiation, Instruction, MeasurementRegister,
-    OpArity, OpTarget, PulseKind, Qubit, TwoQubitGate,
+    OpArity, OpTarget, PulseKind, QOpcode, Qubit, TwoQubitGate,
 };
 use eqasm_quantum::{
     gates, Backend, BackendState, CMatrix, DensityBackend, PureBackend, StabilizerBackend,
@@ -61,7 +73,9 @@ enum OpEffect {
 #[derive(Debug, Clone, PartialEq)]
 struct ReadyOp {
     qubit: Qubit,
-    name: String,
+    /// The operation's opcode; its configured name is looked up only
+    /// when a trace records it.
+    opcode: QOpcode,
     condition: ExecFlag,
     duration_qc: u32,
     effect: OpEffect,
@@ -96,7 +110,7 @@ pub struct MachineSnapshot {
     pc: usize,
     gprs: Vec<u32>,
     cmp_flags: CmpFlags,
-    memory: Vec<u32>,
+    memory: Arc<Vec<u32>>,
     stall: Option<Stall>,
     stopping: bool,
     halted: bool,
@@ -142,13 +156,18 @@ pub struct MachineSnapshot {
 pub struct QuMa {
     inst: Instantiation,
     config: SimConfig,
-    program: Vec<Instruction>,
+    /// Shared so issue can hold an instruction while mutating the
+    /// machine, without cloning it.
+    program: Arc<[Instruction]>,
 
     // ---- classical pipeline ----
     pc: usize,
     gprs: Vec<u32>,
     cmp_flags: CmpFlags,
-    memory: Vec<u32>,
+    /// Data memory, shared copy-on-write with the snapshots taken from
+    /// this machine or restored onto it: a fork that never stores
+    /// restores it by reference, and `ST` copies it first if shared.
+    memory: Arc<Vec<u32>>,
     stall: Option<Stall>,
     stopping: bool,
     halted: bool,
@@ -234,7 +253,7 @@ impl QuMa {
             pc: 0,
             gprs: vec![0; p.num_gprs],
             cmp_flags: CmpFlags::new(),
-            memory: vec![0; p.data_memory_words],
+            memory: Arc::new(vec![0; p.data_memory_words]),
             stall: None,
             stopping: false,
             halted: false,
@@ -257,7 +276,7 @@ impl QuMa {
             trace: Trace::new(config.record_trace),
             stats: RunStats::default(),
             fault: None,
-            program: Vec::new(),
+            program: Arc::from([]),
             selection,
             inst,
             config,
@@ -303,7 +322,7 @@ impl QuMa {
             self.backend = make_backend(n, &self.config, selection.kind());
         }
         self.selection = selection;
-        self.program = program.to_vec();
+        self.program = program.into();
         Ok(())
     }
 
@@ -315,7 +334,10 @@ impl QuMa {
         self.pc = 0;
         self.gprs.iter_mut().for_each(|g| *g = 0);
         self.cmp_flags = CmpFlags::new();
-        self.memory.iter_mut().for_each(|m| *m = 0);
+        match Arc::get_mut(&mut self.memory) {
+            Some(memory) => memory.fill(0),
+            None => self.memory = Arc::new(vec![0; self.memory.len()]),
+        }
         self.stall = None;
         self.stopping = false;
         self.halted = false;
@@ -375,7 +397,7 @@ impl QuMa {
             pc: self.pc,
             gprs: self.gprs.clone(),
             cmp_flags: self.cmp_flags,
-            memory: self.memory.clone(),
+            memory: Arc::clone(&self.memory),
             stall: self.stall,
             stopping: self.stopping,
             halted: self.halted,
@@ -414,7 +436,9 @@ impl QuMa {
         self.pc = snapshot.pc;
         self.gprs.clone_from(&snapshot.gprs);
         self.cmp_flags = snapshot.cmp_flags;
-        self.memory.clone_from(&snapshot.memory);
+        if !Arc::ptr_eq(&self.memory, &snapshot.memory) {
+            self.memory = Arc::clone(&snapshot.memory);
+        }
         self.stall = snapshot.stall;
         self.stopping = snapshot.stopping;
         self.halted = snapshot.halted;
@@ -453,6 +477,10 @@ impl QuMa {
     /// the expensive timeline simulation, which is the entire point of
     /// forking.
     ///
+    /// Like [`QuMa::run`], the prefix skips idle cycles; a skip lands on
+    /// the next event's cycle without processing it, so the boundary
+    /// is the same cycle single-stepping would stop at.
+    ///
     /// The prefix consumes zero RNG draws by construction, so the
     /// returned snapshot is identical for every seed and
     /// [`QuMa::run_shot_from`] forks bit-identical shots from it. A
@@ -468,14 +496,9 @@ impl QuMa {
             return None;
         }
         self.reset_with_seed(seed);
-        loop {
-            if self.halted
-                || self.fault.is_some()
-                || self.clock_cc >= self.config.max_classical_cycles
-            {
-                break;
-            }
-            if self.next_step_draws() {
+        while !self.halted && self.fault.is_none() {
+            self.skip_idle_cycles();
+            if self.clock_cc >= self.config.max_classical_cycles || self.next_step_draws() {
                 break;
             }
             self.step();
@@ -602,8 +625,17 @@ impl QuMa {
 
     /// Runs until the machine halts, faults or exhausts the cycle
     /// budget.
+    ///
+    /// Event-driven: whenever the classical pipeline cannot issue (it
+    /// is draining after the program ended, or an `FMR` waits for a
+    /// result) the clock jumps straight to the next cycle where
+    /// something can happen, instead of stepping through the idle
+    /// cycles one by one. The result, statistics and trace
+    /// are identical to calling [`QuMa::step`] until it returns
+    /// `false` or the budget runs out.
     pub fn run(&mut self) -> RunResult {
         while !self.halted && self.fault.is_none() {
+            self.skip_idle_cycles();
             if self.clock_cc >= self.config.max_classical_cycles {
                 return RunResult {
                     status: RunStatus::MaxCycles,
@@ -622,8 +654,10 @@ impl QuMa {
         }
     }
 
-    /// Advances the machine by one classical cycle. Returns `false`
-    /// once halted or faulted.
+    /// Advances the machine by exactly one classical cycle, idle or
+    /// not (cycle-exact tracing and tests drive this directly; only
+    /// [`QuMa::run`] and [`QuMa::run_prefix`] skip idle cycles).
+    /// Returns `false` once halted or faulted.
     pub fn step(&mut self) -> bool {
         if self.halted || self.fault.is_some() {
             return false;
@@ -658,6 +692,54 @@ impl QuMa {
         self.clock_cc += 1;
         self.stats.classical_cycles = self.clock_cc;
         !self.halted && self.fault.is_none()
+    }
+
+    /// Jumps the clock over cycles in which nothing can change but the
+    /// cycle counters.
+    ///
+    /// The classical pipeline cannot issue while it is `stopping` (the
+    /// program ended and the machine drains), or while an `FMR` stalls
+    /// on an invalid register with no release countdown running. In
+    /// either state only an event can change the machine: a queued
+    /// operation's trigger tick, a measurement result, or a write-back
+    /// (which is also what can make the stalled register valid). So
+    /// the clock moves straight to the earliest of those cycles, or to
+    /// the cycle budget. The skip lands *on* that cycle without
+    /// processing it, and the skipped cycles are counted exactly as
+    /// [`QuMa::step`] would have counted them: every quantum-cycle
+    /// boundary passed, and a stall cycle each when stalled.
+    fn skip_idle_cycles(&mut self) {
+        let stalled = self.stall.is_some_and(|s| s.release_countdown.is_none());
+        if !self.stopping && !stalled {
+            return;
+        }
+        let drained =
+            self.queue.is_empty() && self.results_due.is_empty() && self.writebacks_due.is_empty();
+        if self.stopping && self.stall.is_none() && drained {
+            // Nothing in flight: the next step halts.
+            return;
+        }
+        let ccpq = self.ccpq();
+        let now = self.clock_cc;
+        let mut target = self.config.max_classical_cycles;
+        if let Some((&ts, _)) = self.queue.first_key_value() {
+            target = target.min(ts.saturating_mul(ccpq).max(now.next_multiple_of(ccpq)));
+        }
+        if let Some((&cc, _)) = self.results_due.first_key_value() {
+            target = target.min(cc);
+        }
+        if let Some((&cc, _)) = self.writebacks_due.first_key_value() {
+            target = target.min(cc);
+        }
+        if target <= now {
+            return;
+        }
+        self.stats.quantum_cycles += target.div_ceil(ccpq) - now.div_ceil(ccpq);
+        if !self.stopping {
+            self.stats.fmr_stall_cycles += target - now;
+        }
+        self.clock_cc = target;
+        self.stats.classical_cycles = target;
     }
 
     // ---------------------------------------------------------------
@@ -700,9 +782,9 @@ impl QuMa {
             self.stopping = true;
             return;
         }
-        let instr = self.program[self.pc].clone();
+        let program = Arc::clone(&self.program);
         let mut next_pc = self.pc + 1;
-        match instr {
+        match program[self.pc] {
             Instruction::Nop => {
                 self.stats.classical_instructions += 1;
             }
@@ -756,9 +838,9 @@ impl QuMa {
                 let value = self.gprs[rs.index()];
                 match usize::try_from(addr)
                     .ok()
-                    .and_then(|a| self.memory.get_mut(a))
+                    .filter(|&a| a < self.memory.len())
                 {
-                    Some(slot) => *slot = value,
+                    Some(a) => Arc::make_mut(&mut self.memory)[a] = value,
                     None => {
                         self.fault = Some(Fault::MemoryOutOfRange {
                             addr,
@@ -839,8 +921,7 @@ impl QuMa {
             Instruction::Bundle(ref b) => {
                 self.stats.quantum_instructions += 1;
                 self.stats.bundle_words += 1;
-                let b = b.clone();
-                self.issue_bundle(&b);
+                self.issue_bundle(b);
             }
         }
         if self.fault.is_none() && self.stall.is_none() {
@@ -930,7 +1011,6 @@ impl QuMa {
                 .ops()
                 .by_opcode(op.opcode)
                 .expect("validated at load");
-            let name = def.name().to_owned();
             let duration = def.duration_cycles();
             let micro = *def.micro();
             let is_measurement = def.is_measurement();
@@ -967,7 +1047,7 @@ impl QuMa {
                             ts,
                             ReadyOp {
                                 qubit: q,
-                                name: name.clone(),
+                                opcode: op.opcode,
                                 condition: cond,
                                 duration_qc: duration,
                                 effect,
@@ -1007,7 +1087,7 @@ impl QuMa {
                                 ts,
                                 ReadyOp {
                                     qubit: q,
-                                    name: name.clone(),
+                                    opcode: op.opcode,
                                     condition: m.condition(),
                                     duration_qc: duration,
                                     effect: OpEffect::PairHalf {
@@ -1088,7 +1168,7 @@ impl QuMa {
     fn op_draws(&self, op: &ReadyOp) -> bool {
         let trajectory = self.selection.kind().is_trajectory();
         let noise = &self.config.noise;
-        let idle = noise.idle_kraus(1.0).is_some();
+        let idle = noise.has_idle_decay(1.0);
         match op.effect {
             OpEffect::Measure => {
                 matches!(self.config.measurement_source, MeasurementSource::Quantum)
@@ -1118,9 +1198,11 @@ impl QuMa {
         let now = self.wall_qc();
         // Pop every due timestamp (late ones were clamped at insert, so
         // ts < now only appears transiently after slips).
-        let due: Vec<u64> = self.queue.range(..=now).map(|(&ts, _)| ts).collect();
-        for ts in due {
-            let ops = self.queue.remove(&ts).unwrap_or_default();
+        while let Some(entry) = self.queue.first_entry() {
+            if *entry.key() > now {
+                break;
+            }
+            let (ts, ops) = entry.remove_entry();
             self.queued_qubits.remove(&ts);
             self.trigger_ops(ts, ops);
             if self.fault.is_some() {
@@ -1129,22 +1211,35 @@ impl QuMa {
         }
     }
 
-    fn trigger_ops(&mut self, ts: u64, ops: Vec<ReadyOp>) {
+    /// The configured name of an opcode, for trace payloads.
+    fn op_name(&self, opcode: QOpcode) -> String {
+        self.inst
+            .ops()
+            .by_opcode(opcode)
+            .expect("validated at load")
+            .name()
+            .to_owned()
+    }
+
+    fn trigger_ops(&mut self, ts: u64, mut ops: Vec<ReadyOp>) {
         let out_cc = self.clock_cc + self.config.latency.adi_output_cc;
         // Fast conditional execution: evaluate the selected execution
-        // flag of each target qubit at trigger time (§3.5, §4.3).
-        let mut released: Vec<ReadyOp> = Vec::with_capacity(ops.len());
-        for op in ops {
+        // flag of each target qubit at trigger time (§3.5, §4.3); the
+        // cancelled ops drop out of `ops`.
+        ops.retain(|op| {
             let executed = self.exec_flags[op.qubit.index()].get(op.condition);
-            self.trace.record(
-                out_cc,
-                TraceKind::OpTriggered {
-                    qubit: op.qubit,
-                    name: op.name.clone(),
-                    condition: op.condition,
-                    executed,
-                },
-            );
+            if self.trace.is_enabled() {
+                let name = self.op_name(op.opcode);
+                self.trace.record(
+                    out_cc,
+                    TraceKind::OpTriggered {
+                        qubit: op.qubit,
+                        name,
+                        condition: op.condition,
+                        executed,
+                    },
+                );
+            }
             if executed {
                 self.stats.ops_triggered += 1;
                 if self.busy_until_qc[op.qubit.index()] > ts {
@@ -1153,7 +1248,6 @@ impl QuMa {
                         .record(self.clock_cc, TraceKind::BusyOverlap { qubit: op.qubit });
                 }
                 self.busy_until_qc[op.qubit.index()] = ts + op.duration_qc as u64;
-                released.push(op);
             } else {
                 self.stats.ops_cancelled += 1;
                 if matches!(op.effect, OpEffect::Measure) {
@@ -1162,11 +1256,12 @@ impl QuMa {
                     self.qregs[op.qubit.index()].on_measurement_cancelled();
                 }
             }
-        }
+            executed
+        });
 
         // ADI: apply the physics.
         let mut pair_halves: Vec<(Qubit, Qubit, TwoQubitGate, bool)> = Vec::new();
-        for op in released {
+        for op in ops {
             match op.effect {
                 OpEffect::None => {}
                 OpEffect::Unitary(u) => {
@@ -1202,14 +1297,11 @@ impl QuMa {
                         self.backend
                             .apply_2q(src.index(), tgt.index(), &two_qubit_matrix(gate));
                         self.stats.two_qubit_gates += 1;
-                        self.trace.record(
-                            out_cc,
-                            TraceKind::TwoQubitApplied {
-                                src,
-                                tgt,
-                                name: op.name.clone(),
-                            },
-                        );
+                        if self.trace.is_enabled() {
+                            let name = self.op_name(op.opcode);
+                            self.trace
+                                .record(out_cc, TraceKind::TwoQubitApplied { src, tgt, name });
+                        }
                     } else {
                         pair_halves.push((src, tgt, gate, is_src_half));
                     }
@@ -1248,13 +1340,12 @@ impl QuMa {
     }
 
     fn process_results(&mut self) {
-        let due: Vec<u64> = self
-            .results_due
-            .range(..=self.clock_cc)
-            .map(|(&cc, _)| cc)
-            .collect();
-        for cc in due {
-            for (m, raw, reported) in self.results_due.remove(&cc).unwrap_or_default() {
+        while let Some(entry) = self.results_due.first_entry() {
+            if *entry.key() > self.clock_cc {
+                break;
+            }
+            let (cc, results) = entry.remove_entry();
+            for (m, raw, reported) in results {
                 self.trace.record(
                     cc,
                     TraceKind::MeasurementResult {
@@ -1273,13 +1364,12 @@ impl QuMa {
     }
 
     fn process_writebacks(&mut self) {
-        let due: Vec<u64> = self
-            .writebacks_due
-            .range(..=self.clock_cc)
-            .map(|(&cc, _)| cc)
-            .collect();
-        for cc in due {
-            for (q, value) in self.writebacks_due.remove(&cc).unwrap_or_default() {
+        while let Some(entry) = self.writebacks_due.first_entry() {
+            if *entry.key() > self.clock_cc {
+                break;
+            }
+            let (cc, writebacks) = entry.remove_entry();
+            for (q, value) in writebacks {
                 self.qregs[q.index()].on_result(value);
                 self.exec_flags[q.index()].on_result(value);
                 self.trace
@@ -1322,5 +1412,69 @@ fn two_qubit_matrix(gate: TwoQubitGate) -> CMatrix {
         TwoQubitGate::Cnot => gates::cnot(),
         TwoQubitGate::CPhase(t) => gates::cphase(t),
         TwoQubitGate::Swap => gates::swap(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::BackendSelect;
+    use eqasm_quantum::{NoiseModel, ReadoutModel};
+
+    /// The single-step reference of [`QuMa::run_prefix`]: one `step()`
+    /// per cycle, stopping before the first step that could draw.
+    fn prefix_stepped(m: &mut QuMa, seed: u64) -> MachineSnapshot {
+        m.reset_with_seed(seed);
+        while !m.halted
+            && m.fault.is_none()
+            && m.clock_cc < m.config.max_classical_cycles
+            && !m.next_step_draws()
+        {
+            m.step();
+        }
+        m.snapshot()
+    }
+
+    #[test]
+    fn event_driven_prefix_stops_where_single_stepping_does() {
+        let inst = Instantiation::paper_two_qubit();
+        let noisy = SimConfig::default()
+            .with_noise(NoiseModel::with_coherence(20_000.0, 15_000.0).with_gate_error(1e-3, 0.0))
+            .with_readout(ReadoutModel::symmetric(0.05));
+        let cases = [
+            // Density backend: the first draw is the measurement.
+            (
+                "SMIS S0, {0}\nQWAIT 10000\nX S0\nY S0\nMEASZ S0\nQWAIT 50\nSTOP",
+                noisy,
+            ),
+            // Trajectory backend: the first noisy gate draws.
+            (
+                "SMIS S0, {0}\nQWAIT 10000\nX S0\nY S0\nMEASZ S0\nQWAIT 50\nSTOP",
+                SimConfig::default()
+                    .with_noise(NoiseModel::ideal().with_gate_error(1e-3, 0.0))
+                    .with_backend(BackendSelect::Pure),
+            ),
+            // A mock measurement read back by FMR stalls the pipeline
+            // inside the prefix; the noisy gate after it is the draw.
+            (
+                "SMIS S0, {0}\nQWAIT 3000\nMEASZ S0\nFMR r1, q0\nQWAIT 3000\nX S0\nQWAIT 50\nSTOP",
+                SimConfig::default()
+                    .with_noise(NoiseModel::ideal().with_gate_error(1e-3, 0.0))
+                    .with_backend(BackendSelect::Pure)
+                    .with_measurement_source(MeasurementSource::MockAlternating { start: true }),
+            ),
+            // No draw at all: the prefix runs to completion.
+            (
+                "SMIS S0, {0}\nQWAIT 3000\nX S0\nQWAIT 3000\nSTOP",
+                SimConfig::default(),
+            ),
+        ];
+        for (src, config) in cases {
+            let program = eqasm_asm::assemble(src, &inst).expect("assembles");
+            let mut m = QuMa::new(inst.clone(), config);
+            m.load(program.instructions()).expect("loads");
+            let fast = m.run_prefix(9).expect("prefix eligible");
+            assert_eq!(fast, prefix_stepped(&mut m, 9), "program:\n{src}");
+        }
     }
 }

@@ -230,7 +230,7 @@ pub(crate) fn select_backend(
     let n = inst.topology().num_qubits();
     let noise = &config.noise;
     let clifford_only = first_non_clifford.is_none();
-    let idle_channel = noise.idle_kraus(1.0).is_some();
+    let idle_channel = noise.has_idle_decay(1.0);
     let dense_kind = if n <= DENSITY_QUBIT_LIMIT {
         SimBackendKind::Density
     } else {

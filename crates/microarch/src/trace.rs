@@ -106,6 +106,12 @@ impl Trace {
         }
     }
 
+    /// Whether events are being recorded. Callers check this before
+    /// building a payload that costs an allocation.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Records an event.
     pub fn record(&mut self, cc: u64, kind: TraceKind) {
         if self.enabled {

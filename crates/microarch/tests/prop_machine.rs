@@ -1,10 +1,11 @@
 //! Property-based tests of the machine: the classical pipeline agrees
 //! with a straight-line reference interpreter on arbitrary ALU/data
-//! programs, execution is deterministic per seed, and quantum timing
-//! respects the queue-based model for arbitrary wait patterns.
+//! programs, execution is deterministic per seed, quantum timing
+//! respects the queue-based model for arbitrary wait patterns, and the
+//! event-driven `run()` agrees with single-stepping on all of these.
 
 use eqasm_core::{CmpFlag, CmpFlags, Gpr, Instantiation, Instruction, Qubit};
-use eqasm_microarch::{LatencyModel, QuMa, SimConfig};
+use eqasm_microarch::{LatencyModel, QuMa, RunResult, SimConfig};
 use proptest::prelude::*;
 
 fn zero_latency() -> SimConfig {
@@ -91,8 +92,63 @@ fn reference(program: &[Instruction]) -> (Vec<u32>, Vec<u32>) {
     (regs, mem)
 }
 
+/// Runs `program` event-driven (`run()`) and single-stepped (one
+/// `step()` per cycle) and requires identical results, traces and
+/// machine state.
+fn run_matches_stepping(
+    inst: &Instantiation,
+    config: &SimConfig,
+    program: &[Instruction],
+) -> RunResult {
+    let load = || {
+        let mut m = QuMa::new(inst.clone(), config.clone());
+        m.load(program).unwrap();
+        m
+    };
+    let (mut fast, mut slow) = (load(), load());
+    let a = fast.run();
+    let budget = config.max_classical_cycles;
+    while slow.clock_cc() < budget && slow.step() {}
+    let b = slow.run();
+    assert_eq!(&a, &b);
+    assert_eq!(fast.trace(), slow.trace());
+    assert_eq!(fast.snapshot(), slow.snapshot());
+    a
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Event-driven `run()` ≡ single-stepping on random programs:
+    /// straight-line classical code, then a random wait pattern of
+    /// gates, an optional measurement read back by `FMR` (which
+    /// stalls), under random latencies, seeds and cycle budgets.
+    #[test]
+    fn run_matches_single_stepping(
+        classical in prop::collection::vec(arb_classical(), 0..20),
+        waits in prop::collection::vec(0u32..300, 0..8),
+        measure in any::<bool>(),
+        paper_latency in any::<bool>(),
+        seed in any::<u64>(),
+        budget in prop_oneof![Just(u64::MAX), 1u64..4_000],
+    ) {
+        let inst = Instantiation::paper_two_qubit();
+        let mut src = String::from("SMIS S0, {0}\nQWAIT 500\n0, X90 S0\n");
+        for w in &waits {
+            src.push_str(&format!("QWAIT {w}\n0, Y S0\n"));
+        }
+        if measure {
+            src.push_str("MEASZ S0\nFMR r1, q0\nQWAIT 40\n");
+        }
+        src.push_str("STOP");
+        let mut program = classical;
+        program.extend_from_slice(eqasm_asm::assemble(&src, &inst).unwrap().instructions());
+        let mut config = if paper_latency { SimConfig::default() } else { zero_latency() };
+        config.seed = seed;
+        config.max_classical_cycles = u64::min(budget, config.max_classical_cycles);
+        config.noise = eqasm_quantum::NoiseModel::with_coherence(20_000.0, 15_000.0);
+        run_matches_stepping(&inst, &config, &program);
+    }
 
     /// The machine's classical pipeline computes exactly what the
     /// reference interpreter computes, for arbitrary straight-line

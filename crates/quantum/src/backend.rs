@@ -22,8 +22,8 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::density::DensityMatrix;
-use crate::matrix::CMatrix;
+use crate::density::{DensityMatrix, KrausScratch};
+use crate::matrix::{mat2, CMatrix, Mat2};
 use crate::noise::{depolarizing_1q, depolarizing_2q, NoiseModel};
 use crate::stabilizer::Tableau;
 use crate::statevector::StateVector;
@@ -102,16 +102,34 @@ pub struct DensityBackend {
     rho: DensityMatrix,
     noise: NoiseModel,
     rng: StdRng,
+    /// The gate-error channels of `noise`, built once.
+    depol_1q: Vec<Mat2>,
+    depol_2q: Vec<CMatrix>,
+    /// Buffers the Kraus channels sum into, reused across operations.
+    scratch: KrausScratch,
 }
 
 impl DensityBackend {
     /// Creates a backend in `|0…0⟩` with the given noise model and RNG
     /// seed.
     pub fn new(num_qubits: usize, noise: NoiseModel, seed: u64) -> Self {
+        let depol_1q = if noise.depol_1q > 0.0 {
+            depolarizing_1q(noise.depol_1q).iter().map(mat2).collect()
+        } else {
+            Vec::new()
+        };
+        let depol_2q = if noise.depol_2q > 0.0 {
+            depolarizing_2q(noise.depol_2q)
+        } else {
+            Vec::new()
+        };
         DensityBackend {
             rho: DensityMatrix::zero_state(num_qubits),
             noise,
             rng: StdRng::seed_from_u64(seed),
+            depol_1q,
+            depol_2q,
+            scratch: KrausScratch::default(),
         }
     }
 
@@ -133,23 +151,23 @@ impl Backend for DensityBackend {
 
     fn apply_1q(&mut self, q: usize, u: &CMatrix) {
         self.rho.apply_1q(q, u);
-        if self.noise.depol_1q > 0.0 {
+        if !self.depol_1q.is_empty() {
             self.rho
-                .apply_kraus_1q(q, &depolarizing_1q(self.noise.depol_1q));
+                .apply_kraus_1q_with(q, &self.depol_1q, &mut self.scratch);
         }
     }
 
     fn apply_2q(&mut self, qa: usize, qb: usize, u: &CMatrix) {
         self.rho.apply_2q(qa, qb, u);
-        if self.noise.depol_2q > 0.0 {
+        if !self.depol_2q.is_empty() {
             self.rho
-                .apply_kraus_2q(qa, qb, &depolarizing_2q(self.noise.depol_2q));
+                .apply_kraus_2q_with(qa, qb, &self.depol_2q, &mut self.scratch);
         }
     }
 
     fn idle(&mut self, q: usize, t_ns: f64) {
-        if let Some(kraus) = self.noise.idle_kraus(t_ns) {
-            self.rho.apply_kraus_1q(q, &kraus);
+        if let Some(kraus) = self.noise.idle_kraus_ops(t_ns) {
+            self.rho.apply_kraus_1q_with(q, &kraus, &mut self.scratch);
         }
     }
 
@@ -175,7 +193,7 @@ impl Backend for DensityBackend {
 
     fn restore(&mut self, state: &BackendState) {
         match state {
-            BackendState::Density(rho) => self.rho = rho.clone(),
+            BackendState::Density(rho) => self.rho.clone_from(rho),
             _ => panic!("snapshot backend kind mismatch: expected density state"),
         }
     }
@@ -277,7 +295,7 @@ impl Backend for PureBackend {
 
     fn restore(&mut self, state: &BackendState) {
         match state {
-            BackendState::Pure(psi) => self.psi = psi.clone(),
+            BackendState::Pure(psi) => self.psi.clone_from(psi),
             _ => panic!("snapshot backend kind mismatch: expected pure state"),
         }
     }

@@ -8,7 +8,7 @@
 use rand::RngExt;
 
 use crate::complex::C64;
-use crate::matrix::CMatrix;
+use crate::matrix::{mat2, CMatrix, Mat2};
 use crate::statevector::StateVector;
 
 /// A mixed state of `n` qubits.
@@ -23,12 +23,30 @@ use crate::statevector::StateVector;
 /// assert!((rho.prob1(0) - 0.5).abs() < 1e-12);
 /// assert!((rho.purity() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct DensityMatrix {
     num_qubits: usize,
     dim: usize,
     /// Row-major `dim × dim` storage.
     data: Vec<C64>,
+}
+
+impl Clone for DensityMatrix {
+    fn clone(&self) -> Self {
+        DensityMatrix {
+            num_qubits: self.num_qubits,
+            dim: self.dim,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies into the existing storage (no allocation when the sizes
+    /// match) — the fork path restores a prefix state this way per shot.
+    fn clone_from(&mut self, source: &Self) {
+        self.num_qubits = source.num_qubits;
+        self.dim = source.dim;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl DensityMatrix {
@@ -113,11 +131,11 @@ impl DensityMatrix {
         total
     }
 
-    /// Left-multiplies rows `ρ → (U ⊗ I…) ρ` on qubit `q` (helper).
-    fn left_mul_1q(&mut self, q: usize, m: &CMatrix) {
+    /// Left-multiplies rows `ρ → (U ⊗ I…) ρ` on qubit `q` of the
+    /// row-major `dim × dim` matrix `data` (helper).
+    fn left_mul_1q(data: &mut [C64], dim: usize, q: usize, m: &Mat2) {
         let bit = 1usize << q;
-        let dim = self.dim;
-        let (m00, m01, m10, m11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
+        let [m00, m01, m10, m11] = *m;
         for col in 0..dim {
             for row_base in 0..dim {
                 if row_base & bit != 0 {
@@ -125,25 +143,20 @@ impl DensityMatrix {
                 }
                 let i0 = row_base * dim + col;
                 let i1 = (row_base | bit) * dim + col;
-                let a0 = self.data[i0];
-                let a1 = self.data[i1];
-                self.data[i0] = m00 * a0 + m01 * a1;
-                self.data[i1] = m10 * a0 + m11 * a1;
+                let a0 = data[i0];
+                let a1 = data[i1];
+                data[i0] = m00 * a0 + m01 * a1;
+                data[i1] = m10 * a0 + m11 * a1;
             }
         }
     }
 
-    /// Right-multiplies columns `ρ → ρ (M† ⊗ I…)` on qubit `q` (helper).
-    fn right_mul_dagger_1q(&mut self, q: usize, m: &CMatrix) {
+    /// Right-multiplies columns `ρ → ρ (M† ⊗ I…)` on qubit `q` of the
+    /// row-major `dim × dim` matrix `data` (helper).
+    fn right_mul_dagger_1q(data: &mut [C64], dim: usize, q: usize, m: &Mat2) {
         let bit = 1usize << q;
-        let dim = self.dim;
         // ρ' = ρ M†: over the column index, apply conj(M).
-        let (c00, c01, c10, c11) = (
-            m[(0, 0)].conj(),
-            m[(0, 1)].conj(),
-            m[(1, 0)].conj(),
-            m[(1, 1)].conj(),
-        );
+        let [c00, c01, c10, c11] = m.map(C64::conj);
         for row in 0..dim {
             for col_base in 0..dim {
                 if col_base & bit != 0 {
@@ -151,18 +164,17 @@ impl DensityMatrix {
                 }
                 let i0 = row * dim + col_base;
                 let i1 = row * dim + (col_base | bit);
-                let a0 = self.data[i0];
-                let a1 = self.data[i1];
-                self.data[i0] = c00 * a0 + c01 * a1;
-                self.data[i1] = c10 * a0 + c11 * a1;
+                let a0 = data[i0];
+                let a1 = data[i1];
+                data[i0] = c00 * a0 + c01 * a1;
+                data[i1] = c10 * a0 + c11 * a1;
             }
         }
     }
 
-    fn left_mul_2q(&mut self, qa: usize, qb: usize, m: &CMatrix) {
+    fn left_mul_2q(data: &mut [C64], dim: usize, qa: usize, qb: usize, m: &CMatrix) {
         let ba = 1usize << qa;
         let bb = 1usize << qb;
-        let dim = self.dim;
         for col in 0..dim {
             for base in 0..dim {
                 if base & ba != 0 || base & bb != 0 {
@@ -172,20 +184,19 @@ impl DensityMatrix {
                 let mut v = [C64::ZERO; 4];
                 for (r, slot) in v.iter_mut().enumerate() {
                     for c in 0..4 {
-                        *slot += m[(r, c)] * self.data[rows[c] * dim + col];
+                        *slot += m[(r, c)] * data[rows[c] * dim + col];
                     }
                 }
                 for (k, &r) in rows.iter().enumerate() {
-                    self.data[r * dim + col] = v[k];
+                    data[r * dim + col] = v[k];
                 }
             }
         }
     }
 
-    fn right_mul_dagger_2q(&mut self, qa: usize, qb: usize, m: &CMatrix) {
+    fn right_mul_dagger_2q(data: &mut [C64], dim: usize, qa: usize, qb: usize, m: &CMatrix) {
         let ba = 1usize << qa;
         let bb = 1usize << qb;
-        let dim = self.dim;
         for row in 0..dim {
             for base in 0..dim {
                 if base & ba != 0 || base & bb != 0 {
@@ -195,11 +206,11 @@ impl DensityMatrix {
                 let mut v = [C64::ZERO; 4];
                 for (j, slot) in v.iter_mut().enumerate() {
                     for k in 0..4 {
-                        *slot += m[(j, k)].conj() * self.data[row * dim + cols[k]];
+                        *slot += m[(j, k)].conj() * data[row * dim + cols[k]];
                     }
                 }
                 for (k, &c) in cols.iter().enumerate() {
-                    self.data[row * dim + c] = v[k];
+                    data[row * dim + c] = v[k];
                 }
             }
         }
@@ -213,8 +224,9 @@ impl DensityMatrix {
     pub fn apply_1q(&mut self, q: usize, u: &CMatrix) {
         assert!(q < self.num_qubits, "qubit {q} out of range");
         assert_eq!((u.rows(), u.cols()), (2, 2), "expected a 2x2 matrix");
-        self.left_mul_1q(q, u);
-        self.right_mul_dagger_1q(q, u);
+        let m = mat2(u);
+        Self::left_mul_1q(&mut self.data, self.dim, q, &m);
+        Self::right_mul_dagger_1q(&mut self.data, self.dim, q, &m);
     }
 
     /// Applies a 4×4 unitary to the ordered pair `(qa, qb)` — the bit of
@@ -231,8 +243,8 @@ impl DensityMatrix {
         );
         assert_ne!(qa, qb, "two-qubit gate needs distinct qubits");
         assert_eq!((u.rows(), u.cols()), (4, 4), "expected a 4x4 matrix");
-        self.left_mul_2q(qa, qb, u);
-        self.right_mul_dagger_2q(qa, qb, u);
+        Self::left_mul_2q(&mut self.data, self.dim, qa, qb, u);
+        Self::right_mul_dagger_2q(&mut self.data, self.dim, qa, qb, u);
     }
 
     /// Applies a single-qubit Kraus channel exactly:
@@ -242,26 +254,31 @@ impl DensityMatrix {
     ///
     /// Panics if `q` is out of range or any operator is not 2×2.
     pub fn apply_kraus_1q(&mut self, q: usize, kraus: &[CMatrix]) {
+        let ops: Vec<Mat2> = kraus
+            .iter()
+            .map(|k| {
+                assert_eq!((k.rows(), k.cols()), (2, 2), "expected 2x2 Kraus operators");
+                mat2(k)
+            })
+            .collect();
+        self.apply_kraus_1q_with(q, &ops, &mut KrausScratch::default());
+    }
+
+    /// [`DensityMatrix::apply_kraus_1q`] over inline operators, summing
+    /// into caller-owned buffers: allocation-free once `scratch` has
+    /// grown to the matrix size.
+    pub(crate) fn apply_kraus_1q_with(
+        &mut self,
+        q: usize,
+        kraus: &[Mat2],
+        scratch: &mut KrausScratch,
+    ) {
         assert!(q < self.num_qubits, "qubit {q} out of range");
-        let mut acc: Option<DensityMatrix> = None;
-        for k in kraus {
-            assert_eq!((k.rows(), k.cols()), (2, 2), "expected 2x2 Kraus operators");
-            let mut term = self.clone();
-            term.left_mul_1q(q, k);
-            term.right_mul_dagger_1q(q, k);
-            acc = Some(match acc {
-                None => term,
-                Some(mut a) => {
-                    for (dst, src) in a.data.iter_mut().zip(&term.data) {
-                        *dst += *src;
-                    }
-                    a
-                }
-            });
-        }
-        if let Some(a) = acc {
-            *self = a;
-        }
+        let dim = self.dim;
+        self.apply_kraus(kraus, scratch, |data, k| {
+            Self::left_mul_1q(data, dim, q, k);
+            Self::right_mul_dagger_1q(data, dim, q, k);
+        });
     }
 
     /// Applies a two-qubit Kraus channel exactly.
@@ -276,24 +293,52 @@ impl DensityMatrix {
             "qubit out of range"
         );
         assert_ne!(qa, qb, "two-qubit channel needs distinct qubits");
-        let mut acc: Option<DensityMatrix> = None;
         for k in kraus {
             assert_eq!((k.rows(), k.cols()), (4, 4), "expected 4x4 Kraus operators");
-            let mut term = self.clone();
-            term.left_mul_2q(qa, qb, k);
-            term.right_mul_dagger_2q(qa, qb, k);
-            acc = Some(match acc {
-                None => term,
-                Some(mut a) => {
-                    for (dst, src) in a.data.iter_mut().zip(&term.data) {
-                        *dst += *src;
-                    }
-                    a
-                }
-            });
         }
-        if let Some(a) = acc {
-            *self = a;
+        self.apply_kraus_2q_with(qa, qb, kraus, &mut KrausScratch::default());
+    }
+
+    /// [`DensityMatrix::apply_kraus_2q`] summing into caller-owned
+    /// buffers (operators are assumed 4×4).
+    pub(crate) fn apply_kraus_2q_with(
+        &mut self,
+        qa: usize,
+        qb: usize,
+        kraus: &[CMatrix],
+        scratch: &mut KrausScratch,
+    ) {
+        let dim = self.dim;
+        self.apply_kraus(kraus, scratch, |data, k| {
+            Self::left_mul_2q(data, dim, qa, qb, k);
+            Self::right_mul_dagger_2q(data, dim, qa, qb, k);
+        });
+    }
+
+    /// `ρ → Σ_k K_k ρ K_k†`, where `conjugate` maps a copy of ρ to
+    /// `K ρ K†` in place. Terms are summed in operator order into
+    /// `scratch.acc` (element-wise `((t₀ + t₁) + t₂) + …`), which then
+    /// swaps with ρ's storage.
+    fn apply_kraus<K>(
+        &mut self,
+        kraus: &[K],
+        scratch: &mut KrausScratch,
+        conjugate: impl Fn(&mut [C64], &K),
+    ) {
+        let KrausScratch { acc, term } = scratch;
+        for (i, k) in kraus.iter().enumerate() {
+            let dst = if i == 0 { &mut *acc } else { &mut *term };
+            dst.clear();
+            dst.extend_from_slice(&self.data);
+            conjugate(dst, k);
+            if i > 0 {
+                for (a, t) in acc.iter_mut().zip(term.iter()) {
+                    *a += *t;
+                }
+            }
+        }
+        if !kraus.is_empty() {
+            std::mem::swap(&mut self.data, acc);
         }
     }
 
@@ -376,6 +421,14 @@ impl DensityMatrix {
         self.data.iter_mut().for_each(|v| *v = C64::ZERO);
         self.data[0] = C64::ONE;
     }
+}
+
+/// Reusable buffers for Kraus channels: the running sum and one
+/// operator's term, each a copy of ρ's storage.
+#[derive(Debug, Default)]
+pub(crate) struct KrausScratch {
+    acc: Vec<C64>,
+    term: Vec<C64>,
 }
 
 #[cfg(test)]

@@ -297,6 +297,14 @@ impl CMatrix {
     }
 }
 
+/// A 2×2 operator stored inline, row-major: `[m00, m01, m10, m11]`.
+pub(crate) type Mat2 = [C64; 4];
+
+/// The entries of a 2×2 [`CMatrix`].
+pub(crate) fn mat2(m: &CMatrix) -> Mat2 {
+    [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]]
+}
+
 impl std::ops::Index<(usize, usize)> for CMatrix {
     type Output = C64;
     fn index(&self, (i, j): (usize, usize)) -> &C64 {

@@ -8,7 +8,7 @@
 //! readout assignment error (the 82.7 % active-reset number).
 
 use crate::complex::C64;
-use crate::matrix::CMatrix;
+use crate::matrix::{CMatrix, Mat2};
 
 /// Kraus operators of the combined amplitude + phase damping channel.
 ///
@@ -20,20 +20,26 @@ use crate::matrix::CMatrix;
 ///
 /// Panics unless `0 ≤ gamma`, `0 ≤ lambda` and `gamma + lambda ≤ 1`.
 pub fn amplitude_phase_damping(gamma: f64, lambda: f64) -> Vec<CMatrix> {
+    to_cmatrices(&amplitude_phase_damping_ops(gamma, lambda))
+}
+
+fn to_cmatrices(ops: &[Mat2]) -> Vec<CMatrix> {
+    ops.iter().map(|k| CMatrix::from_flat(k.to_vec())).collect()
+}
+
+/// [`amplitude_phase_damping`] as inline operators, for callers that
+/// must not allocate.
+pub(crate) fn amplitude_phase_damping_ops(gamma: f64, lambda: f64) -> [Mat2; 3] {
     assert!((0.0..=1.0).contains(&gamma), "gamma out of range");
     assert!((0.0..=1.0).contains(&lambda), "lambda out of range");
     assert!(gamma + lambda <= 1.0 + 1e-12, "gamma + lambda exceeds 1");
     let keep = (1.0 - gamma - lambda).max(0.0).sqrt();
-    let k0 = CMatrix::from_rows(&[&[C64::ONE, C64::ZERO], &[C64::ZERO, C64::real(keep)]]);
-    let k1 = CMatrix::from_rows(&[
-        &[C64::ZERO, C64::real(gamma.sqrt())],
-        &[C64::ZERO, C64::ZERO],
-    ]);
-    let k2 = CMatrix::from_rows(&[
-        &[C64::ZERO, C64::ZERO],
-        &[C64::ZERO, C64::real(lambda.sqrt())],
-    ]);
-    vec![k0, k1, k2]
+    let z = C64::ZERO;
+    [
+        [C64::ONE, z, z, C64::real(keep)],
+        [z, C64::real(gamma.sqrt()), z, z],
+        [z, z, z, C64::real(lambda.sqrt())],
+    ]
 }
 
 /// Kraus operators of the single-qubit depolarizing channel:
@@ -186,12 +192,20 @@ impl NoiseModel {
     /// The idle channel over `t_ns` nanoseconds, or `None` when the model
     /// has no decoherence.
     pub fn idle_kraus(&self, t_ns: f64) -> Option<Vec<CMatrix>> {
+        self.idle_kraus_ops(t_ns).map(|ops| to_cmatrices(&ops))
+    }
+
+    /// [`NoiseModel::idle_kraus`] as inline operators, for callers that
+    /// must not allocate.
+    pub(crate) fn idle_kraus_ops(&self, t_ns: f64) -> Option<[Mat2; 3]> {
         let (gamma, lambda) = self.idle_damping(t_ns);
-        if gamma == 0.0 && lambda == 0.0 {
-            None
-        } else {
-            Some(amplitude_phase_damping(gamma, lambda))
-        }
+        ((gamma, lambda) != (0.0, 0.0)).then(|| amplitude_phase_damping_ops(gamma, lambda))
+    }
+
+    /// Whether idling for `t_ns` nanoseconds decoheres at all (the idle
+    /// channel is not the identity).
+    pub fn has_idle_decay(&self, t_ns: f64) -> bool {
+        self.idle_damping(t_ns) != (0.0, 0.0)
     }
 }
 

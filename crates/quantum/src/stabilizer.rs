@@ -50,7 +50,7 @@ use crate::noise::NoiseModel;
 /// t.project(0, true);
 /// assert_eq!(t.prob1(1), 1.0); // perfectly correlated
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Tableau {
     n: usize,
     /// `u64` words per row half (X or Z part).
@@ -61,6 +61,28 @@ pub struct Tableau {
     z: Vec<u64>,
     /// Sign bits (`true` = −1) per row.
     r: Vec<bool>,
+}
+
+impl Clone for Tableau {
+    fn clone(&self) -> Self {
+        Tableau {
+            n: self.n,
+            words: self.words,
+            x: self.x.clone(),
+            z: self.z.clone(),
+            r: self.r.clone(),
+        }
+    }
+
+    /// Copies into the existing storage (no allocation when the sizes
+    /// match) — the fork path restores a prefix state this way per shot.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.words = source.words;
+        self.x.clone_from(&source.x);
+        self.z.clone_from(&source.z);
+        self.r.clone_from(&source.r);
+    }
 }
 
 impl Tableau {
@@ -496,7 +518,7 @@ impl Backend for StabilizerBackend {
 
     fn restore(&mut self, state: &BackendState) {
         match state {
-            BackendState::Stabilizer(t) => self.tab = t.clone(),
+            BackendState::Stabilizer(t) => self.tab.clone_from(t),
             _ => panic!("snapshot backend kind mismatch: expected stabilizer state"),
         }
     }

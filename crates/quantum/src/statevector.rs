@@ -24,10 +24,26 @@ use crate::matrix::CMatrix;
 /// assert!((psi.prob1(0) - 0.5).abs() < 1e-12);
 /// assert!((psi.prob1(1) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct StateVector {
     num_qubits: usize,
     amps: Vec<C64>,
+}
+
+impl Clone for StateVector {
+    fn clone(&self) -> Self {
+        StateVector {
+            num_qubits: self.num_qubits,
+            amps: self.amps.clone(),
+        }
+    }
+
+    /// Copies into the existing storage (no allocation when the sizes
+    /// match) — the fork path restores a prefix state this way per shot.
+    fn clone_from(&mut self, source: &Self) {
+        self.num_qubits = source.num_qubits;
+        self.amps.clone_from(&source.amps);
+    }
 }
 
 impl StateVector {

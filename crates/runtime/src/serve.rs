@@ -1197,7 +1197,9 @@ impl QueueState {
         entry.final_result = Some(JobResult {
             name: entry.job.name.clone(),
             shots: entry.job.shots,
-            histogram: p.histogram.clone(),
+            // Moved, not copied: once `final_result` is set, snapshots
+            // read it and nothing reads the partial histogram again.
+            histogram: std::mem::take(&mut p.histogram),
             stats: p.stats,
             mean_prob1: p.mean_prob1(),
             latency: std::mem::take(&mut p.latency),
@@ -2533,6 +2535,43 @@ mod tests {
         assert_eq!(final_result.histogram, engine_result.histogram);
         assert_eq!(final_result.stats, engine_result.stats);
         assert_eq!(final_result.mean_prob1, engine_result.mean_prob1);
+    }
+
+    #[test]
+    fn finalized_job_keeps_one_histogram() {
+        // The final result takes the partial histogram instead of
+        // copying it; the done job's snapshot reads the final result.
+        let job = tiny_job("once", 32).with_seed(5);
+        let mut state = QueueState::new(ServeConfig::default().with_batch_size(8));
+        add_local_slots(&mut state, 1);
+        let slot = state.tenant_slot(&TenantId::new("t"));
+        let job_id = state.enqueue_job(slot, job.clone());
+        let mut machine = crate::engine::build_machine(&job).expect("loads");
+        while let Some(task) = state.next_task(0) {
+            let out = TaggedBatch {
+                job: task.job_id,
+                batch: task.batch,
+                out: crate::engine::run_batch(&mut machine, &job, task.range.clone()),
+                started_at: Instant::now(),
+                finished_at: Instant::now(),
+            };
+            state.complete(&task, out, None);
+        }
+        assert!(
+            state.jobs[job_id].partial.histogram.is_empty(),
+            "the partial copy is released once the job is final"
+        );
+
+        let engine_result = crate::ShotEngine::serial()
+            .with_batch_size(8)
+            .run_job(&job)
+            .expect("engine runs");
+        let snap = state.snapshot(job_id, Instant::now());
+        assert!(snap.done);
+        assert_eq!(snap.shots_done, 32);
+        assert_eq!(snap.histogram, engine_result.histogram);
+        assert_eq!(snap.stats, engine_result.stats);
+        assert_eq!(snap.mean_prob1, engine_result.mean_prob1);
     }
 
     #[test]

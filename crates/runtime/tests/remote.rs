@@ -553,7 +553,9 @@ fn draining_last_slot_fails_outstanding_jobs() {
 /// intervention.
 #[test]
 fn supervisor_reattaches_restarted_worker_bit_identically() {
-    let job = noisy_job("elastic", 160, 777);
+    // Sized so the kill below lands mid-run: at a few tens of µs per
+    // shot, 2,400 shots keep gen1 busy for well over the poll interval.
+    let job = noisy_job("elastic", 2_400, 777);
     let reference = ShotEngine::serial()
         .with_batch_size(8)
         .run_job(&job)
