@@ -14,10 +14,10 @@ use eqasm_microarch::SimConfig;
 use eqasm_quantum::{NoiseModel, ReadoutModel};
 use eqasm_runtime::loadgen::RpsStep;
 use eqasm_runtime::{
-    capacity_sweep, spawn_serve, spawn_worker, Ceilings, Client, ExecBackend, Job, JobQueue,
-    JournalConfig, LoadClass, LoadSpec, LocalBackend, MetricsServer, RemoteBackend, ServeConfig,
-    ServeNetConfig, ShotEngine, ShotsDist, Submission, SweepConfig, SweepTarget, WorkerConfig,
-    WorkloadKind, WorkloadSpec,
+    capacity_sweep, spawn_serve, spawn_worker, Ceilings, Client, ExecBackend, ExecPolicy, Job,
+    JobQueue, JournalConfig, LoadClass, LoadSpec, LocalBackend, MetricsServer, RemoteBackend,
+    ServeConfig, ServeNetConfig, ShotEngine, ShotsDist, Submission, SweepConfig, SweepTarget,
+    WorkerConfig, WorkloadKind, WorkloadSpec,
 };
 use eqasm_workloads::rb_program;
 
@@ -40,6 +40,13 @@ fn sample_metric(name: &str) -> f64 {
 }
 
 fn main() {
+    // The execution-path switches, read once: the library reads no
+    // environment.
+    let policy = ExecPolicy::parse(
+        std::env::var("EQASM_EXEC_PATH").ok().as_deref(),
+        std::env::var("EQASM_PREFIX").ok().as_deref(),
+    )
+    .expect("EQASM_EXEC_PATH / EQASM_PREFIX");
     let shots: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -72,7 +79,10 @@ fn main() {
         // number on a shared host.
         let mut best: Option<eqasm_runtime::JobResult> = None;
         for _ in 0..3 {
-            let r = ShotEngine::new(workers).run_job(&job).expect("runs");
+            let r = ShotEngine::new(workers)
+                .with_policy(policy)
+                .run_job(&job)
+                .expect("runs");
             if best
                 .as_ref()
                 .is_none_or(|b| r.shots_per_sec > b.shots_per_sec)
@@ -108,8 +118,8 @@ fn main() {
     // Program-aware execution paths: one ideal Clifford RB sequence
     // (deep enough that the deterministic prefix dominates shot cost)
     // through the four path combinations — legacy dense, dense with
-    // prefix forking, stabilizer without forking (`EQASM_PREFIX=off`,
-    // the same lever the determinism CI uses) and the full fast path.
+    // prefix forking, stabilizer without forking (`prefix: false`, the
+    // same lever the determinism CI uses) and the full fast path.
     // The exact-regime contract makes all four bit-identical, which is
     // asserted; only the shots/sec may differ. The fast path's target
     // is ≥5× the legacy dense baseline.
@@ -122,7 +132,6 @@ fn main() {
         .with_seed(2);
     println!("\nshot speed: ideal Clifford RB k=64 on 3 qubits, {sp_shots} shots, 4 workers");
     println!("{:>22} {:>12} {:>9}", "path", "shots/s", "speedup");
-    let sp_engine = ShotEngine::new(4);
     let mut sp_rows = Vec::new();
     let mut sp_reference: Option<eqasm_runtime::JobResult> = None;
     let mut sp_dense_rate = 0.0f64;
@@ -145,11 +154,12 @@ fn main() {
             true,
         ),
     ] {
-        // `Dense` already disables forking engine-side; the env knob
+        // `Dense` already disables forking engine-side; the policy
         // covers the stabilizer row and keeps the A/B symmetric.
-        if !prefix_on {
-            std::env::set_var("EQASM_PREFIX", "off");
-        }
+        let sp_engine = ShotEngine::new(4).with_policy(ExecPolicy {
+            backend: None,
+            prefix: prefix_on,
+        });
         let mut sp_config = sp_base.config.clone();
         sp_config.backend = backend;
         let sp_job = Job {
@@ -166,9 +176,6 @@ fn main() {
             {
                 best = Some(r);
             }
-        }
-        if !prefix_on {
-            std::env::remove_var("EQASM_PREFIX");
         }
         let r = best.expect("two runs");
         match &sp_reference {
@@ -207,6 +214,7 @@ fn main() {
     println!("\nserve mode: 4 jobs × {per_job} shots, 2 tenants (cal weight 3, batch weight 1), {serve_workers} workers");
     let queue = JobQueue::new(
         ServeConfig::default()
+            .with_policy(policy)
             .with_workers(serve_workers)
             .with_batch_size(64),
     );
@@ -306,6 +314,7 @@ fn main() {
     };
     let plain_queue = JobQueue::new(
         ServeConfig::default()
+            .with_policy(policy)
             .with_workers(serve_workers)
             .with_batch_size(64),
     );
@@ -318,10 +327,12 @@ fn main() {
     let appends_before = sample_metric("eqasm_journal_appends_total");
     let fsyncs_before = sample_metric("eqasm_journal_fsyncs_total");
     let jbackends: Vec<Box<dyn ExecBackend>> = (0..serve_workers)
-        .map(|i| Box::new(LocalBackend::new(i)) as Box<dyn ExecBackend>)
+        .map(|i| Box::new(LocalBackend::new(i).with_policy(policy)) as Box<dyn ExecBackend>)
         .collect();
     let (journal_queue, _) = JobQueue::recover(
-        ServeConfig::default().with_batch_size(64),
+        ServeConfig::default()
+            .with_policy(policy)
+            .with_batch_size(64),
         jbackends,
         &JournalConfig::new(&journal_dir),
     )
@@ -355,19 +366,25 @@ fn main() {
     let worker = spawn_worker(
         listener,
         WorkerConfig::default()
+            .with_policy(policy)
             .with_name("bench-worker")
             .with_capacity(2),
     )
     .expect("spawn worker");
-    let mut backends: Vec<Box<dyn ExecBackend>> = vec![Box::new(LocalBackend::new(0))];
+    let mut backends: Vec<Box<dyn ExecBackend>> =
+        vec![Box::new(LocalBackend::new(0).with_policy(policy))];
     let mut remote_slots = 0;
     for backend in RemoteBackend::connect_pool(worker.addr().to_string()).expect("attach worker") {
         remote_slots += 1;
         backends.push(Box::new(backend));
     }
     let pool_size = backends.len();
-    let remote_queue =
-        JobQueue::with_backends(ServeConfig::default().with_batch_size(64), backends);
+    let remote_queue = JobQueue::with_backends(
+        ServeConfig::default()
+            .with_policy(policy)
+            .with_batch_size(64),
+        backends,
+    );
     let started = std::time::Instant::now();
     let handle = remote_queue
         .submit(Submission::job("bench", job.clone()))
@@ -376,6 +393,7 @@ fn main() {
     let remote_result = handle.wait().expect("completes");
     let wall = started.elapsed().as_secs_f64();
     let reference = ShotEngine::serial()
+        .with_policy(policy)
         .with_batch_size(64)
         .run_job(&job)
         .expect("reference runs");
@@ -401,18 +419,33 @@ fn main() {
     let eworker = spawn_worker(
         elistener,
         WorkerConfig::default()
+            .with_policy(policy)
             .with_name("elastic-worker")
             .with_capacity(2),
     )
     .expect("spawn elastic worker");
+    // The job is sized so its post-attach half spans many batches (a
+    // job of the bench's own shot count finishes before an attach
+    // lands), and the worker's slots connect before the submit so the
+    // attach itself is instant.
+    let elastic_job = job.clone().with_shots((shots * 100).max(100_000));
+    let elastic_reference = ShotEngine::new(0)
+        .with_policy(policy)
+        .with_batch_size(64)
+        .run_job(&elastic_job)
+        .expect("elastic reference runs");
+    let epool =
+        RemoteBackend::connect_pool(eworker.addr().to_string()).expect("connect elastic worker");
     let elastic_queue = JobQueue::with_backends(
-        ServeConfig::default().with_batch_size(64),
-        vec![Box::new(LocalBackend::new(0))],
+        ServeConfig::default()
+            .with_policy(policy)
+            .with_batch_size(64),
+        vec![Box::new(LocalBackend::new(0).with_policy(policy))],
     );
-    let attach_at = shots / 2;
+    let attach_at = elastic_job.shots / 2;
     let estarted = std::time::Instant::now();
     let ehandle = elastic_queue
-        .submit(Submission::job("elastic", job.clone()))
+        .submit(Submission::job("elastic", elastic_job.clone()))
         .expect("submits")
         .remove(0);
     // Degraded phase: wait for roughly half the shots on one slot.
@@ -424,9 +457,7 @@ fn main() {
         std::thread::sleep(std::time::Duration::from_millis(1));
     };
     let mut elastic_slots = 1usize;
-    for backend in
-        RemoteBackend::connect_pool(eworker.addr().to_string()).expect("attach elastic worker")
-    {
+    for backend in epool {
         elastic_queue
             .attach_backend(Box::new(backend))
             .expect("attach elastic slot");
@@ -436,15 +467,17 @@ fn main() {
     let elastic_result = ehandle.wait().expect("completes");
     let after_elapsed = estarted.elapsed() - attach_elapsed;
     assert_eq!(
-        elastic_result.histogram, reference.histogram,
+        elastic_result.histogram, elastic_reference.histogram,
         "mid-run attach must be bit-identical to the local engine"
     );
-    assert_eq!(elastic_result.stats, reference.stats);
-    assert_eq!(elastic_result.mean_prob1, reference.mean_prob1);
+    assert_eq!(elastic_result.stats, elastic_reference.stats);
+    assert_eq!(elastic_result.mean_prob1, elastic_reference.mean_prob1);
     let before_rate = before_shots as f64 / before_elapsed.as_secs_f64().max(1e-9);
-    let after_rate = (shots - before_shots) as f64 / after_elapsed.as_secs_f64().max(1e-9);
+    let after_rate =
+        (elastic_job.shots - before_shots) as f64 / after_elapsed.as_secs_f64().max(1e-9);
+    let elastic_shots = elastic_job.shots;
     println!(
-        "\nelastic: 1 -> {elastic_slots} slots mid-run, {before_rate:.0} shots/s degraded -> {after_rate:.0} shots/s after attach (bit-identical)"
+        "\nelastic: {elastic_shots} shots, 1 -> {elastic_slots} slots mid-run, {before_rate:.0} shots/s degraded -> {after_rate:.0} shots/s after attach (bit-identical)"
     );
 
     // Client front door: the same job submitted over the wire
@@ -453,10 +486,12 @@ fn main() {
     // final), with the result asserted bit-identical as always.
     let clistener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let client_queue = Arc::new(JobQueue::with_backends(
-        ServeConfig::default().with_batch_size(64),
+        ServeConfig::default()
+            .with_policy(policy)
+            .with_batch_size(64),
         vec![
-            Box::new(LocalBackend::new(0)),
-            Box::new(LocalBackend::new(1)),
+            Box::new(LocalBackend::new(0).with_policy(policy)),
+            Box::new(LocalBackend::new(1).with_policy(policy)),
         ],
     ));
     let server = spawn_serve(
@@ -486,17 +521,11 @@ fn main() {
         "\nclient front door: {shots} shots submitted over TCP, {snapshots_streamed} snapshots streamed, {client_rate:.0} shots/s (bit-identical)"
     );
 
-    // Per-job wire bytes with and without the varint+RLE compression
-    // flag (PROTOCOL.md §4) — the same encoding the journal's Admit
-    // records reuse, so this is also bytes-per-job at rest.
+    // Per-job wire bytes: what one `LoadJob` ships, and what the
+    // journal's Admit record stores.
     let job_bytes = eqasm_runtime::wire::encode_job(&job).expect("job encodes");
-    let load_job_raw = eqasm_runtime::wire::LoadJob::encode_parts(1, &job_bytes).len();
-    let load_job_auto = eqasm_runtime::wire::LoadJob::encode_parts_auto(1, &job_bytes).len();
-    println!(
-        "job compression: LoadJob payload {load_job_raw} B raw -> {load_job_auto} B shipped \
-         ({:.1}% of raw)",
-        load_job_auto as f64 * 100.0 / load_job_raw.max(1) as f64
-    );
+    let load_job_bytes = eqasm_runtime::wire::LoadJob::encode_parts(1, &job_bytes).len();
+    println!("job bytes: LoadJob payload {load_job_bytes} B");
 
     // Capacity: an actual open-loop ramp against the serve front
     // door. A fresh coordinator (2 local slots) and a live `/metrics`
@@ -509,10 +538,12 @@ fn main() {
     // any host.
     let cap_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let cap_queue = Arc::new(JobQueue::with_backends(
-        ServeConfig::default().with_batch_size(64),
+        ServeConfig::default()
+            .with_policy(policy)
+            .with_batch_size(64),
         vec![
-            Box::new(LocalBackend::new(0)),
-            Box::new(LocalBackend::new(1)),
+            Box::new(LocalBackend::new(0).with_policy(policy)),
+            Box::new(LocalBackend::new(1).with_policy(policy)),
         ],
     ));
     let cap_server = spawn_serve(
@@ -586,7 +617,7 @@ fn main() {
 
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"runtime\",\n  \"workload\": \"rb-k24\",\n  \"shots\": {shots},\n  \"host_parallelism\": {available},\n  \"points\": [\n{}\n  ],\n  \"shot_speed\": {{\n    \"workload\": \"rb-k64-clifford\",\n    \"shots\": {sp_shots},\n    \"qubits\": 3,\n    \"workers\": 4,\n    \"target_speedup\": 5.0,\n    \"stabilizer_prefix_speedup\": {sp_fast_speedup:.3},\n    \"bit_identical\": true,\n    \"paths\": [\n{}\n    ]\n  }},\n  \"serve\": {{\n    \"workers\": {live_workers},\n    \"peak_queue_depth\": {peak_queue_depth},\n    \"jobs\": [\n{}\n    ]\n  }},\n  \"journal\": {{\n    \"fsync\": \"batch\",\n    \"path\": \"dense\",\n    \"jobs\": 4,\n    \"serve_wall_s_plain\": {plain_wall:.4},\n    \"serve_wall_s_journaled\": {journal_wall:.4},\n    \"overhead_pct\": {journal_overhead_pct:.2},\n    \"records_appended\": {journal_appends},\n    \"fsyncs\": {journal_fsyncs},\n    \"disk_bytes\": {journal_disk_bytes}\n  }},\n  \"metrics\": {{\n    \"series\": {series},\n    \"exposition_bytes\": {},\n    \"encode_us\": {scrape_us:.1}\n  }},\n  \"remote\": {{\n    \"pool\": {pool_size},\n    \"remote_slots\": {remote_slots},\n    \"shots_per_sec\": {remote_rate:.1},\n    \"bit_identical\": true\n  }},\n  \"elastic\": {{\n    \"slots_before\": 1,\n    \"slots_after\": {elastic_slots},\n    \"attach_at_shots\": {before_shots},\n    \"shots_per_sec_before\": {before_rate:.1},\n    \"shots_per_sec_after\": {after_rate:.1},\n    \"bit_identical\": true\n  }},\n  \"client\": {{\n    \"shots_per_sec\": {client_rate:.1},\n    \"snapshots_streamed\": {snapshots_streamed},\n    \"bit_identical\": true,\n    \"load_job_bytes_raw\": {load_job_raw},\n    \"load_job_bytes_compressed\": {load_job_auto}\n  }},\n  \"capacity\":\n{}\n}}\n",
+        "{{\n  \"bench\": \"runtime\",\n  \"workload\": \"rb-k24\",\n  \"shots\": {shots},\n  \"host_parallelism\": {available},\n  \"points\": [\n{}\n  ],\n  \"shot_speed\": {{\n    \"workload\": \"rb-k64-clifford\",\n    \"shots\": {sp_shots},\n    \"qubits\": 3,\n    \"workers\": 4,\n    \"target_speedup\": 5.0,\n    \"stabilizer_prefix_speedup\": {sp_fast_speedup:.3},\n    \"bit_identical\": true,\n    \"paths\": [\n{}\n    ]\n  }},\n  \"serve\": {{\n    \"workers\": {live_workers},\n    \"peak_queue_depth\": {peak_queue_depth},\n    \"jobs\": [\n{}\n    ]\n  }},\n  \"journal\": {{\n    \"fsync\": \"batch\",\n    \"path\": \"dense\",\n    \"jobs\": 4,\n    \"serve_wall_s_plain\": {plain_wall:.4},\n    \"serve_wall_s_journaled\": {journal_wall:.4},\n    \"overhead_pct\": {journal_overhead_pct:.2},\n    \"records_appended\": {journal_appends},\n    \"fsyncs\": {journal_fsyncs},\n    \"disk_bytes\": {journal_disk_bytes}\n  }},\n  \"metrics\": {{\n    \"series\": {series},\n    \"exposition_bytes\": {},\n    \"encode_us\": {scrape_us:.1}\n  }},\n  \"remote\": {{\n    \"pool\": {pool_size},\n    \"remote_slots\": {remote_slots},\n    \"shots_per_sec\": {remote_rate:.1},\n    \"bit_identical\": true\n  }},\n  \"elastic\": {{\n    \"shots\": {elastic_shots},\n    \"slots_before\": 1,\n    \"slots_after\": {elastic_slots},\n    \"attach_at_shots\": {before_shots},\n    \"shots_per_sec_before\": {before_rate:.1},\n    \"shots_per_sec_after\": {after_rate:.1},\n    \"bit_identical\": true\n  }},\n  \"client\": {{\n    \"shots_per_sec\": {client_rate:.1},\n    \"snapshots_streamed\": {snapshots_streamed},\n    \"bit_identical\": true,\n    \"load_job_bytes\": {load_job_bytes}\n  }},\n  \"capacity\":\n{}\n}}\n",
         rows.join(",\n"),
         sp_rows.join(",\n"),
         serve_rows.join(",\n"),

@@ -90,7 +90,7 @@ impl Sha256 {
             rest = &rest[take..];
             if self.buf_len == 64 {
                 let block = self.buf;
-                self.compress(&block);
+                self.process_block(&block);
                 self.buf_len = 0;
             }
         }
@@ -98,7 +98,7 @@ impl Sha256 {
             let (block, tail) = rest.split_at(64);
             let mut b = [0u8; 64];
             b.copy_from_slice(block);
-            self.compress(&b);
+            self.process_block(&b);
             rest = tail;
         }
         if !rest.is_empty() {
@@ -118,7 +118,7 @@ impl Sha256 {
         // it into `total`).
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
-        self.compress(&block);
+        self.process_block(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -126,7 +126,7 @@ impl Sha256 {
         out
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    fn process_block(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -333,7 +333,7 @@ mod tests {
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
-        // One million 'a's, exercising many compression rounds and the
+        // One million 'a's, exercising many block rounds and the
         // buffered-update path.
         let mut h = Sha256::new();
         for _ in 0..1000 {

@@ -36,7 +36,7 @@ use std::ops::Range;
 use eqasm_microarch::{QuMa, RunStats};
 
 use crate::aggregate::{Histogram, LatencyHistogram};
-use crate::engine::{build_machine, run_batch};
+use crate::engine::{build_machine, run_batch, ExecPolicy};
 use crate::error::RuntimeError;
 use crate::job::Job;
 
@@ -149,24 +149,30 @@ pub trait ExecBackend: Send {
 /// load + validation).
 pub struct LocalBackend {
     name: String,
+    policy: ExecPolicy,
     cached: Option<(Job, QuMa)>,
 }
 
 impl LocalBackend {
     /// A local backend named after its slot index.
     pub fn new(slot: usize) -> Self {
-        LocalBackend {
-            name: format!("local-{slot}"),
-            cached: None,
-        }
+        LocalBackend::named(format!("local-{slot}"))
     }
 
     /// A local backend with an explicit name.
     pub fn named(name: impl Into<String>) -> Self {
         LocalBackend {
             name: name.into(),
+            policy: ExecPolicy::default(),
             cached: None,
         }
+    }
+
+    /// Returns the backend executing under `policy`.
+    pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
+        self.policy = policy;
+        self.cached = None;
+        self
     }
 }
 
@@ -190,14 +196,15 @@ impl ExecBackend for LocalBackend {
 
     fn run_range(&mut self, job: &Job, range: Range<u64>) -> Result<BatchOut, RuntimeError> {
         if !matches!(&self.cached, Some((cached, _)) if cached == job) {
-            let machine = build_machine(job).map_err(|source| RuntimeError::Load {
-                job: job.name.clone(),
-                source,
-            })?;
+            let machine =
+                build_machine(job, &self.policy).map_err(|source| RuntimeError::Load {
+                    job: job.name.clone(),
+                    source,
+                })?;
             self.cached = Some((job.clone(), machine));
         }
         let machine = &mut self.cached.as_mut().expect("just cached").1;
-        Ok(run_batch(machine, job, range))
+        Ok(run_batch(machine, job, range, &self.policy))
     }
 }
 

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use eqasm_microarch::{BackendSelect, QuMa, RunStats};
+use eqasm_microarch::{BackendSelect, QuMa, RunStats, SimConfig};
 
 use crate::aggregate::{BitString, Histogram, JobResult, LatencyHistogram};
 use crate::backend::BatchOut;
@@ -52,6 +52,7 @@ use crate::job::{default_batch_size, partition_shots, Job};
 pub struct ShotEngine {
     workers: usize,
     batch_size: Option<u64>,
+    policy: ExecPolicy,
 }
 
 /// A completed [`BatchOut`] tagged with its merge position and the
@@ -86,6 +87,7 @@ impl ShotEngine {
         ShotEngine {
             workers,
             batch_size: None,
+            policy: ExecPolicy::default(),
         }
     }
 
@@ -103,6 +105,13 @@ impl ShotEngine {
     /// the smallest batch instead of panicking the pool.
     pub fn with_batch_size(mut self, batch_size: u64) -> Self {
         self.batch_size = Some(batch_size.max(1));
+        self
+    }
+
+    /// Returns the engine executing under `policy` instead of the
+    /// default. Aggregates are bit-identical under every policy.
+    pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
+        self.policy = policy;
         self
     }
 
@@ -174,7 +183,7 @@ impl ShotEngine {
                         }
                         let job = &jobs[task.job];
                         if !matches!(&cached, Some((j, _)) if *j == task.job) {
-                            match build_machine(job) {
+                            match build_machine(job, &self.policy) {
                                 Ok(m) => cached = Some((task.job, m)),
                                 Err(source) => {
                                     load_errors
@@ -191,7 +200,7 @@ impl ShotEngine {
                         }
                         let machine = &mut cached.as_mut().expect("just cached").1;
                         let started_at = Instant::now();
-                        let out = run_batch(machine, job, task.range.clone());
+                        let out = run_batch(machine, job, task.range.clone(), &self.policy);
                         outputs
                             .lock()
                             .expect("collector poisoned")
@@ -295,24 +304,89 @@ fn describe_status(status: &eqasm_microarch::RunStatus) -> String {
     }
 }
 
-/// Builds and loads a fresh machine for `job`. The engine never reads
-/// traces (it aggregates through `measurement_value` and `prob1`), so
-/// recording them per shot would be pure overhead on every batch —
-/// trace recording is force-disabled here.
+/// How jobs execute: the one execution configuration that every
+/// [`ShotEngine`], [`crate::LocalBackend`], worker daemon
+/// ([`crate::WorkerConfig`]) and serve queue ([`crate::ServeConfig`],
+/// including its prefix warmer) takes. Every policy gives
+/// bit-identical aggregates; only the speed differs.
 ///
-/// `EQASM_EXEC_PATH=dense` forces the legacy [`BackendSelect::Dense`]
-/// policy (which also disables shared-prefix forking), and
-/// `EQASM_EXEC_PATH=auto` forces program-aware selection — the A/B
-/// lever the determinism CI uses to pin that both paths agree.
-pub(crate) fn build_machine(job: &Job) -> Result<QuMa, eqasm_microarch::LoadError> {
-    let mut config = job.config.clone();
-    config.record_trace = false;
-    match std::env::var("EQASM_EXEC_PATH").as_deref() {
-        Ok(v) if v.eq_ignore_ascii_case("dense") => config.backend = BackendSelect::Dense,
-        Ok(v) if v.eq_ignore_ascii_case("auto") => config.backend = BackendSelect::Auto,
-        _ => {}
+/// The default (`backend: None, prefix: true`) runs each job's own
+/// [`SimConfig::backend`] and forks shots from a shared
+/// deterministic-prefix snapshot where that applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecPolicy {
+    /// Overrides every job's backend selection when set.
+    /// [`BackendSelect::Dense`] forces the legacy dense path, which
+    /// also disables prefix forking; [`BackendSelect::Auto`] forces
+    /// program-aware selection.
+    pub backend: Option<BackendSelect>,
+    /// Whether shots fork from a shared prefix snapshot. `false`
+    /// forces full replays.
+    pub prefix: bool,
+}
+
+impl Default for ExecPolicy {
+    fn default() -> Self {
+        ExecPolicy {
+            backend: None,
+            prefix: true,
+        }
     }
-    let mut m = QuMa::new(job.inst.clone(), config);
+}
+
+impl ExecPolicy {
+    /// Parses the two execution-path switches: an execution path
+    /// (`dense` or `auto`) and a prefix-forking switch (`on` or
+    /// `off`), both case-insensitive. `None` or an empty string keeps
+    /// the default. `eqasm-cli` feeds these from `EQASM_EXEC_PATH` and
+    /// `EQASM_PREFIX`.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Policy`] naming any other value.
+    pub fn parse(exec_path: Option<&str>, prefix: Option<&str>) -> Result<Self, RuntimeError> {
+        let unknown = |what: &str, value: &str, expected: &str| {
+            RuntimeError::Policy(format!("unknown {what} `{value}` (expected {expected})"))
+        };
+        let mut policy = ExecPolicy::default();
+        if let Some(v) = exec_path.filter(|v| !v.is_empty()) {
+            policy.backend = Some(match v.to_ascii_lowercase().as_str() {
+                "dense" => BackendSelect::Dense,
+                "auto" => BackendSelect::Auto,
+                _ => return Err(unknown("execution path", v, "dense or auto")),
+            });
+        }
+        if let Some(v) = prefix.filter(|v| !v.is_empty()) {
+            policy.prefix = match v.to_ascii_lowercase().as_str() {
+                "on" => true,
+                "off" => false,
+                _ => return Err(unknown("prefix switch", v, "on or off")),
+            };
+        }
+        Ok(policy)
+    }
+
+    /// The configuration a machine built for `job` runs with: the
+    /// backend override applied, and trace recording off (the engine
+    /// aggregates through `measurement_value` and `prob1` and never
+    /// reads traces, so recording them would be pure overhead). The
+    /// prefix cache keys on this same configuration.
+    pub(crate) fn machine_config(&self, job: &Job) -> SimConfig {
+        let mut config = job.config.clone();
+        config.record_trace = false;
+        if let Some(backend) = self.backend {
+            config.backend = backend;
+        }
+        config
+    }
+}
+
+/// Builds and loads a fresh machine for `job` under `policy`.
+pub(crate) fn build_machine(
+    job: &Job,
+    policy: &ExecPolicy,
+) -> Result<QuMa, eqasm_microarch::LoadError> {
+    let mut m = QuMa::new(job.inst.clone(), policy.machine_config(job));
     m.load(&job.program)?;
     crate::metrics::rt()
         .backend_selected
@@ -321,11 +395,17 @@ pub(crate) fn build_machine(job: &Job) -> Result<QuMa, eqasm_microarch::LoadErro
     Ok(m)
 }
 
-/// Runs one contiguous shot range on a prepared machine. The
-/// deterministic fields of the returned [`BatchOut`] depend only on
-/// `(job, range)` — this is the common execution path of every
-/// backend, local or (on the far side of the socket) remote.
-pub(crate) fn run_batch(machine: &mut QuMa, job: &Job, range: std::ops::Range<u64>) -> BatchOut {
+/// Runs one contiguous shot range on a machine [`build_machine`] built
+/// under the same `policy`. The deterministic fields of the returned
+/// [`BatchOut`] depend only on `(job, range)` — this is the common
+/// execution path of every backend, local or (on the far side of the
+/// socket) remote.
+pub(crate) fn run_batch(
+    machine: &mut QuMa,
+    job: &Job,
+    range: std::ops::Range<u64>,
+    policy: &ExecPolicy,
+) -> BatchOut {
     let started_at = Instant::now();
     let n = job.inst.topology().num_qubits();
     let mut histogram = Histogram::new();
@@ -340,7 +420,7 @@ pub(crate) fn run_batch(machine: &mut QuMa, job: &Job, range: std::ops::Range<u6
     // restores + reseeds instead of replaying the prefix. Falls back to
     // full replays — bit-identical by construction — when forking does
     // not apply.
-    let prefix = crate::prefix::fork_snapshot(machine, job);
+    let prefix = crate::prefix::fork_snapshot(machine, job, policy);
 
     for shot in range {
         let t0 = Instant::now();

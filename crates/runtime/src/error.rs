@@ -19,6 +19,9 @@ pub enum RuntimeError {
     /// A workload spec is structurally invalid (bad sweep index,
     /// unknown chip, zero weight…).
     Spec(String),
+    /// An execution-path switch ([`crate::ExecPolicy::parse`]) has a
+    /// value it does not know.
+    Policy(String),
     /// A queued job failed inside the serve pool, or the pool shut
     /// down before the job completed. The message preserves the
     /// worker-side error rendering (the original error is consumed on
@@ -81,6 +84,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Asm(e) => write!(f, "workload assembly failed: {e}"),
             RuntimeError::Compile(e) => write!(f, "workload emission failed: {e}"),
             RuntimeError::Spec(msg) => write!(f, "invalid workload spec: {msg}"),
+            RuntimeError::Policy(msg) => write!(f, "invalid execution policy: {msg}"),
             RuntimeError::Service(msg) => write!(f, "service failure: {msg}"),
             RuntimeError::Transport { backend, message } => {
                 write!(f, "backend `{backend}` transport failure: {message}")
@@ -108,6 +112,7 @@ impl std::error::Error for RuntimeError {
             RuntimeError::Asm(e) => Some(e),
             RuntimeError::Compile(e) => Some(e),
             RuntimeError::Spec(_) => None,
+            RuntimeError::Policy(_) => None,
             RuntimeError::Service(_) => None,
             RuntimeError::Transport { .. } => None,
             RuntimeError::Auth(_) => None,

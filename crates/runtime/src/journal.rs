@@ -26,9 +26,7 @@
 //! Four record types (see [`rtag`]):
 //!
 //! * `Admit` — job id, the job's [`crate::wire::encode_job`] bytes
-//!   (compressed with the same varint+RLE codec and
-//!   [`crate::wire::COMPRESSED_JOB_ID_FLAG`] convention as a
-//!   `LoadJob`), and the tenant name.
+//!   (the same bytes a `LoadJob` ships), and the tenant name.
 //! * `RangeDone` — job id, batch index, shot range, and the batch's
 //!   encoded [`crate::BatchOut`]. Carrying the full batch result is
 //!   what makes recovery exact *without re-executing done ranges*: the
@@ -92,10 +90,10 @@ pub(crate) mod rtag {
 /// Magic bytes opening every segment file.
 const SEGMENT_MAGIC: [u8; 4] = *b"EQJL";
 
-/// Segment format version. Version 2 carries `RangeDone` latencies as
-/// a histogram; a version-1 segment is a typed
+/// Segment format version. Version 3 ships `Admit` job bytes plain;
+/// a segment of any other version is a typed
 /// [`JournalError::BadHeader`].
-const SEGMENT_VERSION: u16 = 2;
+const SEGMENT_VERSION: u16 = 3;
 
 /// Segment header length: magic + version + reserved.
 const HEADER_LEN: usize = 8;
@@ -317,22 +315,13 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 // Record payloads
 // ---------------------------------------------------------------------
 
-/// Builds an `Admit` payload. Job bytes reuse the `LoadJob`
-/// compression convention: ship compressed when that shrinks them,
-/// flagged via [`wire::COMPRESSED_JOB_ID_FLAG`] on the id word.
+/// Builds an `Admit` payload.
 pub(crate) fn admit_payload(job_id: u64, tenant: &str, job: &Job) -> Result<Vec<u8>, WireError> {
-    debug_assert_eq!(job_id & wire::COMPRESSED_JOB_ID_FLAG, 0);
     let job_bytes = wire::encode_job(job)?;
-    let packed = wire::compress(&job_bytes);
     let mut w = Writer::new();
     w.put_u8(rtag::ADMIT);
-    if packed.len() < job_bytes.len() {
-        w.put_u64(job_id | wire::COMPRESSED_JOB_ID_FLAG);
-        w.put_bytes(&packed);
-    } else {
-        w.put_u64(job_id);
-        w.put_bytes(&job_bytes);
-    }
+    w.put_u64(job_id);
+    w.put_bytes(&job_bytes);
     w.put_str(tenant);
     Ok(w.into_bytes())
 }
@@ -405,17 +394,11 @@ fn decode_record(payload: &[u8]) -> Result<Record, WireError> {
     let tag = r.get_u8("journal.tag")?;
     let record = match tag {
         rtag::ADMIT => {
-            let raw_id = r.get_u64("Admit.job_id")?;
-            let body = r.get_bytes("Admit.job_bytes")?;
-            let tenant = r.get_str("Admit.tenant")?;
-            let job_bytes = if raw_id & wire::COMPRESSED_JOB_ID_FLAG != 0 {
-                wire::decompress(&body)?
-            } else {
-                body
-            };
+            let job_id = r.get_u64("Admit.job_id")?;
+            let job_bytes = r.get_bytes("Admit.job_bytes")?;
             Record::Admit {
-                job_id: raw_id & !wire::COMPRESSED_JOB_ID_FLAG,
-                tenant,
+                job_id,
+                tenant: r.get_str("Admit.tenant")?,
                 job: Box::new(wire::decode_job(&job_bytes)?),
             }
         }
@@ -1127,16 +1110,22 @@ mod tests {
 
     #[test]
     fn version_1_segment_is_a_typed_bad_header() {
-        let dir = temp_dir("v1");
-        let path = write_segment(&dir, 0, &[admit_payload(0, "t", &sample_job(8)).unwrap()]);
-        let mut bytes = std::fs::read(&path).expect("read segment");
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        std::fs::write(&path, &bytes).expect("rewrite header");
-        match replay_dir(&dir) {
-            Err(JournalError::BadHeader { segment, .. }) => assert_eq!(segment, path),
-            other => panic!("expected BadHeader, got {:?}", other.map(|r| r.records)),
+        // Version 2 (RLE-packed `Admit` job bytes) is refused like 1.
+        for version in [1u16, 2] {
+            let dir = temp_dir("old-version");
+            let path = write_segment(&dir, 0, &[admit_payload(0, "t", &sample_job(8)).unwrap()]);
+            let mut bytes = std::fs::read(&path).expect("read segment");
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("rewrite header");
+            match replay_dir(&dir) {
+                Err(JournalError::BadHeader { segment, .. }) => assert_eq!(segment, path),
+                other => panic!(
+                    "v{version}: expected BadHeader, got {:?}",
+                    other.map(|r| r.records)
+                ),
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A `RangeDone` record's size does not grow with its range: a
@@ -1278,6 +1267,7 @@ mod tests {
         /// Round-trip property: any mix of records written to a
         /// segment replays to exactly the state those records
         /// describe.
+        #[test]
         fn journal_codec_roundtrips(
             shots in 1u64..2000,
             batches in 1usize..6,
@@ -1321,6 +1311,7 @@ mod tests {
         /// Truncating the final record anywhere recovers cleanly with
         /// the prefix state (randomized twin of the exhaustive test
         /// above, over varying record shapes).
+        #[test]
         fn torn_tail_always_recovers(
             shots in 1u64..500,
             cut_back in 1usize..40,
@@ -1340,6 +1331,67 @@ mod tests {
             prop_assert_eq!(replay.jobs.len(), 1);
             prop_assert!(replay.torn_tail);
             std::fs::remove_dir_all(&dir).ok();
+        }
+
+        /// Hostile bytes into the record decoder: arbitrary bytes
+        /// decode or give a typed error; every strict prefix of each
+        /// record kind is a typed error; a mutated byte gives a typed
+        /// error or a record. Never a panic.
+        #[test]
+        fn decode_record_survives_hostile_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..160),
+            cut_seed in any::<u64>(),
+            flip in 1u8..=255,
+        ) {
+            let typed = |e: &WireError| {
+                matches!(
+                    e,
+                    WireError::Truncated { .. } | WireError::Invalid(_) | WireError::UnknownTag { .. }
+                )
+            };
+            if let Err(e) = decode_record(&bytes) {
+                prop_assert!(typed(&e), "untyped: {}", e);
+            }
+            for payload in [
+                admit_payload(4, "tenant", &sample_job(16)).unwrap(),
+                range_done_payload(4, 1, &(16..32), &sample_out(16)),
+                complete_payload(4),
+                checkpoint_payload(2, 5),
+            ] {
+                let cut = (cut_seed % payload.len() as u64) as usize;
+                let err = decode_record(&payload[..cut]).err().expect("a strict prefix is an error");
+                prop_assert!(typed(&err), "untyped: {}", err);
+                let mut mutated = payload.clone();
+                mutated[cut] ^= flip;
+                if let Err(e) = decode_record(&mutated) {
+                    prop_assert!(typed(&e), "untyped: {}", e);
+                }
+            }
+        }
+    }
+
+    /// A length prefix claiming far more bytes than the record holds is
+    /// a `Truncated` error raised before anything is allocated for it.
+    #[test]
+    fn record_lengths_are_bounded_by_the_bytes_present() {
+        let mut admit = vec![rtag::ADMIT];
+        admit.extend(4u64.to_le_bytes());
+        admit.extend(u32::MAX.to_le_bytes());
+        admit.extend([1, 2]);
+        let mut range_done = vec![rtag::RANGE_DONE];
+        range_done.extend(4u64.to_le_bytes());
+        range_done.extend(1u32.to_le_bytes());
+        range_done.extend(0u64.to_le_bytes());
+        range_done.extend(8u64.to_le_bytes());
+        range_done.extend(u32::MAX.to_le_bytes());
+        range_done.extend([1, 2]);
+        for payload in [admit, range_done] {
+            match decode_record(&payload) {
+                Err(WireError::Truncated { needed, have, .. }) => {
+                    assert_eq!((needed, have), (u32::MAX as usize, 2));
+                }
+                other => panic!("expected Truncated, got {:?}", other.err()),
+            }
         }
     }
 }

@@ -144,9 +144,15 @@
 //!   bit-identical to full replays at 1/2/8 workers in
 //!   `tests/fastpath.rs`.
 //!
-//! `EQASM_EXEC_PATH=dense` forces the legacy dense path (no stabilizer,
-//! no forking); `EQASM_PREFIX=off` disables only the forking. Both are
-//! read per batch, and the determinism CI runs the suite both ways.
+//! One [`ExecPolicy`] configures both, explicitly, wherever a machine
+//! is built: [`ShotEngine`], [`LocalBackend`], the worker daemon
+//! ([`WorkerConfig`]) and the serve queue with its prefix warmer
+//! ([`ServeConfig`]). `backend: Some(Dense)` forces the legacy dense
+//! path (no stabilizer, no forking); `prefix: false` disables only the
+//! forking. The library reads no environment: `eqasm-cli` parses
+//! `EQASM_EXEC_PATH` and `EQASM_PREFIX` once at startup
+//! ([`ExecPolicy::parse`]), and the determinism CI runs the suite under
+//! each policy.
 //!
 //! ## Example
 //!
@@ -193,7 +199,7 @@ pub use aggregate::{BitString, Histogram, JobResult, LatencyHistogram, LatencySt
 pub use auth::Psk;
 pub use backend::{BackendDescriptor, BackendKind, BatchOut, ExecBackend, LocalBackend};
 pub use client::{Client, RemoteJobHandle};
-pub use engine::ShotEngine;
+pub use engine::{ExecPolicy, ShotEngine};
 pub use error::RuntimeError;
 pub use job::{default_batch_size, partition_shots, Job};
 pub use journal::{FsyncPolicy, JournalConfig, JournalError, RecoveryReport};

@@ -566,6 +566,7 @@ impl FrameCounters {
 /// Typed handles to every series the runtime itself exports, all
 /// registered in [`default_registry`]. Instrumentation sites use
 /// [`rt()`] to reach them; encoding happens through the registry.
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))] // reactor-only series
 pub(crate) struct RuntimeMetrics {
     // --- coordinator: job queue ---------------------------------------
     /// `eqasm_queue_depth`

@@ -60,7 +60,50 @@
 //! transport itself is not encrypted, so run workers on a private
 //! network.
 
+mod handshake;
+#[cfg(target_os = "linux")]
 mod reactor;
+
+/// The serve reactor is epoll-only. On other targets this stand-in
+/// makes [`spawn_serve`] and [`run_serve_until`] fail with a typed
+/// [`std::io::ErrorKind::Unsupported`] error, and no epoll FFI is
+/// compiled.
+#[cfg(not(target_os = "linux"))]
+mod reactor {
+    use super::{Arc, AtomicBool, JobQueue, ServeNetConfig, TcpListener};
+
+    pub(super) enum ServeReactor {}
+
+    pub(crate) struct ReactorWaker;
+
+    impl ServeReactor {
+        pub(super) fn new(
+            _: TcpListener,
+            _: Arc<JobQueue>,
+            _: ServeNetConfig,
+        ) -> std::io::Result<ServeReactor> {
+            Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "the serve front door needs epoll (Linux only)",
+            ))
+        }
+
+        pub(super) fn waker(&self) -> ReactorWaker {
+            match *self {}
+        }
+
+        pub(super) fn run(self, _: &AtomicBool) -> std::io::Result<()> {
+            match self {}
+        }
+    }
+
+    impl ReactorWaker {
+        pub(crate) fn wake(&self) {}
+    }
+
+    /// No serve reactor runs on this target; there is nothing to wake.
+    pub fn wake_serve_shutdown() {}
+}
 
 pub use reactor::wake_serve_shutdown;
 
@@ -68,7 +111,7 @@ use std::collections::VecDeque;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -76,7 +119,7 @@ use eqasm_microarch::QuMa;
 
 use crate::auth::{ct_eq, fresh_nonce, Psk};
 use crate::backend::{BackendDescriptor, BackendKind, BatchOut, ExecBackend};
-use crate::engine::{build_machine, run_batch};
+use crate::engine::{build_machine, run_batch, ExecPolicy};
 use crate::error::RuntimeError;
 use crate::job::Job;
 use crate::serve::JobQueue;
@@ -84,6 +127,7 @@ use crate::wire::{
     self, AuthChallenge, AuthOk, AuthResponse, ErrorKind, ErrorMsg, Hello, HelloAck, LoadAck,
     LoadJob, RunRangeById, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
+use handshake::{AcceptPolicy, ServerHandshake, Step};
 
 /// Default read/write deadline for remote requests. Generous — a
 /// legitimate million-shot range on a loaded worker can take a while —
@@ -148,6 +192,8 @@ pub struct WorkerConfig {
     /// tighten it and deployments can trade shutdown latency against
     /// idle wakeups.
     pub accept_poll: Duration,
+    /// How the worker builds machines and forks shots.
+    pub policy: ExecPolicy,
 }
 
 impl Default for WorkerConfig {
@@ -160,6 +206,7 @@ impl Default for WorkerConfig {
             max_frame_len: MAX_FRAME_LEN,
             max_requests_per_sec: None,
             accept_poll: ACCEPT_POLL,
+            policy: ExecPolicy::default(),
         }
     }
 }
@@ -209,6 +256,12 @@ impl WorkerConfig {
     /// (clamped to at least 1 ms to keep the loop from spinning).
     pub fn with_accept_poll(mut self, accept_poll: Duration) -> Self {
         self.accept_poll = accept_poll.max(Duration::from_millis(1));
+        self
+    }
+
+    /// Returns the config executing under `policy`.
+    pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
+        self.policy = policy;
         self
     }
 }
@@ -285,136 +338,84 @@ impl RateLimiter {
     }
 }
 
-/// The server half of a handshake policy, shared by the worker daemon
-/// and the serve acceptor.
-struct AcceptPolicy<'a> {
-    name: &'a str,
-    capacity: u32,
-    psk: Option<&'a Psk>,
-    max_frame_len: u32,
-}
-
-/// The typed rejection of a `Hello` that does not offer
-/// [`PROTOCOL_VERSION`] — `None` when the offer is accepted.
-fn version_rejection(hello: &Hello) -> Option<String> {
-    (hello.version != PROTOCOL_VERSION).then(|| {
-        format!(
-            "server speaks v{PROTOCOL_VERSION}, client offered v{}",
-            hello.version
-        )
-    })
-}
-
-/// Runs the server side of the handshake: HELLO, version check,
-/// optional PSK challenge–response, HELLO_ACK. Returns `false` when
-/// the connection should close (a typed error was already sent where
-/// possible).
-fn accept_handshake(stream: &mut TcpStream, policy: &AcceptPolicy<'_>) -> bool {
-    let hello = match wire::read_frame_limit(stream, policy.max_frame_len) {
-        Ok((wire::tag::HELLO, payload)) => match Hello::decode(&payload) {
-            Ok(hello) => hello,
-            Err(e) => {
-                send_error(stream, ErrorKind::Malformed, format!("bad hello: {e}"));
-                return false;
-            }
-        },
-        Ok((tag, _)) => {
-            send_error(
-                stream,
-                ErrorKind::Malformed,
-                format!("expected hello, got frame tag {tag:#04x}"),
-            );
-            return false;
-        }
-        Err(_) => return false,
-    };
-    if let Some(message) = version_rejection(&hello) {
-        send_error(stream, ErrorKind::Version, message);
-        return false;
-    }
-    if let Some(psk) = policy.psk {
-        let server_nonce = fresh_nonce();
-        let challenge = AuthChallenge {
-            server_nonce: server_nonce.to_vec(),
-        };
-        if wire::write_frame(stream, wire::tag::AUTH_CHALLENGE, &challenge.encode()).is_err() {
-            return false;
-        }
-        let response = match wire::read_frame_limit(stream, policy.max_frame_len) {
-            Ok((wire::tag::AUTH_RESPONSE, payload)) => match AuthResponse::decode(&payload) {
-                Ok(response) => response,
-                Err(e) => {
-                    send_error(
-                        stream,
-                        ErrorKind::Malformed,
-                        format!("bad auth response: {e}"),
-                    );
-                    return false;
-                }
-            },
-            Ok((tag, _)) => {
-                send_error(
-                    stream,
-                    ErrorKind::AuthFailed,
-                    format!("expected auth response, got frame tag {tag:#04x}"),
-                );
-                return false;
-            }
-            Err(_) => return false,
-        };
-        let expected = psk.client_proof(&server_nonce, &response.client_nonce);
-        if !ct_eq(&expected, &response.proof) {
-            crate::metrics::rt().auth_failures.inc();
-            // Wrong key, or a proof bound to some other connection's
-            // nonce (a replay): indistinguishable by design, and both
-            // are refused the same way.
-            send_error(
-                stream,
-                ErrorKind::AuthFailed,
-                "pre-shared-key proof mismatch".to_owned(),
-            );
-            return false;
-        }
-        let ok = AuthOk {
-            proof: psk
-                .server_proof(&server_nonce, &response.client_nonce)
-                .to_vec(),
-        };
-        if wire::write_frame(stream, wire::tag::AUTH_OK, &ok.encode()).is_err() {
-            return false;
-        }
-    }
-    let ack = HelloAck {
-        version: PROTOCOL_VERSION,
-        capacity: policy.capacity,
-        name: policy.name.to_owned(),
-    };
-    wire::write_frame(stream, wire::tag::HELLO_ACK, &ack.encode()).is_ok()
-}
-
 /// Deadline on an accepted connection's handshake (and auth) rounds.
 /// Without it, a client that connects and sends nothing pins a
 /// connection thread forever *before* any budget can engage — and a
 /// draining server waits the full drain timeout on it.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// [`accept_handshake`] under [`HANDSHAKE_TIMEOUT`]: a silent or
-/// stalling peer is cut off in bounded time. On success the deadline
-/// is cleared — post-handshake reads are paced by [`wait_readable`]'s
-/// own poll timeout, and legitimate batch responses may take long.
-fn accept_handshake_deadlined(stream: &mut TcpStream, policy: &AcceptPolicy<'_>) -> bool {
+/// Whether an I/O error is a socket deadline firing.
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// Drives the [`ServerHandshake`] over a blocking worker connection
+/// under [`HANDSHAKE_TIMEOUT`], so a silent or stalling peer is cut off
+/// in bounded time. Only a read or write that hits the deadline counts
+/// as a handshake deadline drop; a peer the core rejects (wrong
+/// version, wrong key, garbage) gets its typed error and is not one.
+/// On success the deadline is cleared — post-handshake reads are paced
+/// by [`wait_readable`]'s own poll timeout, and legitimate batch
+/// responses may take long. Returns `false` when the connection should
+/// close.
+fn worker_handshake(stream: &mut TcpStream, config: &WorkerConfig) -> bool {
     if stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err()
         || stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT)).is_err()
     {
         return false;
     }
-    if !accept_handshake(stream, policy) {
-        // Silent, stalling or otherwise failing peer cut off during
-        // the deadlined handshake window.
-        crate::metrics::rt().handshake_deadline_drops.inc();
-        return false;
+    let policy = AcceptPolicy {
+        name: &config.name,
+        capacity: config.capacity as u32,
+        psk: config.psk.as_ref(),
+    };
+    let count_deadline = |e: WireError| {
+        if matches!(&e, WireError::Io(io) if is_timeout(io)) {
+            crate::metrics::rt().handshake_deadline_drops.inc();
+        }
+        false
+    };
+    let mut core = ServerHandshake::AwaitHello;
+    loop {
+        let (tag, payload) = match wire::read_frame_limit(stream, config.max_frame_len) {
+            Ok(frame) => frame,
+            Err(WireError::FrameTooLarge { len, cap }) => {
+                reject_oversized(stream, len, cap);
+                return false;
+            }
+            Err(e) => return count_deadline(e),
+        };
+        let (frames, admitted) = match core.step(&policy, tag, &payload) {
+            Step::Continue(frame) => (vec![frame], false),
+            Step::Accept(frames) => (frames, true),
+            Step::Reject(kind, message) => {
+                send_error(stream, kind, message);
+                return false;
+            }
+        };
+        for (tag, payload) in frames {
+            if let Err(e) = wire::write_frame(stream, tag, &payload) {
+                return count_deadline(e);
+            }
+        }
+        if admitted {
+            return stream.set_read_timeout(None).is_ok() && stream.set_write_timeout(None).is_ok();
+        }
     }
-    stream.set_read_timeout(None).is_ok() && stream.set_write_timeout(None).is_ok()
+}
+
+/// The typed rejection of an over-budget frame. The unread payload has
+/// desynchronized the stream, so the connection closes after it.
+fn reject_oversized(stream: &mut TcpStream, len: u32, cap: u32) {
+    crate::metrics::rt().budget_frame_rejections.inc();
+    send_error(
+        stream,
+        ErrorKind::Budget,
+        format!("frame length {len} exceeds this connection's {cap}-byte budget"),
+    );
 }
 
 /// Reads the next request frame under the connection's budgets —
@@ -430,15 +431,7 @@ fn read_request_frame(
     let (tag, payload) = match wire::read_frame_limit(stream, max_frame_len) {
         Ok(frame) => frame,
         Err(WireError::FrameTooLarge { len, cap }) => {
-            // The typed rejection for an over-budget frame. The
-            // unread payload has desynchronized the stream, so the
-            // connection closes after the report.
-            crate::metrics::rt().budget_frame_rejections.inc();
-            send_error(
-                stream,
-                ErrorKind::Budget,
-                format!("frame length {len} exceeds this connection's {cap}-byte budget"),
-            );
+            reject_oversized(stream, len, cap);
             return None;
         }
         Err(_) => return None, // disconnect or garbage
@@ -676,12 +669,7 @@ pub fn run_worker_until(
 /// Sends a typed error frame, ignoring transport failures (the
 /// connection is about to close anyway).
 fn send_error(stream: &mut TcpStream, kind: ErrorKind, message: String) {
-    let msg = ErrorMsg {
-        kind,
-        version: PROTOCOL_VERSION,
-        message,
-    };
-    let _ = wire::write_frame(stream, wire::tag::ERROR, &msg.encode());
+    let _ = wire::write_frame(stream, wire::tag::ERROR, &ErrorMsg::payload(kind, message));
 }
 
 /// Parks until `stream` has a readable byte (without consuming it),
@@ -769,13 +757,7 @@ impl JobCache {
 fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &AtomicBool) {
     let _ = stream.set_nodelay(true);
 
-    let policy = AcceptPolicy {
-        name: &config.name,
-        capacity: config.capacity as u32,
-        psk: config.psk.as_ref(),
-        max_frame_len: config.max_frame_len,
-    };
-    if !accept_handshake_deadlined(&mut stream, &policy) {
+    if !worker_handshake(&mut stream, config) {
         return;
     }
 
@@ -820,7 +802,7 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
                         return;
                     }
                 };
-                match build_machine(&job) {
+                match build_machine(&job, &config.policy) {
                     Ok(machine) => {
                         registry.insert(request.job_id, job, machine);
                         let ack = LoadAck {
@@ -878,7 +860,7 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
                     );
                     continue;
                 };
-                let out = run_batch(machine, job, request.start..request.end);
+                let out = run_batch(machine, job, request.start..request.end, &config.policy);
                 if wire::write_frame(&mut stream, wire::tag::BATCH, &wire::encode_batch_out(&out))
                     .is_err()
                 {
@@ -1159,9 +1141,6 @@ impl RemoteBackend {
     /// One request/response round trip on the current stream.
     fn send_request(&mut self, tag: u8, payload: &[u8]) -> Result<(u8, Vec<u8>), Exchange> {
         let timeout = self.options.io_timeout;
-        let timed_out = |e: &std::io::Error| {
-            e.kind() == std::io::ErrorKind::WouldBlock || e.kind() == std::io::ErrorKind::TimedOut
-        };
         let stall = |what: &str| {
             Exchange::Fatal(format!(
                 "worker stalled: no {what} progress within {timeout:?} — \
@@ -1175,13 +1154,13 @@ impl RemoteBackend {
             // connection: retrying on a fresh connection would just
             // eat another full deadline, so fail the slot now.
             return match e {
-                WireError::Io(io) if timed_out(&io) => Err(stall("write")),
+                WireError::Io(io) if is_timeout(&io) => Err(stall("write")),
                 _ => Err(Exchange::Reconnect),
             };
         }
         match wire::read_frame(stream) {
             Ok(frame) => Ok(frame),
-            Err(WireError::Io(io)) if timed_out(&io) => Err(stall("read")),
+            Err(WireError::Io(io)) if is_timeout(&io) => Err(stall("read")),
             Err(WireError::Io(_)) => Err(Exchange::Reconnect),
             Err(e) => Err(Exchange::Fatal(e.to_string())),
         }
@@ -1224,9 +1203,6 @@ impl RemoteBackend {
     }
 
     /// Sends `LoadJob` for the cached job `id` and records it loaded.
-    /// Large programs ship compressed (see
-    /// [`wire::COMPRESSED_JOB_ID_FLAG`]); the worker decompresses
-    /// transparently in `LoadJob::decode`.
     fn load_job(&mut self, id: u64) -> Result<(), Exchange> {
         let payload = {
             let entry = self
@@ -1234,7 +1210,7 @@ impl RemoteBackend {
                 .iter()
                 .find(|e| e.id == id)
                 .expect("job encoded before load");
-            LoadJob::encode_parts_auto(id, &entry.bytes)
+            LoadJob::encode_parts(id, &entry.bytes)
         };
         self.traffic.load_requests += 1;
         self.traffic.load_request_bytes += payload.len() as u64 + FRAME_OVERHEAD;
@@ -1664,130 +1640,6 @@ impl ServeNetConfig {
     }
 }
 
-/// The acceptor's job-id table, shared across client connections so a
-/// job submitted on one connection can be polled or watched from
-/// another connection of the same acceptor (ids are never reused).
-///
-/// Bounded: a long-lived service cannot keep every job it ever ran,
-/// so registration evicts the oldest **completed** jobs beyond the
-/// configured retention — dropping the id mapping *and* releasing the
-/// queue-side payload ([`crate::serve::JobHandle::release`]: program,
-/// histogram, final result) so memory is actually reclaimed, not just
-/// de-addressed. Running jobs always stay addressable and intact.
-struct JobDirectory {
-    next: AtomicU64,
-    /// Ordered by id — ids are monotonic, so iteration order is age
-    /// order and the eviction sweep reads the oldest entries for
-    /// free (no per-registration clone-and-sort of the whole table).
-    jobs: Mutex<std::collections::BTreeMap<u64, crate::serve::JobHandle>>,
-    /// Jobs with an active subscription stream, by id. Pinned jobs
-    /// are never evicted: a watcher must not have a *successful* run
-    /// turned into a "released" error under its feet.
-    pinned: Mutex<std::collections::HashMap<u64, usize>>,
-    completed_retention: usize,
-}
-
-/// How many oldest entries one registration's eviction sweep will
-/// probe beyond the strictly necessary count. Bounds the per-SUBMIT
-/// work when the oldest jobs happen to still be running (they cannot
-/// be evicted; the table then temporarily exceeds the retention).
-const EVICTION_SWEEP_SLACK: usize = 64;
-
-impl JobDirectory {
-    fn new(completed_retention: usize) -> Self {
-        JobDirectory {
-            next: AtomicU64::new(1),
-            jobs: Mutex::new(std::collections::BTreeMap::new()),
-            pinned: Mutex::new(std::collections::HashMap::new()),
-            completed_retention: completed_retention.max(1),
-        }
-    }
-
-    fn register(&self, handle: crate::serve::JobHandle) -> u64 {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        // Insert, and snapshot a bounded window of the *oldest*
-        // entries while the lock is held — but probe them after
-        // releasing it: `release` takes the queue-state mutex (the
-        // dispatch hot path), and holding the directory lock across
-        // per-entry queue locks would stall every concurrent
-        // POLL/SUBSCRIBE lookup behind the sweep.
-        let (excess, candidates): (usize, Vec<(u64, crate::serve::JobHandle)>) = {
-            let mut jobs = self.jobs.lock().expect("job directory poisoned");
-            jobs.insert(id, handle);
-            if jobs.len() <= self.completed_retention {
-                return id;
-            }
-            let excess = jobs.len() - self.completed_retention;
-            let window = excess.saturating_add(EVICTION_SWEEP_SLACK);
-            (
-                excess,
-                jobs.iter()
-                    .take(window)
-                    .map(|(&cid, h)| (cid, h.clone()))
-                    .collect(),
-            )
-        };
-        let pinned: Vec<u64> = {
-            let pins = self.pinned.lock().expect("pin table poisoned");
-            candidates
-                .iter()
-                .filter(|(cid, _)| pins.get(cid).copied().unwrap_or(0) > 0)
-                .map(|(cid, _)| *cid)
-                .collect()
-        };
-        let mut evicted = Vec::with_capacity(excess);
-        for (cid, h) in &candidates {
-            if evicted.len() >= excess {
-                break;
-            }
-            // `release` frees the payload only when the job is done;
-            // running and actively watched jobs stay.
-            if !pinned.contains(cid) && h.release() {
-                evicted.push(*cid);
-            }
-        }
-        if !evicted.is_empty() {
-            crate::metrics::rt()
-                .retention_evictions
-                .add(evicted.len() as u64);
-            let mut jobs = self.jobs.lock().expect("job directory poisoned");
-            for cid in evicted {
-                jobs.remove(&cid);
-            }
-        }
-        id
-    }
-
-    fn get(&self, id: u64) -> Option<crate::serve::JobHandle> {
-        self.jobs
-            .lock()
-            .expect("job directory poisoned")
-            .get(&id)
-            .cloned()
-    }
-
-    /// Marks `id` as having one more active subscription (shielding
-    /// it from eviction until the matching [`JobDirectory::unpin`]).
-    fn pin(&self, id: u64) {
-        *self
-            .pinned
-            .lock()
-            .expect("pin table poisoned")
-            .entry(id)
-            .or_insert(0) += 1;
-    }
-
-    fn unpin(&self, id: u64) {
-        let mut pins = self.pinned.lock().expect("pin table poisoned");
-        if let Some(count) = pins.get_mut(&id) {
-            *count -= 1;
-            if *count == 0 {
-                pins.remove(&id);
-            }
-        }
-    }
-}
-
 /// A handle to an in-process serve acceptor, used by tests, benches
 /// and embedded deployments. The CLI's `eqasm-cli serve --listen`
 /// uses the blocking [`run_serve_until`] instead.
@@ -1832,6 +1684,11 @@ impl Drop for ServeHandle {
 /// the caller). Stopping drains like [`run_serve_until`]: in-flight
 /// connections finish their current request before the handle's join
 /// returns.
+///
+/// # Errors
+///
+/// Listener, epoll or thread failures; on a target other than Linux
+/// (the reactor is epoll-only), [`std::io::ErrorKind::Unsupported`].
 pub fn spawn_serve(
     listener: TcpListener,
     queue: Arc<JobQueue>,
@@ -1864,6 +1721,10 @@ pub fn spawn_serve(
 /// the acceptor stops taking connections and in-flight connections
 /// close after their current request (a subscription mid-stream is
 /// told the server is draining), bounded by the drain timeout.
+///
+/// # Errors
+///
+/// As [`spawn_serve`].
 pub fn run_serve_until(
     listener: TcpListener,
     queue: Arc<JobQueue>,
@@ -1873,8 +1734,8 @@ pub fn run_serve_until(
     // The reactor parks in its poller with no timeout when idle, so a
     // signal-driven shutdown needs more than the flag: the CLI's
     // handler calls [`wake_serve_shutdown`] (async-signal-safe), and
-    // `epoll_wait`/`poll` additionally return `EINTR` on any signal
-    // (they are never restarted, even with `SA_RESTART`), after which
+    // `epoll_wait` additionally returns `EINTR` on any signal (it is
+    // never restarted, even with `SA_RESTART`), after which
     // the loop re-reads `shutdown`.
     reactor::ServeReactor::new(listener, queue, config)?.run(shutdown)
 }
@@ -2142,8 +2003,9 @@ mod tests {
                     wire::tag::RUN_RANGE_BY_ID => {
                         let run = RunRangeById::decode(&payload).expect("range");
                         let job = tiny_job(16);
-                        let mut machine = build_machine(&job).expect("builds");
-                        let out = run_batch(&mut machine, &job, run.start..run.end - 1);
+                        let policy = ExecPolicy::default();
+                        let mut machine = build_machine(&job, &policy).expect("builds");
+                        let out = run_batch(&mut machine, &job, run.start..run.end - 1, &policy);
                         let bytes = wire::encode_batch_out(&out);
                         wire::write_frame(&mut stream, wire::tag::BATCH, &bytes).unwrap();
                     }

@@ -6,11 +6,12 @@
 //! single-threaded reactor over nonblocking `std::net` sockets:
 //!
 //! * **Readiness** comes from `epoll(7)` via raw FFI (the same
-//!   no-dependency route the CLI uses for `signal(2)`), with a
-//!   portable `poll(2)` fallback — selected automatically when epoll
-//!   is unavailable, or forced with `EQASM_REACTOR=poll`.
+//!   no-dependency route the CLI uses for `signal(2)`). The module is
+//!   Linux-only; elsewhere [`super::spawn_serve`] and
+//!   [`super::run_serve_until`] return a typed
+//!   [`std::io::ErrorKind::Unsupported`] error.
 //! * **Connections** are per-fd state machines
-//!   (`Handshaking → Serving → Subscribed`), fed by the incremental
+//!   (`Handshake → Serving → Subscribed`), fed by the incremental
 //!   [`wire::FrameReader`] and drained through the bounded
 //!   [`wire::FrameWriter`] — a slow subscriber overflows its outbound
 //!   queue and is disconnected (`eqasm_net_backpressure_disconnects_
@@ -29,39 +30,36 @@
 //!   idle timeout reaps silent request connections.
 //!
 //! Workers stay threaded ([`super::run_worker`]): they are few and
-//! busy, so an event loop buys them nothing. The protocol, auth, and
-//! budget semantics here mirror the threaded acceptor frame-for-frame
-//! — the existing client and remote suites run unmodified against it.
+//! busy, so an event loop buys them nothing. Both servers drive the
+//! one sans-IO handshake core (`super::handshake`), so version, auth
+//! and rejection semantics are the worker daemon's frame for frame.
 
 use std::collections::HashMap;
 use std::io::Read as _;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::auth::{ct_eq, fresh_nonce};
 use crate::error::RuntimeError;
 use crate::serve::{JobHandle, JobQueue};
 use crate::wire::{
-    self, AuthChallenge, AuthOk, AuthResponse, ErrorKind, ErrorMsg, FrameReader, FrameWriter,
-    Hello, HelloAck, RemoteJobInfo, SubmitAck, WireError, PROTOCOL_VERSION,
+    self, ErrorKind, ErrorMsg, FrameReader, FrameWriter, RemoteJobInfo, SubmitAck, WireError,
 };
 
-use super::{
-    version_rejection, JobDirectory, RateLimiter, ServeNetConfig, DRAIN_TIMEOUT, HANDSHAKE_TIMEOUT,
-};
+use super::handshake::{AcceptPolicy, ServerHandshake, Step};
+use super::{RateLimiter, ServeNetConfig, DRAIN_TIMEOUT, HANDSHAKE_TIMEOUT};
 
 // ---------------------------------------------------------------------
-// Raw FFI: epoll, poll, pipes
+// Raw FFI: epoll, pipes
 // ---------------------------------------------------------------------
 
 /// Just enough libc, by hand — the repo's no-new-dependencies rule
 /// (see the `signal(2)` precedent in `eqasm-cli`). Every constant is
-/// from the Linux/POSIX ABI and checked by the reactor's own tests.
+/// from the Linux ABI and checked by the reactor's own tests.
 mod sys {
-    use std::os::raw::{c_int, c_short, c_ulong, c_void};
+    use std::os::raw::{c_int, c_void};
 
     pub const EPOLL_CTL_ADD: c_int = 1;
     pub const EPOLL_CTL_DEL: c_int = 2;
@@ -72,11 +70,6 @@ mod sys {
     pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-
-    pub const POLLIN: c_short = 0x001;
-    pub const POLLOUT: c_short = 0x004;
-    pub const POLLERR: c_short = 0x008;
-    pub const POLLHUP: c_short = 0x010;
 
     pub const F_GETFL: c_int = 3;
     pub const F_SETFL: c_int = 4;
@@ -93,30 +86,15 @@ mod sys {
         pub data: u64,
     }
 
-    /// `struct pollfd` from `poll(2)`.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: c_int,
-        pub events: c_short,
-        pub revents: c_short,
-    }
-
     extern "C" {
-        #[cfg(target_os = "linux")]
         pub fn epoll_create1(flags: c_int) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn epoll_wait(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
-        // `nfds_t` is `unsigned long` on Linux — a narrower type
-        // would leave the register's upper half undefined.
-        pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
         pub fn pipe(fds: *mut c_int) -> c_int;
         pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         pub fn close(fd: c_int) -> c_int;
@@ -135,56 +113,27 @@ const CLOSED: u32 = 4;
 /// How many kernel events one wait call collects.
 const EVENT_BATCH: usize = 256;
 
-/// Readiness notification with two interchangeable backends. Level
-/// triggered in both, so missing an edge is impossible by design —
-/// un-drained readiness simply reports again on the next wait.
-enum Poller {
-    /// Linux epoll: O(ready) wakeups however many fds are registered —
-    /// what lets one thread hold 5,000 idle subscribers for free.
-    #[cfg(target_os = "linux")]
-    Epoll(RawFd),
-    /// Portable `poll(2)`: O(registered) per wait, fine for tests and
-    /// small deployments, and the automatic fallback when epoll is
-    /// unavailable. Forced with `EQASM_REACTOR=poll`.
-    Poll(Vec<PollEntry>),
-}
-
-struct PollEntry {
-    fd: RawFd,
-    token: u64,
-    interest: u32,
+/// Level-triggered `epoll(7)` readiness: O(ready) wakeups however
+/// many fds are registered — what lets one thread hold 5,000 idle
+/// subscribers for free. Level triggering makes a missed edge
+/// impossible by design: un-drained readiness simply reports again on
+/// the next wait.
+struct Poller {
+    epfd: RawFd,
 }
 
 impl Poller {
     fn new() -> std::io::Result<Poller> {
-        let forced = std::env::var("EQASM_REACTOR")
-            .map(|v| v == "poll")
-            .unwrap_or(false);
-        #[cfg(target_os = "linux")]
-        if !forced {
-            let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-            if epfd >= 0 {
-                return Ok(Poller::Epoll(epfd));
-            }
-            // Fall through to poll(2) — e.g. a kernel without epoll or
-            // an exhausted fd table at the moment of creation.
+        // SAFETY: a plain syscall with a constant flag; no memory is
+        // passed.
+        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(std::io::Error::last_os_error());
         }
-        let _ = forced;
-        Ok(Poller::Poll(Vec::new()))
+        Ok(Poller { epfd })
     }
 
-    /// Which backend is live — test diagnostics name the mechanism
-    /// they exercised.
-    #[cfg(test)]
-    fn backend(&self) -> &'static str {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(_) => "epoll",
-            Poller::Poll(_) => "poll",
-        }
-    }
-
-    fn epoll_interest(interest: u32) -> u32 {
+    fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: u32) -> std::io::Result<()> {
         let mut events = sys::EPOLLRDHUP;
         if interest & READABLE != 0 {
             events |= sys::EPOLLIN;
@@ -192,65 +141,28 @@ impl Poller {
         if interest & WRITABLE != 0 {
             events |= sys::EPOLLOUT;
         }
-        events
+        let mut ev = sys::EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: `ev` is a live, correctly laid out `epoll_event` the
+        // kernel only reads for the duration of the call.
+        if unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+        Ok(())
     }
 
     fn register(&mut self, fd: RawFd, token: u64, interest: u32) -> std::io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(epfd) => {
-                let mut ev = sys::EpollEvent {
-                    events: Self::epoll_interest(interest),
-                    data: token,
-                };
-                if unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, fd, &mut ev) } < 0 {
-                    return Err(std::io::Error::last_os_error());
-                }
-                Ok(())
-            }
-            Poller::Poll(entries) => {
-                entries.push(PollEntry {
-                    fd,
-                    token,
-                    interest,
-                });
-                Ok(())
-            }
-        }
+        self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
     }
 
     fn modify(&mut self, fd: RawFd, token: u64, interest: u32) -> std::io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(epfd) => {
-                let mut ev = sys::EpollEvent {
-                    events: Self::epoll_interest(interest),
-                    data: token,
-                };
-                if unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fd, &mut ev) } < 0 {
-                    return Err(std::io::Error::last_os_error());
-                }
-                Ok(())
-            }
-            Poller::Poll(entries) => {
-                if let Some(entry) = entries.iter_mut().find(|e| e.fd == fd) {
-                    entry.interest = interest;
-                    entry.token = token;
-                }
-                Ok(())
-            }
-        }
+        self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
     }
 
     fn deregister(&mut self, fd: RawFd) {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(epfd) => {
-                let mut ev = sys::EpollEvent { events: 0, data: 0 };
-                unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) };
-            }
-            Poller::Poll(entries) => entries.retain(|e| e.fd != fd),
-        }
+        let _ = self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0);
     }
 
     /// Blocks until readiness or `timeout` (`None` = forever — the
@@ -274,90 +186,48 @@ impl Poller {
                 ms.min(i32::MAX as u128) as i32
             }
         };
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(epfd) => {
-                let mut events = [sys::EpollEvent { events: 0, data: 0 }; EVENT_BATCH];
-                let n = unsafe {
-                    sys::epoll_wait(*epfd, events.as_mut_ptr(), EVENT_BATCH as i32, timeout_ms)
-                };
-                if n < 0 {
-                    let err = std::io::Error::last_os_error();
-                    if err.kind() == std::io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(err);
-                }
-                for ev in events.iter().take(n as usize) {
-                    // Copy out of the (possibly packed) struct before use.
-                    let (bits, token) = (ev.events, ev.data);
-                    let mut readiness = 0;
-                    if bits & sys::EPOLLIN != 0 {
-                        readiness |= READABLE;
-                    }
-                    if bits & sys::EPOLLOUT != 0 {
-                        readiness |= WRITABLE;
-                    }
-                    if bits & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0 {
-                        readiness |= CLOSED;
-                    }
-                    out.push((token, readiness));
-                }
-                Ok(())
+        let mut events = [sys::EpollEvent { events: 0, data: 0 }; EVENT_BATCH];
+        // SAFETY: the kernel writes at most `EVENT_BATCH` entries into
+        // `events`, which holds exactly that many.
+        let n = unsafe {
+            sys::epoll_wait(
+                self.epfd,
+                events.as_mut_ptr(),
+                EVENT_BATCH as i32,
+                timeout_ms,
+            )
+        };
+        if n < 0 {
+            let err = std::io::Error::last_os_error();
+            if err.kind() == std::io::ErrorKind::Interrupted {
+                return Ok(());
             }
-            Poller::Poll(entries) => {
-                let mut fds: Vec<sys::PollFd> = entries
-                    .iter()
-                    .map(|e| {
-                        let mut events = 0;
-                        if e.interest & READABLE != 0 {
-                            events |= sys::POLLIN;
-                        }
-                        if e.interest & WRITABLE != 0 {
-                            events |= sys::POLLOUT;
-                        }
-                        sys::PollFd {
-                            fd: e.fd,
-                            events,
-                            revents: 0,
-                        }
-                    })
-                    .collect();
-                let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as _, timeout_ms) };
-                if n < 0 {
-                    let err = std::io::Error::last_os_error();
-                    if err.kind() == std::io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(err);
-                }
-                for (entry, fd) in entries.iter().zip(fds.iter()) {
-                    let mut readiness = 0;
-                    if fd.revents & sys::POLLIN != 0 {
-                        readiness |= READABLE;
-                    }
-                    if fd.revents & sys::POLLOUT != 0 {
-                        readiness |= WRITABLE;
-                    }
-                    if fd.revents & (sys::POLLERR | sys::POLLHUP) != 0 {
-                        readiness |= CLOSED;
-                    }
-                    if readiness != 0 {
-                        out.push((entry.token, readiness));
-                    }
-                }
-                Ok(())
-            }
+            return Err(err);
         }
+        for ev in events.iter().take(n as usize) {
+            // Copy out of the (possibly packed) struct before use.
+            let (bits, token) = (ev.events, ev.data);
+            let mut readiness = 0;
+            if bits & sys::EPOLLIN != 0 {
+                readiness |= READABLE;
+            }
+            if bits & sys::EPOLLOUT != 0 {
+                readiness |= WRITABLE;
+            }
+            if bits & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0 {
+                readiness |= CLOSED;
+            }
+            out.push((token, readiness));
+        }
+        Ok(())
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Poller::Epoll(epfd) = self {
-            unsafe { sys::close(*epfd) };
-        }
+        // SAFETY: `epfd` was opened by `Poller::new` and is closed only
+        // here, once.
+        unsafe { sys::close(self.epfd) };
     }
 }
 
@@ -447,6 +317,134 @@ pub fn wake_serve_shutdown() {
 }
 
 // ---------------------------------------------------------------------
+// The job directory
+// ---------------------------------------------------------------------
+
+/// The acceptor's job-id table, shared across client connections so a
+/// job submitted on one connection can be polled or watched from
+/// another connection of the same acceptor (ids are never reused).
+///
+/// Bounded: a long-lived service cannot keep every job it ever ran,
+/// so registration evicts the oldest **completed** jobs beyond the
+/// configured retention — dropping the id mapping *and* releasing the
+/// queue-side payload ([`crate::serve::JobHandle::release`]: program,
+/// histogram, final result) so memory is actually reclaimed, not just
+/// de-addressed. Running jobs always stay addressable and intact.
+struct JobDirectory {
+    next: AtomicU64,
+    /// Ordered by id — ids are monotonic, so iteration order is age
+    /// order and the eviction sweep reads the oldest entries for
+    /// free (no per-registration clone-and-sort of the whole table).
+    jobs: Mutex<std::collections::BTreeMap<u64, crate::serve::JobHandle>>,
+    /// Jobs with an active subscription stream, by id. Pinned jobs
+    /// are never evicted: a watcher must not have a *successful* run
+    /// turned into a "released" error under its feet.
+    pinned: Mutex<std::collections::HashMap<u64, usize>>,
+    completed_retention: usize,
+}
+
+/// How many oldest entries one registration's eviction sweep will
+/// probe beyond the strictly necessary count. Bounds the per-SUBMIT
+/// work when the oldest jobs happen to still be running (they cannot
+/// be evicted; the table then temporarily exceeds the retention).
+const EVICTION_SWEEP_SLACK: usize = 64;
+
+impl JobDirectory {
+    fn new(completed_retention: usize) -> Self {
+        JobDirectory {
+            next: AtomicU64::new(1),
+            jobs: Mutex::new(std::collections::BTreeMap::new()),
+            pinned: Mutex::new(std::collections::HashMap::new()),
+            completed_retention: completed_retention.max(1),
+        }
+    }
+
+    fn register(&self, handle: crate::serve::JobHandle) -> u64 {
+        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        // Insert, and snapshot a bounded window of the *oldest*
+        // entries while the lock is held — but probe them after
+        // releasing it: `release` takes the queue-state mutex (the
+        // dispatch hot path), and holding the directory lock across
+        // per-entry queue locks would stall every concurrent
+        // POLL/SUBSCRIBE lookup behind the sweep.
+        let (excess, candidates): (usize, Vec<(u64, crate::serve::JobHandle)>) = {
+            let mut jobs = self.jobs.lock().expect("job directory poisoned");
+            jobs.insert(id, handle);
+            if jobs.len() <= self.completed_retention {
+                return id;
+            }
+            let excess = jobs.len() - self.completed_retention;
+            let window = excess.saturating_add(EVICTION_SWEEP_SLACK);
+            (
+                excess,
+                jobs.iter()
+                    .take(window)
+                    .map(|(&cid, h)| (cid, h.clone()))
+                    .collect(),
+            )
+        };
+        let pinned: Vec<u64> = {
+            let pins = self.pinned.lock().expect("pin table poisoned");
+            candidates
+                .iter()
+                .filter(|(cid, _)| pins.get(cid).copied().unwrap_or(0) > 0)
+                .map(|(cid, _)| *cid)
+                .collect()
+        };
+        let mut evicted = Vec::with_capacity(excess);
+        for (cid, h) in &candidates {
+            if evicted.len() >= excess {
+                break;
+            }
+            // `release` frees the payload only when the job is done;
+            // running and actively watched jobs stay.
+            if !pinned.contains(cid) && h.release() {
+                evicted.push(*cid);
+            }
+        }
+        if !evicted.is_empty() {
+            crate::metrics::rt()
+                .retention_evictions
+                .add(evicted.len() as u64);
+            let mut jobs = self.jobs.lock().expect("job directory poisoned");
+            for cid in evicted {
+                jobs.remove(&cid);
+            }
+        }
+        id
+    }
+
+    fn get(&self, id: u64) -> Option<crate::serve::JobHandle> {
+        self.jobs
+            .lock()
+            .expect("job directory poisoned")
+            .get(&id)
+            .cloned()
+    }
+
+    /// Marks `id` as having one more active subscription (shielding
+    /// it from eviction until the matching [`JobDirectory::unpin`]).
+    fn pin(&self, id: u64) {
+        *self
+            .pinned
+            .lock()
+            .expect("pin table poisoned")
+            .entry(id)
+            .or_insert(0) += 1;
+    }
+
+    fn unpin(&self, id: u64) {
+        let mut pins = self.pinned.lock().expect("pin table poisoned");
+        if let Some(count) = pins.get_mut(&id) {
+            *count -= 1;
+            if *count == 0 {
+                pins.remove(&id);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Per-connection state machines
 // ---------------------------------------------------------------------
 
@@ -454,15 +452,13 @@ pub fn wake_serve_shutdown() {
 /// before a closing connection is dropped outright.
 const CLOSE_GRACE: Duration = Duration::from_secs(5);
 
-/// Where a connection is in its life. The handshake states carry the
-/// deadline-bearing half of what `accept_handshake` did on a blocking
-/// stream; `Serving` is the request loop; `Subscribed` is a parked
-/// stream the fanout pushes into.
+/// Where a connection is in its life. `Handshake` holds the sans-IO
+/// handshake core the worker daemon drives too; `Serving` is the
+/// request loop; `Subscribed` is a parked stream the fanout pushes
+/// into.
 enum ConnState {
-    /// Waiting for the client's `HELLO`.
-    AwaitHello,
-    /// Challenge sent; waiting for the PSK proof.
-    AwaitAuth { server_nonce: [u8; 32] },
+    /// Running the handshake (and PSK auth, when configured).
+    Handshake(ServerHandshake),
     /// Authed (as configured) and serving sequential requests.
     Serving,
     /// Streaming one job's snapshots. The socket's read interest is
@@ -702,7 +698,7 @@ impl ServeReactor {
                 reader: FrameReader::new(self.config.max_frame_len),
                 writer: FrameWriter::new(self.config.max_outbound_queue),
                 stream,
-                state: ConnState::AwaitHello,
+                state: ConnState::Handshake(ServerHandshake::AwaitHello),
                 limiter: self.config.max_requests_per_sec.map(RateLimiter::new),
                 deadline: Some(Instant::now() + HANDSHAKE_TIMEOUT),
                 interest: READABLE,
@@ -822,15 +818,19 @@ impl ServeReactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
-        match &conn.state {
-            ConnState::AwaitHello => self.on_hello(token, frame_tag, &payload),
-            ConnState::AwaitAuth { server_nonce } => {
-                let server_nonce = *server_nonce;
-                self.on_auth_response(token, frame_tag, &payload, &server_nonce)
+        match &mut conn.state {
+            ConnState::Handshake(core) => {
+                let policy = AcceptPolicy {
+                    name: &self.config.name,
+                    capacity: self.queue.workers() as u32,
+                    psk: self.config.psk.as_ref(),
+                };
+                let step = core.step(&policy, frame_tag, &payload);
+                self.on_handshake_step(token, step)
             }
             ConnState::Serving => {
-                // The request-rate budget, as in the threaded
-                // acceptor's read_request_frame.
+                // The request-rate budget, as in the worker's
+                // read_request_frame.
                 if let Some(limiter) = conn.limiter.as_mut() {
                     if !limiter.admit() {
                         let rate = limiter.rate;
@@ -849,123 +849,28 @@ impl ServeReactor {
         }
     }
 
-    fn on_hello(&mut self, token: u64, frame_tag: u8, payload: &[u8]) -> bool {
-        if frame_tag != wire::tag::HELLO {
-            self.send_goodbye(
-                token,
-                ErrorKind::Malformed,
-                format!("expected hello, got frame tag {frame_tag:#04x}"),
-            );
-            return false;
-        }
-        let hello = match Hello::decode(payload) {
-            Ok(hello) => hello,
-            Err(e) => {
-                self.send_goodbye(token, ErrorKind::Malformed, format!("bad hello: {e}"));
-                return false;
+    /// Sends what one handshake step produced; an admitted connection
+    /// moves on to serving requests.
+    fn on_handshake_step(&mut self, token: u64, step: Step) -> bool {
+        match step {
+            Step::Continue((frame_tag, payload)) => self.send_frame(token, frame_tag, &payload),
+            Step::Reject(kind, message) => {
+                self.send_goodbye(token, kind, message);
+                false
             }
-        };
-        if let Some(message) = version_rejection(&hello) {
-            self.send_goodbye(token, ErrorKind::Version, message);
-            return false;
-        }
-        if self.config.psk.is_some() {
-            let server_nonce = fresh_nonce();
-            let challenge = AuthChallenge {
-                server_nonce: server_nonce.to_vec(),
-            };
-            let Ok(frame) = wire::encode_frame(wire::tag::AUTH_CHALLENGE, &challenge.encode())
-            else {
-                self.close_conn(token);
-                return false;
-            };
-            if !self.enqueue_frame(token, Arc::new(frame)) {
-                return false;
+            Step::Accept(frames) => {
+                for (frame_tag, payload) in frames {
+                    if !self.send_frame(token, frame_tag, &payload) {
+                        return false;
+                    }
+                }
+                let Some(conn) = self.conns.get_mut(&token) else {
+                    return false;
+                };
+                conn.state = ConnState::Serving;
+                conn.deadline = self.config.idle_timeout.map(|t| Instant::now() + t);
+                true
             }
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.state = ConnState::AwaitAuth { server_nonce };
-                // The handshake deadline spans auth too.
-                return true;
-            }
-            return false;
-        }
-        self.finish_handshake(token)
-    }
-
-    fn on_auth_response(
-        &mut self,
-        token: u64,
-        frame_tag: u8,
-        payload: &[u8],
-        server_nonce: &[u8; 32],
-    ) -> bool {
-        let Some(psk) = self.config.psk.clone() else {
-            self.close_conn(token);
-            return false;
-        };
-        if frame_tag != wire::tag::AUTH_RESPONSE {
-            self.send_goodbye(
-                token,
-                ErrorKind::AuthFailed,
-                format!("expected auth response, got frame tag {frame_tag:#04x}"),
-            );
-            return false;
-        }
-        let response = match AuthResponse::decode(payload) {
-            Ok(response) => response,
-            Err(e) => {
-                self.send_goodbye(
-                    token,
-                    ErrorKind::Malformed,
-                    format!("bad auth response: {e}"),
-                );
-                return false;
-            }
-        };
-        let expected = psk.client_proof(server_nonce, &response.client_nonce);
-        if !ct_eq(&expected, &response.proof) {
-            crate::metrics::rt().auth_failures.inc();
-            self.send_goodbye(
-                token,
-                ErrorKind::AuthFailed,
-                "pre-shared-key proof mismatch".to_owned(),
-            );
-            return false;
-        }
-        let ok = AuthOk {
-            proof: psk
-                .server_proof(server_nonce, &response.client_nonce)
-                .to_vec(),
-        };
-        let Ok(frame) = wire::encode_frame(wire::tag::AUTH_OK, &ok.encode()) else {
-            self.close_conn(token);
-            return false;
-        };
-        if !self.enqueue_frame(token, Arc::new(frame)) {
-            return false;
-        }
-        self.finish_handshake(token)
-    }
-
-    fn finish_handshake(&mut self, token: u64) -> bool {
-        let ack = HelloAck {
-            version: PROTOCOL_VERSION,
-            capacity: self.queue.workers() as u32,
-            name: self.config.name.clone(),
-        };
-        let Ok(frame) = wire::encode_frame(wire::tag::HELLO_ACK, &ack.encode()) else {
-            self.close_conn(token);
-            return false;
-        };
-        if !self.enqueue_frame(token, Arc::new(frame)) {
-            return false;
-        }
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.state = ConnState::Serving;
-            conn.deadline = self.config.idle_timeout.map(|t| Instant::now() + t);
-            true
-        } else {
-            false
         }
     }
 
@@ -1107,28 +1012,14 @@ impl ServeReactor {
     /// id, admission rejection) — the threaded acceptor `continue`s
     /// after these.
     fn send_soft_error(&mut self, token: u64, kind: ErrorKind, message: String) -> bool {
-        let msg = ErrorMsg {
-            kind,
-            version: PROTOCOL_VERSION,
-            message,
-        };
-        self.send_frame(token, wire::tag::ERROR, &msg.encode())
+        self.send_frame(token, wire::tag::ERROR, &ErrorMsg::payload(kind, message))
     }
 
     /// A typed error after which the connection closes (malformed
     /// frames, version/auth/budget failures): queue the goodbye, flush
     /// what we can, drop the rest at the grace deadline.
     fn send_goodbye(&mut self, token: u64, kind: ErrorKind, message: String) {
-        let msg = ErrorMsg {
-            kind,
-            version: PROTOCOL_VERSION,
-            message,
-        };
-        let Ok(frame) = wire::encode_frame(wire::tag::ERROR, &msg.encode()) else {
-            self.close_conn(token);
-            return;
-        };
-        if !self.enqueue_frame(token, Arc::new(frame)) {
+        if !self.send_soft_error(token, kind, message) {
             return; // already closed (overflow or transport failure)
         }
         self.release_subscription(token);
@@ -1343,8 +1234,7 @@ impl ServeReactor {
             .iter()
             .filter_map(|(&token, conn)| match (conn.deadline, &conn.state) {
                 (Some(deadline), state) if now >= deadline => {
-                    let in_handshake =
-                        matches!(state, ConnState::AwaitHello | ConnState::AwaitAuth { .. });
+                    let in_handshake = matches!(state, ConnState::Handshake(_));
                     Some((token, in_handshake))
                 }
                 _ => None,
@@ -1371,15 +1261,9 @@ impl ServeReactor {
             );
             if subscribed {
                 // Tell mid-stream watchers the truth before hanging up.
-                let msg = ErrorMsg {
-                    kind: ErrorKind::Internal,
-                    version: PROTOCOL_VERSION,
-                    message: "serve front door is draining".to_owned(),
-                };
-                if let Ok(frame) = wire::encode_frame(wire::tag::ERROR, &msg.encode()) {
-                    if !self.enqueue_frame(token, Arc::new(frame)) {
-                        continue;
-                    }
+                let draining = "serve front door is draining".to_owned();
+                if !self.send_soft_error(token, ErrorKind::Internal, draining) {
+                    continue;
                 }
             }
             self.release_subscription(token);
@@ -1412,6 +1296,7 @@ impl ServeReactor {
 mod tests {
     use super::*;
     use crate::serve::ServeConfig;
+    use crate::wire::{Hello, HelloAck, PROTOCOL_VERSION};
 
     #[test]
     fn wake_pipe_roundtrip() {
@@ -1429,34 +1314,24 @@ mod tests {
 
     #[test]
     fn poller_reports_readable_pipe() {
-        for force in [false, true] {
-            let mut poller = if force {
-                Poller::Poll(Vec::new())
-            } else {
-                Poller::new().expect("poller")
-            };
-            let (rx, waker) = wake_pipe().expect("pipe");
-            poller.register(rx, 7, READABLE).expect("register");
-            let mut events = Vec::new();
-            // Nothing pending: a zero timeout returns empty.
-            poller
-                .wait(&mut events, Some(Duration::ZERO))
-                .expect("wait");
-            assert!(
-                events.is_empty(),
-                "{}: idle pipe is silent",
-                poller.backend()
-            );
-            waker.wake();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .expect("wait");
-            assert_eq!(events.len(), 1, "{}", poller.backend());
-            assert_eq!(events[0].0, 7);
-            assert!(events[0].1 & READABLE != 0);
-            poller.deregister(rx);
-            unsafe { sys::close(rx) };
-        }
+        let mut poller = Poller::new().expect("poller");
+        let (rx, waker) = wake_pipe().expect("pipe");
+        poller.register(rx, 7, READABLE).expect("register");
+        let mut events = Vec::new();
+        // Nothing pending: a zero timeout returns empty.
+        poller
+            .wait(&mut events, Some(Duration::ZERO))
+            .expect("wait");
+        assert!(events.is_empty(), "idle pipe is silent");
+        waker.wake();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .expect("wait");
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].0, 7);
+        assert!(events[0].1 & READABLE != 0);
+        poller.deregister(rx);
+        unsafe { sys::close(rx) };
     }
 
     #[test]

@@ -14,18 +14,24 @@
 //! Forking is skipped (full `run_shot` replays, bit-identical results)
 //! when:
 //!
-//! * `EQASM_PREFIX=off` is set (the A/B lever the determinism CI and
-//!   the throughput bench use),
-//! * the job's policy is [`BackendSelect::Dense`] — the fully legacy
+//! * the [`ExecPolicy`] turns it off (`prefix: false` — the A/B lever
+//!   the determinism CI and the throughput bench use),
+//! * the machine runs [`BackendSelect::Dense`] — the fully legacy
 //!   execution path, or
 //! * the (program, configuration) pair is not prefix-eligible (a
 //!   trajectory backend under finite T1/T2).
+//!
+//! The cache keys on the configuration the machine was built with
+//! (the policy's normalization of the job's own), seed zeroed, so
+//! [`warm`], [`is_warm`] and the dispatch path cannot disagree on a
+//! job's key.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
 use eqasm_core::{Instantiation, Instruction};
 use eqasm_microarch::{BackendSelect, MachineSnapshot, QuMa, SimConfig};
 
+use crate::engine::ExecPolicy;
 use crate::job::Job;
 use crate::metrics::rt;
 
@@ -43,6 +49,12 @@ struct Key {
     config: SimConfig,
 }
 
+impl Key {
+    fn matches(&self, config: &SimConfig, job: &Job) -> bool {
+        self.config == *config && self.program == job.program && self.inst == job.inst
+    }
+}
+
 struct Entry {
     key: Key,
     snapshot: Arc<MachineSnapshot>,
@@ -53,34 +65,35 @@ fn cache() -> &'static Mutex<Vec<Entry>> {
     CACHE.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Whether `EQASM_PREFIX=off` disables prefix forking. Read per call so
-/// tests (and operators bouncing a worker) can flip it without
-/// rebuilding anything.
-fn forking_disabled() -> bool {
-    std::env::var("EQASM_PREFIX").is_ok_and(|v| v.eq_ignore_ascii_case("off"))
+/// The cache key's configuration: the machine's own, seed zeroed.
+fn key_config(mut config: SimConfig) -> SimConfig {
+    config.seed = 0;
+    config
 }
 
 /// Returns the prefix snapshot to fork `job`'s shots from on `machine`
-/// (which must have `job` loaded), or `None` when forking does not
-/// apply and the caller must run full replays.
+/// (which [`crate::engine::build_machine`] built for `job` under
+/// `policy`), or `None` when forking does not apply and the caller
+/// must run full replays.
 ///
 /// Cache misses compute the prefix under the cache lock: concurrent
 /// workers starting the same job then share one computation instead of
 /// racing through identical ones.
-pub(crate) fn fork_snapshot(machine: &mut QuMa, job: &Job) -> Option<Arc<MachineSnapshot>> {
-    if forking_disabled()
+pub(crate) fn fork_snapshot(
+    machine: &mut QuMa,
+    job: &Job,
+    policy: &ExecPolicy,
+) -> Option<Arc<MachineSnapshot>> {
+    if !policy.prefix
         || machine.config().backend == BackendSelect::Dense
         || !machine.selection().prefix_eligible()
     {
         return None;
     }
     let metrics = rt();
-    let mut key_config = machine.config().clone();
-    key_config.seed = 0;
+    let key_config = key_config(machine.config().clone());
     let mut entries = cache().lock().expect("prefix cache poisoned");
-    if let Some(pos) = entries.iter().position(|e| {
-        e.key.config == key_config && e.key.program == job.program && e.key.inst == job.inst
-    }) {
+    if let Some(pos) = entries.iter().position(|e| e.key.matches(&key_config, job)) {
         // Move to the back: most-recently-used order.
         let entry = entries.remove(pos);
         let snap = Arc::clone(&entry.snapshot);
@@ -104,49 +117,31 @@ pub(crate) fn fork_snapshot(machine: &mut QuMa, job: &Job) -> Option<Arc<Machine
     Some(snap)
 }
 
-/// The configuration a machine built for `job` will actually run with
-/// — [`crate::engine::build_machine`]'s normalization (trace recording
-/// off, `EQASM_EXEC_PATH` override applied) plus the cache's seed
-/// zeroing. [`warm`] and [`is_warm`] must agree with `fork_snapshot`
-/// on this or the pre-warmed entry would never be hit.
-fn normalized_config(job: &Job) -> SimConfig {
-    let mut config = job.config.clone();
-    config.record_trace = false;
-    match std::env::var("EQASM_EXEC_PATH").as_deref() {
-        Ok(v) if v.eq_ignore_ascii_case("dense") => config.backend = BackendSelect::Dense,
-        Ok(v) if v.eq_ignore_ascii_case("auto") => config.backend = BackendSelect::Auto,
-        _ => {}
-    }
-    config.seed = 0;
-    config
-}
-
 /// Computes (and caches) `job`'s prefix snapshot ahead of dispatch, so
 /// the first batch forks from a warm cache instead of paying the
 /// prefix build on the hot path. The serve scheduler calls this from a
-/// dedicated warmer thread on admission and on journal recovery.
+/// dedicated warmer thread on admission and on journal recovery, under
+/// its [`crate::ServeConfig::policy`].
 ///
 /// A no-op whenever forking would not apply (disabled, dense policy,
 /// ineligible program) or the machine fails to build — the dispatch
 /// path makes its own decision and stays correct either way.
-pub fn warm(job: &Job) {
-    if forking_disabled() {
+pub fn warm(job: &Job, policy: &ExecPolicy) {
+    if !policy.prefix {
         return;
     }
-    let Ok(mut machine) = crate::engine::build_machine(job) else {
+    let Ok(mut machine) = crate::engine::build_machine(job, policy) else {
         return;
     };
-    let _ = fork_snapshot(&mut machine, job);
+    let _ = fork_snapshot(&mut machine, job, policy);
 }
 
-/// Whether the cache already holds a snapshot for `job`'s shape. Test
-/// instrumentation for the pre-warming path: the process-global
-/// hit/miss counters are shared across concurrently running tests, but
-/// this is race-free per shape.
-pub fn is_warm(job: &Job) -> bool {
-    let key_config = normalized_config(job);
+/// Whether the cache already holds a snapshot for `job`'s shape under
+/// `policy`. Test instrumentation for the pre-warming path: the
+/// process-global hit/miss counters are shared across concurrently
+/// running tests, but this is race-free per shape.
+pub fn is_warm(job: &Job, policy: &ExecPolicy) -> bool {
+    let key_config = key_config(policy.machine_config(job));
     let entries = cache().lock().expect("prefix cache poisoned");
-    entries.iter().any(|e| {
-        e.key.config == key_config && e.key.program == job.program && e.key.inst == job.inst
-    })
+    entries.iter().any(|e| e.key.matches(&key_config, job))
 }

@@ -229,6 +229,10 @@ pub struct ServeConfig {
     /// this long instead of wedging its dispatch slot forever. `None`
     /// disables the deadline.
     pub remote_io_timeout: Option<Duration>,
+    /// How the queue's own local slots and its prefix warmer execute
+    /// jobs. Slots passed in through [`JobQueue::with_backends`] carry
+    /// their own policy.
+    pub policy: crate::ExecPolicy,
 }
 
 impl Default for ServeConfig {
@@ -242,6 +246,7 @@ impl Default for ServeConfig {
             max_batch_retries: 3,
             hold_when_empty: false,
             remote_io_timeout: Some(crate::net::DEFAULT_IO_TIMEOUT),
+            policy: crate::ExecPolicy::default(),
         }
     }
 }
@@ -291,6 +296,13 @@ impl ServeConfig {
     /// — see [`ServeConfig::remote_io_timeout`].
     pub fn with_remote_io_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.remote_io_timeout = timeout;
+        self
+    }
+
+    /// Returns the config executing under `policy` — see
+    /// [`ServeConfig::policy`].
+    pub fn with_policy(mut self, policy: crate::ExecPolicy) -> Self {
+        self.policy = policy;
         self
     }
 }
@@ -1698,7 +1710,9 @@ impl JobQueue {
             config.workers
         };
         let backends = (0..worker_count)
-            .map(|i| Box::new(LocalBackend::new(i)) as Box<dyn ExecBackend>)
+            .map(|i| {
+                Box::new(LocalBackend::new(i).with_policy(config.policy)) as Box<dyn ExecBackend>
+            })
             .collect();
         JobQueue::with_backends(config, backends)
     }
@@ -1722,8 +1736,9 @@ impl JobQueue {
         journal_thread: Option<std::thread::JoinHandle<()>>,
     ) -> Self {
         if backends.is_empty() && !config.hold_when_empty {
-            backends.push(Box::new(LocalBackend::new(0)));
+            backends.push(Box::new(LocalBackend::new(0).with_policy(config.policy)));
         }
+        let policy = config.policy;
         let mut state = QueueState::new(config);
         let journaled = journal.is_some();
         if let Some((handle, compact_min)) = journal {
@@ -1754,7 +1769,7 @@ impl JobQueue {
             .name("eqasm-prefix-warmer".to_owned())
             .spawn(move || {
                 while let Ok(job) = warm_rx.recv() {
-                    crate::prefix::warm(&job);
+                    crate::prefix::warm(&job, &policy);
                 }
             });
         if let Ok(handle) = warmer {
@@ -1919,6 +1934,7 @@ impl JobQueue {
     /// the serve reactor's self-pipe wake — replaces N subscription
     /// poll loops; wakes are coalesced and may be spurious, so the
     /// listener re-probes what actually advanced.
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))] // reactor-only
     pub(crate) fn set_progress_hook(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
         *self
             .shared
@@ -2500,13 +2516,18 @@ mod tests {
         }
         assert_eq!(tasks.len(), 8);
 
-        let mut machine = crate::engine::build_machine(&job).expect("loads");
+        let mut machine = crate::engine::build_machine(&job, &Default::default()).expect("loads");
         let mut outs: Vec<TaggedBatch> = tasks
             .iter()
             .map(|t| TaggedBatch {
                 job: t.job_id,
                 batch: t.batch,
-                out: crate::engine::run_batch(&mut machine, &job, t.range.clone()),
+                out: crate::engine::run_batch(
+                    &mut machine,
+                    &job,
+                    t.range.clone(),
+                    &Default::default(),
+                ),
                 started_at: Instant::now(),
                 finished_at: Instant::now(),
             })
@@ -2546,12 +2567,17 @@ mod tests {
         add_local_slots(&mut state, 1);
         let slot = state.tenant_slot(&TenantId::new("t"));
         let job_id = state.enqueue_job(slot, job.clone());
-        let mut machine = crate::engine::build_machine(&job).expect("loads");
+        let mut machine = crate::engine::build_machine(&job, &Default::default()).expect("loads");
         while let Some(task) = state.next_task(0) {
             let out = TaggedBatch {
                 job: task.job_id,
                 batch: task.batch,
-                out: crate::engine::run_batch(&mut machine, &job, task.range.clone()),
+                out: crate::engine::run_batch(
+                    &mut machine,
+                    &job,
+                    task.range.clone(),
+                    &Default::default(),
+                ),
                 started_at: Instant::now(),
                 finished_at: Instant::now(),
             };

@@ -88,7 +88,7 @@ pub const MAGIC: [u8; 4] = *b"EQWP";
 /// ships from the same build, so the handshake checks the offered
 /// version for equality and answers a mismatch with a typed
 /// [`ErrorKind::Version`] error.
-pub const PROTOCOL_VERSION: u16 = 6;
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Upper bound on a single frame's length. A `LoadJob` frame carries
 /// one job (program + instantiation, typically kilobytes). 1 GiB is
@@ -388,21 +388,8 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Payload compression (varint + RLE)
+// Varints
 // ---------------------------------------------------------------------
-
-/// Bit set in a [`LoadJob`]'s on-the-wire `job_id` when its
-/// `job_bytes` field is [`compress`]ed. The id space proper is the low
-/// 63 bits — ids are small client-side counters (or queue indices), so
-/// the top bit is free to carry the flag without changing the frame
-/// layout: a compressed load is still `u64 id + u32 len + bytes`.
-/// The journal's `Admit` records reuse the same convention.
-pub const COMPRESSED_JOB_ID_FLAG: u64 = 1 << 63;
-
-/// Byte runs at least this long become RLE run blocks; anything
-/// shorter stays literal (a run block costs 2+ bytes, so 4 is the
-/// break-even point with margin).
-const MIN_RLE_RUN: usize = 4;
 
 /// Appends `v` as a LEB128 varint (7 bits per byte, high bit =
 /// continuation).
@@ -434,115 +421,6 @@ pub(crate) fn get_varint(buf: &mut &[u8], what: &'static str) -> Result<u64, Wir
     Err(WireError::Invalid(format!(
         "{what}: varint exceeds 64 bits"
     )))
-}
-
-/// Compresses `data` with a byte-level varint + run-length scheme:
-/// a varint original length, then blocks, each a varint header whose
-/// low bit selects the kind — `0`: a literal run of `header >> 1` raw
-/// bytes; `1`: `header >> 1` repetitions of the single following byte.
-///
-/// Fixed-width wire encodings ([`encode_job`] in particular) are full
-/// of zero runs — high bytes of small `u64`s, idle latency fields —
-/// which is exactly what this catches. The codec is not meant to rival
-/// a real compressor; it is dependency-free, allocation-bounded and
-/// fast enough to sit on the `LoadJob` path and in the journal's
-/// `Admit` records.
-pub fn compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    put_varint(&mut out, data.len() as u64);
-    let run_len = |from: usize| {
-        let b = data[from];
-        let mut n = 1;
-        while from + n < data.len() && data[from + n] == b {
-            n += 1;
-        }
-        n
-    };
-    let mut i = 0;
-    while i < data.len() {
-        let run = run_len(i);
-        if run >= MIN_RLE_RUN {
-            put_varint(&mut out, ((run as u64) << 1) | 1);
-            out.push(data[i]);
-            i += run;
-        } else {
-            // Literal block: absorb short runs until the next long run
-            // (or the end), so alternating data costs one header, not
-            // one per byte.
-            let start = i;
-            i += run;
-            while i < data.len() {
-                let next = run_len(i);
-                if next >= MIN_RLE_RUN {
-                    break;
-                }
-                i += next;
-            }
-            put_varint(&mut out, ((i - start) as u64) << 1);
-            out.extend_from_slice(&data[start..i]);
-        }
-    }
-    out
-}
-
-/// Decompresses a [`compress`]ed payload. Every malformation —
-/// truncated varints or runs, a declared length over the
-/// [`MAX_FRAME_LEN`] cap, blocks overshooting or undershooting the
-/// declared length, zero-length blocks — is a typed [`WireError`],
-/// never a panic or an unbounded allocation.
-pub fn decompress(data: &[u8]) -> Result<Vec<u8>, WireError> {
-    let mut buf = data;
-    let total = get_varint(&mut buf, "compressed.len")? as usize;
-    if total > MAX_FRAME_LEN as usize {
-        return Err(WireError::FrameTooLarge {
-            len: total.min(u32::MAX as usize) as u32,
-            cap: MAX_FRAME_LEN,
-        });
-    }
-    let mut out = Vec::with_capacity(total);
-    while out.len() < total {
-        let header = get_varint(&mut buf, "compressed.block")?;
-        let len = (header >> 1) as usize;
-        if len == 0 {
-            return Err(WireError::Invalid(
-                "compressed payload: zero-length block".to_owned(),
-            ));
-        }
-        if len > total - out.len() {
-            return Err(WireError::Invalid(format!(
-                "compressed payload: block of {len} bytes overflows the declared {total}-byte \
-                 length"
-            )));
-        }
-        if header & 1 == 1 {
-            let Some((&b, rest)) = buf.split_first() else {
-                return Err(WireError::Truncated {
-                    what: "compressed.run_byte",
-                    needed: 1,
-                    have: 0,
-                });
-            };
-            buf = rest;
-            out.resize(out.len() + len, b);
-        } else {
-            if buf.len() < len {
-                return Err(WireError::Truncated {
-                    what: "compressed.literal",
-                    needed: len,
-                    have: buf.len(),
-                });
-            }
-            out.extend_from_slice(&buf[..len]);
-            buf = &buf[len..];
-        }
-    }
-    if !buf.is_empty() {
-        return Err(WireError::Invalid(format!(
-            "{} trailing bytes after compressed payload",
-            buf.len()
-        )));
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -1005,6 +883,13 @@ fn put_op_config(w: &mut Writer, cfg: &OpConfig) -> Result<(), WireError> {
 
 fn get_op_config(r: &mut Reader<'_>) -> Result<OpConfig, WireError> {
     let opcode_bits = r.get_u32("OpConfig.opcode_bits")?;
+    // Opcodes are 16-bit and the builder counts them in a `u16`: a
+    // wider (corrupt) width would overflow that counter.
+    if opcode_bits > 15 {
+        return Err(WireError::Invalid(format!(
+            "OpConfig: opcode width {opcode_bits} exceeds 15 bits"
+        )));
+    }
     let n = r.get_count("OpConfig.defs", 6)?;
     let mut builder = OpConfig::builder(opcode_bits);
     for _ in 0..n {
@@ -1819,8 +1704,9 @@ impl LoadJob {
         LoadJob::encode_parts(self.job_id, &self.job_bytes)
     }
 
-    /// Encodes a request payload from borrowed job bytes, shipped
-    /// plain.
+    /// Encodes a request payload from borrowed job bytes — the
+    /// client keeps one cached encoding per job and must not clone it
+    /// just to build the load frame.
     pub fn encode_parts(job_id: u64, job_bytes: &[u8]) -> Vec<u8> {
         let mut w = Writer::new();
         w.buf.reserve(8 + 4 + job_bytes.len());
@@ -1829,51 +1715,13 @@ impl LoadJob {
         w.into_bytes()
     }
 
-    /// Encodes a request payload from borrowed job bytes — the
-    /// client keeps one cached encoding per job and must not clone it
-    /// just to build the load frame. The job bytes are [`compress`]ed
-    /// when that actually shrinks them (it does for any realistic
-    /// program — the fixed-width job encoding is full of zero runs),
-    /// flagged by [`COMPRESSED_JOB_ID_FLAG`] in the id word.
-    /// Incompressible bytes ship plain with no flag — the decoder
-    /// never pays for compression that did not help.
-    pub fn encode_parts_auto(job_id: u64, job_bytes: &[u8]) -> Vec<u8> {
-        debug_assert_eq!(
-            job_id & COMPRESSED_JOB_ID_FLAG,
-            0,
-            "job ids use the low 63 bits"
-        );
-        let packed = compress(job_bytes);
-        if packed.len() < job_bytes.len() {
-            let mut w = Writer::new();
-            w.buf.reserve(8 + 4 + packed.len());
-            w.put_u64(job_id | COMPRESSED_JOB_ID_FLAG);
-            w.put_bytes(&packed);
-            w.into_bytes()
-        } else {
-            LoadJob::encode_parts(job_id, job_bytes)
-        }
-    }
-
-    /// Decodes a request payload, transparently decompressing loads
-    /// flagged with [`COMPRESSED_JOB_ID_FLAG`]. The returned `job_id`
-    /// is always the plain id (flag cleared) and `job_bytes` always
-    /// the raw [`encode_job`] bytes.
+    /// Decodes a request payload.
     pub fn decode(bytes: &[u8]) -> Result<LoadJob, WireError> {
         let mut r = Reader::new(bytes);
-        let raw_id = r.get_u64("LoadJob.job_id")?;
-        let body = r.get_bytes("LoadJob.job_bytes")?;
-        if raw_id & COMPRESSED_JOB_ID_FLAG != 0 {
-            Ok(LoadJob {
-                job_id: raw_id & !COMPRESSED_JOB_ID_FLAG,
-                job_bytes: decompress(&body)?,
-            })
-        } else {
-            Ok(LoadJob {
-                job_id: raw_id,
-                job_bytes: body,
-            })
-        }
+        Ok(LoadJob {
+            job_id: r.get_u64("LoadJob.job_id")?,
+            job_bytes: r.get_bytes("LoadJob.job_bytes")?,
+        })
     }
 }
 
@@ -2099,6 +1947,16 @@ pub struct ErrorMsg {
 }
 
 impl ErrorMsg {
+    /// The payload of an `ERROR` frame this build sends.
+    pub(crate) fn payload(kind: ErrorKind, message: String) -> Vec<u8> {
+        ErrorMsg {
+            kind,
+            version: PROTOCOL_VERSION,
+            message,
+        }
+        .encode()
+    }
+
     /// Encodes the error payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -2745,64 +2603,15 @@ mod tests {
     }
 
     #[test]
-    fn compression_roundtrips_and_shrinks_job_bytes() {
+    fn load_job_ships_job_bytes_verbatim() {
         let bytes = encode_job(&sample_job()).unwrap();
-        let packed = compress(&bytes);
-        assert_eq!(decompress(&packed).unwrap(), bytes);
-        // The fixed-width job encoding is mostly zero runs; the codec
-        // must actually pay for itself on it.
-        assert!(
-            packed.len() < bytes.len(),
-            "{} >= {}",
-            packed.len(),
-            bytes.len()
-        );
-        // Empty and tiny inputs roundtrip too.
-        assert_eq!(decompress(&compress(&[])).unwrap(), Vec::<u8>::new());
-        assert_eq!(decompress(&compress(&[7])).unwrap(), vec![7]);
-    }
-
-    #[test]
-    fn decompress_rejects_malformed_payloads_typed() {
-        let packed = compress(&[1, 2, 3, 4, 5, 5, 5, 5, 5, 5, 6]);
-        // Truncation at every prefix length is a typed error, never a
-        // panic (the full payload is the only valid prefix).
-        for cut in 0..packed.len() {
-            assert!(decompress(&packed[..cut]).is_err(), "cut at {cut}");
+        // Every id bit is id: the top bit carries no flag.
+        for id in [0u64, 42, 1 << 63, u64::MAX] {
+            let payload = LoadJob::encode_parts(id, &bytes);
+            assert_eq!(payload.len(), 8 + 4 + bytes.len());
+            assert_eq!(&payload[12..], &bytes[..]);
+            let back = LoadJob::decode(&payload).unwrap();
+            assert_eq!((back.job_id, &back.job_bytes), (id, &bytes));
         }
-        // Trailing garbage is rejected.
-        let mut padded = packed.clone();
-        padded.push(0);
-        assert!(decompress(&padded).is_err());
-        // A declared length over the frame cap must not allocate.
-        let mut huge = Vec::new();
-        put_varint(&mut huge, u64::MAX);
-        assert!(matches!(
-            decompress(&huge),
-            Err(WireError::FrameTooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn load_job_auto_compression_flags_and_roundtrips() {
-        let bytes = encode_job(&sample_job()).unwrap();
-        let payload = LoadJob::encode_parts_auto(42, &bytes);
-        // Compressible job bytes must ship flagged and smaller.
-        let raw_id = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        assert_ne!(raw_id & COMPRESSED_JOB_ID_FLAG, 0);
-        assert!(payload.len() < LoadJob::encode_parts(42, &bytes).len());
-        let back = LoadJob::decode(&payload).unwrap();
-        assert_eq!(back.job_id, 42);
-        assert_eq!(back.job_bytes, bytes);
-        // Incompressible bytes ship plain — no flag, no blowup.
-        let noise: Vec<u8> = (0..97u32)
-            .map(|i| (i.wrapping_mul(151) >> 3) as u8)
-            .collect();
-        let plain = LoadJob::encode_parts_auto(7, &noise);
-        let raw_id = u64::from_le_bytes(plain[..8].try_into().unwrap());
-        assert_eq!(raw_id & COMPRESSED_JOB_ID_FLAG, 0);
-        assert_eq!(plain, LoadJob::encode_parts(7, &noise));
-        let back = LoadJob::decode(&plain).unwrap();
-        assert_eq!((back.job_id, back.job_bytes), (7, noise));
     }
 }

@@ -5,8 +5,26 @@
 use eqasm_core::{Instantiation, Qubit, Topology};
 use eqasm_microarch::{BackendSelect, SimConfig};
 use eqasm_quantum::{NoiseModel, ReadoutModel};
-use eqasm_runtime::{partition_shots, Job, MixedWorkload, ShotEngine, WorkloadKind, WorkloadSpec};
+use eqasm_runtime::{
+    partition_shots, ExecPolicy, Job, MixedWorkload, ShotEngine, WorkloadKind, WorkloadSpec,
+};
 use proptest::prelude::*;
+
+/// The execution policy the CI execution-path legs select through
+/// `EQASM_EXEC_PATH` and `EQASM_PREFIX`: the library reads no
+/// environment, so the test harness does.
+fn env_policy() -> ExecPolicy {
+    ExecPolicy::parse(
+        std::env::var("EQASM_EXEC_PATH").ok().as_deref(),
+        std::env::var("EQASM_PREFIX").ok().as_deref(),
+    )
+    .expect("EQASM_EXEC_PATH / EQASM_PREFIX")
+}
+
+/// An engine with `workers` threads under [`env_policy`].
+fn engine(workers: usize) -> ShotEngine {
+    ShotEngine::new(workers).with_policy(env_policy())
+}
 
 /// A noisy RB job whose shots genuinely consume randomness
 /// (stochastic trajectory collapse + readout corruption), so any seed
@@ -49,11 +67,11 @@ fn worker_counts() -> Vec<usize> {
 #[test]
 fn aggregates_identical_across_worker_counts() {
     let job = noisy_rb_job(96, 1234);
-    let reference = ShotEngine::new(1).run_job(&job).expect("runs");
+    let reference = engine(1).run_job(&job).expect("runs");
     assert_eq!(reference.shots, 96);
     assert!(reference.histogram.total() == 96);
     for workers in worker_counts() {
-        let result = ShotEngine::new(workers).run_job(&job).expect("runs");
+        let result = engine(workers).run_job(&job).expect("runs");
         assert_eq!(
             reference.histogram, result.histogram,
             "histogram must not depend on worker count ({workers})"
@@ -76,15 +94,9 @@ fn aggregates_identical_across_worker_counts() {
 #[test]
 fn aggregates_identical_across_batch_sizes() {
     let job = noisy_rb_job(64, 77);
-    let a = ShotEngine::new(3).run_job(&job).expect("runs");
-    let b = ShotEngine::new(3)
-        .with_batch_size(1)
-        .run_job(&job)
-        .expect("runs");
-    let c = ShotEngine::new(3)
-        .with_batch_size(64)
-        .run_job(&job)
-        .expect("runs");
+    let a = engine(3).run_job(&job).expect("runs");
+    let b = engine(3).with_batch_size(1).run_job(&job).expect("runs");
+    let c = engine(3).with_batch_size(64).run_job(&job).expect("runs");
     assert_eq!(a.histogram, b.histogram);
     assert_eq!(a.histogram, c.histogram);
     assert_eq!(a.stats, b.stats);
@@ -114,12 +126,7 @@ fn different_seeds_differ() {
     // collision-prone.
     let hists: Vec<_> = [1u64, 9999, 0x00c0_ffee, 424_242]
         .iter()
-        .map(|&s| {
-            ShotEngine::new(2)
-                .run_job(&noisy_rb_job(256, s))
-                .unwrap()
-                .histogram
-        })
+        .map(|&s| engine(2).run_job(&noisy_rb_job(256, s)).unwrap().histogram)
         .collect();
     assert!(
         hists.windows(2).any(|w| w[0] != w[1]),
@@ -147,10 +154,10 @@ fn mixed_workload_deterministic_across_workers() {
             WorkloadSpec::new("reset", WorkloadKind::ActiveReset { init_cycles: 50 }, 32)
                 .with_config(SimConfig::default().with_readout(ReadoutModel::paper_reset())),
         );
-    let serial = mix.run(&ShotEngine::new(1)).expect("runs");
+    let serial = mix.run(&engine(1)).expect("runs");
     assert_eq!(serial.aggregate.shots, 80);
     for workers in worker_counts() {
-        let pooled = mix.run(&ShotEngine::new(workers)).expect("runs");
+        let pooled = mix.run(&engine(workers)).expect("runs");
         assert_eq!(pooled.aggregate.shots, 80);
         for (s, p) in serial.per_workload.iter().zip(&pooled.per_workload) {
             assert_eq!(s.name, p.name);
@@ -167,14 +174,11 @@ fn zero_batch_size_is_clamped_not_fatal() {
     // library builder — a malformed service request could take down
     // the whole pool. It now clamps to 1 and runs normally.
     let job = noisy_rb_job(32, 5);
-    let clamped = ShotEngine::new(2)
+    let clamped = engine(2)
         .with_batch_size(0)
         .run_job(&job)
         .expect("clamped engine runs");
-    let one = ShotEngine::new(2)
-        .with_batch_size(1)
-        .run_job(&job)
-        .expect("runs");
+    let one = engine(2).with_batch_size(1).run_job(&job).expect("runs");
     assert_eq!(clamped.histogram, one.histogram);
     assert_eq!(clamped.stats, one.stats);
 }
@@ -184,8 +188,8 @@ fn shot_seeding_wraps_at_u64_max() {
     // Shots that walk the seed space across u64::MAX must wrap, not
     // panic (debug) or collide beyond the modular layout (release).
     let job = noisy_rb_job(64, u64::MAX - 16);
-    let a = ShotEngine::new(1).run_job(&job).expect("runs");
-    let b = ShotEngine::new(4).run_job(&job).expect("runs");
+    let a = engine(1).run_job(&job).expect("runs");
+    let b = engine(4).run_job(&job).expect("runs");
     assert_eq!(a.histogram, b.histogram);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.histogram.total(), 64);
@@ -197,7 +201,7 @@ fn job_latency_histogram_counts_every_shot() {
     // does not, whatever the worker count.
     let job = noisy_rb_job(48, 9);
     for workers in [1, 2, 4] {
-        let r = ShotEngine::new(workers).run_job(&job).expect("runs");
+        let r = engine(workers).run_job(&job).expect("runs");
         assert_eq!(r.latency.count(), 48);
         assert!(r.latency.stats().max_ns > 0);
     }

@@ -20,8 +20,26 @@ use eqasm_asm::assemble;
 use eqasm_core::{Instantiation, Qubit};
 use eqasm_microarch::{BackendSelect, QuMa, RunStats, SimBackendKind, SimConfig};
 use eqasm_quantum::NoiseModel;
-use eqasm_runtime::{BitString, Histogram, Job, ShotEngine};
+use eqasm_runtime::{
+    BitString, ExecPolicy, Histogram, Job, JobQueue, ServeConfig, ShotEngine, Submission,
+};
 use proptest::prelude::*;
+
+/// The execution policy the CI execution-path legs select through
+/// `EQASM_EXEC_PATH` and `EQASM_PREFIX`: the library reads no
+/// environment, so the test harness does.
+fn env_policy() -> ExecPolicy {
+    ExecPolicy::parse(
+        std::env::var("EQASM_EXEC_PATH").ok().as_deref(),
+        std::env::var("EQASM_PREFIX").ok().as_deref(),
+    )
+    .expect("EQASM_EXEC_PATH / EQASM_PREFIX")
+}
+
+/// An engine with `workers` threads under [`env_policy`].
+fn engine(workers: usize) -> ShotEngine {
+    ShotEngine::new(workers).with_policy(env_policy())
+}
 
 /// A Clifford-only two-qubit program with genuinely random outcomes
 /// (H and X90 put both measured qubits in equal superposition), so a
@@ -82,16 +100,13 @@ fn selection_kind(job: &Job) -> SimBackendKind {
 
 /// Serial full-replay reference: every shot through `run_shot` on one
 /// machine, no forking anywhere — the ground truth the engine's fork
-/// path must reproduce bit for bit. Mirrors the engine's
-/// `EQASM_EXEC_PATH` override so the CI execution-path legs compare
-/// like against like.
+/// path must reproduce bit for bit. Applies [`env_policy`]'s backend
+/// override so the CI execution-path legs compare like against like.
 fn serial_replays(job: &Job) -> (Histogram, RunStats) {
     let mut config = job.config.clone();
     config.record_trace = false;
-    match std::env::var("EQASM_EXEC_PATH").as_deref() {
-        Ok(v) if v.eq_ignore_ascii_case("dense") => config.backend = BackendSelect::Dense,
-        Ok(v) if v.eq_ignore_ascii_case("auto") => config.backend = BackendSelect::Auto,
-        _ => {}
+    if let Some(backend) = env_policy().backend {
+        config.backend = backend;
     }
     let mut m = QuMa::new(job.inst.clone(), config);
     m.load(&job.program).expect("loads");
@@ -142,7 +157,7 @@ fn stabilizer_matches_dense_bit_for_bit_when_noiseless() {
         42,
         SimConfig::default().with_backend(BackendSelect::Dense),
     );
-    let engine = ShotEngine::new(4);
+    let engine = engine(4);
     let a = engine.run_job(&auto).expect("runs");
     let d = engine.run_job(&dense).expect("runs");
     assert_eq!(
@@ -168,7 +183,7 @@ fn noisy_backends_agree_in_distribution() {
     // sampled-Pauli stabilizer simulations must land on the same P(1)
     // up to sampling error (4096 shots ⇒ σ ≈ 0.006; tolerance 0.03).
     let shots = 4096;
-    let engine = ShotEngine::new(4);
+    let engine = engine(4);
     let mut p1 = Vec::new();
     for backend in [
         BackendSelect::Stabilizer,
@@ -221,7 +236,7 @@ fn fork_path_is_bit_identical_to_full_replays_at_every_worker_count() {
 
         let (ref_hist, ref_stats) = serial_replays(job);
         for workers in [1usize, 2, 8] {
-            let r = ShotEngine::new(workers).run_job(job).expect("runs");
+            let r = engine(workers).run_job(job).expect("runs");
             assert_eq!(
                 ref_hist, r.histogram,
                 "{}: fork path diverged from full replays at {workers} workers",
@@ -248,9 +263,66 @@ fn forced_dense_policy_replays_identically() {
         SimConfig::default().with_backend(BackendSelect::Dense),
     );
     let (ref_hist, ref_stats) = serial_replays(&job);
-    let r = ShotEngine::new(2).run_job(&job).expect("runs");
+    let r = engine(2).run_job(&job).expect("runs");
     assert_eq!(ref_hist, r.histogram);
     assert_eq!(ref_stats, r.stats);
+}
+
+/// Turning prefix forking off changes no bit of a prefix-eligible
+/// job's aggregates, through the engine and through the serve queue.
+#[test]
+fn prefix_off_policy_is_bit_identical_to_the_default() {
+    let job = clifford_job(160, 77, SimConfig::default());
+    let off = ExecPolicy {
+        prefix: false,
+        ..ExecPolicy::default()
+    };
+    let forked = ShotEngine::new(2).run_job(&job).expect("runs");
+    let replayed = ShotEngine::new(2)
+        .with_policy(off)
+        .run_job(&job)
+        .expect("runs");
+    assert_eq!(forked.histogram, replayed.histogram);
+    assert_eq!(forked.stats, replayed.stats);
+    assert_eq!(forked.mean_prob1, replayed.mean_prob1);
+
+    for policy in [ExecPolicy::default(), off] {
+        let queue = JobQueue::new(ServeConfig::default().with_workers(2).with_policy(policy));
+        let handles = queue
+            .submit(Submission::job("policy", job.clone()))
+            .expect("submits");
+        let queued = handles[0].wait().expect("completes");
+        queue.shutdown();
+        assert_eq!(queued.histogram, forked.histogram, "{policy:?}");
+        assert_eq!(queued.stats, forked.stats, "{policy:?}");
+        assert_eq!(queued.mean_prob1, forked.mean_prob1, "{policy:?}");
+    }
+}
+
+#[test]
+fn exec_policy_parser_rejects_unknown_values() {
+    assert_eq!(
+        ExecPolicy::parse(None, None).unwrap(),
+        ExecPolicy::default()
+    );
+    assert_eq!(
+        ExecPolicy::parse(Some(""), Some("")).unwrap(),
+        ExecPolicy::default()
+    );
+    let parsed = ExecPolicy::parse(Some("DENSE"), Some("off")).unwrap();
+    assert_eq!(parsed.backend, Some(BackendSelect::Dense));
+    assert!(!parsed.prefix);
+    assert_eq!(
+        ExecPolicy::parse(Some("auto"), Some("on")).unwrap().backend,
+        Some(BackendSelect::Auto)
+    );
+    for (path, prefix) in [(Some("stabiliser"), None), (None, Some("false"))] {
+        let err = ExecPolicy::parse(path, prefix).expect_err("unknown value");
+        assert!(
+            matches!(err, eqasm_runtime::RuntimeError::Policy(_)),
+            "{err}"
+        );
+    }
 }
 
 proptest! {

@@ -15,10 +15,11 @@ use std::time::{Duration, Instant};
 
 use eqasm_asm::assemble;
 use eqasm_core::Instantiation;
+use eqasm_microarch::BackendSelect;
 use eqasm_runtime::prefix;
 use eqasm_runtime::{
-    ExecBackend, Job, JobQueue, JournalConfig, JournalError, LocalBackend, RuntimeError,
-    ServeConfig, ShotEngine, Submission,
+    ExecBackend, ExecPolicy, Job, JobQueue, JournalConfig, JournalError, LocalBackend,
+    RuntimeError, ServeConfig, ShotEngine, Submission,
 };
 
 /// A Clifford-only two-qubit program with genuinely random outcomes on
@@ -106,8 +107,8 @@ fn record_cuts(bytes: &[u8]) -> Vec<usize> {
 
 /// Walks a segment's records and returns, per record, the byte offset
 /// just after it (a valid crash cut), its tag byte, and the first
-/// `u64` of its payload (the job id for Admit/RangeDone/Complete,
-/// masked of the compression flag; the live-job count for Checkpoint).
+/// `u64` of its payload (the job id for Admit/RangeDone/Complete; the
+/// live-job count for Checkpoint).
 fn records(bytes: &[u8]) -> Vec<(usize, u8, u64)> {
     let mut out = Vec::new();
     let mut off = 8;
@@ -115,7 +116,7 @@ fn records(bytes: &[u8]) -> Vec<(usize, u8, u64)> {
         let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
         let payload = &bytes[off + 8..off + 8 + len];
         let id = if payload.len() >= 9 {
-            u64::from_le_bytes(payload[1..9].try_into().unwrap()) & !(1 << 63)
+            u64::from_le_bytes(payload[1..9].try_into().unwrap())
         } else {
             0
         };
@@ -245,17 +246,21 @@ fn torn_final_record_recovers_bit_identically() {
 /// `BadHeader` instead of a misread record.
 #[test]
 fn version_1_journal_is_a_typed_bad_header() {
-    let (mut bytes, _, _) = completed_run("segment-v1", 160);
-    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-    let dir = crash_image("segment-v1-image", &bytes, bytes.len());
-    let err = JobQueue::recover(serve_config(), local_pool(1), &JournalConfig::new(&dir))
-        .err()
-        .expect("a version-1 segment must be refused");
-    assert!(
-        matches!(err, RuntimeError::Journal(JournalError::BadHeader { .. })),
-        "{err}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    let (bytes, _, _) = completed_run("segment-old", 160);
+    // Version 2 (RLE-packed `Admit` job bytes) is refused like 1.
+    for version in [1u16, 2] {
+        let mut bytes = bytes.clone();
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        let dir = crash_image("segment-old-image", &bytes, bytes.len());
+        let err = JobQueue::recover(serve_config(), local_pool(1), &JournalConfig::new(&dir))
+            .err()
+            .unwrap_or_else(|| panic!("a version-{version} segment must be refused"));
+        assert!(
+            matches!(err, RuntimeError::Journal(JournalError::BadHeader { .. })),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -301,18 +306,18 @@ fn eviction_is_durable_before_release_returns() {
 /// capacity arrives, starts from a cache hit.
 #[test]
 fn admission_pre_warms_the_prefix_cache() {
-    if std::env::var("EQASM_PREFIX").is_ok_and(|v| v.eq_ignore_ascii_case("off")) {
-        return; // forking disabled: nothing to warm
-    }
     let job = clifford_job("warm-admit", 130, 200, 3);
-    assert!(!prefix::is_warm(&job), "distinct shape starts cold");
+    assert!(
+        !prefix::is_warm(&job, &ExecPolicy::default()),
+        "distinct shape starts cold"
+    );
     let queue = JobQueue::with_backends(serve_config().with_hold_when_empty(true), Vec::new());
     let handles = queue
         .submit(Submission::job("tenant-w", job.clone()))
         .expect("submits");
 
     let deadline = Instant::now() + Duration::from_secs(30);
-    while !prefix::is_warm(&job) {
+    while !prefix::is_warm(&job, &ExecPolicy::default()) {
         assert!(
             Instant::now() < deadline,
             "admission warmer never produced a snapshot"
@@ -333,14 +338,34 @@ fn admission_pre_warms_the_prefix_cache() {
     queue.shutdown();
 }
 
+/// `warm` and `is_warm` key on the configuration dispatch builds its
+/// machines with. The job's own configuration says `Dense` (never
+/// forks); under a `backend: Some(Auto)` override, the entry a
+/// dispatched batch caches is the one `is_warm` looks up.
+#[test]
+fn warm_and_dispatch_agree_on_the_key_under_a_backend_override() {
+    let auto = ExecPolicy {
+        backend: Some(BackendSelect::Auto),
+        prefix: true,
+    };
+    let mut job = clifford_job("override", 190, 8, 3);
+    job.config.backend = BackendSelect::Dense;
+    assert!(!prefix::is_warm(&job, &auto), "distinct shape starts cold");
+    prefix::warm(&job, &ExecPolicy::default());
+    assert!(!prefix::is_warm(&job, &auto), "Dense never warms");
+    LocalBackend::new(0)
+        .with_policy(auto)
+        .run_range(&job, 0..8)
+        .expect("runs");
+    assert!(prefix::is_warm(&job, &auto));
+    assert!(!prefix::is_warm(&job, &ExecPolicy::default()));
+}
+
 /// Recovery re-warms the prefix cache for every re-admitted job, even
 /// after the cache itself was lost (here: evicted by eight newer
 /// shapes, standing in for the process restart that recovery models).
 #[test]
 fn recovery_pre_warms_the_prefix_cache() {
-    if std::env::var("EQASM_PREFIX").is_ok_and(|v| v.eq_ignore_ascii_case("off")) {
-        return; // forking disabled: nothing to warm
-    }
     // Journal an admission without letting anything run.
     let dir = temp_dir("warm-recover");
     let job = clifford_job("warm-recover", 140, 200, 5);
@@ -356,9 +381,12 @@ fn recovery_pre_warms_the_prefix_cache() {
     // warming 8 unrelated ones guarantees it is gone (concurrent tests
     // use their own distinct shapes and never re-add this one).
     for wait in 900..908 {
-        prefix::warm(&clifford_job("evictor", wait, 1, 0));
+        prefix::warm(&clifford_job("evictor", wait, 1, 0), &ExecPolicy::default());
     }
-    assert!(!prefix::is_warm(&job), "shape evicted before recovery");
+    assert!(
+        !prefix::is_warm(&job, &ExecPolicy::default()),
+        "shape evicted before recovery"
+    );
 
     let (queue2, report) =
         JobQueue::recover(serve_config().with_hold_when_empty(true), Vec::new(), &jc)
@@ -366,7 +394,7 @@ fn recovery_pre_warms_the_prefix_cache() {
     assert_eq!(report.jobs_recovered, 1);
 
     let deadline = Instant::now() + Duration::from_secs(30);
-    while !prefix::is_warm(&job) {
+    while !prefix::is_warm(&job, &ExecPolicy::default()) {
         assert!(
             Instant::now() < deadline,
             "recovery warmer never produced a snapshot"

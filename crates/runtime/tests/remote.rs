@@ -762,22 +762,16 @@ fn job_cache_eviction_recovers_transparently() {
     );
 }
 
-/// `LoadJob` ships the job bytes compressed whenever that shrinks
-/// them, and the worker decompresses transparently: results stay
+/// `LoadJob` ships the job's encoded bytes verbatim, and results stay
 /// bit-identical to a local run.
 #[test]
-fn load_job_ships_compressed_job_bytes() {
+fn load_job_ships_plain_job_bytes() {
     let worker = loopback_worker(1);
-    let job = noisy_job("compressed-load", 32, 6);
+    let job = noisy_job("plain-load", 32, 6);
     let job_bytes = wire::encode_job(&job).expect("job encodes");
-    // Frame overhead is tag + u32 length = 5 bytes; both LoadJob
-    // encodings carry a fixed-width id, so length is id-independent.
-    let plain_len = wire::LoadJob::encode_parts(0, &job_bytes).len() as u64 + 5;
-    let auto_len = wire::LoadJob::encode_parts_auto(0, &job_bytes).len() as u64 + 5;
-    assert!(
-        auto_len < plain_len,
-        "the fixed-width job encoding must actually compress"
-    );
+    // Frame overhead is tag + u32 length = 5 bytes; the payload is a
+    // u64 id, a u32 length and the job bytes.
+    let load_len = job_bytes.len() as u64 + 8 + 4 + 5;
 
     let mut remote = RemoteBackend::connect(worker.addr().to_string()).expect("connects");
     let r = remote.run_range(&job, 0..32).expect("remote runs");
@@ -786,11 +780,7 @@ fn load_job_ships_compressed_job_bytes() {
         .expect("local runs");
     assert_eq!(r.histogram, l.histogram);
     assert_eq!(r.stats, l.stats);
-    assert_eq!(
-        remote.traffic().load_request_bytes,
-        auto_len,
-        "the load ships the compressed form"
-    );
+    assert_eq!(remote.traffic().load_request_bytes, load_len);
 }
 
 #[test]
@@ -1071,4 +1061,172 @@ fn configured_psk_refuses_keyless_server() {
         err.to_string().contains("did not request authentication"),
         "{err}"
     );
+}
+
+/// Reads one counter from the process-global metrics registry.
+fn counter(name: &str) -> f64 {
+    eqasm_runtime::metrics::default_registry()
+        .encode()
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0.0)
+}
+
+/// A wrong key is an auth failure and nothing else: it must not also
+/// count as a handshake deadline drop, which only a silent or stalling
+/// peer earns. Counters are process-global, so the test compares
+/// deltas (concurrent tests can only add auth failures, never a
+/// 10-second handshake stall).
+#[test]
+fn wrong_psk_on_a_worker_is_not_a_deadline_drop() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let worker = spawn_worker(
+        listener,
+        WorkerConfig::default()
+            .with_capacity(1)
+            .with_psk(Psk::new(b"right-key".to_vec()).unwrap()),
+    )
+    .expect("spawn worker");
+    let failures = counter("eqasm_auth_failures_total");
+    let drops = counter("eqasm_handshake_deadline_drops_total");
+    let wrong = Psk::new(b"wrong-key".to_vec()).unwrap();
+    let err = RemoteBackend::connect_opts(
+        worker.addr().to_string(),
+        ConnectOptions::default().with_psk(wrong),
+    )
+    .expect_err("wrong key must fail");
+    assert!(matches!(err, RuntimeError::Auth(_)), "{err}");
+    assert!(counter("eqasm_auth_failures_total") > failures);
+    assert_eq!(counter("eqasm_handshake_deadline_drops_total"), drops);
+}
+
+/// One handshake rejection table, run against a live worker daemon and
+/// a live serve reactor: both drive the same handshake core, so every
+/// hostile opening earns the same typed error kind from either server.
+#[test]
+fn worker_and_reactor_reject_hostile_handshakes_alike() {
+    use eqasm_runtime::{spawn_serve, ServeNetConfig};
+    use std::io::Write as _;
+    use std::net::{SocketAddr, TcpStream};
+    use wire::ErrorKind;
+
+    let psk = Psk::new(b"table-key".to_vec()).unwrap();
+    let hello = |version| wire::Hello { version }.encode();
+    let current = hello(wire::PROTOCOL_VERSION);
+    let wrong_proof = wire::AuthResponse {
+        client_nonce: vec![1; 32],
+        proof: vec![2; 32],
+    }
+    .encode();
+    // (case, frames sent before the challenge, frames sent after it,
+    // raw bytes sent first, expected kind)
+    type Frames = Vec<(u8, Vec<u8>)>;
+    let cases: Vec<(&str, Frames, Frames, Vec<u8>, ErrorKind)> = vec![
+        (
+            "request before hello",
+            vec![(wire::tag::PING, vec![])],
+            vec![],
+            vec![],
+            ErrorKind::Malformed,
+        ),
+        (
+            "bad magic",
+            vec![(wire::tag::HELLO, b"XXXX\x07\x00".to_vec())],
+            vec![],
+            vec![],
+            ErrorKind::Malformed,
+        ),
+        (
+            "truncated hello",
+            vec![(wire::tag::HELLO, current[..3].to_vec())],
+            vec![],
+            vec![],
+            ErrorKind::Malformed,
+        ),
+        (
+            "v6 peer",
+            vec![(wire::tag::HELLO, hello(6))],
+            vec![],
+            vec![],
+            ErrorKind::Version,
+        ),
+        (
+            "oversized opening frame",
+            vec![],
+            vec![],
+            (1u32 << 20).to_le_bytes().to_vec(),
+            ErrorKind::Budget,
+        ),
+        (
+            "request instead of proof",
+            vec![(wire::tag::HELLO, current.clone())],
+            vec![(wire::tag::PING, vec![])],
+            vec![],
+            ErrorKind::AuthFailed,
+        ),
+        (
+            "garbage proof",
+            vec![(wire::tag::HELLO, current.clone())],
+            vec![(wire::tag::AUTH_RESPONSE, vec![9, 9, 9])],
+            vec![],
+            ErrorKind::Malformed,
+        ),
+        (
+            "wrong proof",
+            vec![(wire::tag::HELLO, current.clone())],
+            vec![(wire::tag::AUTH_RESPONSE, wrong_proof)],
+            vec![],
+            ErrorKind::AuthFailed,
+        ),
+    ];
+
+    let reject_kind = |addr: SocketAddr, before: &Frames, after: &Frames, raw: &[u8]| {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(raw).unwrap();
+        for (tag, payload) in before {
+            wire::write_frame(&mut stream, *tag, payload).unwrap();
+        }
+        if !after.is_empty() {
+            let (tag, _) = wire::read_frame(&mut stream).expect("challenge");
+            assert_eq!(tag, wire::tag::AUTH_CHALLENGE);
+            for (tag, payload) in after {
+                wire::write_frame(&mut stream, *tag, payload).unwrap();
+            }
+        }
+        let (tag, payload) = wire::read_frame(&mut stream).expect("typed rejection");
+        assert_eq!(tag, wire::tag::ERROR);
+        wire::ErrorMsg::decode(&payload).expect("error frame").kind
+    };
+
+    let worker = spawn_worker(
+        TcpListener::bind("127.0.0.1:0").expect("bind loopback"),
+        WorkerConfig::default()
+            .with_capacity(1)
+            .with_psk(psk.clone())
+            .with_max_frame_len(4096),
+    )
+    .expect("spawn worker");
+    let queue = Arc::new(JobQueue::new(ServeConfig::default().with_workers(1)));
+    let server = spawn_serve(
+        TcpListener::bind("127.0.0.1:0").expect("bind loopback"),
+        Arc::clone(&queue),
+        ServeNetConfig::default()
+            .with_psk(psk)
+            .with_max_frame_len(4096),
+    )
+    .expect("spawn serve");
+    for (case, before, after, raw, expected) in &cases {
+        for (server_name, addr) in [("worker", worker.addr()), ("reactor", server.addr())] {
+            assert_eq!(
+                reject_kind(addr, before, after, raw),
+                *expected,
+                "{case} on the {server_name}"
+            );
+        }
+    }
+    drop(server);
+    queue.shutdown();
 }

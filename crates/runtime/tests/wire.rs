@@ -835,7 +835,7 @@ fn submit_ack_roundtrips() {
 // ---------------------------------------------------------------------
 
 /// Every frame shape the protocol ships, as one stream: the full auth
-/// transcript, a compressed `LoadJob`, fresh and resuming subscribes,
+/// transcript, a `LoadJob`, fresh and resuming subscribes,
 /// a by-id run request, snapshots and typed errors. The incremental
 /// reader must decode this stream identically to the blocking reader
 /// however the bytes are chopped up.
@@ -848,20 +848,7 @@ fn frame_corpus() -> Vec<(u8, Vec<u8>)> {
     .with_shots(64)
     .with_seed(11);
     let job_bytes = encode_job(&job).unwrap();
-    let plain_load = wire::LoadJob::encode_parts(8, &job_bytes);
-    // A highly repetitive program compresses, so encode_parts_auto
-    // emits the flagged-compressed LoadJob form.
-    let repetitive = encode_job(&Job::new(
-        "compressible",
-        Instantiation::paper(),
-        vec![Instruction::Nop; 512],
-    ))
-    .unwrap();
-    let compressed_load = wire::LoadJob::encode_parts_auto(9, &repetitive);
-    assert!(
-        wire::LoadJob::decode(&compressed_load).is_ok(),
-        "corpus must include a decodable compressed LoadJob"
-    );
+    let load = wire::LoadJob::encode_parts(8, &job_bytes);
     vec![
         (
             wire::tag::HELLO,
@@ -901,8 +888,7 @@ fn frame_corpus() -> Vec<(u8, Vec<u8>)> {
             }
             .encode(),
         ),
-        (wire::tag::LOAD_JOB, compressed_load),
-        (wire::tag::LOAD_JOB, plain_load),
+        (wire::tag::LOAD_JOB, load),
         (
             wire::tag::RUN_RANGE_BY_ID,
             wire::RunRangeById {

@@ -122,10 +122,10 @@ use eqasm::compiler::lift_program;
 use eqasm::prelude::*;
 use eqasm::runtime::{
     capacity_sweep, churn_sweep, Ceilings, ChurnConfig, Client, ConnectOptions, ExecBackend,
-    FsyncPolicy, Job, JobHandle, JobQueue, JournalConfig, LoadClass, LoadSpec, LocalBackend,
-    MixedWorkload, PartialResult, PoolSupervisor, Psk, RemoteBackend, ServeConfig, ServeNetConfig,
-    ShotEngine, Submission, SupervisorConfig, SweepConfig, SweepTarget, WorkerConfig, WorkloadKind,
-    WorkloadReport, WorkloadSpec,
+    ExecPolicy, FsyncPolicy, Job, JobHandle, JobQueue, JournalConfig, LoadClass, LoadSpec,
+    LocalBackend, MixedWorkload, PartialResult, PoolSupervisor, Psk, RemoteBackend, ServeConfig,
+    ServeNetConfig, ShotEngine, Submission, SupervisorConfig, SweepConfig, SweepTarget,
+    WorkerConfig, WorkloadKind, WorkloadReport, WorkloadSpec,
 };
 
 /// SIGINT/SIGTERM → one atomic flag, so the worker daemon can drain
@@ -232,6 +232,19 @@ fn main() -> ExitCode {
         return usage();
     }
     let command = args[0].as_str();
+
+    // The execution-path switches, read once here: the library reads
+    // no environment.
+    let policy = match ExecPolicy::parse(
+        std::env::var("EQASM_EXEC_PATH").ok().as_deref(),
+        std::env::var("EQASM_PREFIX").ok().as_deref(),
+    ) {
+        Ok(policy) => policy,
+        Err(e) => {
+            eprintln!("error: EQASM_EXEC_PATH / EQASM_PREFIX: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     // `worker`, `status` and `watch` take only flags; `serve` may run
     // spec-less as a pure network service (`serve --listen`), and
@@ -649,6 +662,7 @@ fn main() -> ExitCode {
             max_frame,
             rate_limit,
             metrics_addr.as_deref(),
+            policy,
         ) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -701,7 +715,7 @@ fn main() -> ExitCode {
 
     if command == "workload" || command == "serve" {
         let result = if command == "workload" {
-            cmd_workload(target, shots.unwrap_or(400), workers, seed)
+            cmd_workload(target, shots.unwrap_or(400), workers, seed, policy)
         } else if let Some(listen_addr) = listen {
             if !target.is_empty() {
                 eprintln!(
@@ -721,6 +735,7 @@ fn main() -> ExitCode {
                 rate_limit,
                 metrics_addr.as_deref(),
                 journal_config,
+                policy,
             )
         } else {
             cmd_serve(
@@ -734,6 +749,7 @@ fn main() -> ExitCode {
                 psk,
                 metrics_addr.as_deref(),
                 journal_config,
+                policy,
             )
         };
         return match result {
@@ -763,7 +779,15 @@ fn main() -> ExitCode {
     let result = match command {
         "asm" => cmd_asm(&text, &inst),
         "disasm" => cmd_disasm(&text, &inst),
-        "run" => cmd_run(&text, &inst, seed, shots.unwrap_or(1), workers, trace),
+        "run" => cmd_run(
+            &text,
+            &inst,
+            seed,
+            shots.unwrap_or(1),
+            workers,
+            trace,
+            policy,
+        ),
         "lift" => cmd_lift(&text, &inst),
         _ => return usage(),
     };
@@ -809,6 +833,7 @@ fn cmd_run(
     shots: u64,
     workers: usize,
     trace: bool,
+    policy: ExecPolicy,
 ) -> Result<(), String> {
     let program = assemble(text, inst).map_err(|e| e.to_string())?;
 
@@ -830,7 +855,7 @@ fn cmd_run(
         .with_config(SimConfig::default().with_seed(seed))
         .with_shots(shots)
         .with_seed(seed);
-    let engine = ShotEngine::new(workers);
+    let engine = ShotEngine::new(workers).with_policy(policy);
     let result = engine.run_job(&job).map_err(|e| e.to_string())?;
 
     if let Some((shot, status)) = &result.first_failure {
@@ -972,13 +997,19 @@ fn built_in_specs(spec: &str, shots: u64, seed: u64) -> Result<Vec<WorkloadSpec>
 }
 
 /// Builds the named workload mix and drives it on the shot engine.
-fn cmd_workload(spec: &str, shots: u64, workers: usize, seed: u64) -> Result<(), String> {
+fn cmd_workload(
+    spec: &str,
+    shots: u64,
+    workers: usize,
+    seed: u64,
+    policy: ExecPolicy,
+) -> Result<(), String> {
     let mut mix = MixedWorkload::new();
     for s in built_in_specs(spec, shots, seed)? {
         mix = mix.push(s);
     }
 
-    let engine = ShotEngine::new(workers);
+    let engine = ShotEngine::new(workers).with_policy(policy);
     let report = mix.run(&engine).map_err(|e| e.to_string())?;
     println!(
         "workload `{spec}`: {} jobs, {} shots on {} workers",
@@ -1036,11 +1067,12 @@ fn cmd_worker(
     max_frame: Option<u32>,
     rate_limit: Option<u32>,
     metrics_addr: Option<&str>,
+    policy: ExecPolicy,
 ) -> Result<(), String> {
     let listener =
         std::net::TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let _metrics = spawn_metrics(metrics_addr)?;
-    let mut config = WorkerConfig::default();
+    let mut config = WorkerConfig::default().with_policy(policy);
     if let Some(capacity) = capacity {
         config = config.with_capacity(capacity);
     }
@@ -1096,6 +1128,7 @@ fn build_backend_pool(
     remotes: &[String],
     connect_opts: &ConnectOptions,
     tolerate_down: bool,
+    policy: ExecPolicy,
 ) -> Result<Vec<Box<dyn ExecBackend>>, String> {
     let local = if workers == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -1103,7 +1136,7 @@ fn build_backend_pool(
         workers
     };
     let mut backends: Vec<Box<dyn ExecBackend>> = (0..local)
-        .map(|i| Box::new(LocalBackend::new(i)) as Box<dyn ExecBackend>)
+        .map(|i| Box::new(LocalBackend::new(i).with_policy(policy)) as Box<dyn ExecBackend>)
         .collect();
     for addr in remotes {
         match RemoteBackend::connect_pool_opts(addr.clone(), connect_opts.clone()) {
@@ -1134,8 +1167,9 @@ fn build_serve_queue(
     psk: Option<Psk>,
     supervised: bool,
     journal: Option<JournalConfig>,
+    policy: ExecPolicy,
 ) -> Result<(std::sync::Arc<JobQueue>, Option<PoolSupervisor>), String> {
-    let serve_config = ServeConfig::default();
+    let serve_config = ServeConfig::default().with_policy(policy);
     let connect_opts = {
         let mut opts = ConnectOptions::default().with_io_timeout(serve_config.remote_io_timeout);
         if let Some(psk) = psk.clone() {
@@ -1153,10 +1187,10 @@ fn build_serve_queue(
                 workers
             };
             (0..n)
-                .map(|i| Box::new(LocalBackend::new(i)) as Box<dyn ExecBackend>)
+                .map(|i| Box::new(LocalBackend::new(i).with_policy(policy)) as Box<dyn ExecBackend>)
                 .collect()
         } else {
-            let backends = build_backend_pool(workers, remotes, &connect_opts, supervised)?;
+            let backends = build_backend_pool(workers, remotes, &connect_opts, supervised, policy)?;
             for backend in &backends {
                 println!("backend: {}", backend.descriptor());
             }
@@ -1192,7 +1226,7 @@ fn build_serve_queue(
     } else if remotes.is_empty() && !supervised {
         JobQueue::new(serve_config.clone().with_workers(workers))
     } else {
-        let backends = build_backend_pool(workers, remotes, &connect_opts, supervised)?;
+        let backends = build_backend_pool(workers, remotes, &connect_opts, supervised, policy)?;
         for backend in &backends {
             println!("backend: {}", backend.descriptor());
         }
@@ -1241,6 +1275,7 @@ fn cmd_serve_listen(
     rate_limit: Option<u32>,
     metrics_addr: Option<&str>,
     journal: Option<JournalConfig>,
+    policy: ExecPolicy,
 ) -> Result<(), String> {
     let supervised = rediscover.is_some();
     if supervised && remotes.is_empty() && registry.is_none() {
@@ -1260,6 +1295,7 @@ fn cmd_serve_listen(
         psk.clone(),
         supervised,
         journal,
+        policy,
     )?;
     let mut net_config = ServeNetConfig::default();
     let authed = psk.is_some();
@@ -1631,6 +1667,7 @@ fn cmd_serve(
     psk: Option<Psk>,
     metrics_addr: Option<&str>,
     journal: Option<JournalConfig>,
+    policy: ExecPolicy,
 ) -> Result<(), String> {
     let specs = built_in_specs(spec, shots, seed)?;
     let _metrics = spawn_metrics(metrics_addr)?;
@@ -1651,6 +1688,7 @@ fn cmd_serve(
         psk,
         supervised,
         journal,
+        policy,
     )?;
 
     let started = std::time::Instant::now();
