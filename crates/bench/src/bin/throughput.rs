@@ -160,13 +160,13 @@ fn main() {
             backend: None,
             prefix: prefix_on,
         });
-        let mut sp_config = sp_base.config.clone();
+        let mut sp_config = sp_base.shape.config().clone();
         sp_config.backend = backend;
         let sp_job = Job {
             name: format!("rb-k64-{path}"),
-            config: sp_config,
             ..sp_base.clone()
-        };
+        }
+        .with_config(sp_config);
         let mut best: Option<eqasm_runtime::JobResult> = None;
         for _ in 0..2 {
             let r = sp_engine.run_job(&sp_job).expect("runs");
@@ -281,7 +281,7 @@ fn main() {
     // per-batch cost instead of comparing one fsync against the
     // prefix-forked fast path's microsecond batches.
     let dense_job = {
-        let mut dense_config = job.config.clone();
+        let mut dense_config = job.shape.config().clone();
         dense_config.backend = eqasm_microarch::BackendSelect::Dense;
         job.clone().with_config(dense_config)
     };
@@ -570,7 +570,7 @@ fn main() {
             },
             cap_shots,
         )
-        .with_config(job.config.clone()),
+        .with_config(job.shape.config().clone()),
         share: 1,
     }])
     .with_shots(ShotsDist::fixed(cap_shots))

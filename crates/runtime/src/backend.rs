@@ -31,14 +31,17 @@
 //! backend implementation only ever sees `run_range` calls and never
 //! needs to know it is being rotated in or out.
 
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::{Arc, Weak};
 
-use eqasm_microarch::{QuMa, RunStats};
+use eqasm_microarch::{BackendSelect, MachineSnapshot, QuMa, RunStats};
 
 use crate::aggregate::{Histogram, LatencyHistogram};
 use crate::engine::{build_machine, run_batch, ExecPolicy};
 use crate::error::RuntimeError;
-use crate::job::Job;
+use crate::job::{Job, JobShape};
+use crate::metrics::rt;
 
 /// What one backend produced for one contiguous shot range.
 ///
@@ -140,17 +143,34 @@ pub trait ExecBackend: Send {
     fn run_range(&mut self, job: &Job, range: Range<u64>) -> Result<BatchOut, RuntimeError>;
 }
 
-/// The in-process backend: one cached machine driven on the calling
-/// thread — [`crate::ShotEngine`]'s per-worker execution path behind
-/// the [`ExecBackend`] API.
+/// Shapes one [`LocalBackend`] keeps a machine for: DRR alternates a
+/// slot between the active tenants' head jobs (three on servebench's
+/// `restart-mix`), plus one for the job that replaces a finished one.
+const MACHINES_PER_SLOT: usize = 4;
+
+/// The in-process backend: machines driven on the calling thread, the
+/// one execution path of [`crate::ShotEngine`] workers, serve queue
+/// slots and worker-daemon connections.
 ///
-/// The machine is rebuilt only when the job changes (compared
-/// structurally, so interleaved batches of the same job reuse one
-/// load + validation).
+/// It keeps a small LRU of machines keyed by [`JobShape`], each with
+/// the deterministic-prefix snapshot its shots fork from (the prefix
+/// draws no randomness, see `eqasm_microarch::select`, so a fork is
+/// bit-identical to a full replay; no snapshot without
+/// [`ExecPolicy::prefix`], on the dense path or for an ineligible
+/// program). Entries hold their shape weakly.
 pub struct LocalBackend {
     name: String,
     policy: ExecPolicy,
-    cached: Option<(Job, QuMa)>,
+    /// Most recently used first.
+    machines: VecDeque<Loaded>,
+    builds: u64,
+}
+
+/// A machine built for one shape, with its prefix snapshot.
+struct Loaded {
+    shape: Weak<JobShape>,
+    machine: QuMa,
+    prefix: Option<MachineSnapshot>,
 }
 
 impl LocalBackend {
@@ -164,15 +184,52 @@ impl LocalBackend {
         LocalBackend {
             name: name.into(),
             policy: ExecPolicy::default(),
-            cached: None,
+            machines: VecDeque::new(),
+            builds: 0,
         }
     }
 
     /// Returns the backend executing under `policy`.
     pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
         self.policy = policy;
-        self.cached = None;
+        self.machines.clear();
         self
+    }
+
+    /// Moves the machine for `job`'s shape to the front of the LRU,
+    /// building it and its snapshot on a miss ([`RuntimeError::Load`]
+    /// when the program fails validation).
+    pub(crate) fn load(&mut self, job: &Job) -> Result<(), RuntimeError> {
+        let m = rt();
+        let hit = self
+            .machines
+            .iter()
+            .position(|l| l.shape.upgrade().is_some_and(|shape| shape == job.shape));
+        if let Some(pos) = hit {
+            m.prefix_cache_hits.inc();
+            let loaded = self.machines.remove(pos).expect("position exists");
+            self.machines.push_front(loaded);
+            return Ok(());
+        }
+        m.prefix_cache_misses.inc();
+        let mut machine =
+            build_machine(job, &self.policy).map_err(|source| RuntimeError::Load {
+                job: job.name.clone(),
+                source,
+            })?;
+        self.builds += 1;
+        // The snapshot is seed-independent, so seed 0 serves every job.
+        let prefix = (self.policy.prefix && machine.config().backend != BackendSelect::Dense)
+            .then(|| machine.run_prefix(0))
+            .flatten();
+        self.machines.retain(|l| l.shape.strong_count() > 0);
+        self.machines.truncate(MACHINES_PER_SLOT - 1);
+        self.machines.push_front(Loaded {
+            shape: Arc::downgrade(&job.shape),
+            machine,
+            prefix,
+        });
+        Ok(())
     }
 }
 
@@ -180,7 +237,8 @@ impl std::fmt::Debug for LocalBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocalBackend")
             .field("name", &self.name)
-            .field("cached_job", &self.cached.as_ref().map(|(j, _)| &j.name))
+            .field("cached_shapes", &self.machines.len())
+            .field("builds", &self.builds)
             .finish()
     }
 }
@@ -195,16 +253,14 @@ impl ExecBackend for LocalBackend {
     }
 
     fn run_range(&mut self, job: &Job, range: Range<u64>) -> Result<BatchOut, RuntimeError> {
-        if !matches!(&self.cached, Some((cached, _)) if cached == job) {
-            let machine =
-                build_machine(job, &self.policy).map_err(|source| RuntimeError::Load {
-                    job: job.name.clone(),
-                    source,
-                })?;
-            self.cached = Some((job.clone(), machine));
-        }
-        let machine = &mut self.cached.as_mut().expect("just cached").1;
-        Ok(run_batch(machine, job, range, &self.policy))
+        self.load(job)?;
+        let loaded = self.machines.front_mut().expect("just loaded");
+        Ok(run_batch(
+            &mut loaded.machine,
+            loaded.prefix.as_ref(),
+            job,
+            range,
+        ))
     }
 }
 
@@ -248,13 +304,101 @@ pub(crate) mod tests {
         let job = tiny_job(16);
         let mut backend = LocalBackend::new(0);
         backend.run_range(&job, 0..8).expect("runs");
-        assert!(backend.cached.is_some());
-        // Same job: the cache key (structural equality) holds.
         backend.run_range(&job, 8..16).expect("runs");
-        // A different job (different seed) rebuilds.
-        let other = tiny_job(16).with_seed(99);
-        backend.run_range(&other, 0..8).expect("runs");
-        assert_eq!(backend.cached.as_ref().unwrap().0.base_seed, 99);
+        // A different seed is the same shape: the machine is reused.
+        backend
+            .run_range(&job.clone().with_seed(99), 0..8)
+            .expect("runs");
+        assert_eq!(backend.builds, 1);
+        assert_eq!(backend.machines.len(), 1);
+    }
+
+    /// A second shape: the same chip, another program.
+    fn other_job(shots: u64) -> Job {
+        let (inst, program) = crate::WorkloadKind::ActiveReset { init_cycles: 40 }
+            .build()
+            .expect("builds");
+        Job::new("other", inst, program).with_shots(shots)
+    }
+
+    #[test]
+    fn alternating_between_two_shapes_builds_two_machines() {
+        let (a, b) = (tiny_job(16), other_job(16));
+        let mut backend = LocalBackend::new(0);
+        for i in 0..6u64 {
+            let base = if i % 2 == 0 { &a } else { &b };
+            let job = Job {
+                name: format!("job-{i}"),
+                ..base.clone()
+            }
+            .with_seed(100 + i);
+            backend.run_range(&job, 0..4).expect("runs");
+        }
+        // An equal shape built separately is found structurally.
+        backend.run_range(&tiny_job(8), 0..4).expect("runs");
+        assert_eq!(backend.builds, 2);
+        assert_eq!(backend.machines.len(), 2);
+        assert!(backend.machines[0].shape.ptr_eq(&Arc::downgrade(&a.shape)));
+        assert!(backend.machines[1].shape.ptr_eq(&Arc::downgrade(&b.shape)));
+    }
+
+    /// The deterministic fields of a [`BatchOut`].
+    fn deterministic(out: &BatchOut) -> impl PartialEq + std::fmt::Debug {
+        (
+            out.histogram.clone(),
+            out.stats,
+            out.prob1_sum
+                .iter()
+                .map(|p| p.to_bits())
+                .collect::<Vec<_>>(),
+            out.non_halted,
+            out.first_failure.clone(),
+            out.shots(),
+        )
+    }
+
+    #[test]
+    fn reused_slot_matches_a_fresh_backend_per_job() {
+        let noisy = eqasm_microarch::SimConfig::default()
+            .with_readout(eqasm_quantum::ReadoutModel::symmetric(0.05));
+        for base in [tiny_job(24), other_job(24).with_config(noisy)] {
+            let mut reused = LocalBackend::new(0);
+            for i in 0..5u64 {
+                let job = Job {
+                    name: format!("job-{i}"),
+                    ..base.clone()
+                }
+                .with_seed(1000 * i + 3);
+                for range in [0..8, 8..24] {
+                    let got = reused.run_range(&job, range.clone()).expect("runs");
+                    let want = LocalBackend::new(1).run_range(&job, range).expect("runs");
+                    assert_eq!(deterministic(&got), deterministic(&want), "job {i}");
+                }
+            }
+            assert_eq!(reused.builds, 1);
+        }
+    }
+
+    #[test]
+    fn dense_job_forks_only_under_an_auto_override() {
+        let job = tiny_job(8).with_config(eqasm_microarch::SimConfig {
+            backend: eqasm_microarch::BackendSelect::Dense,
+            ..Default::default()
+        });
+
+        let mut default = LocalBackend::new(0);
+        default.run_range(&job, 0..8).expect("runs");
+        assert!(default.machines[0].prefix.is_none(), "Dense never forks");
+
+        let mut auto = LocalBackend::new(1).with_policy(ExecPolicy {
+            backend: Some(eqasm_microarch::BackendSelect::Auto),
+            prefix: true,
+        });
+        auto.run_range(&job, 0..8).expect("runs");
+        assert!(
+            auto.machines[0].prefix.is_some(),
+            "the policy's configuration, not the job's, decides"
+        );
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The worker pool: fans a job's shots (and whole job batches) out
-//! across threads, each driving its own `QuMa` instance, and merges
+//! across threads, each driving its own [`LocalBackend`], and merges
 //! batch results deterministically.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use eqasm_microarch::{BackendSelect, QuMa, RunStats, SimConfig};
+use eqasm_microarch::{BackendSelect, MachineSnapshot, QuMa, RunStats, SimConfig};
 
 use crate::aggregate::{BitString, Histogram, JobResult, LatencyHistogram};
-use crate::backend::BatchOut;
+use crate::backend::{BatchOut, ExecBackend, LocalBackend};
 use crate::error::RuntimeError;
 use crate::job::{default_batch_size, partition_shots, Job};
 
@@ -166,11 +166,11 @@ impl ShotEngine {
         let worker_count = self.workers.min(tasks.len()).max(1);
 
         std::thread::scope(|scope| {
-            for _ in 0..worker_count {
-                scope.spawn(|| {
-                    // Each worker owns one machine at a time, rebuilt
-                    // only when it switches jobs.
-                    let mut cached: Option<(usize, QuMa)> = None;
+            for slot in 0..worker_count {
+                let (tasks, cursor, outputs, load_errors) =
+                    (&tasks, &cursor, &outputs, &load_errors);
+                scope.spawn(move || {
+                    let mut backend = LocalBackend::new(slot).with_policy(self.policy);
                     loop {
                         let t = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(task) = tasks.get(t) else { break };
@@ -181,36 +181,28 @@ impl ShotEngine {
                         {
                             continue; // job already failed validation
                         }
-                        let job = &jobs[task.job];
-                        if !matches!(&cached, Some((j, _)) if *j == task.job) {
-                            match build_machine(job, &self.policy) {
-                                Ok(m) => cached = Some((task.job, m)),
-                                Err(source) => {
-                                    load_errors
-                                        .lock()
-                                        .expect("error map poisoned")
-                                        .entry(task.job)
-                                        .or_insert(RuntimeError::Load {
-                                            job: job.name.clone(),
-                                            source,
-                                        });
-                                    continue;
-                                }
+                        let started_at = Instant::now();
+                        match backend.run_range(&jobs[task.job], task.range.clone()) {
+                            Ok(out) => {
+                                outputs
+                                    .lock()
+                                    .expect("collector poisoned")
+                                    .push(TaggedBatch {
+                                        job: task.job,
+                                        batch: task.batch,
+                                        out,
+                                        started_at,
+                                        finished_at: Instant::now(),
+                                    })
+                            }
+                            Err(err) => {
+                                load_errors
+                                    .lock()
+                                    .expect("error map poisoned")
+                                    .entry(task.job)
+                                    .or_insert(err);
                             }
                         }
-                        let machine = &mut cached.as_mut().expect("just cached").1;
-                        let started_at = Instant::now();
-                        let out = run_batch(machine, job, task.range.clone(), &self.policy);
-                        outputs
-                            .lock()
-                            .expect("collector poisoned")
-                            .push(TaggedBatch {
-                                job: task.job,
-                                batch: task.batch,
-                                out,
-                                started_at,
-                                finished_at: Instant::now(),
-                            });
                     }
                 });
             }
@@ -232,7 +224,7 @@ impl ShotEngine {
                 shots: job.shots,
                 histogram: Histogram::new(),
                 stats: RunStats::default(),
-                mean_prob1: vec![0.0; job.inst.topology().num_qubits()],
+                mean_prob1: vec![0.0; job.shape.inst().topology().num_qubits()],
                 latency: LatencyHistogram::new(),
                 elapsed: Duration::ZERO,
                 shots_per_sec: 0.0,
@@ -306,8 +298,9 @@ fn describe_status(status: &eqasm_microarch::RunStatus) -> String {
 
 /// How jobs execute: the one execution configuration that every
 /// [`ShotEngine`], [`crate::LocalBackend`], worker daemon
-/// ([`crate::WorkerConfig`]) and serve queue ([`crate::ServeConfig`],
-/// including its prefix warmer) takes. Every policy gives
+/// ([`crate::WorkerConfig`]) and serve queue ([`crate::ServeConfig`])
+/// takes. All of them execute through a `LocalBackend`, which applies
+/// it where it builds a machine. Every policy gives
 /// bit-identical aggregates; only the speed differs.
 ///
 /// The default (`backend: None, prefix: true`) runs each job's own
@@ -369,10 +362,9 @@ impl ExecPolicy {
     /// The configuration a machine built for `job` runs with: the
     /// backend override applied, and trace recording off (the engine
     /// aggregates through `measurement_value` and `prob1` and never
-    /// reads traces, so recording them would be pure overhead). The
-    /// prefix cache keys on this same configuration.
+    /// reads traces, so recording them would be pure overhead).
     pub(crate) fn machine_config(&self, job: &Job) -> SimConfig {
-        let mut config = job.config.clone();
+        let mut config = job.shape.config().clone();
         config.record_trace = false;
         if let Some(backend) = self.backend {
             config.backend = backend;
@@ -386,8 +378,8 @@ pub(crate) fn build_machine(
     job: &Job,
     policy: &ExecPolicy,
 ) -> Result<QuMa, eqasm_microarch::LoadError> {
-    let mut m = QuMa::new(job.inst.clone(), policy.machine_config(job));
-    m.load(&job.program)?;
+    let mut m = QuMa::new(job.shape.inst().clone(), policy.machine_config(job));
+    m.load(job.shape.program())?;
     crate::metrics::rt()
         .backend_selected
         .with(&[m.selection().kind().as_str()])
@@ -396,18 +388,19 @@ pub(crate) fn build_machine(
 }
 
 /// Runs one contiguous shot range on a machine [`build_machine`] built
-/// under the same `policy`. The deterministic fields of the returned
-/// [`BatchOut`] depend only on `(job, range)` — this is the common
-/// execution path of every backend, local or (on the far side of the
-/// socket) remote.
+/// for `job`'s shape, forking each shot from `prefix` when there is
+/// one (full replays otherwise — bit-identical by construction). The
+/// deterministic fields of the returned [`BatchOut`] depend only on
+/// `(job, range)` — this is the common execution path of every
+/// backend, local or (on the far side of the socket) remote.
 pub(crate) fn run_batch(
     machine: &mut QuMa,
+    prefix: Option<&MachineSnapshot>,
     job: &Job,
     range: std::ops::Range<u64>,
-    policy: &ExecPolicy,
 ) -> BatchOut {
     let started_at = Instant::now();
-    let n = job.inst.topology().num_qubits();
+    let n = job.shape.inst().topology().num_qubits();
     let mut histogram = Histogram::new();
     let mut stats = RunStats::default();
     let mut prob1_sum = vec![0.0f64; n];
@@ -415,17 +408,10 @@ pub(crate) fn run_batch(
     let mut non_halted = 0;
     let mut first_failure = None;
 
-    // Shared-prefix forking: resolve (or compute) the job's
-    // deterministic-prefix snapshot once per batch; each shot then
-    // restores + reseeds instead of replaying the prefix. Falls back to
-    // full replays — bit-identical by construction — when forking does
-    // not apply.
-    let prefix = crate::prefix::fork_snapshot(machine, job, policy);
-
     for shot in range {
         let t0 = Instant::now();
         let seed = job.shot_seed(shot);
-        let result = match &prefix {
+        let result = match prefix {
             Some(snap) => machine.run_shot_from(snap, seed),
             None => machine.run_shot(seed),
         };

@@ -1,30 +1,118 @@
 //! The unit of work the engine executes: an assembled program plus
 //! everything needed to run it for many shots.
 
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock, Weak};
+
 use eqasm_core::{Instantiation, Instruction};
 use eqasm_microarch::SimConfig;
 
-/// An assembled program scheduled for repeated execution.
+/// What a job runs: the instantiation, the assembled program and the
+/// simulator configuration. eQASM configures quantum operations at
+/// compile time, so these are fixed for every shot; only the seed and
+/// shot count vary. Jobs of one shape share it behind an `Arc`, and
+/// machine caches key on it. Equality is structural, with a pointer
+/// fast path.
+#[derive(Debug, Clone)]
+pub struct JobShape {
+    inst: Instantiation,
+    program: Vec<Instruction>,
+    config: SimConfig,
+    /// The wire bytes interning compares (`None` when the wire cannot
+    /// encode the shape): kept by the decoder, or encoded on first use.
+    wire: OnceLock<Option<Box<[u8]>>>,
+}
+
+impl JobShape {
+    /// A shape from its three parts.
+    pub fn new(inst: Instantiation, program: Vec<Instruction>, config: SimConfig) -> Self {
+        JobShape {
+            inst,
+            program,
+            config,
+            wire: OnceLock::new(),
+        }
+    }
+
+    /// The instantiation the program targets.
+    pub fn inst(&self) -> &Instantiation {
+        &self.inst
+    }
+
+    /// The assembled instruction stream.
+    pub fn program(&self) -> &[Instruction] {
+        &self.program
+    }
+
+    /// Simulator configuration (noise, readout, latencies, backend).
+    pub fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
+    /// Returns the decoded shape with the bytes it was decoded from.
+    pub(crate) fn with_wire(self, bytes: &[u8]) -> Self {
+        let _ = self.wire.set(Some(bytes.into()));
+        self
+    }
+
+    /// The shape's wire bytes, `None` when the wire cannot encode it.
+    pub(crate) fn wire(&self) -> Option<&[u8]> {
+        self.wire
+            .get_or_init(|| crate::wire::encode_shape(self))
+            .as_deref()
+    }
+}
+
+impl PartialEq for JobShape {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+            || (self.config == other.config
+                && self.program == other.program
+                && self.inst == other.inst)
+    }
+}
+
+/// Interns job shapes by their wire bytes, so every job of one shape
+/// shares one `Arc`. Entries are weak: a shape dies with its last job.
+#[derive(Debug, Default)]
+pub(crate) struct ShapeTable {
+    shapes: HashMap<Box<[u8]>, Weak<JobShape>>,
+}
+
+impl ShapeTable {
+    /// The live interned shape encoded as `bytes`.
+    pub(crate) fn find(&self, bytes: &[u8]) -> Option<Arc<JobShape>> {
+        self.shapes.get(bytes).and_then(Weak::upgrade)
+    }
+
+    /// The live shape with `shape`'s wire bytes, or `shape` itself,
+    /// now interned (dead entries are dropped first). A shape the wire
+    /// cannot encode is returned as is.
+    pub(crate) fn intern(&mut self, shape: &Arc<JobShape>) -> Arc<JobShape> {
+        let Some(bytes) = shape.wire() else {
+            return Arc::clone(shape);
+        };
+        if let Some(live) = self.find(bytes) {
+            return live;
+        }
+        self.shapes.retain(|_, w| w.strong_count() > 0);
+        self.shapes.insert(bytes.into(), Arc::downgrade(shape));
+        Arc::clone(shape)
+    }
+}
+
+/// An assembled program scheduled for repeated execution: a shared
+/// [`JobShape`], how many shots to run and the base seed.
 ///
-/// A job is self-contained: the instantiation it targets, the
-/// simulator configuration, how many shots to run and the base seed.
 /// Shot `i` always runs under seed `base_seed + i` (wrapping), so a
 /// job's aggregate results are a pure function of the job itself —
 /// independent of worker count, scheduling order or machine reuse.
-///
-/// `PartialEq` compares every field structurally; backends use it as
-/// the machine-cache key (equal jobs are interchangeable by the purity
-/// argument above).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Display name used in reports.
     pub name: String,
-    /// The instantiation the program targets.
-    pub inst: Instantiation,
-    /// The assembled instruction stream.
-    pub program: Vec<Instruction>,
-    /// Simulator configuration (noise, readout, latencies, backend).
-    pub config: SimConfig,
+    /// What the job runs, shared with every job of the same shape.
+    pub shape: Arc<JobShape>,
     /// Number of shots to execute.
     pub shots: u64,
     /// Seed of shot 0; shot `i` uses `base_seed.wrapping_add(i)`.
@@ -37,17 +125,18 @@ impl Job {
     pub fn new(name: impl Into<String>, inst: Instantiation, program: Vec<Instruction>) -> Self {
         Job {
             name: name.into(),
-            inst,
-            program,
-            config: SimConfig::default(),
+            shape: Arc::new(JobShape::new(inst, program, SimConfig::default())),
             shots: 1,
             base_seed: 0,
         }
     }
 
-    /// Returns the job with the given simulator configuration.
+    /// Returns the job with the given simulator configuration (a
+    /// shape of its own if the old one was shared).
     pub fn with_config(mut self, config: SimConfig) -> Self {
-        self.config = config;
+        let shape = Arc::make_mut(&mut self.shape);
+        shape.config = config;
+        shape.wire = OnceLock::new();
         self
     }
 
@@ -129,6 +218,56 @@ mod tests {
     }
 
     #[test]
+    fn shape_table_interns_equal_shapes_weakly() {
+        let inst = eqasm_core::Instantiation::paper_two_qubit();
+        let stop = vec![eqasm_core::Instruction::Stop];
+        let a = Job::new("a", inst.clone(), stop.clone());
+        let b = Job::new("b", inst.clone(), stop).with_seed(9);
+        let c = Job::new("c", inst, vec![eqasm_core::Instruction::Nop]);
+        let mut table = ShapeTable::default();
+        let first = table.intern(&a.shape);
+        assert!(Arc::ptr_eq(&first, &a.shape));
+        assert!(
+            Arc::ptr_eq(&table.intern(&b.shape), &a.shape),
+            "an equal shape interns onto the first"
+        );
+        assert!(!Arc::ptr_eq(&table.intern(&c.shape), &a.shape));
+
+        let weak = Arc::downgrade(&a.shape);
+        drop((a, first));
+        assert!(weak.upgrade().is_none(), "the table holds shapes weakly");
+        assert!(
+            Arc::ptr_eq(&table.intern(&b.shape), &b.shape),
+            "the next equal shape takes the dead one's place"
+        );
+    }
+
+    #[test]
+    fn with_config_never_changes_a_shared_shape() {
+        let job = Job::new(
+            "t",
+            eqasm_core::Instantiation::paper_two_qubit(),
+            vec![eqasm_core::Instruction::Stop],
+        );
+        let bytes = job.shape.wire().expect("encodes").to_vec();
+        let other = job.clone().with_config(SimConfig {
+            seed: 7,
+            ..SimConfig::default()
+        });
+        assert_eq!(
+            job.shape.config().seed,
+            0,
+            "the shared shape is copied, not edited"
+        );
+        assert_eq!(other.shape.config().seed, 7);
+        assert_ne!(
+            other.shape.wire().expect("encodes"),
+            bytes,
+            "the new shape gets its own bytes"
+        );
+    }
+
+    #[test]
     fn shot_seed_derivation() {
         let job = Job::new(
             "t",
@@ -138,6 +277,9 @@ mod tests {
         .with_seed(100);
         assert_eq!(job.shot_seed(0), 100);
         assert_eq!(job.shot_seed(5), 105);
-        assert_eq!(Job::new("t2", job.inst.clone(), vec![]).shot_seed(3), 3);
+        assert_eq!(
+            Job::new("t2", job.shape.inst().clone(), vec![]).shot_seed(3),
+            3
+        );
     }
 }

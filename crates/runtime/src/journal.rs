@@ -72,7 +72,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use crate::backend::BatchOut;
-use crate::job::Job;
+use crate::job::{Job, ShapeTable};
 use crate::wire::{self, Reader, WireError, Writer};
 
 /// Record tags (first payload byte).
@@ -389,17 +389,19 @@ enum Record {
     },
 }
 
-fn decode_record(payload: &[u8]) -> Result<Record, WireError> {
+/// Decodes one record payload, interning job shapes in `shapes`.
+fn decode_record(payload: &[u8], shapes: &mut ShapeTable) -> Result<Record, WireError> {
     let mut r = Reader::new(payload);
     let tag = r.get_u8("journal.tag")?;
     let record = match tag {
         rtag::ADMIT => {
             let job_id = r.get_u64("Admit.job_id")?;
-            let job_bytes = r.get_bytes("Admit.job_bytes")?;
+            let len = r.get_u32("Admit.job_bytes")? as usize;
+            let job_bytes = r.take(len, "Admit.job_bytes")?;
             Record::Admit {
                 job_id,
                 tenant: r.get_str("Admit.tenant")?,
-                job: Box::new(wire::decode_job(&job_bytes)?),
+                job: Box::new(wire::decode_job_interned(job_bytes, shapes)?),
             }
         }
         rtag::RANGE_DONE => {
@@ -554,6 +556,8 @@ pub(crate) struct Replay {
     pub(crate) torn_tail: bool,
     /// Records applied.
     pub(crate) records: u64,
+    /// The recovered jobs' interned shapes.
+    pub(crate) shapes: ShapeTable,
 }
 
 /// Replays every segment in `dir` (creating the directory if it does
@@ -572,11 +576,12 @@ pub(crate) fn replay_dir(dir: &Path) -> Result<Replay, JournalError> {
         next_job_id: 0,
         torn_tail: false,
         records: 0,
+        shapes: ShapeTable::default(),
     };
     let last = segments.len().saturating_sub(1);
     for (pos, (_, path)) in segments.iter().enumerate() {
         let is_last = pos == last;
-        let torn = replay_segment(path, is_last, &mut |record| {
+        let torn = replay_segment(path, is_last, &mut replay.shapes, &mut |record| {
             replay.records += 1;
             apply_record(&mut replay.jobs, &mut replay.next_job_id, record);
         })?;
@@ -640,6 +645,7 @@ fn apply_record(jobs: &mut BTreeMap<u64, RecoveredJob>, next_job_id: &mut u64, r
 fn replay_segment(
     path: &Path,
     is_last: bool,
+    shapes: &mut ShapeTable,
     apply: &mut dyn FnMut(Record),
 ) -> Result<bool, JournalError> {
     let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
@@ -697,7 +703,7 @@ fn replay_segment(
                 detail: "CRC mismatch".to_owned(),
             });
         }
-        let record = decode_record(payload).map_err(|source| JournalError::Record {
+        let record = decode_record(payload, shapes).map_err(|source| JournalError::Record {
             segment: path.to_path_buf(),
             offset: offset as u64,
             source,
@@ -1155,10 +1161,24 @@ mod tests {
     }
 
     #[test]
+    fn replayed_jobs_of_one_shape_share_it() {
+        let mut shapes = ShapeTable::default();
+        let mut replay = |job_id, shots| {
+            let payload = admit_payload(job_id, "t", &sample_job(shots)).expect("encodes");
+            match decode_record(&payload, &mut shapes) {
+                Ok(Record::Admit { job, .. }) => job.shape,
+                _ => panic!("an Admit record"),
+            }
+        };
+        let (first, second) = (replay(1, 8), replay(2, 16));
+        assert!(std::sync::Arc::ptr_eq(&first, &second));
+    }
+
+    #[test]
     fn range_done_with_the_wrong_shot_count_is_rejected() {
         let payload = range_done_payload(0, 0, &(0..33), &sample_out(32));
         assert!(matches!(
-            decode_record(&payload),
+            decode_record(&payload, &mut ShapeTable::default()),
             Err(WireError::Invalid(_))
         ));
     }
@@ -1349,7 +1369,7 @@ mod tests {
                     WireError::Truncated { .. } | WireError::Invalid(_) | WireError::UnknownTag { .. }
                 )
             };
-            if let Err(e) = decode_record(&bytes) {
+            if let Err(e) = decode_record(&bytes, &mut ShapeTable::default()) {
                 prop_assert!(typed(&e), "untyped: {}", e);
             }
             for payload in [
@@ -1359,11 +1379,11 @@ mod tests {
                 checkpoint_payload(2, 5),
             ] {
                 let cut = (cut_seed % payload.len() as u64) as usize;
-                let err = decode_record(&payload[..cut]).err().expect("a strict prefix is an error");
+                let err = decode_record(&payload[..cut], &mut ShapeTable::default()).err().expect("a strict prefix is an error");
                 prop_assert!(typed(&err), "untyped: {}", err);
                 let mut mutated = payload.clone();
                 mutated[cut] ^= flip;
-                if let Err(e) = decode_record(&mutated) {
+                if let Err(e) = decode_record(&mutated, &mut ShapeTable::default()) {
                     prop_assert!(typed(&e), "untyped: {}", e);
                 }
             }
@@ -1386,7 +1406,7 @@ mod tests {
         range_done.extend(u32::MAX.to_le_bytes());
         range_done.extend([1, 2]);
         for payload in [admit, range_done] {
-            match decode_record(&payload) {
+            match decode_record(&payload, &mut ShapeTable::default()) {
                 Err(WireError::Truncated { needed, have, .. }) => {
                     assert_eq!((needed, have), (u32::MAX as usize, 2));
                 }

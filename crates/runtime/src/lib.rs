@@ -4,11 +4,11 @@
 //! of the same assembled program. This crate turns the one-machine
 //! simulator into a service-shaped execution engine:
 //!
-//! * [`Job`] — an assembled program plus `SimConfig`, shot count and
-//!   base seed, the unit of scheduling;
+//! * [`Job`] — a shared [`JobShape`] (instantiation, program,
+//!   `SimConfig`) plus shot count and base seed, the unit of scheduling;
 //! * [`ShotEngine`] — a worker pool that fans shot batches (and whole
-//!   job streams) across threads, each driving its own `QuMa`
-//!   instance via the cheap `run_shot` reset-and-run path;
+//!   job streams) across threads, each driving its own
+//!   [`LocalBackend`] via the cheap `run_shot` reset-and-run path;
 //! * [`JobResult`] / [`Histogram`] / [`LatencyHistogram`] —
 //!   batched aggregation: outcome histograms, `RunStats` roll-ups, a
 //!   mergeable shot-latency histogram (p50/p95/p99 within 1/64) and
@@ -130,9 +130,9 @@
 //! (`eqasm_microarch::select`): Clifford-only programs under ideal
 //! noise run on the stabilizer tableau, and the deterministic prefix of
 //! a program — everything before its first stochastic instruction — is
-//! simulated **once** per job shape, snapshotted into a process-global
-//! cache (`eqasm_prefix_cache_*` metrics), and forked per shot by
-//! restore + reseed. Neither path moves a bit of any aggregate:
+//! simulated **once** per (slot, job shape), snapshotted beside the
+//! slot's machine (`eqasm_prefix_cache_*` metrics), and forked per shot
+//! by restore + reseed. Neither path moves a bit of any aggregate:
 //!
 //! * backend selection is exact in the stabilizer regime (measurement
 //!   consumes one RNG draw against an exact probability on every
@@ -144,12 +144,13 @@
 //!   bit-identical to full replays at 1/2/8 workers in
 //!   `tests/fastpath.rs`.
 //!
-//! One [`ExecPolicy`] configures both, explicitly, wherever a machine
-//! is built: [`ShotEngine`], [`LocalBackend`], the worker daemon
-//! ([`WorkerConfig`]) and the serve queue with its prefix warmer
-//! ([`ServeConfig`]). `backend: Some(Dense)` forces the legacy dense
-//! path (no stabilizer, no forking); `prefix: false` disables only the
-//! forking. The library reads no environment: `eqasm-cli` parses
+//! Every machine lives in a [`LocalBackend`]'s per-slot LRU, keyed by
+//! an `Arc<JobShape>` that the queue and the worker daemon intern. One
+//! [`ExecPolicy`] configures it: [`ShotEngine`], [`LocalBackend`], the
+//! worker daemon ([`WorkerConfig`]) and the serve queue
+//! ([`ServeConfig`]) take one. `backend: Some(Dense)` forces the legacy
+//! dense path (no stabilizer, no forking); `prefix: false` disables
+//! only the forking. The library reads no environment: `eqasm-cli` parses
 //! `EQASM_EXEC_PATH` and `EQASM_PREFIX` once at startup
 //! ([`ExecPolicy::parse`]), and the determinism CI runs the suite under
 //! each policy.
@@ -189,7 +190,6 @@ pub mod journal;
 pub mod loadgen;
 pub mod metrics;
 mod net;
-pub mod prefix;
 pub mod serve;
 mod supervisor;
 pub mod wire;
@@ -201,7 +201,7 @@ pub use backend::{BackendDescriptor, BackendKind, BatchOut, ExecBackend, LocalBa
 pub use client::{Client, RemoteJobHandle};
 pub use engine::{ExecPolicy, ShotEngine};
 pub use error::RuntimeError;
-pub use job::{default_batch_size, partition_shots, Job};
+pub use job::{default_batch_size, partition_shots, Job, JobShape};
 pub use journal::{FsyncPolicy, JournalConfig, JournalError, RecoveryReport};
 pub use loadgen::{
     capacity_sweep, churn_sweep, run_rung, CapacityReport, Ceilings, ChurnConfig, ChurnReport,

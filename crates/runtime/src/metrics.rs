@@ -782,11 +782,11 @@ impl RuntimeMetrics {
             ),
             prefix_cache_hits: r.counter(
                 "eqasm_prefix_cache_hits_total",
-                "Shared-prefix snapshot lookups served from the per-job cache.",
+                "Slot machine-cache lookups that found a machine and prefix snapshot for the job's shape.",
             ),
             prefix_cache_misses: r.counter(
                 "eqasm_prefix_cache_misses_total",
-                "Shared-prefix snapshots computed because no cached entry matched.",
+                "Slot machine-cache lookups that had to build a machine and prefix snapshot for the job's shape.",
             ),
             prefix_fork_shots: r.counter(
                 "eqasm_prefix_fork_shots_total",

@@ -115,13 +115,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use eqasm_microarch::QuMa;
-
 use crate::auth::{ct_eq, fresh_nonce, Psk};
-use crate::backend::{BackendDescriptor, BackendKind, BatchOut, ExecBackend};
-use crate::engine::{build_machine, run_batch, ExecPolicy};
+use crate::backend::{BackendDescriptor, BackendKind, BatchOut, ExecBackend, LocalBackend};
+use crate::engine::ExecPolicy;
 use crate::error::RuntimeError;
-use crate::job::Job;
+use crate::job::{Job, ShapeTable};
 use crate::serve::JobQueue;
 use crate::wire::{
     self, AuthChallenge, AuthOk, AuthResponse, ErrorKind, ErrorMsg, Hello, HelloAck, LoadAck,
@@ -699,11 +697,11 @@ fn wait_readable(stream: &TcpStream, shutdown: &AtomicBool) -> bool {
 }
 
 /// The worker's per-connection job registry: a capacity-bounded LRU
-/// of `(job_id, decoded job, loaded machine)` entries, front = most
-/// recently used. Ids are connection-scoped (a fresh connection
-/// starts empty), so a client counter can never collide.
+/// of `(job_id, decoded job)` entries, front = most recently used.
+/// Ids are connection-scoped (a fresh connection starts empty), so a
+/// client counter can never collide.
 struct JobCache {
-    entries: VecDeque<(u64, Job, QuMa)>,
+    entries: VecDeque<(u64, Job)>,
     capacity: usize,
 }
 
@@ -717,9 +715,9 @@ impl JobCache {
 
     /// Inserts (or replaces) `job_id`, evicting the least recently
     /// used entry beyond capacity.
-    fn insert(&mut self, job_id: u64, job: Job, machine: QuMa) {
-        self.entries.retain(|(id, _, _)| *id != job_id);
-        self.entries.push_front((job_id, job, machine));
+    fn insert(&mut self, job_id: u64, job: Job) {
+        self.entries.retain(|(id, _)| *id != job_id);
+        self.entries.push_front((job_id, job));
         while self.entries.len() > self.capacity {
             self.entries.pop_back();
             crate::metrics::rt().job_cache_evictions.inc();
@@ -727,16 +725,16 @@ impl JobCache {
     }
 
     /// Looks up `job_id`, promoting it to most recently used.
-    fn get(&mut self, job_id: u64) -> Option<&mut (u64, Job, QuMa)> {
+    fn get(&mut self, job_id: u64) -> Option<&Job> {
         let m = crate::metrics::rt();
-        let Some(pos) = self.entries.iter().position(|(id, _, _)| *id == job_id) else {
+        let Some(pos) = self.entries.iter().position(|(id, _)| *id == job_id) else {
             m.job_cache_misses.inc();
             return None;
         };
         m.job_cache_hits.inc();
         let entry = self.entries.remove(pos).expect("position exists");
         self.entries.push_front(entry);
-        self.entries.front_mut()
+        self.entries.front().map(|(_, job)| job)
     }
 
     fn len(&self) -> usize {
@@ -748,7 +746,8 @@ impl JobCache {
 /// budget enforcement when configured), then a sequential
 /// request/response loop over the job registry (`LoadJob` /
 /// `RunRangeById` against the bounded [`JobCache`]), with the typed
-/// `JobNotLoaded` miss on eviction.
+/// `JobNotLoaded` miss on eviction. Shapes are interned at `LoadJob`,
+/// so job ids of one shape share the slot's [`LocalBackend`] machine.
 ///
 /// `shutdown` is the daemon's drain flag: once it flips, the
 /// connection finishes the request it is executing (if any), writes
@@ -763,6 +762,8 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
 
     // Jobs loaded by id, LRU-bounded.
     let mut registry = JobCache::new(config.job_cache_capacity);
+    let mut shapes = ShapeTable::default();
+    let mut backend = LocalBackend::named(config.name.clone()).with_policy(config.policy);
     let mut limiter = config.max_requests_per_sec.map(RateLimiter::new);
 
     loop {
@@ -795,16 +796,17 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
                         return;
                     }
                 };
-                let job = match wire::decode_job(&request.job_bytes) {
+                let job = match wire::decode_job_interned(&request.job_bytes, &mut shapes) {
                     Ok(job) => job,
                     Err(e) => {
                         send_error(&mut stream, ErrorKind::Malformed, format!("bad job: {e}"));
                         return;
                     }
                 };
-                match build_machine(&job, &config.policy) {
-                    Ok(machine) => {
-                        registry.insert(request.job_id, job, machine);
+                // Building here answers a bad program at load time.
+                match backend.load(&job) {
+                    Ok(_) => {
+                        registry.insert(request.job_id, job);
                         let ack = LoadAck {
                             job_id: request.job_id,
                             cached: registry.len() as u32,
@@ -816,11 +818,7 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
                         }
                     }
                     Err(e) => {
-                        send_error(
-                            &mut stream,
-                            ErrorKind::Load,
-                            format!("job `{}` failed to load: {e}", job.name),
-                        );
+                        send_error(&mut stream, ErrorKind::Load, e.to_string());
                         continue;
                     }
                 }
@@ -845,7 +843,7 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
                     );
                     return;
                 }
-                let Some((_, job, machine)) = registry.get(request.job_id) else {
+                let Some(job) = registry.get(request.job_id) else {
                     // The recoverable miss: never sent, or evicted by
                     // cache pressure. The client answers with a fresh
                     // LoadJob and retries — keep serving.
@@ -860,10 +858,14 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
                     );
                     continue;
                 };
-                let out = run_batch(machine, job, request.start..request.end, &config.policy);
-                if wire::write_frame(&mut stream, wire::tag::BATCH, &wire::encode_batch_out(&out))
-                    .is_err()
-                {
+                let (tag, reply) = match backend.run_range(job, request.start..request.end) {
+                    Ok(out) => (wire::tag::BATCH, wire::encode_batch_out(&out)),
+                    Err(e) => (
+                        wire::tag::ERROR,
+                        ErrorMsg::payload(ErrorKind::Load, e.to_string()),
+                    ),
+                };
+                if wire::write_frame(&mut stream, tag, &reply).is_err() {
                     return;
                 }
             }
@@ -2002,10 +2004,9 @@ mod tests {
                     }
                     wire::tag::RUN_RANGE_BY_ID => {
                         let run = RunRangeById::decode(&payload).expect("range");
-                        let job = tiny_job(16);
-                        let policy = ExecPolicy::default();
-                        let mut machine = build_machine(&job, &policy).expect("builds");
-                        let out = run_batch(&mut machine, &job, run.start..run.end - 1, &policy);
+                        let out = LocalBackend::new(0)
+                            .run_range(&tiny_job(16), run.start..run.end - 1)
+                            .expect("runs");
                         let bytes = wire::encode_batch_out(&out);
                         wire::write_frame(&mut stream, wire::tag::BATCH, &bytes).unwrap();
                     }

@@ -86,7 +86,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use eqasm_core::{Instantiation, Instruction};
@@ -96,7 +96,7 @@ use crate::aggregate::{Histogram, JobResult, LatencyHistogram, LatencyStats};
 use crate::backend::{BackendDescriptor, BatchOut, ExecBackend, LocalBackend};
 use crate::engine::TaggedBatch;
 use crate::error::RuntimeError;
-use crate::job::{default_batch_size, partition_shots, Job};
+use crate::job::{default_batch_size, partition_shots, Job, ShapeTable};
 use crate::journal::{self, JournalConfig, JournalHandle, RecoveryReport};
 use crate::workload::{WorkloadKind, WorkloadSpec};
 
@@ -229,9 +229,8 @@ pub struct ServeConfig {
     /// this long instead of wedging its dispatch slot forever. `None`
     /// disables the deadline.
     pub remote_io_timeout: Option<Duration>,
-    /// How the queue's own local slots and its prefix warmer execute
-    /// jobs. Slots passed in through [`JobQueue::with_backends`] carry
-    /// their own policy.
+    /// How the queue's own local slots execute jobs. Slots passed in
+    /// through [`JobQueue::with_backends`] carry their own policy.
     pub policy: crate::ExecPolicy,
 }
 
@@ -708,7 +707,12 @@ struct DurableJob {
 
 /// A job tracked by the queue.
 struct JobEntry {
-    job: Arc<Job>,
+    /// The job, with its interned shape; `None` once released and for
+    /// a recovered tombstone, so a released id holds no shape.
+    job: Option<Arc<Job>>,
+    /// The job's name and shot count, kept past release.
+    name: String,
+    shots: u64,
     tenant: usize,
     batches_total: usize,
     submitted_at: Instant,
@@ -721,8 +725,31 @@ struct JobEntry {
 }
 
 impl JobEntry {
+    /// An entry for `job`, not yet started.
+    fn new(job: Job, tenant: usize, batches_total: usize) -> Self {
+        JobEntry {
+            name: job.name.clone(),
+            shots: job.shots,
+            partial: PartialState::new(job.shape.inst().topology().num_qubits()),
+            job: Some(Arc::new(job)),
+            tenant,
+            batches_total,
+            submitted_at: Instant::now(),
+            final_result: None,
+            failed: None,
+            durable: None,
+        }
+    }
+
     fn done(&self) -> bool {
         self.final_result.is_some() || self.failed.is_some()
+    }
+
+    /// The job of an entry that has not been released.
+    fn live_job(&self) -> &Arc<Job> {
+        self.job
+            .as_ref()
+            .expect("a dispatched or admitted job is live")
     }
 }
 
@@ -742,6 +769,8 @@ struct QueueState {
     ring_cursor: usize,
     jobs: Vec<JobEntry>,
     cache: ProgramCache,
+    /// Every live job's shape, interned at admission and recovery.
+    shapes: ShapeTable,
     /// Undispatched batches across all tenants (fast idle check).
     pending: usize,
     /// The DRR quantum unit: at least the largest batch cost ever
@@ -778,6 +807,7 @@ impl QueueState {
             ring_cursor: 0,
             jobs: Vec::new(),
             cache: ProgramCache::new(),
+            shapes: ShapeTable::default(),
             pending: 0,
             quantum_unit: 1,
             slots: Vec::new(),
@@ -868,27 +898,18 @@ impl QueueState {
         idx
     }
 
-    /// Enqueues one job under tenant `tenant`; returns its job id.
-    fn enqueue_job(&mut self, tenant: usize, job: Job) -> usize {
+    /// Enqueues one job under tenant `tenant`, interning its shape;
+    /// returns its job id.
+    fn enqueue_job(&mut self, tenant: usize, mut job: Job) -> usize {
         let job_id = self.jobs.len();
+        job.shape = self.shapes.intern(&job.shape);
         let batch = self
             .config
             .batch_size
             .unwrap_or_else(|| default_batch_size(job.shots))
             .max(1);
         let ranges = partition_shots(job.shots, batch);
-        let num_qubits = job.inst.topology().num_qubits();
-        let entry = JobEntry {
-            job: Arc::new(job),
-            tenant,
-            batches_total: ranges.len(),
-            submitted_at: Instant::now(),
-            partial: PartialState::new(num_qubits),
-            final_result: None,
-            failed: None,
-            durable: None,
-        };
-        self.jobs.push(entry);
+        self.jobs.push(JobEntry::new(job, tenant, ranges.len()));
         self.journal_admit(job_id);
         if self.live == 0 && self.jobs[job_id].batches_total > 0 && !self.config.hold_when_empty {
             // Every backend already retired and nothing will bring one
@@ -1009,7 +1030,7 @@ impl QueueState {
                     job_id: b.job,
                     batch: b.batch,
                     range: b.range,
-                    job: Arc::clone(&entry.job),
+                    job: Arc::clone(entry.live_job()),
                     tenant: idx,
                     failed_on: b.failed_on,
                 });
@@ -1207,8 +1228,8 @@ impl QueueState {
         m.jobs_completed.with(&["ok"]).inc();
         let secs = elapsed.as_secs_f64();
         entry.final_result = Some(JobResult {
-            name: entry.job.name.clone(),
-            shots: entry.job.shots,
+            name: entry.name.clone(),
+            shots: entry.shots,
             // Moved, not copied: once `final_result` is set, snapshots
             // read it and nothing reads the partial histogram again.
             histogram: std::mem::take(&mut p.histogram),
@@ -1217,7 +1238,7 @@ impl QueueState {
             latency: std::mem::take(&mut p.latency),
             elapsed,
             shots_per_sec: if secs > 0.0 {
-                entry.job.shots as f64 / secs
+                entry.shots as f64 / secs
             } else {
                 0.0
             },
@@ -1242,7 +1263,7 @@ impl QueueState {
         };
         let entry = &self.jobs[job_id];
         let tenant = self.tenants[entry.tenant].id.as_str();
-        match journal::admit_payload(job_id as u64, tenant, &entry.job) {
+        match journal::admit_payload(job_id as u64, tenant, entry.live_job()) {
             Ok(payload) => {
                 let len = journal::framed_len(&payload);
                 journal.append(payload.clone());
@@ -1334,10 +1355,12 @@ impl QueueState {
     /// pre-crash polls of this id get the same typed "released"
     /// failure a retention eviction leaves, never a different job's
     /// result. Costs one small entry; journals nothing.
-    fn enqueue_recovered_tombstone(&mut self, name: String, tenant: usize) -> usize {
+    fn enqueue_recovered_tombstone(&mut self, name: String, shots: u64, tenant: usize) -> usize {
         let job_id = self.jobs.len();
         self.jobs.push(JobEntry {
-            job: Arc::new(Job::new(name, Instantiation::paper_two_qubit(), Vec::new())),
+            job: None,
+            name,
+            shots,
             tenant,
             batches_total: 0,
             submitted_at: Instant::now(),
@@ -1369,10 +1392,11 @@ impl QueueState {
     fn enqueue_recovered_job(
         &mut self,
         tenant: usize,
-        job: Job,
+        mut job: Job,
         mut done: BTreeMap<usize, (std::ops::Range<u64>, BatchOut)>,
     ) -> (usize, usize) {
         let job_id = self.jobs.len();
+        job.shape = self.shapes.intern(&job.shape);
         let batch = self
             .config
             .batch_size
@@ -1385,17 +1409,7 @@ impl QueueState {
         {
             done.clear();
         }
-        let num_qubits = job.inst.topology().num_qubits();
-        self.jobs.push(JobEntry {
-            job: Arc::new(job),
-            tenant,
-            batches_total: ranges.len(),
-            submitted_at: Instant::now(),
-            partial: PartialState::new(num_qubits),
-            final_result: None,
-            failed: None,
-            durable: None,
-        });
+        self.jobs.push(JobEntry::new(job, tenant, ranges.len()));
         self.journal_admit(job_id);
         for (b, range) in ranges.iter().enumerate() {
             if done.contains_key(&b) {
@@ -1475,10 +1489,10 @@ impl QueueState {
             };
         }
         PartialResult {
-            name: entry.job.name.clone(),
+            name: entry.name.clone(),
             tenant: self.tenants[entry.tenant].id.clone(),
             shots_done: p.shots_done,
-            shots_total: entry.job.shots,
+            shots_total: entry.shots,
             batches_done: p.folded,
             batches_total: entry.batches_total,
             histogram: p.histogram.clone(),
@@ -1614,10 +1628,10 @@ impl JobHandle {
             return false;
         }
         // Tombstone: keep the name for diagnostics, drop everything
-        // heavy (the program and instantiation dominate job memory;
-        // the outcome and latency histograms dominate result memory).
-        let name = entry.job.name.clone();
-        entry.job = Arc::new(Job::new(name, Instantiation::paper_two_qubit(), Vec::new()));
+        // heavy (the job's shape reference — the shape itself dies with
+        // its last job; the outcome and latency histograms dominate
+        // result memory).
+        entry.job = None;
         entry.partial = PartialState::new(0);
         entry.final_result = None;
         if entry.failed.is_none() {
@@ -1648,7 +1662,7 @@ impl JobHandle {
             if self.shared.shutdown.load(Ordering::Acquire) {
                 return Err(RuntimeError::Service(format!(
                     "queue shut down before job `{}` completed",
-                    entry.job.name
+                    entry.name
                 )));
             }
             state = self
@@ -1691,13 +1705,9 @@ pub struct JobQueue {
     /// can take `&self` — the flag and condvars already do — and so
     /// [`JobQueue::attach_backend`] can grow the pool mid-run.
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Channel to the prefix warmer thread; dropped at shutdown so the
-    /// warmer drains and exits. `None` when the warmer failed to spawn
-    /// (pre-warming is an optimization, never a requirement).
-    warm_tx: Mutex<Option<mpsc::Sender<Arc<Job>>>>,
-    /// The warmer and (journal mode) journal threads, joined at
-    /// shutdown after the workers.
-    aux_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The journal thread (journal mode only), joined at shutdown
+    /// after the workers.
+    journal_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl JobQueue {
@@ -1738,7 +1748,6 @@ impl JobQueue {
         if backends.is_empty() && !config.hold_when_empty {
             backends.push(Box::new(LocalBackend::new(0).with_policy(config.policy)));
         }
-        let policy = config.policy;
         let mut state = QueueState::new(config);
         let journaled = journal.is_some();
         if let Some((handle, compact_min)) = journal {
@@ -1756,37 +1765,8 @@ impl JobQueue {
         let queue = JobQueue {
             shared,
             workers: Mutex::new(Vec::new()),
-            warm_tx: Mutex::new(None),
-            aux_threads: Mutex::new(Vec::new()),
+            journal_thread: Mutex::new(journal_thread),
         };
-        // The prefix warmer: admission (and recovery) send each job's
-        // Arc here, and the snapshot is computed before the first
-        // batch dispatches instead of on it. Purely an optimization —
-        // if the spawn fails, dispatch pays the prefix build as
-        // before.
-        let (warm_tx, warm_rx) = mpsc::channel::<Arc<Job>>();
-        let warmer = std::thread::Builder::new()
-            .name("eqasm-prefix-warmer".to_owned())
-            .spawn(move || {
-                while let Ok(job) = warm_rx.recv() {
-                    crate::prefix::warm(&job, &policy);
-                }
-            });
-        if let Ok(handle) = warmer {
-            *queue.warm_tx.lock().expect("warmer channel poisoned") = Some(warm_tx);
-            queue
-                .aux_threads
-                .lock()
-                .expect("aux thread list poisoned")
-                .push(handle);
-        }
-        if let Some(handle) = journal_thread {
-            queue
-                .aux_threads
-                .lock()
-                .expect("aux thread list poisoned")
-                .push(handle);
-        }
         for backend in backends {
             queue
                 .attach_backend(backend)
@@ -1839,9 +1819,11 @@ impl JobQueue {
             torn_tail: replay.torn_tail,
             ..RecoveryReport::default()
         };
-        let mut warm_jobs = Vec::new();
         {
             let mut state = queue.shared.state.lock().expect("queue state poisoned");
+            // Every recovered job already shares its shape through the
+            // replay's table, which the queue keeps interning into.
+            state.shapes = replay.shapes;
             let mut jobs = replay.jobs;
             // Queue indices are the client-visible ids (the serve
             // acceptor seeds its directory positionally, in admission
@@ -1864,20 +1846,19 @@ impl JobQueue {
                         );
                         report.jobs_recovered += 1;
                         report.ranges_recovered += restored;
-                        warm_jobs.push(Arc::clone(&state.jobs[job_id].job));
                     }
                     completed => {
-                        let (name, tenant) = match completed {
+                        let (name, shots, tenant) = match completed {
                             Some(recovered) => {
                                 report.jobs_dropped += 1;
                                 let tenant = state.tenant_slot(&TenantId::new(recovered.tenant));
-                                (recovered.job.name, tenant)
+                                (recovered.job.name, recovered.job.shots, tenant)
                             }
-                            // Compacted away entirely: name and tenant
-                            // are gone with the records.
-                            None => (String::new(), state.tenant_slot(&TenantId::new(""))),
+                            // Compacted away entirely: name, shots and
+                            // tenant are gone with the records.
+                            None => (String::new(), 0, state.tenant_slot(&TenantId::new(""))),
                         };
-                        state.enqueue_recovered_tombstone(name, tenant);
+                        state.enqueue_recovered_tombstone(name, shots, tenant);
                     }
                 }
             }
@@ -1909,9 +1890,6 @@ impl JobQueue {
         m.journal_recovered_jobs.add(report.jobs_recovered as u64);
         m.journal_recovered_ranges
             .add(report.ranges_recovered as u64);
-        for job in warm_jobs {
-            queue.warm(job);
-        }
         Ok((queue, report))
     }
 
@@ -1941,13 +1919,6 @@ impl JobQueue {
             .progress_hook
             .lock()
             .expect("progress hook poisoned") = hook;
-    }
-
-    /// Hands `job` to the prefix warmer thread (no-op without one).
-    fn warm(&self, job: Arc<Job>) {
-        if let Some(tx) = &*self.warm_tx.lock().expect("warmer channel poisoned") {
-            let _ = tx.send(job);
-        }
     }
 
     /// Attaches a new execution slot to the **running** pool: the
@@ -2139,10 +2110,8 @@ impl JobQueue {
         let tenant = state.tenant_slot(&submission.tenant);
         state.admit(tenant, requested)?;
         let mut handles = Vec::with_capacity(jobs.len());
-        let mut warm_jobs = Vec::with_capacity(jobs.len());
         for job in jobs {
             let job_id = state.enqueue_job(tenant, job);
-            warm_jobs.push(Arc::clone(&state.jobs[job_id].job));
             handles.push(JobHandle {
                 shared: Arc::clone(&self.shared),
                 job: job_id,
@@ -2151,12 +2120,6 @@ impl JobQueue {
         drop(state);
         self.shared.work_ready.notify_all();
         self.shared.notify_progress();
-        // Pre-warm the prefix cache off the hot path: by the time a
-        // slot picks up the first batch, the snapshot is (usually)
-        // already computed.
-        for job in warm_jobs {
-            self.warm(job);
-        }
         Ok(handles)
     }
 
@@ -2202,10 +2165,8 @@ impl JobQueue {
         for handle in handles {
             let _ = handle.join();
         }
-        // Workers are gone, so nothing appends anymore: drop the
-        // warmer's sender (its thread drains and exits), flush and
-        // stop the journal thread, then join both.
-        *self.warm_tx.lock().expect("warmer channel poisoned") = None;
+        // Workers are gone, so nothing appends anymore: flush and stop
+        // the journal thread, then join it.
         // Taken, not cloned: a second call (`Drop` after an explicit
         // `shutdown()`) finds no journal instead of asking a stopped
         // thread for a flush it can no longer confirm.
@@ -2218,8 +2179,12 @@ impl JobQueue {
                 eprintln!("eqasm journal: final flush at shutdown not confirmed durable");
             }
         }
-        let aux = std::mem::take(&mut *self.aux_threads.lock().expect("aux thread list poisoned"));
-        for handle in aux {
+        let journal_thread = self
+            .journal_thread
+            .lock()
+            .expect("journal thread slot poisoned")
+            .take();
+        if let Some(handle) = journal_thread {
             let _ = handle.join();
         }
     }
@@ -2516,18 +2481,13 @@ mod tests {
         }
         assert_eq!(tasks.len(), 8);
 
-        let mut machine = crate::engine::build_machine(&job, &Default::default()).expect("loads");
+        let mut backend = LocalBackend::new(0);
         let mut outs: Vec<TaggedBatch> = tasks
             .iter()
             .map(|t| TaggedBatch {
                 job: t.job_id,
                 batch: t.batch,
-                out: crate::engine::run_batch(
-                    &mut machine,
-                    &job,
-                    t.range.clone(),
-                    &Default::default(),
-                ),
+                out: backend.run_range(&job, t.range.clone()).expect("runs"),
                 started_at: Instant::now(),
                 finished_at: Instant::now(),
             })
@@ -2567,17 +2527,12 @@ mod tests {
         add_local_slots(&mut state, 1);
         let slot = state.tenant_slot(&TenantId::new("t"));
         let job_id = state.enqueue_job(slot, job.clone());
-        let mut machine = crate::engine::build_machine(&job, &Default::default()).expect("loads");
+        let mut backend = LocalBackend::new(0);
         while let Some(task) = state.next_task(0) {
             let out = TaggedBatch {
                 job: task.job_id,
                 batch: task.batch,
-                out: crate::engine::run_batch(
-                    &mut machine,
-                    &job,
-                    task.range.clone(),
-                    &Default::default(),
-                ),
+                out: backend.run_range(&job, task.range.clone()).expect("runs"),
                 started_at: Instant::now(),
                 finished_at: Instant::now(),
             };

@@ -57,6 +57,7 @@
 
 use std::fmt;
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::Duration;
 
 use eqasm_core::{
@@ -73,7 +74,7 @@ use crate::aggregate::{
     BitString, Histogram, JobResult, LatencyHistogram, LatencyStats, LATENCY_BUCKETS,
 };
 use crate::backend::BatchOut;
-use crate::job::Job;
+use crate::job::{Job, JobShape, ShapeTable};
 use crate::serve::{PartialResult, Submission, TenantId, Work};
 use crate::workload::{WorkloadKind, WorkloadSpec};
 
@@ -1069,46 +1070,74 @@ fn get_sim_config(r: &mut Reader<'_>) -> Result<SimConfig, WireError> {
 pub fn encode_job(job: &Job) -> Result<Vec<u8>, WireError> {
     let mut w = Writer::new();
     w.put_str(&job.name);
-    put_instantiation(&mut w, &job.inst)?;
-    w.put_u32(job.program.len() as u32);
-    for instr in &job.program {
-        put_instruction(&mut w, instr);
+    match job.shape.wire() {
+        Some(bytes) => w.buf.extend_from_slice(bytes),
+        // The wire cannot encode this shape; `put_shape` says why.
+        None => put_shape(&mut w, &job.shape)?,
     }
-    put_sim_config(&mut w, &job.config);
     w.put_u64(job.shots);
     w.put_u64(job.base_seed);
     Ok(w.into_bytes())
 }
 
+/// A job's shape: the middle of its encoding, between name and shots.
+fn put_shape(w: &mut Writer, shape: &JobShape) -> Result<(), WireError> {
+    put_instantiation(w, shape.inst())?;
+    w.put_u32(shape.program().len() as u32);
+    for instr in shape.program() {
+        put_instruction(w, instr);
+    }
+    put_sim_config(w, shape.config());
+    Ok(())
+}
+
+/// A shape's wire bytes, `None` when the wire cannot encode it.
+pub(crate) fn encode_shape(shape: &JobShape) -> Option<Box<[u8]>> {
+    let mut w = Writer::new();
+    put_shape(&mut w, shape).ok()?;
+    Some(w.buf.into())
+}
+
 /// Decodes a [`Job`] produced by [`encode_job`].
 pub fn decode_job(bytes: &[u8]) -> Result<Job, WireError> {
+    decode_job_interned(bytes, &mut ShapeTable::default())
+}
+
+/// [`decode_job`] with the job's shape interned in `shapes`. A shape
+/// whose bytes an interned shape already has is not decoded again.
+pub(crate) fn decode_job_interned(bytes: &[u8], shapes: &mut ShapeTable) -> Result<Job, WireError> {
     let mut r = Reader::new(bytes);
-    let job = get_job(&mut r)?;
+    let name = r.get_str("Job.name")?;
+    // The shape runs from here to the shot count and seed, the last 16
+    // bytes.
+    let span = &r.buf[..r.remaining().saturating_sub(16)];
+    let shape = match shapes.find(span) {
+        Some(shape) => {
+            r.take(span.len(), "Job.shape")?;
+            shape
+        }
+        None => {
+            let inst = get_instantiation(&mut r)?;
+            let n = r.get_count("Job.program", 1)?;
+            let mut program = Vec::with_capacity(n);
+            for _ in 0..n {
+                program.push(get_instruction(&mut r)?);
+            }
+            let config = get_sim_config(&mut r)?;
+            Arc::new(JobShape::new(inst, program, config).with_wire(span))
+        }
+    };
+    let shots = r.get_u64("Job.shots")?;
+    let base_seed = r.get_u64("Job.base_seed")?;
     if r.remaining() != 0 {
         return Err(WireError::Invalid(format!(
             "{} trailing bytes after job",
             r.remaining()
         )));
     }
-    Ok(job)
-}
-
-fn get_job(r: &mut Reader<'_>) -> Result<Job, WireError> {
-    let name = r.get_str("Job.name")?;
-    let inst = get_instantiation(r)?;
-    let n = r.get_count("Job.program", 1)?;
-    let mut program = Vec::with_capacity(n);
-    for _ in 0..n {
-        program.push(get_instruction(r)?);
-    }
-    let config = get_sim_config(r)?;
-    let shots = r.get_u64("Job.shots")?;
-    let base_seed = r.get_u64("Job.base_seed")?;
     Ok(Job {
         name,
-        inst,
-        program,
-        config,
+        shape: shapes.intern(&shape),
         shots,
         base_seed,
     })
@@ -2512,6 +2541,38 @@ mod tests {
     }
 
     #[test]
+    fn decoded_shape_wire_bytes_match_its_encoding() {
+        let job = sample_job();
+        let bytes = encode_job(&job).expect("encodes");
+        let decoded = decode_job(&bytes).expect("decodes");
+        let kept = decoded.shape.wire().expect("kept");
+        assert_eq!(kept, &*encode_shape(&job.shape).expect("encodes"));
+        assert_eq!(encode_job(&decoded).expect("encodes"), bytes);
+    }
+
+    #[test]
+    fn interned_decode_shares_a_known_shape() {
+        let job = sample_job();
+        let mut shapes = ShapeTable::default();
+        let first =
+            decode_job_interned(&encode_job(&job).expect("encodes"), &mut shapes).expect("decodes");
+        let renamed = Job {
+            name: "another name".to_owned(),
+            ..job.clone()
+        }
+        .with_shots(7)
+        .with_seed(8);
+        let bytes = encode_job(&renamed).expect("encodes");
+        let second = decode_job_interned(&bytes, &mut shapes).expect("decodes");
+        assert!(Arc::ptr_eq(&first.shape, &second.shape));
+        assert_eq!(second, renamed, "name, shots and seed come from the bytes");
+        // A known shape followed by trailing bytes is still rejected.
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(decode_job_interned(&trailing, &mut shapes).is_err());
+    }
+
+    #[test]
     fn surface7_instantiation_roundtrips() {
         let job = Job::new(
             "s7",
@@ -2519,10 +2580,10 @@ mod tests {
             vec![Instruction::Nop, Instruction::Stop],
         );
         let back = decode_job(&encode_job(&job).unwrap()).unwrap();
-        assert_eq!(job.inst, back.inst);
-        assert_eq!(back.inst.topology().num_pairs(), 16);
-        assert!(back.inst.ops().contains("MEASZ"));
-        assert!(back.inst.ops().by_name("C_X").is_ok());
+        assert_eq!(job.shape.inst(), back.shape.inst());
+        assert_eq!(back.shape.inst().topology().num_pairs(), 16);
+        assert!(back.shape.inst().ops().contains("MEASZ"));
+        assert!(back.shape.inst().ops().by_name("C_X").is_ok());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! tenants hammering one control stack" scenario — and reports
 //! per-workload and aggregate statistics.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eqasm_asm::assemble;
@@ -16,7 +17,7 @@ use eqasm_workloads as workloads;
 use crate::aggregate::{Histogram, JobResult, LatencyHistogram};
 use crate::engine::ShotEngine;
 use crate::error::RuntimeError;
-use crate::job::Job;
+use crate::job::{Job, JobShape};
 
 /// Which generator from `eqasm-workloads` produces a spec's program.
 #[derive(Debug, Clone)]
@@ -266,9 +267,7 @@ impl WorkloadSpec {
         }
         Ok(Job {
             name: format!("{}#{}", self.name, instance),
-            inst,
-            program,
-            config: self.config.clone(),
+            shape: Arc::new(JobShape::new(inst, program, self.config.clone())),
             shots: self.shots,
             // Wrapping on both the stride multiply and the add: for a
             // base seed near u64::MAX the unchecked forms panic in

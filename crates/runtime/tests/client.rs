@@ -54,7 +54,7 @@ fn serve_fixture(workers: usize, batch: u64, net: ServeNetConfig) -> (Arc<JobQue
 /// `batches_done == k` must match bit-exactly.
 fn prefix_references(job: &Job, batch: u64) -> Vec<(Histogram, RunStats, Vec<f64>)> {
     use eqasm_runtime::ExecBackend as _;
-    let num_qubits = job.inst.topology().num_qubits();
+    let num_qubits = job.shape.inst().topology().num_qubits();
     let mut backend = LocalBackend::new(0);
     let mut histogram = Histogram::new();
     let mut stats = RunStats::default();

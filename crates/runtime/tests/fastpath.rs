@@ -93,8 +93,8 @@ fn noisy_job(shots: u64, base_seed: u64, backend: BackendSelect) -> Job {
 
 /// The selection a loaded machine would make for `job`.
 fn selection_kind(job: &Job) -> SimBackendKind {
-    let mut m = QuMa::new(job.inst.clone(), job.config.clone());
-    m.load(&job.program).expect("loads");
+    let mut m = QuMa::new(job.shape.inst().clone(), job.shape.config().clone());
+    m.load(job.shape.program()).expect("loads");
     m.selection().kind()
 }
 
@@ -103,14 +103,14 @@ fn selection_kind(job: &Job) -> SimBackendKind {
 /// path must reproduce bit for bit. Applies [`env_policy`]'s backend
 /// override so the CI execution-path legs compare like against like.
 fn serial_replays(job: &Job) -> (Histogram, RunStats) {
-    let mut config = job.config.clone();
+    let mut config = job.shape.config().clone();
     config.record_trace = false;
     if let Some(backend) = env_policy().backend {
         config.backend = backend;
     }
-    let mut m = QuMa::new(job.inst.clone(), config);
-    m.load(&job.program).expect("loads");
-    let n = job.inst.topology().num_qubits();
+    let mut m = QuMa::new(job.shape.inst().clone(), config);
+    m.load(job.shape.program()).expect("loads");
+    let n = job.shape.inst().topology().num_qubits();
     let mut hist = Histogram::new();
     let mut stats = RunStats::default();
     for shot in 0..job.shots {
@@ -220,8 +220,8 @@ fn fork_path_is_bit_identical_to_full_replays_at_every_worker_count() {
     for job in [&ideal, &noisy] {
         // The fork path must actually engage for this pin to mean
         // anything: the job is prefix-eligible and not forced dense.
-        let mut m = QuMa::new(job.inst.clone(), job.config.clone());
-        m.load(&job.program).expect("loads");
+        let mut m = QuMa::new(job.shape.inst().clone(), job.shape.config().clone());
+        m.load(job.shape.program()).expect("loads");
         assert!(
             m.selection().prefix_eligible(),
             "{}: must be eligible",
@@ -335,8 +335,8 @@ proptest! {
     #[test]
     fn prefix_snapshot_is_seed_independent(a in any::<u64>(), b in any::<u64>()) {
         let job = clifford_job(1, 0, SimConfig::default());
-        let mut m = QuMa::new(job.inst.clone(), job.config.clone());
-        m.load(&job.program).expect("loads");
+        let mut m = QuMa::new(job.shape.inst().clone(), job.shape.config().clone());
+        m.load(job.shape.program()).expect("loads");
         let sa = m.run_prefix(a);
         let sb = m.run_prefix(b);
         prop_assert!(sa.is_some(), "ideal Clifford program must be prefix-eligible");

@@ -323,8 +323,8 @@ fn clifford_chain_runs_above_the_dense_ceiling() {
 
     // Selection: Clifford-only under ideal noise rides the tableau.
     let job = spec.build_instance(0).expect("builds");
-    let mut machine = QuMa::new(job.inst.clone(), job.config.clone());
-    machine.load(&job.program).expect("loads");
+    let mut machine = QuMa::new(job.shape.inst().clone(), job.shape.config().clone());
+    machine.load(job.shape.program()).expect("loads");
     assert_eq!(machine.selection().kind(), SimBackendKind::Stabilizer);
 
     // End to end over TCP.
@@ -370,8 +370,8 @@ fn clifford_chain_of_17_runs_on_the_stabilizer_backend() {
     )
     .with_seed(4);
     let job = spec.build_instance(0).expect("17 qubits builds");
-    let mut machine = QuMa::new(job.inst.clone(), job.config.clone());
-    machine.load(&job.program).expect("loads");
+    let mut machine = QuMa::new(job.shape.inst().clone(), job.shape.config().clone());
+    machine.load(job.shape.program()).expect("loads");
     assert_eq!(machine.selection().kind(), SimBackendKind::Stabilizer);
     let result = ShotEngine::serial().run_job(&job).expect("runs");
     assert_eq!(result.histogram.total(), 32);

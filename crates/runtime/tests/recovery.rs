@@ -11,23 +11,18 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 use eqasm_asm::assemble;
 use eqasm_core::Instantiation;
-use eqasm_microarch::BackendSelect;
-use eqasm_runtime::prefix;
 use eqasm_runtime::{
-    ExecBackend, ExecPolicy, Job, JobQueue, JournalConfig, JournalError, LocalBackend,
-    RuntimeError, ServeConfig, ShotEngine, Submission,
+    ExecBackend, Job, JobQueue, JournalConfig, JournalError, LocalBackend, RuntimeError,
+    ServeConfig, ShotEngine, Submission,
 };
 
 /// A Clifford-only two-qubit program with genuinely random outcomes on
 /// both measured qubits, so a recovery bug (lost range, double fold,
 /// wrong seed offset) cannot hide behind a deterministic histogram.
-/// The `wait` parameter varies the program shape, giving each test its
-/// own prefix-cache key (the cache is process-global and the tests in
-/// this binary run concurrently).
+/// The `wait` parameter varies the program shape.
 fn clifford_program(wait: u32) -> String {
     format!(
         "SMIS S0, {{0}}
@@ -298,122 +293,6 @@ fn eviction_is_durable_before_release_returns() {
     assert!(handles2[0].wait().is_err(), "a tombstone holds no result");
     queue2.shutdown();
     let _ = std::fs::remove_dir_all(&image);
-}
-
-/// Admission pre-warms the prefix snapshot off the hot path: with a
-/// held (zero-backend) queue nothing can dispatch, yet the job's shape
-/// becomes warm in the prefix cache — so the first batch, whenever
-/// capacity arrives, starts from a cache hit.
-#[test]
-fn admission_pre_warms_the_prefix_cache() {
-    let job = clifford_job("warm-admit", 130, 200, 3);
-    assert!(
-        !prefix::is_warm(&job, &ExecPolicy::default()),
-        "distinct shape starts cold"
-    );
-    let queue = JobQueue::with_backends(serve_config().with_hold_when_empty(true), Vec::new());
-    let handles = queue
-        .submit(Submission::job("tenant-w", job.clone()))
-        .expect("submits");
-
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !prefix::is_warm(&job, &ExecPolicy::default()) {
-        assert!(
-            Instant::now() < deadline,
-            "admission warmer never produced a snapshot"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-
-    // Capacity arrives after the warm-up: the run must still be exact.
-    queue
-        .attach_backend(Box::new(LocalBackend::new(0)))
-        .expect("attaches");
-    let result = handles[0].wait().expect("completes");
-    let serial = ShotEngine::serial()
-        .with_batch_size(25)
-        .run_job(&job)
-        .expect("serial reference");
-    assert_eq!(result.histogram, serial.histogram);
-    queue.shutdown();
-}
-
-/// `warm` and `is_warm` key on the configuration dispatch builds its
-/// machines with. The job's own configuration says `Dense` (never
-/// forks); under a `backend: Some(Auto)` override, the entry a
-/// dispatched batch caches is the one `is_warm` looks up.
-#[test]
-fn warm_and_dispatch_agree_on_the_key_under_a_backend_override() {
-    let auto = ExecPolicy {
-        backend: Some(BackendSelect::Auto),
-        prefix: true,
-    };
-    let mut job = clifford_job("override", 190, 8, 3);
-    job.config.backend = BackendSelect::Dense;
-    assert!(!prefix::is_warm(&job, &auto), "distinct shape starts cold");
-    prefix::warm(&job, &ExecPolicy::default());
-    assert!(!prefix::is_warm(&job, &auto), "Dense never warms");
-    LocalBackend::new(0)
-        .with_policy(auto)
-        .run_range(&job, 0..8)
-        .expect("runs");
-    assert!(prefix::is_warm(&job, &auto));
-    assert!(!prefix::is_warm(&job, &ExecPolicy::default()));
-}
-
-/// Recovery re-warms the prefix cache for every re-admitted job, even
-/// after the cache itself was lost (here: evicted by eight newer
-/// shapes, standing in for the process restart that recovery models).
-#[test]
-fn recovery_pre_warms_the_prefix_cache() {
-    // Journal an admission without letting anything run.
-    let dir = temp_dir("warm-recover");
-    let job = clifford_job("warm-recover", 140, 200, 5);
-    let jc = JournalConfig::new(&dir);
-    let (queue, _) = JobQueue::recover(serve_config().with_hold_when_empty(true), Vec::new(), &jc)
-        .expect("cold start recovers");
-    queue
-        .submit(Submission::job("tenant-w", job.clone()))
-        .expect("submits");
-    queue.shutdown();
-
-    // Evict this shape: the cache keeps the 8 most recent shapes, so
-    // warming 8 unrelated ones guarantees it is gone (concurrent tests
-    // use their own distinct shapes and never re-add this one).
-    for wait in 900..908 {
-        prefix::warm(&clifford_job("evictor", wait, 1, 0), &ExecPolicy::default());
-    }
-    assert!(
-        !prefix::is_warm(&job, &ExecPolicy::default()),
-        "shape evicted before recovery"
-    );
-
-    let (queue2, report) =
-        JobQueue::recover(serve_config().with_hold_when_empty(true), Vec::new(), &jc)
-            .expect("recovers");
-    assert_eq!(report.jobs_recovered, 1);
-
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !prefix::is_warm(&job, &ExecPolicy::default()) {
-        assert!(
-            Instant::now() < deadline,
-            "recovery warmer never produced a snapshot"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-
-    queue2
-        .attach_backend(Box::new(LocalBackend::new(0)))
-        .expect("attaches");
-    let result = queue2.job_handles()[0].wait().expect("completes");
-    let serial = ShotEngine::serial()
-        .with_batch_size(25)
-        .run_job(&job)
-        .expect("serial reference");
-    assert_eq!(result.histogram, serial.histogram);
-    assert_eq!(result.stats, serial.stats);
-    queue2.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A recovered job keeps its pre-crash coordinator id: the serve

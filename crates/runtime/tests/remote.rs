@@ -74,7 +74,7 @@ fn remote_backends(worker: &WorkerHandle, count: usize) -> Vec<Box<dyn ExecBacke
 /// `batches_done == k` must match **bit-identically**, no matter what
 /// pool churn produced it.
 fn prefix_references(job: &Job, batch: u64) -> Vec<(Histogram, RunStats, Vec<f64>)> {
-    let num_qubits = job.inst.topology().num_qubits();
+    let num_qubits = job.shape.inst().topology().num_qubits();
     let mut backend = LocalBackend::new(0);
     let mut histogram = Histogram::new();
     let mut stats = RunStats::default();

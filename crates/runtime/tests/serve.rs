@@ -3,13 +3,15 @@
 //! prefixes of the final merge, weighted-fair tenant scheduling,
 //! quota enforcement, program-cache behaviour and failure isolation.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eqasm_core::{Bundle, BundleOp, Instantiation, OpTarget, QOpcode, Qubit, Topology};
 use eqasm_microarch::{BackendSelect, SimConfig};
 use eqasm_quantum::{NoiseModel, ReadoutModel};
 use eqasm_runtime::{
-    Job, JobQueue, RuntimeError, ServeConfig, ShotEngine, Submission, WorkloadKind, WorkloadSpec,
+    Job, JobQueue, LocalBackend, RuntimeError, ServeConfig, ShotEngine, Submission, WorkloadKind,
+    WorkloadSpec,
 };
 
 /// A noisy RB job whose shots genuinely consume randomness, so any
@@ -237,6 +239,71 @@ fn program_cache_hits_on_repeated_workload_kinds() {
     for handle in a.iter().chain(&b) {
         handle.wait().expect("completes");
     }
+}
+
+/// A job admitted to an empty held pool waits for capacity, and runs
+/// exactly once a slot attaches.
+#[test]
+fn held_job_runs_exactly_once_capacity_attaches() {
+    let job = noisy_rb_job("held", 48, 17);
+    let queue = JobQueue::with_backends(
+        ServeConfig::default()
+            .with_batch_size(8)
+            .with_hold_when_empty(true),
+        Vec::new(),
+    );
+    let handles = queue
+        .submit(Submission::job("tenant", job.clone()))
+        .expect("submits");
+    assert!(!handles[0].is_done(), "nothing can run yet");
+    queue
+        .attach_backend(Box::new(LocalBackend::new(0)))
+        .expect("attaches");
+    let served = handles[0].wait().expect("completes");
+    let reference = ShotEngine::serial()
+        .with_batch_size(8)
+        .run_job(&job)
+        .expect("engine runs");
+    assert_eq!(served.histogram, reference.histogram);
+    assert_eq!(served.stats, reference.stats);
+    assert_eq!(served.mean_prob1, reference.mean_prob1);
+}
+
+/// Jobs of one shape share one interned `Arc<JobShape>`, and releasing
+/// every job of the shape frees it: no released entry, slot machine or
+/// placeholder keeps it alive.
+#[test]
+fn released_jobs_drop_their_shape() {
+    let queue = JobQueue::new(ServeConfig::default().with_workers(2).with_batch_size(8));
+    // Two jobs of one shape, built apart: admission interns the second
+    // onto the first.
+    let first = noisy_rb_job("first", 32, 1);
+    let second = noisy_rb_job("second", 32, 2);
+    assert!(!Arc::ptr_eq(&first.shape, &second.shape));
+    let shape = Arc::downgrade(&first.shape);
+    let duplicate = Arc::downgrade(&second.shape);
+    let mut handles = queue
+        .submit(Submission::job("tenant", first))
+        .expect("submits");
+    handles.extend(
+        queue
+            .submit(Submission::job("tenant", second))
+            .expect("submits"),
+    );
+    assert!(
+        duplicate.upgrade().is_none(),
+        "the second job runs the first one's shape"
+    );
+    for h in &handles {
+        h.wait().expect("completes");
+    }
+    assert!(shape.upgrade().is_some(), "retained jobs hold their shape");
+    for h in &handles {
+        assert!(h.release());
+    }
+    // Joins the slots, which may still hold their last batch's job.
+    queue.shutdown();
+    assert!(shape.upgrade().is_none(), "released jobs hold no shape");
 }
 
 #[test]

@@ -4,6 +4,8 @@
 //! histogram's merge laws and error bound, and typed rejection of
 //! malformed bytes.
 
+use std::time::Duration;
+
 use eqasm_core::{
     Bundle, BundleOp, CmpFlag, Gpr, Instantiation, Instruction, OpTarget, Qubit, SReg, TReg,
     Topology,
@@ -13,7 +15,10 @@ use eqasm_quantum::{NoiseModel, ReadoutModel};
 use eqasm_runtime::wire::{
     self, decode_batch_out, decode_job, encode_batch_out, encode_job, WireError,
 };
-use eqasm_runtime::{BatchOut, BitString, Histogram, Job, LatencyHistogram};
+use eqasm_runtime::{
+    BatchOut, BitString, Histogram, Job, JobResult, LatencyHistogram, PartialResult, Submission,
+    TenantId, WorkloadKind, WorkloadSpec,
+};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -281,25 +286,25 @@ proptest! {
         prop_assert_eq!(&bytes, &re_encoded, "wire bytes must be canonical");
         // Structural spot-checks on NaN-free fields.
         prop_assert_eq!(&job.name, &decoded.name);
-        prop_assert_eq!(&job.program, &decoded.program);
+        prop_assert_eq!(job.shape.program(), decoded.shape.program());
         prop_assert_eq!(job.shots, decoded.shots);
         prop_assert_eq!(job.base_seed, decoded.base_seed);
-        prop_assert_eq!(job.inst.topology(), decoded.inst.topology());
-        prop_assert_eq!(job.inst.params(), decoded.inst.params());
-        prop_assert_eq!(job.inst.ops(), decoded.inst.ops());
-        prop_assert_eq!(job.config.seed, decoded.config.seed);
+        prop_assert_eq!(job.shape.inst().topology(), decoded.shape.inst().topology());
+        prop_assert_eq!(job.shape.inst().params(), decoded.shape.inst().params());
+        prop_assert_eq!(job.shape.inst().ops(), decoded.shape.inst().ops());
+        prop_assert_eq!(job.shape.config().seed, decoded.shape.config().seed);
         // f64 fields compare by bit pattern.
         prop_assert_eq!(
-            job.config.cycle_time_ns.to_bits(),
-            decoded.config.cycle_time_ns.to_bits()
+            job.shape.config().cycle_time_ns.to_bits(),
+            decoded.shape.config().cycle_time_ns.to_bits()
         );
         prop_assert_eq!(
-            job.config.noise.t1_ns.to_bits(),
-            decoded.config.noise.t1_ns.to_bits()
+            job.shape.config().noise.t1_ns.to_bits(),
+            decoded.shape.config().noise.t1_ns.to_bits()
         );
         prop_assert_eq!(
-            job.config.readout.p_read1_given0.to_bits(),
-            decoded.config.readout.p_read1_given0.to_bits()
+            job.shape.config().readout.p_read1_given0.to_bits(),
+            decoded.shape.config().readout.p_read1_given0.to_bits()
         );
     }
 
@@ -494,6 +499,237 @@ proptest! {
     }
 }
 
+fn arb_partial_result() -> impl Strategy<Value = PartialResult> {
+    (
+        arb_batch_out(),
+        "[a-z0-9-]{0,12}",
+        (any::<u64>(), any::<u64>(), any::<bool>()),
+    )
+        .prop_map(|(out, name, (total, wait, done))| PartialResult {
+            name,
+            tenant: TenantId::new("tenant"),
+            shots_done: out.shots(),
+            shots_total: total,
+            batches_done: (total % 7) as usize,
+            batches_total: (total % 11) as usize,
+            latency: out.latency.stats(),
+            histogram: out.histogram,
+            stats: out.stats,
+            mean_prob1: out.prob1_sum,
+            non_halted: out.non_halted,
+            done,
+            failed: out.first_failure.map(|(_, message)| message),
+            queue_wait: Duration::from_nanos(wait),
+            active: Duration::from_nanos(out.elapsed_ns),
+        })
+}
+
+fn arb_job_result() -> impl Strategy<Value = JobResult> {
+    (arb_batch_out(), "[a-z0-9-]{0,12}", any::<u64>()).prop_map(|(out, name, bits)| {
+        // `JobResult` has a private field: start from a real result.
+        let mut result = eqasm_runtime::ShotEngine::serial()
+            .run_job(&Job::new(
+                "r",
+                Instantiation::paper_two_qubit(),
+                vec![Instruction::Stop],
+            ))
+            .expect("runs");
+        result.name = name;
+        result.shots = out.shots();
+        result.histogram = out.histogram;
+        result.stats = out.stats;
+        result.mean_prob1 = out.prob1_sum;
+        result.latency = out.latency;
+        result.elapsed = Duration::from_nanos(out.elapsed_ns);
+        result.shots_per_sec = edge_f64(bits as u8, f64::from_bits(bits));
+        result.non_halted = out.non_halted;
+        result.first_failure = out.first_failure;
+        result
+    })
+}
+
+fn arb_submission() -> impl Strategy<Value = Submission> {
+    (arb_job(), 0u8..7, any::<u64>(), "[a-z0-9-]{0,12}").prop_map(|(job, kind, v, name)| {
+        let kind = match kind {
+            0 => WorkloadKind::Rabi {
+                amplitudes: vec![0.25, f64::from_bits(v)],
+                amplitude_index: (v % 2) as usize,
+            },
+            1 => WorkloadKind::AllXy {
+                round: (v % 42) as usize,
+                init_cycles: v as u32,
+            },
+            2 => WorkloadKind::Rb {
+                k: (v % 64) as usize,
+                interval_cycles: (v >> 8) as u32,
+                sequence_seed: v,
+            },
+            3 => WorkloadKind::ActiveReset {
+                init_cycles: v as u32,
+            },
+            4 => WorkloadKind::Source { text: name.clone() },
+            5 => WorkloadKind::CliffordChain {
+                qubits: 2 + (v % 16) as usize,
+                layers: 1 + (v >> 32) as u32 % 16,
+            },
+            _ => return Submission::job(TenantId::new(name), job),
+        };
+        let spec = WorkloadSpec::new(name, kind, v >> 40)
+            .with_weight(v as u32 % 4)
+            .with_seed(v.rotate_left(17))
+            .with_config(job.shape.config().clone());
+        Submission::workload("tenant", spec)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Arbitrary bytes into the snapshot, final-result and submission
+    /// decoders: a typed error or a value, never a panic.
+    #[test]
+    fn result_and_submission_decoders_survive_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        if let Err(e) = wire::decode_partial_result(&bytes) {
+            prop_assert!(is_typed(&e), "untyped: {}", e);
+        }
+        if let Err(e) = wire::decode_job_result(&bytes) {
+            prop_assert!(is_typed(&e), "untyped: {}", e);
+        }
+        if let Err(e) = wire::decode_submission(&bytes) {
+            prop_assert!(is_typed(&e), "untyped: {}", e);
+        }
+    }
+
+    /// Every strict prefix of an encoded snapshot or final result is a
+    /// typed error; a byte mutated at a random offset is a typed error
+    /// or decodes to a value whose encoding survives its own round
+    /// trip.
+    #[test]
+    fn result_decoders_reject_truncated_and_mutated_bytes(
+        partial in arb_partial_result(),
+        result in arb_job_result(),
+        cut_seed in any::<u64>(),
+        flip in 1u8..=255,
+    ) {
+        let bytes = wire::encode_partial_result(&partial);
+        for cut in 0..bytes.len() {
+            let err = wire::decode_partial_result(&bytes[..cut]).expect_err("prefix");
+            prop_assert!(is_typed(&err), "untyped: {}", err);
+        }
+        let cut = (cut_seed % bytes.len() as u64) as usize;
+        let mut mutated = bytes.clone();
+        mutated[cut] ^= flip;
+        match wire::decode_partial_result(&mutated) {
+            Ok(p) => {
+                let again = wire::encode_partial_result(&p);
+                let back = wire::decode_partial_result(&again).expect("re-decodes");
+                prop_assert_eq!(wire::encode_partial_result(&back), again);
+            }
+            Err(e) => prop_assert!(is_typed(&e), "untyped: {}", e),
+        }
+
+        let bytes = wire::encode_job_result(&result);
+        for cut in 0..bytes.len() {
+            let err = wire::decode_job_result(&bytes[..cut]).expect_err("prefix");
+            prop_assert!(is_typed(&err), "untyped: {}", err);
+        }
+        let cut = (cut_seed % bytes.len() as u64) as usize;
+        let mut mutated = bytes.clone();
+        mutated[cut] ^= flip;
+        match wire::decode_job_result(&mutated) {
+            Ok(r) => {
+                let again = wire::encode_job_result(&r);
+                let back = wire::decode_job_result(&again).expect("re-decodes");
+                prop_assert_eq!(wire::encode_job_result(&back), again);
+            }
+            Err(e) => prop_assert!(is_typed(&e), "untyped: {}", e),
+        }
+    }
+
+    /// The same for submissions. A job submission whose job bytes are
+    /// cut inside an intact frame takes the job decoder through every
+    /// truncation too.
+    #[test]
+    fn submission_decoder_rejects_truncated_and_mutated_bytes(
+        submission in arb_submission(),
+        job in arb_job(),
+        cut_seed in any::<u64>(),
+        flip in 1u8..=255,
+    ) {
+        let job_bytes = encode_job(&job).expect("encodes");
+        let framed = |job_bytes: &[u8]| {
+            [&[1, 0, 0, 0, b't', 0][..], &(job_bytes.len() as u32).to_le_bytes(), job_bytes].concat()
+        };
+        let whole = wire::encode_submission(&Submission::job("t", job)).expect("encodes");
+        prop_assert_eq!(framed(&job_bytes), whole);
+        for cut in 0..job_bytes.len() {
+            let err = wire::decode_submission(&framed(&job_bytes[..cut])).expect_err("cut job");
+            prop_assert!(is_typed(&err), "untyped: {}", err);
+        }
+
+        let bytes = wire::encode_submission(&submission).expect("encodes");
+        for cut in 0..bytes.len() {
+            let err = wire::decode_submission(&bytes[..cut]).expect_err("prefix");
+            prop_assert!(is_typed(&err), "untyped: {}", err);
+        }
+        let cut = (cut_seed % bytes.len() as u64) as usize;
+        let mut mutated = bytes.clone();
+        mutated[cut] ^= flip;
+        match wire::decode_submission(&mutated) {
+            Ok(s) => {
+                let again = wire::encode_submission(&s).expect("re-encodes");
+                let back = wire::decode_submission(&again).expect("re-decodes");
+                prop_assert_eq!(wire::encode_submission(&back).expect("re-encodes"), again);
+            }
+            Err(e) => prop_assert!(is_typed(&e), "untyped: {}", e),
+        }
+    }
+}
+
+/// A length or count prefix claiming far more than the payload holds
+/// is a `Truncated` error raised before anything is allocated for it.
+#[test]
+fn result_and_submission_lengths_are_bounded_by_the_bytes_present() {
+    let huge = u32::MAX.to_le_bytes();
+    // Snapshot name, submission tenant, a job result's histogram count
+    // (24 bytes per entry), and a submitted job's byte length.
+    let name = [&huge[..], &[1, 2]].concat();
+    let count = [&[0u8; 4][..], &[0; 8], &huge, &[1, 2]].concat();
+    let job_bytes = [&[0u8; 4][..], &[0], &huge, &[1, 2]].concat();
+    let cases: [(&str, Result<(), WireError>, usize); 4] = [
+        (
+            "snapshot",
+            wire::decode_partial_result(&name).map(drop),
+            u32::MAX as usize,
+        ),
+        (
+            "submission",
+            wire::decode_submission(&name).map(drop),
+            u32::MAX as usize,
+        ),
+        (
+            "job result",
+            wire::decode_job_result(&count).map(drop),
+            u32::MAX as usize * 24,
+        ),
+        (
+            "submitted job",
+            wire::decode_submission(&job_bytes).map(drop),
+            u32::MAX as usize,
+        ),
+    ];
+    for (what, got, floor) in cases {
+        match got {
+            Err(WireError::Truncated { needed, have, .. }) => {
+                assert_eq!((needed, have), (floor, 2), "{what}");
+            }
+            other => panic!("{what}: expected Truncated, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn latency_bucket_count_is_bounded_by_the_bytes_present() {
     // sum (0, 0), max 0, then a bucket count of 2^40 with two bytes of
@@ -556,10 +792,11 @@ fn unknown_instruction_tag_rejected() {
     // The program's single instruction tag is the byte right before
     // the trailing SimConfig + shots + seed block. Find it by
     // re-encoding with a different instruction and diffing.
-    let nop_bytes = encode_job(&Job {
-        program: vec![Instruction::Nop],
-        ..job.clone()
-    })
+    let nop_bytes = encode_job(&Job::new(
+        "tagged",
+        Instantiation::paper_two_qubit(),
+        vec![Instruction::Nop],
+    ))
     .expect("encodes");
     let diff_at = bytes
         .iter()
