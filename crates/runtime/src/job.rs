@@ -77,6 +77,9 @@ impl PartialEq for JobShape {
 #[derive(Debug, Default)]
 pub(crate) struct ShapeTable {
     shapes: HashMap<Box<[u8]>, Weak<JobShape>>,
+    /// Shapes decoded through this table because none was live.
+    #[cfg(test)]
+    pub(crate) decoded: usize,
 }
 
 impl ShapeTable {

@@ -273,8 +273,8 @@ pub struct RecoveryReport {
     pub ranges_recovered: usize,
     /// Jobs with a durable `Complete` record, dropped (their results
     /// were already surfaced or released; resurrecting them would leak
-    /// memory forever on every restart). Their ids survive as small
-    /// released tombstones so later jobs keep their pre-crash ids.
+    /// memory forever on every restart). Their ids come back released
+    /// (no entry each), so later jobs keep their pre-crash ids.
     pub jobs_dropped: usize,
     /// Whether the final segment ended in a torn record (expected
     /// after a mid-write crash; the lost tail re-executes).
@@ -764,9 +764,9 @@ impl JournalHandle {
     /// fsynced, returning whether durability was actually confirmed.
     /// `false` — a wedged journal thread, a >30 s disk stall, or a
     /// failed write/fsync — means the caller must NOT act as if the
-    /// records are on disk (no tombstoning a released job, no deleting
-    /// replayed segments). The durability barrier `JobHandle::release`
-    /// takes before dropping a completed job's last in-memory copy.
+    /// records are on disk (no releasing a completed job, no deleting
+    /// replayed segments). The barrier the queue takes, once per
+    /// release, before dropping completed jobs' last in-memory copies.
     #[must_use]
     pub(crate) fn flush(&self) -> bool {
         let (ack_tx, ack_rx) = mpsc::channel();

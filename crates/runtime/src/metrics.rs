@@ -741,7 +741,7 @@ impl RuntimeMetrics {
             ),
             retention_evictions: r.counter(
                 "eqasm_completed_retention_evictions_total",
-                "Completed jobs evicted (released) from the serve acceptor's bounded directory.",
+                "Completed jobs the serve front door's completed-retention sweep released from the queue's job table.",
             ),
             slots_active: pool_slots.with(&["active"]),
             slots_draining: pool_slots.with(&["draining"]),

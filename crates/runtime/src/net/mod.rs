@@ -1560,9 +1560,10 @@ pub struct ServeNetConfig {
     /// How many **completed** jobs stay addressable by id. A
     /// long-lived front door cannot retain every job it ever served
     /// (each final result holds a histogram); past this many finished
-    /// jobs, registering a new one evicts the oldest finished ids —
-    /// their `status`/`watch` lookups then report an unknown id.
-    /// Running jobs are never evicted.
+    /// jobs, each `SUBMIT` releases the oldest finished ones from the
+    /// queue's job table — their `status`/`watch` lookups then report
+    /// "released". Running jobs and jobs being streamed to a
+    /// subscriber are never released.
     pub completed_retention: usize,
     /// Per-connection outbound-queue cap, in bytes. A subscriber that
     /// cannot keep up with the snapshot stream accumulates queued

@@ -38,12 +38,12 @@ use std::collections::HashMap;
 use std::io::Read as _;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::RuntimeError;
-use crate::serve::{JobHandle, JobQueue};
+use crate::serve::{JobHandle, JobQueue, NoJob};
 use crate::wire::{
     self, ErrorKind, ErrorMsg, FrameReader, FrameWriter, RemoteJobInfo, SubmitAck, WireError,
 };
@@ -317,134 +317,6 @@ pub fn wake_serve_shutdown() {
 }
 
 // ---------------------------------------------------------------------
-// The job directory
-// ---------------------------------------------------------------------
-
-/// The acceptor's job-id table, shared across client connections so a
-/// job submitted on one connection can be polled or watched from
-/// another connection of the same acceptor (ids are never reused).
-///
-/// Bounded: a long-lived service cannot keep every job it ever ran,
-/// so registration evicts the oldest **completed** jobs beyond the
-/// configured retention — dropping the id mapping *and* releasing the
-/// queue-side payload ([`crate::serve::JobHandle::release`]: program,
-/// histogram, final result) so memory is actually reclaimed, not just
-/// de-addressed. Running jobs always stay addressable and intact.
-struct JobDirectory {
-    next: AtomicU64,
-    /// Ordered by id — ids are monotonic, so iteration order is age
-    /// order and the eviction sweep reads the oldest entries for
-    /// free (no per-registration clone-and-sort of the whole table).
-    jobs: Mutex<std::collections::BTreeMap<u64, crate::serve::JobHandle>>,
-    /// Jobs with an active subscription stream, by id. Pinned jobs
-    /// are never evicted: a watcher must not have a *successful* run
-    /// turned into a "released" error under its feet.
-    pinned: Mutex<std::collections::HashMap<u64, usize>>,
-    completed_retention: usize,
-}
-
-/// How many oldest entries one registration's eviction sweep will
-/// probe beyond the strictly necessary count. Bounds the per-SUBMIT
-/// work when the oldest jobs happen to still be running (they cannot
-/// be evicted; the table then temporarily exceeds the retention).
-const EVICTION_SWEEP_SLACK: usize = 64;
-
-impl JobDirectory {
-    fn new(completed_retention: usize) -> Self {
-        JobDirectory {
-            next: AtomicU64::new(1),
-            jobs: Mutex::new(std::collections::BTreeMap::new()),
-            pinned: Mutex::new(std::collections::HashMap::new()),
-            completed_retention: completed_retention.max(1),
-        }
-    }
-
-    fn register(&self, handle: crate::serve::JobHandle) -> u64 {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        // Insert, and snapshot a bounded window of the *oldest*
-        // entries while the lock is held — but probe them after
-        // releasing it: `release` takes the queue-state mutex (the
-        // dispatch hot path), and holding the directory lock across
-        // per-entry queue locks would stall every concurrent
-        // POLL/SUBSCRIBE lookup behind the sweep.
-        let (excess, candidates): (usize, Vec<(u64, crate::serve::JobHandle)>) = {
-            let mut jobs = self.jobs.lock().expect("job directory poisoned");
-            jobs.insert(id, handle);
-            if jobs.len() <= self.completed_retention {
-                return id;
-            }
-            let excess = jobs.len() - self.completed_retention;
-            let window = excess.saturating_add(EVICTION_SWEEP_SLACK);
-            (
-                excess,
-                jobs.iter()
-                    .take(window)
-                    .map(|(&cid, h)| (cid, h.clone()))
-                    .collect(),
-            )
-        };
-        let pinned: Vec<u64> = {
-            let pins = self.pinned.lock().expect("pin table poisoned");
-            candidates
-                .iter()
-                .filter(|(cid, _)| pins.get(cid).copied().unwrap_or(0) > 0)
-                .map(|(cid, _)| *cid)
-                .collect()
-        };
-        let mut evicted = Vec::with_capacity(excess);
-        for (cid, h) in &candidates {
-            if evicted.len() >= excess {
-                break;
-            }
-            // `release` frees the payload only when the job is done;
-            // running and actively watched jobs stay.
-            if !pinned.contains(cid) && h.release() {
-                evicted.push(*cid);
-            }
-        }
-        if !evicted.is_empty() {
-            crate::metrics::rt()
-                .retention_evictions
-                .add(evicted.len() as u64);
-            let mut jobs = self.jobs.lock().expect("job directory poisoned");
-            for cid in evicted {
-                jobs.remove(&cid);
-            }
-        }
-        id
-    }
-
-    fn get(&self, id: u64) -> Option<crate::serve::JobHandle> {
-        self.jobs
-            .lock()
-            .expect("job directory poisoned")
-            .get(&id)
-            .cloned()
-    }
-
-    /// Marks `id` as having one more active subscription (shielding
-    /// it from eviction until the matching [`JobDirectory::unpin`]).
-    fn pin(&self, id: u64) {
-        *self
-            .pinned
-            .lock()
-            .expect("pin table poisoned")
-            .entry(id)
-            .or_insert(0) += 1;
-    }
-
-    fn unpin(&self, id: u64) {
-        let mut pins = self.pinned.lock().expect("pin table poisoned");
-        if let Some(count) = pins.get_mut(&id) {
-            *count -= 1;
-            if *count == 0 {
-                pins.remove(&id);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Per-connection state machines
 // ---------------------------------------------------------------------
 
@@ -521,6 +393,11 @@ struct SubEntry {
 /// subscriber — or the error goodbye to send instead.
 type ResultFrame = Result<Arc<Vec<u8>>, (ErrorKind, String)>;
 
+/// The wire id of queue job `id`: ids on the wire start at 1.
+fn wire_id(id: usize) -> u64 {
+    id as u64 + 1
+}
+
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -535,8 +412,10 @@ pub(super) struct ServeReactor {
     listener: TcpListener,
     queue: Arc<JobQueue>,
     config: ServeNetConfig,
-    directory: Arc<JobDirectory>,
     conns: HashMap<u64, Conn>,
+    /// Jobs with live subscribers, by wire id. The retention sweep
+    /// skips them: a watcher must not have a *successful* run turned
+    /// into a "released" error under its feet.
     subs: HashMap<u64, SubEntry>,
     next_token: u64,
     wake_rx: RawFd,
@@ -557,20 +436,11 @@ impl ServeReactor {
         let (wake_rx, waker) = wake_pipe()?;
         poller.register(listener.as_raw_fd(), LISTENER_TOKEN, READABLE)?;
         poller.register(wake_rx, WAKER_TOKEN, READABLE)?;
-        let directory = Arc::new(JobDirectory::new(config.completed_retention));
-        // Jobs the queue already knows (journal recovery, in-process
-        // admission before the acceptor started) get directory ids in
-        // admission order — the same order SUBMIT_ACK handed them out
-        // pre-crash, keeping pre-restart job ids valid.
-        for handle in queue.job_handles() {
-            directory.register(handle);
-        }
         Ok(ServeReactor {
             poller,
             listener,
             queue,
             config,
-            directory,
             conns: HashMap::new(),
             subs: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
@@ -896,7 +766,7 @@ impl ServeReactor {
     }
 
     fn on_submit(&mut self, token: u64, payload: &[u8]) -> bool {
-        let submission = match wire::decode_submission(payload) {
+        let submission = match self.queue.decode_submission(payload) {
             Ok(s) => s,
             Err(e) => {
                 self.send_goodbye(token, ErrorKind::Malformed, format!("bad submission: {e}"));
@@ -910,14 +780,20 @@ impl ServeReactor {
                     .map(|handle| {
                         let snap = handle.snapshot();
                         RemoteJobInfo {
-                            job_id: self.directory.register(handle),
+                            job_id: wire_id(handle.job),
                             name: snap.name,
                             shots: snap.shots_total,
                         }
                     })
                     .collect();
                 let ack = SubmitAck { jobs };
-                self.send_frame(token, wire::tag::SUBMIT_ACK, &ack.encode())
+                let sent = self.send_frame(token, wire::tag::SUBMIT_ACK, &ack.encode());
+                let subs = &self.subs;
+                self.queue
+                    .release_completed(self.config.completed_retention, |id| {
+                        subs.contains_key(&wire_id(id))
+                    });
+                sent
             }
             Err(e @ RuntimeError::AdmissionRejected { .. }) => {
                 // A budget, not a job defect: the client backs off and
@@ -936,12 +812,9 @@ impl ServeReactor {
                 return false;
             }
         };
-        let Some(handle) = self.directory.get(job_id) else {
-            return self.send_soft_error(
-                token,
-                ErrorKind::Malformed,
-                format!("unknown job id {job_id}"),
-            );
+        let handle = match self.lookup(job_id) {
+            Ok(handle) => handle,
+            Err(message) => return self.send_soft_error(token, ErrorKind::Malformed, message),
         };
         let snapshot = wire::encode_partial_result(&handle.snapshot());
         self.send_frame(token, wire::tag::SNAPSHOT, &snapshot)
@@ -955,21 +828,14 @@ impl ServeReactor {
                 return false;
             }
         };
-        let Some(handle) = self.directory.get(sub.job_id) else {
-            return self.send_soft_error(
-                token,
-                ErrorKind::Malformed,
-                format!("unknown job id {}", sub.job_id),
-            );
+        let handle = match self.lookup(sub.job_id) {
+            Ok(handle) => handle,
+            Err(message) => return self.send_soft_error(token, ErrorKind::Malformed, message),
         };
         if sub.resume_after.is_some() {
             crate::metrics::rt().subscription_resumes.inc();
         }
-        // Pin for the stream's duration: retention must not release a
-        // result a watcher is about to be handed.
-        self.directory.pin(sub.job_id);
         let Some(conn) = self.conns.get_mut(&token) else {
-            self.directory.unpin(sub.job_id);
             return false;
         };
         conn.state = ConnState::Subscribed {
@@ -993,6 +859,22 @@ impl ServeReactor {
         // and now.
         self.fanout_job(sub.job_id, Instant::now());
         false // parked: stop draining buffered request frames
+    }
+
+    /// The queue's handle for wire id `job_id`, or the soft error that
+    /// answers it: "released" for an id whose result is gone, "unknown
+    /// job id" for one never issued.
+    fn lookup(&self, job_id: u64) -> Result<JobHandle, String> {
+        let id = job_id
+            .checked_sub(1)
+            .and_then(|id| usize::try_from(id).ok());
+        match id.map(|id| self.queue.lookup(id)) {
+            Some(Ok(handle)) => Ok(handle),
+            Some(Err(NoJob::Released)) => Err(format!(
+                "job id {job_id} was released: its result is no longer retained"
+            )),
+            Some(Err(NoJob::Unknown)) | None => Err(format!("unknown job id {job_id}")),
+        }
     }
 
     // -- outbound ----------------------------------------------------
@@ -1193,12 +1075,11 @@ impl ServeReactor {
     }
 
     /// Ends one connection's subscription (stream completed): back to
-    /// the request loop, unpinned, re-armed for reads.
+    /// the request loop, re-armed for reads.
     fn finish_subscription(&mut self, token: u64, job_id: u64) {
         if let Some(entry) = self.subs.get_mut(&job_id) {
             entry.tokens.retain(|t| *t != token);
         }
-        self.directory.unpin(job_id);
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.state = ConnState::Serving;
             conn.deadline = self.config.idle_timeout.map(|t| Instant::now() + t);
@@ -1222,7 +1103,6 @@ impl ServeReactor {
                     self.subs.remove(&job_id);
                 }
             }
-            self.directory.unpin(job_id);
         }
     }
 

@@ -83,7 +83,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -98,11 +98,12 @@ use crate::engine::TaggedBatch;
 use crate::error::RuntimeError;
 use crate::job::{default_batch_size, partition_shots, Job, ShapeTable};
 use crate::journal::{self, JournalConfig, JournalHandle, RecoveryReport};
+use crate::wire::WireError;
 use crate::workload::{WorkloadKind, WorkloadSpec};
 
 /// Identifies the tenant a submission is accounted against. Cheap to
 /// clone; compares by name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(Arc<str>);
 
 impl TenantId {
@@ -500,7 +501,7 @@ impl ProgramCache {
 /// exactly the first [`PartialResult::batches_done`] batches and are
 /// bit-identical to a serial run of just those batches — see the
 /// module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PartialResult {
     /// The job's name.
     pub name: String,
@@ -707,12 +708,8 @@ struct DurableJob {
 
 /// A job tracked by the queue.
 struct JobEntry {
-    /// The job, with its interned shape; `None` once released and for
-    /// a recovered tombstone, so a released id holds no shape.
-    job: Option<Arc<Job>>,
-    /// The job's name and shot count, kept past release.
-    name: String,
-    shots: u64,
+    /// The job, with its interned shape.
+    job: Arc<Job>,
     tenant: usize,
     batches_total: usize,
     submitted_at: Instant,
@@ -728,10 +725,8 @@ impl JobEntry {
     /// An entry for `job`, not yet started.
     fn new(job: Job, tenant: usize, batches_total: usize) -> Self {
         JobEntry {
-            name: job.name.clone(),
-            shots: job.shots,
             partial: PartialState::new(job.shape.inst().topology().num_qubits()),
-            job: Some(Arc::new(job)),
+            job: Arc::new(job),
             tenant,
             batches_total,
             submitted_at: Instant::now(),
@@ -744,12 +739,97 @@ impl JobEntry {
     fn done(&self) -> bool {
         self.final_result.is_some() || self.failed.is_some()
     }
+}
 
-    /// The job of an entry that has not been released.
-    fn live_job(&self) -> &Arc<Job> {
-        self.job
-            .as_ref()
-            .expect("a dispatched or admitted job is live")
+/// Why a job id has no entry in the queue's job table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NoJob {
+    /// Issued, and released since.
+    Released,
+    /// Never issued.
+    Unknown,
+}
+
+/// What `wait` and snapshots report for a released job.
+const RELEASED: &str = "job released: its result is no longer retained";
+
+/// The queue's job table, and the service's one job directory. Ids are
+/// issued in order and never reused; the serve front door's wire id is
+/// the id + 1. Entries live in a window starting at `base`: an id
+/// below `base`, or an empty slot inside the window, was released and
+/// holds nothing; an id at or past [`JobTable::next_id`] was never
+/// issued. Released slots at the front are popped, so the table holds
+/// nothing for ids below its oldest unreleased job.
+#[derive(Default)]
+struct JobTable {
+    base: usize,
+    slots: VecDeque<Option<Box<JobEntry>>>,
+    /// Ids of terminal entries not yet released, oldest first: what
+    /// completed retention bounds and its sweep walks.
+    finished: BTreeSet<usize>,
+}
+
+impl JobTable {
+    /// One past the highest id issued.
+    fn next_id(&self) -> usize {
+        self.base + self.slots.len()
+    }
+
+    /// The entry of `id`, `None` when released or never issued.
+    fn get(&self, id: usize) -> Option<&JobEntry> {
+        self.slots.get(id.checked_sub(self.base)?)?.as_deref()
+    }
+
+    fn get_mut(&mut self, id: usize) -> Option<&mut JobEntry> {
+        self.slots
+            .get_mut(id.checked_sub(self.base)?)?
+            .as_deref_mut()
+    }
+
+    /// Issues the next id to `entry`.
+    fn push(&mut self, entry: JobEntry) -> usize {
+        self.slots.push_back(Some(Box::new(entry)));
+        self.next_id() - 1
+    }
+
+    /// Issues every id below `end` not yet issued as already released
+    /// (recovery: ids of completed or compacted-away jobs). Costs
+    /// nothing while no entry is live.
+    fn release_below(&mut self, end: usize) {
+        if self.slots.is_empty() {
+            self.base = self.base.max(end);
+        }
+        while self.next_id() < end {
+            self.slots.push_back(None);
+        }
+    }
+
+    /// Takes terminal job `id`'s entry out of the table (`None` when it
+    /// is running, released or unknown), for the caller to drop.
+    fn release(&mut self, id: usize) -> Option<Box<JobEntry>> {
+        if !self.finished.remove(&id) {
+            return None;
+        }
+        let entry = self.slots[id - self.base].take();
+        while matches!(self.slots.front(), Some(None)) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        entry
+    }
+}
+
+impl std::ops::Index<usize> for JobTable {
+    type Output = JobEntry;
+
+    fn index(&self, id: usize) -> &JobEntry {
+        self.get(id).expect("a live job")
+    }
+}
+
+impl std::ops::IndexMut<usize> for JobTable {
+    fn index_mut(&mut self, id: usize) -> &mut JobEntry {
+        self.get_mut(id).expect("a live job")
     }
 }
 
@@ -767,10 +847,8 @@ struct QueueState {
     tenants: Vec<TenantState>,
     tenant_index: HashMap<TenantId, usize>,
     ring_cursor: usize,
-    jobs: Vec<JobEntry>,
+    jobs: JobTable,
     cache: ProgramCache,
-    /// Every live job's shape, interned at admission and recovery.
-    shapes: ShapeTable,
     /// Undispatched batches across all tenants (fast idle check).
     pending: usize,
     /// The DRR quantum unit: at least the largest batch cost ever
@@ -805,9 +883,8 @@ impl QueueState {
             tenants: Vec::new(),
             tenant_index: HashMap::new(),
             ring_cursor: 0,
-            jobs: Vec::new(),
+            jobs: JobTable::default(),
             cache: ProgramCache::new(),
-            shapes: ShapeTable::default(),
             pending: 0,
             quantum_unit: 1,
             slots: Vec::new(),
@@ -898,18 +975,16 @@ impl QueueState {
         idx
     }
 
-    /// Enqueues one job under tenant `tenant`, interning its shape;
-    /// returns its job id.
-    fn enqueue_job(&mut self, tenant: usize, mut job: Job) -> usize {
-        let job_id = self.jobs.len();
-        job.shape = self.shapes.intern(&job.shape);
+    /// Enqueues one job (its shape already interned) under tenant
+    /// `tenant`; returns its job id.
+    fn enqueue_job(&mut self, tenant: usize, job: Job) -> usize {
         let batch = self
             .config
             .batch_size
             .unwrap_or_else(|| default_batch_size(job.shots))
             .max(1);
         let ranges = partition_shots(job.shots, batch);
-        self.jobs.push(JobEntry::new(job, tenant, ranges.len()));
+        let job_id = self.jobs.push(JobEntry::new(job, tenant, ranges.len()));
         self.journal_admit(job_id);
         if self.live == 0 && self.jobs[job_id].batches_total > 0 && !self.config.hold_when_empty {
             // Every backend already retired and nothing will bring one
@@ -919,7 +994,7 @@ impl QueueState {
             // expected to restore capacity.)
             self.jobs[job_id].failed = Some("no execution backends remain in the pool".to_owned());
             crate::metrics::rt().jobs_completed.with(&["failed"]).inc();
-            self.journal_complete(job_id);
+            self.terminal(job_id);
             return job_id;
         }
         for (b, range) in ranges.into_iter().enumerate() {
@@ -1025,12 +1100,11 @@ impl QueueState {
                 self.pending -= 1;
                 self.tenants[idx].sync_gauges();
                 self.sync_depth();
-                let entry = &self.jobs[b.job];
                 return Some(DispatchedTask {
                     job_id: b.job,
                     batch: b.batch,
                     range: b.range,
-                    job: Arc::clone(entry.live_job()),
+                    job: Arc::clone(&self.jobs[b.job].job),
                     tenant: idx,
                     failed_on: b.failed_on,
                 });
@@ -1056,10 +1130,13 @@ impl QueueState {
         t.inflight = t.inflight.saturating_sub(task.cost());
         t.shots_done += task.cost();
         t.sync_gauges();
-        if let Some(payload) = journal_payload {
-            if !self.jobs[task.job_id].done() {
-                self.journal_range_done(task.job_id, payload);
-            }
+        // A job that failed through another batch may be released
+        // while this one ran; then the batch has nowhere to go.
+        let Some(done) = self.jobs.get(task.job_id).map(JobEntry::done) else {
+            return;
+        };
+        if let (Some(payload), false) = (journal_payload, done) {
+            self.journal_range_done(task.job_id, payload);
         }
         let entry = &mut self.jobs[task.job_id];
         let before_batches = entry.partial.folded;
@@ -1094,11 +1171,10 @@ impl QueueState {
         t.sync_gauges();
         self.pending -= cancelled;
         self.sync_depth();
-        let entry = &mut self.jobs[task.job_id];
-        if entry.failed.is_none() && entry.final_result.is_none() {
+        if let Some(entry) = self.jobs.get_mut(task.job_id).filter(|e| !e.done()) {
             entry.failed = Some(message);
             crate::metrics::rt().jobs_completed.with(&["failed"]).inc();
-            self.journal_complete(task.job_id);
+            self.terminal(task.job_id);
         }
     }
 
@@ -1133,9 +1209,9 @@ impl QueueState {
             );
             return;
         }
-        if self.jobs[task.job_id].done() {
-            // The job already failed through another batch; just
-            // release the in-flight shots.
+        if self.jobs.get(task.job_id).is_none_or(JobEntry::done) {
+            // The job already failed through another batch (and may
+            // be released); just release the in-flight shots.
             let t = &mut self.tenants[task.tenant];
             t.inflight = t.inflight.saturating_sub(task.cost());
             t.sync_gauges();
@@ -1185,13 +1261,14 @@ impl QueueState {
         self.pending = 0;
         self.sync_depth();
         let failed_jobs = m.jobs_completed.with(&["failed"]);
-        for job_id in 0..self.jobs.len() {
-            if !self.jobs[job_id].done() {
-                self.jobs[job_id].failed =
-                    Some("every execution backend failed; job abandoned".to_owned());
-                failed_jobs.inc();
-                self.journal_complete(job_id);
-            }
+        let running: Vec<usize> = (self.jobs.base..self.jobs.next_id())
+            .filter(|&id| self.jobs.get(id).is_some_and(|e| !e.done()))
+            .collect();
+        for job_id in running {
+            self.jobs[job_id].failed =
+                Some("every execution backend failed; job abandoned".to_owned());
+            failed_jobs.inc();
+            self.terminal(job_id);
         }
     }
 
@@ -1228,8 +1305,8 @@ impl QueueState {
         m.jobs_completed.with(&["ok"]).inc();
         let secs = elapsed.as_secs_f64();
         entry.final_result = Some(JobResult {
-            name: entry.name.clone(),
-            shots: entry.shots,
+            name: entry.job.name.clone(),
+            shots: entry.job.shots,
             // Moved, not copied: once `final_result` is set, snapshots
             // read it and nothing reads the partial histogram again.
             histogram: std::mem::take(&mut p.histogram),
@@ -1238,7 +1315,7 @@ impl QueueState {
             latency: std::mem::take(&mut p.latency),
             elapsed,
             shots_per_sec: if secs > 0.0 {
-                entry.shots as f64 / secs
+                entry.job.shots as f64 / secs
             } else {
                 0.0
             },
@@ -1246,7 +1323,7 @@ impl QueueState {
             non_halted: p.non_halted,
             first_failure: p.first_failure.clone(),
         });
-        self.journal_complete(job_id);
+        self.terminal(job_id);
     }
 
     // -- write-ahead journal hooks ------------------------------------
@@ -1263,7 +1340,7 @@ impl QueueState {
         };
         let entry = &self.jobs[job_id];
         let tenant = self.tenants[entry.tenant].id.as_str();
-        match journal::admit_payload(job_id as u64, tenant, entry.live_job()) {
+        match journal::admit_payload(job_id as u64, tenant, &entry.job) {
             Ok(payload) => {
                 let len = journal::framed_len(&payload);
                 journal.append(payload.clone());
@@ -1296,12 +1373,14 @@ impl QueueState {
         self.journal_live += len;
     }
 
-    /// Appends `job_id`'s `Complete` record, drops its durable ledger,
-    /// and compacts when the journal has grown enough. Called at every
-    /// terminal transition — success, failure, mass-fail — *before*
-    /// anyone could observe the job as done, so recovery can never
-    /// resurrect a job whose result was already surfaced.
-    fn journal_complete(&mut self, job_id: usize) {
+    /// Records `job_id`'s terminal transition — success, failure,
+    /// mass-fail: counts it toward completed retention, appends its
+    /// `Complete` record, drops its durable ledger, and compacts when
+    /// the journal has grown enough. Called *before* anyone could
+    /// observe the job as done, so recovery can never resurrect a job
+    /// whose result was already surfaced.
+    fn terminal(&mut self, job_id: usize) {
+        self.jobs.finished.insert(job_id);
         let Some(journal) = self.journal.clone() else {
             return;
         };
@@ -1335,45 +1414,15 @@ impl QueueState {
         }
         let mut payloads = Vec::new();
         let mut live_jobs = 0u64;
-        for entry in &self.jobs {
+        for entry in self.jobs.slots.iter().flatten() {
             if let Some(durable) = &entry.durable {
                 live_jobs += 1;
                 payloads.push(durable.admit.clone());
                 payloads.extend(durable.ranges.iter().cloned());
             }
         }
-        journal.compact(payloads, live_jobs, self.jobs.len() as u64);
+        journal.compact(payloads, live_jobs, self.jobs.next_id() as u64);
         self.journal_appended = 0;
-    }
-
-    /// Inserts a tombstone for a pre-crash job id whose result no
-    /// longer exists: its `Complete` record was durable (the result
-    /// was already surfaced or released), or compaction dropped it
-    /// from the journal entirely. The tombstone occupies the id's
-    /// queue index, so every *later* recovered job keeps its pre-crash
-    /// id — the serve acceptor seeds its directory positionally — and
-    /// pre-crash polls of this id get the same typed "released"
-    /// failure a retention eviction leaves, never a different job's
-    /// result. Costs one small entry; journals nothing.
-    fn enqueue_recovered_tombstone(&mut self, name: String, shots: u64, tenant: usize) -> usize {
-        let job_id = self.jobs.len();
-        self.jobs.push(JobEntry {
-            job: None,
-            name,
-            shots,
-            tenant,
-            batches_total: 0,
-            submitted_at: Instant::now(),
-            partial: PartialState::new(0),
-            final_result: None,
-            failed: Some(
-                "job completed before the coordinator restarted; \
-                 its result is no longer retained"
-                    .to_owned(),
-            ),
-            durable: None,
-        });
-        job_id
     }
 
     /// Re-admits one incomplete job from journal replay: recorded
@@ -1392,11 +1441,9 @@ impl QueueState {
     fn enqueue_recovered_job(
         &mut self,
         tenant: usize,
-        mut job: Job,
+        job: Job,
         mut done: BTreeMap<usize, (std::ops::Range<u64>, BatchOut)>,
     ) -> (usize, usize) {
-        let job_id = self.jobs.len();
-        job.shape = self.shapes.intern(&job.shape);
         let batch = self
             .config
             .batch_size
@@ -1409,7 +1456,7 @@ impl QueueState {
         {
             done.clear();
         }
-        self.jobs.push(JobEntry::new(job, tenant, ranges.len()));
+        let job_id = self.jobs.push(JobEntry::new(job, tenant, ranges.len()));
         self.journal_admit(job_id);
         for (b, range) in ranges.iter().enumerate() {
             if done.contains_key(&b) {
@@ -1457,9 +1504,16 @@ impl QueueState {
 
     /// A snapshot of `job_id` at this instant. Percentiles come from
     /// the prefix's latency histogram in O(buckets), cheap enough to
-    /// compute under the queue mutex.
+    /// compute under the queue mutex. A released job reports done,
+    /// failed with [`RELEASED`], and nothing else.
     fn snapshot(&self, job_id: usize, now: Instant) -> PartialResult {
-        let entry = &self.jobs[job_id];
+        let Some(entry) = self.jobs.get(job_id) else {
+            return PartialResult {
+                done: true,
+                failed: Some(RELEASED.to_owned()),
+                ..PartialResult::default()
+            };
+        };
         let p = &entry.partial;
         let queue_wait = match p.window {
             Some((start, _)) => start.duration_since(entry.submitted_at),
@@ -1489,10 +1543,10 @@ impl QueueState {
             };
         }
         PartialResult {
-            name: entry.name.clone(),
+            name: entry.job.name.clone(),
             tenant: self.tenants[entry.tenant].id.clone(),
             shots_done: p.shots_done,
-            shots_total: entry.shots,
+            shots_total: entry.job.shots,
             batches_done: p.folded,
             batches_total: entry.batches_total,
             histogram: p.histogram.clone(),
@@ -1511,6 +1565,10 @@ impl QueueState {
 /// Shared between the queue handle, its workers and job handles.
 struct Shared {
     state: Mutex<QueueState>,
+    /// Every live job's shape, interned at wire decode, admission and
+    /// recovery. Behind its own lock so a new shape is never decoded
+    /// under the dispatch mutex.
+    shapes: Mutex<ShapeTable>,
     /// Workers wait here for dispatchable batches.
     work_ready: Condvar,
     /// Pollers wait here for job completion.
@@ -1531,6 +1589,35 @@ struct Shared {
 }
 
 impl Shared {
+    /// Frees terminal jobs `ids` once their `Complete` records are
+    /// durable — else recovery could re-run a job whose result was
+    /// already surfaced and dropped. One flush, outside the queue mutex
+    /// (an fsync under it would stall every worker), covers all `ids`;
+    /// unconfirmed, nothing is freed and `None` returned. Otherwise
+    /// returns how many entries this call freed.
+    fn release(&self, journal: Option<JournalHandle>, ids: &[usize]) -> Option<usize> {
+        if ids.is_empty() {
+            return Some(0);
+        }
+        if let Some(journal) = journal {
+            if !journal.flush() {
+                eprintln!(
+                    "eqasm journal: flush not confirmed; keeping {} finished job(s) \
+                     until their Complete records are durable",
+                    ids.len()
+                );
+                return None;
+            }
+        }
+        let mut state = self.state.lock().expect("queue state poisoned");
+        let freed: Vec<Box<JobEntry>> = ids
+            .iter()
+            .filter_map(|&id| state.jobs.release(id))
+            .collect();
+        drop(state); // the results drop outside the lock
+        Some(freed.len())
+    }
+
     /// Wakes everything waiting on job progress: condvar pollers
     /// in-process, and the registered progress hook (the serve
     /// reactor), if any.
@@ -1551,7 +1638,8 @@ impl Shared {
 #[derive(Clone)]
 pub struct JobHandle {
     shared: Arc<Shared>,
-    job: usize,
+    /// The job's id in the queue's job table.
+    pub(crate) job: usize,
 }
 
 impl JobHandle {
@@ -1566,7 +1654,7 @@ impl JobHandle {
     /// Whether the job has completed (successfully or not).
     pub fn is_done(&self) -> bool {
         let state = self.shared.state.lock().expect("queue state poisoned");
-        state.jobs[self.job].done()
+        state.jobs.get(self.job).is_none_or(JobEntry::done)
     }
 
     /// Cheap progress probe: `(folded batches, done)` without
@@ -1577,68 +1665,35 @@ impl JobHandle {
     /// the prefix actually advanced.
     pub fn progress_probe(&self) -> (usize, bool) {
         let state = self.shared.state.lock().expect("queue state poisoned");
-        let entry = &state.jobs[self.job];
-        (entry.partial.folded, entry.done())
+        state
+            .jobs
+            .get(self.job)
+            .map_or((0, true), |e| (e.partial.folded, e.done()))
     }
 
-    /// Releases a **completed** job's retained payload — program,
-    /// histogram, stats, final result — leaving a small tombstone
-    /// (the name survives; later polls and `wait` report a typed
-    /// "released" service failure). Returns `false`, releasing
-    /// nothing, while the job is still running.
+    /// Releases a **completed** job: its entry — shape reference,
+    /// histogram, stats, final result — leaves the queue's job table,
+    /// and later polls and `wait` report a typed "released" service
+    /// failure. Returns `false`, releasing nothing, while the job is
+    /// still running, or when the journal could not confirm the job's
+    /// `Complete` record durable (the record must reach the disk
+    /// before the result is dropped, or recovery could re-run a job
+    /// whose result was already surfaced); `true` once it is released.
     ///
-    /// This is how a long-lived service bounds per-job memory: the
-    /// serve front door calls it when a finished job ages out of its
-    /// completed-retention window. Irreversible — only call it when
-    /// no holder still wants the result.
+    /// The serve front door releases finished jobs beyond its
+    /// completed-retention window itself; this is the in-process way to
+    /// bound per-job memory. Irreversible — only call it when no holder
+    /// still wants the result.
     pub fn release(&self) -> bool {
-        // Durability barrier: the job's `Complete` record was appended
-        // at its terminal transition, but appends are asynchronous —
-        // if this process died after dropping the result here and
-        // before that record hit the disk, recovery would resurrect
-        // (and re-run) a job whose result was already surfaced and
-        // discarded. Flush the journal *outside* the queue mutex
-        // (an fsync under the lock would stall every worker), then
-        // tombstone.
         let journal = {
             let state = self.shared.state.lock().expect("queue state poisoned");
-            if !state.jobs[self.job].done() {
-                return false;
+            match state.jobs.get(self.job) {
+                None => return true,
+                Some(entry) if !entry.done() => return false,
+                Some(_) => state.journal.clone(),
             }
-            state.journal.clone()
         };
-        if let Some(journal) = journal {
-            if !journal.flush() {
-                // Durability unconfirmed (wedged journal thread,
-                // stalled disk, failed write): dropping the result now
-                // could let recovery resurrect a job whose result was
-                // already surfaced. Keep it — the eviction sweep
-                // retries on a later registration.
-                eprintln!(
-                    "eqasm journal: flush not confirmed; \
-                     keeping job {} until its Complete record is durable",
-                    self.job
-                );
-                return false;
-            }
-        }
-        let mut state = self.shared.state.lock().expect("queue state poisoned");
-        let entry = &mut state.jobs[self.job];
-        if !entry.done() {
-            return false;
-        }
-        // Tombstone: keep the name for diagnostics, drop everything
-        // heavy (the job's shape reference — the shape itself dies with
-        // its last job; the outcome and latency histograms dominate
-        // result memory).
-        entry.job = None;
-        entry.partial = PartialState::new(0);
-        entry.final_result = None;
-        if entry.failed.is_none() {
-            entry.failed =
-                Some("job result released after the completed-retention window".to_owned());
-        }
-        true
+        self.shared.release(journal, &[self.job]).is_some()
     }
 
     /// Blocks until the job completes and returns its final result —
@@ -1652,7 +1707,9 @@ impl JobHandle {
     pub fn wait(&self) -> Result<JobResult, RuntimeError> {
         let mut state = self.shared.state.lock().expect("queue state poisoned");
         loop {
-            let entry = &state.jobs[self.job];
+            let Some(entry) = state.jobs.get(self.job) else {
+                return Err(RuntimeError::Service(RELEASED.to_owned()));
+            };
             if let Some(message) = &entry.failed {
                 return Err(RuntimeError::Service(message.clone()));
             }
@@ -1662,7 +1719,7 @@ impl JobHandle {
             if self.shared.shutdown.load(Ordering::Acquire) {
                 return Err(RuntimeError::Service(format!(
                     "queue shut down before job `{}` completed",
-                    entry.name
+                    entry.job.name
                 )));
             }
             state = self
@@ -1756,6 +1813,7 @@ impl JobQueue {
         }
         let shared = Arc::new(Shared {
             state: Mutex::new(state),
+            shapes: Mutex::new(ShapeTable::default()),
             work_ready: Condvar::new(),
             progress: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -1780,13 +1838,14 @@ impl JobQueue {
     /// re-admits every incomplete job **at its pre-crash id** with its
     /// already-folded ranges restored — only missing ranges
     /// re-dispatch — and journals everything from here on. Ids of
-    /// completed (or compacted-away) jobs are preserved as released
-    /// tombstones, so a pre-crash id never resolves to a different
-    /// job after restart and new submissions continue above the
-    /// pre-crash high-water mark. Final aggregates of recovered jobs
-    /// are bit-identical to an uninterrupted run: partitioning is
-    /// pure, recorded ranges carry their exact `BatchOut`, and the
-    /// fold is batch-index-ordered either way.
+    /// completed (or compacted-away) jobs come back released: the job
+    /// table holds no entry for them, they answer "released", a
+    /// pre-crash id never resolves to a different job after restart,
+    /// and new submissions continue above the pre-crash high-water
+    /// mark. Final aggregates of recovered jobs are bit-identical to an
+    /// uninterrupted run: partitioning is pure, recorded ranges carry
+    /// their exact `BatchOut`, and the fold is batch-index-ordered
+    /// either way.
     ///
     /// Recovery doubles as compaction: the surviving state is
     /// re-emitted into a fresh checkpointed segment, flushed, and the
@@ -1819,53 +1878,34 @@ impl JobQueue {
             torn_tail: replay.torn_tail,
             ..RecoveryReport::default()
         };
+        // Every recovered job already shares its shape through the
+        // replay's table, which the queue keeps interning into.
+        *queue.shared.shapes.lock().expect("shape table poisoned") = replay.shapes;
         {
             let mut state = queue.shared.state.lock().expect("queue state poisoned");
-            // Every recovered job already shares its shape through the
-            // replay's table, which the queue keeps interning into.
-            state.shapes = replay.shapes;
-            let mut jobs = replay.jobs;
-            // Queue indices are the client-visible ids (the serve
-            // acceptor seeds its directory positionally, in admission
-            // order), so replay reconstructs the id space *exactly*:
-            // every id below the journal's high-water mark gets an
-            // entry — an incomplete job resumes at its recorded id; a
-            // completed or compacted-away id leaves a tombstone. Ids
-            // must never compact, or a client's pre-crash
-            // `status --job N` would silently resolve to a different
-            // job after the restart.
-            for id in 0..replay.next_job_id {
-                match jobs.remove(&id) {
-                    Some(recovered) if !recovered.completed => {
-                        let tenant = state.tenant_slot(&TenantId::new(recovered.tenant));
-                        let (job_id, restored) =
-                            state.enqueue_recovered_job(tenant, recovered.job, recovered.done);
-                        debug_assert_eq!(
-                            job_id as u64, id,
-                            "recovered job must keep its pre-crash id"
-                        );
-                        report.jobs_recovered += 1;
-                        report.ranges_recovered += restored;
-                    }
-                    completed => {
-                        let (name, shots, tenant) = match completed {
-                            Some(recovered) => {
-                                report.jobs_dropped += 1;
-                                let tenant = state.tenant_slot(&TenantId::new(recovered.tenant));
-                                (recovered.job.name, recovered.job.shots, tenant)
-                            }
-                            // Compacted away entirely: name, shots and
-                            // tenant are gone with the records.
-                            None => (String::new(), 0, state.tenant_slot(&TenantId::new(""))),
-                        };
-                        state.enqueue_recovered_tombstone(name, shots, tenant);
-                    }
+            // Clients hold these ids (the wire id is the id + 1), so
+            // replay reconstructs the id space exactly: an incomplete job resumes at its
+            // recorded id, and every other id below the journal's
+            // high-water mark — completed, or compacted away — is
+            // issued as released, so a client's pre-crash
+            // `status --job N` can never resolve to a different job.
+            for (id, recovered) in replay.jobs {
+                if recovered.completed {
+                    report.jobs_dropped += 1;
+                    continue;
                 }
+                state.jobs.release_below(id as usize);
+                let tenant = state.tenant_slot(&TenantId::new(recovered.tenant));
+                let (job_id, restored) =
+                    state.enqueue_recovered_job(tenant, recovered.job, recovered.done);
+                debug_assert_eq!(
+                    job_id as u64, id,
+                    "recovered job must keep its pre-crash id"
+                );
+                report.jobs_recovered += 1;
+                report.ranges_recovered += restored;
             }
-            debug_assert!(
-                jobs.is_empty(),
-                "every recorded id sits below the high-water mark"
-            );
+            state.jobs.release_below(replay.next_job_id as usize);
         }
         queue.shared.work_ready.notify_all();
         queue.shared.notify_progress();
@@ -1893,18 +1933,60 @@ impl JobQueue {
         Ok((queue, report))
     }
 
-    /// A [`JobHandle`] for every job the queue knows — including
-    /// completed, failed and released ones — in admission order. How a
-    /// recovery caller reaches re-admitted jobs, which have no
-    /// pre-crash handles.
+    /// A [`JobHandle`] for every id the queue has issued — running,
+    /// completed, failed and released — in id order. How a recovery
+    /// caller reaches re-admitted jobs, which have no pre-crash
+    /// handles. A released id's handle `wait`s to an error.
     pub fn job_handles(&self) -> Vec<JobHandle> {
         let state = self.shared.state.lock().expect("queue state poisoned");
-        (0..state.jobs.len())
+        (0..state.jobs.next_id())
             .map(|job| JobHandle {
                 shared: Arc::clone(&self.shared),
                 job,
             })
             .collect()
+    }
+
+    /// The handle of job `id`, or why there is none.
+    pub(crate) fn lookup(&self, id: usize) -> Result<JobHandle, NoJob> {
+        let state = self.shared.state.lock().expect("queue state poisoned");
+        if state.jobs.get(id).is_some() {
+            Ok(JobHandle {
+                shared: Arc::clone(&self.shared),
+                job: id,
+            })
+        } else if id < state.jobs.next_id() {
+            Err(NoJob::Released)
+        } else {
+            Err(NoJob::Unknown)
+        }
+    }
+
+    /// Releases the oldest finished jobs beyond `retention` — how many
+    /// finished jobs stay addressable — skipping the ids `keep` names
+    /// (the serve front door keeps the jobs it is streaming). One
+    /// journal flush, made before anything is freed, makes the whole
+    /// sweep's `Complete` records durable; if it is not confirmed,
+    /// nothing is released and the next sweep retries.
+    pub(crate) fn release_completed(&self, retention: usize, keep: impl Fn(usize) -> bool) {
+        let (journal, ids) = {
+            let state = self.shared.state.lock().expect("queue state poisoned");
+            let excess = state.jobs.finished.len().saturating_sub(retention);
+            let finished = state.jobs.finished.iter().copied();
+            let ids: Vec<usize> = finished.filter(|&id| !keep(id)).take(excess).collect();
+            (state.journal.clone(), ids)
+        };
+        if let Some(freed) = self.shared.release(journal, &ids) {
+            crate::metrics::rt().retention_evictions.add(freed as u64);
+        }
+    }
+
+    /// Decodes a wire `SUBMIT` payload, interning its job's shape in
+    /// the queue's shape table: a shape the queue already holds is not
+    /// decoded again.
+    pub(crate) fn decode_submission(&self, payload: &[u8]) -> Result<Submission, WireError> {
+        let mut shapes = self.shared.shapes.lock().expect("shape table poisoned");
+        crate::wire::decode_submission_interned(payload, &mut shapes)
     }
 
     /// Installs (or, with `None`, clears) the progress listener fired
@@ -2084,7 +2166,7 @@ impl JobQueue {
         // otherwise stall every worker, completion and poller for the
         // build's duration. Double-checked: peek the cache, build
         // unlocked, then insert (first build wins a race).
-        let jobs = match submission.work {
+        let mut jobs = match submission.work {
             Work::Job(job) => vec![*job],
             Work::Spec(spec) => {
                 let key = CacheKey::of(&spec.kind);
@@ -2105,6 +2187,10 @@ impl JobQueue {
                     .collect::<Result<Vec<Job>, RuntimeError>>()?
             }
         };
+        let mut shapes = self.shared.shapes.lock().expect("shape table poisoned");
+        jobs.iter_mut()
+            .for_each(|job| job.shape = shapes.intern(&job.shape));
+        drop(shapes);
         let requested: u64 = jobs.iter().fold(0u64, |acc, j| acc.saturating_add(j.shots));
         let mut state = self.shared.state.lock().expect("queue state poisoned");
         let tenant = state.tenant_slot(&submission.tenant);
@@ -2776,5 +2862,105 @@ mod tests {
         assert_eq!(snap.shots_total, 0);
         assert_eq!(snap.progress(), 1.0);
         assert!(state.next_task(0).is_none());
+    }
+
+    /// Marks live `id` failed and terminal, as `QueueState::terminal`
+    /// would.
+    fn finish(table: &mut JobTable, id: usize) {
+        table[id].failed = Some("done".to_owned());
+        table.finished.insert(id);
+    }
+
+    #[test]
+    fn job_table_holds_released_ids_as_a_range() {
+        let mut table = JobTable::default();
+        // Recovery of three completed ids holds nothing for them.
+        table.release_below(3);
+        assert_eq!((table.base, table.slots.len(), table.next_id()), (3, 0, 3));
+        let ids: Vec<usize> = (0..4)
+            .map(|i| table.push(JobEntry::new(tiny_job(&format!("j{i}"), 1), 0, 1)))
+            .collect();
+        assert_eq!(ids, [3, 4, 5, 6]);
+        for id in 3..6 {
+            finish(&mut table, id);
+        }
+        assert!(table.release(6).is_none(), "a running job stays");
+        // A released id in the middle leaves an empty slot...
+        assert!(table.release(4).is_some());
+        assert!(table.get(4).is_none());
+        assert_eq!((table.base, table.slots.len()), (3, 4));
+        assert!(table.release(4).is_none(), "released once");
+        // ...and releasing the front pops every released slot behind it.
+        assert!(table.release(3).is_some());
+        assert_eq!((table.base, table.slots.len(), table.next_id()), (5, 2, 7));
+        assert!(table.get(2).is_none() && table.get(7).is_none());
+        assert!(table.get(5).is_some() && table.get(6).is_some());
+        assert_eq!(table.finished.iter().copied().collect::<Vec<_>>(), [5]);
+    }
+
+    #[test]
+    fn retention_sweep_releases_the_oldest_finished_jobs_it_may() {
+        let queue = JobQueue::new(ServeConfig::default().with_workers(1));
+        let handles: Vec<JobHandle> = (0..5)
+            .map(|i| {
+                queue
+                    .submit(Submission::job("t", tiny_job(&format!("j{i}"), 1)))
+                    .expect("submits")
+                    .remove(0)
+            })
+            .collect();
+        for h in &handles {
+            h.wait().expect("completes");
+        }
+        // Five finished, retention two, id 0 kept: ids 1–3 go.
+        queue.release_completed(2, |id| id == 0);
+        assert!(queue.lookup(0).is_ok());
+        for (id, handle) in handles.iter().enumerate().take(4).skip(1) {
+            assert_eq!(queue.lookup(id).err(), Some(NoJob::Released));
+            assert!(handle.wait().is_err());
+            assert!(handle.is_done() && handle.release());
+        }
+        assert!(queue.lookup(4).is_ok());
+        assert_eq!(queue.lookup(5).err(), Some(NoJob::Unknown));
+        assert_eq!(queue.job_handles().len(), 5);
+        // Releasing the kept front job frees the whole released range.
+        assert!(handles[0].release());
+        let state = queue.shared.state.lock().expect("queue state poisoned");
+        assert_eq!((state.jobs.base, state.jobs.slots.len()), (4, 1));
+    }
+
+    /// A second `SUBMIT` of a shape the queue already holds runs the
+    /// interned shape, and the front door does not decode it again.
+    #[test]
+    fn front_door_decodes_a_known_shape_once() {
+        let queue = Arc::new(JobQueue::new(ServeConfig::default().with_workers(1)));
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let server = crate::spawn_serve(
+            listener,
+            Arc::clone(&queue),
+            crate::ServeNetConfig::default(),
+        )
+        .expect("serves");
+        let client = crate::Client::connect(server.addr().to_string()).expect("connects");
+        let decoded = || {
+            queue
+                .shared
+                .shapes
+                .lock()
+                .expect("shape table poisoned")
+                .decoded
+        };
+        // Built apart: each job has a shape of its own until interned.
+        for (i, name) in ["first", "second"].into_iter().enumerate() {
+            let job = tiny_job(name, 4).with_seed(i as u64);
+            let handles = client.submit(Submission::job("t", job)).expect("submits");
+            handles[0].wait().expect("completes");
+            assert_eq!(decoded(), 1, "{name}: one decode, into the queue's table");
+        }
+        let state = queue.shared.state.lock().expect("queue state poisoned");
+        assert!(Arc::ptr_eq(
+            &state.jobs[0].job.shape,
+            &state.jobs[1].job.shape
+        ));
     }
 }

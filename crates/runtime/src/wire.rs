@@ -1117,6 +1117,10 @@ pub(crate) fn decode_job_interned(bytes: &[u8], shapes: &mut ShapeTable) -> Resu
             shape
         }
         None => {
+            #[cfg(test)]
+            {
+                shapes.decoded += 1;
+            }
             let inst = get_instantiation(&mut r)?;
             let n = r.get_count("Job.program", 1)?;
             let mut program = Vec::with_capacity(n);
@@ -2370,12 +2374,22 @@ pub fn encode_submission(submission: &Submission) -> Result<Vec<u8>, WireError> 
 
 /// Decodes a [`Submission`] produced by [`encode_submission`].
 pub fn decode_submission(bytes: &[u8]) -> Result<Submission, WireError> {
+    decode_submission_interned(bytes, &mut ShapeTable::default())
+}
+
+/// [`decode_submission`] with a job's shape interned in `shapes` (see
+/// [`decode_job_interned`]).
+pub(crate) fn decode_submission_interned(
+    bytes: &[u8],
+    shapes: &mut ShapeTable,
+) -> Result<Submission, WireError> {
     let mut r = Reader::new(bytes);
     let tenant = TenantId::new(r.get_str("Submission.tenant")?);
     let submission = match r.get_u8("Submission.work")? {
         0 => {
-            let job_bytes = r.get_bytes("Submission.job_bytes")?;
-            Submission::job(tenant, decode_job(&job_bytes)?)
+            let len = r.get_u32("Submission.job_bytes")? as usize;
+            let job_bytes = r.take(len, "Submission.job_bytes")?;
+            Submission::job(tenant, decode_job_interned(job_bytes, shapes)?)
         }
         1 => Submission::workload(tenant, get_workload_spec(&mut r)?),
         tag => {

@@ -300,8 +300,9 @@ fn keepalive_snapshots_are_deduplicated() {
 #[test]
 fn completed_retention_evicts_and_releases_old_jobs() {
     // Retention 2: the front door keeps at most 2 finished jobs
-    // addressable; older ones are evicted (and their queue-side
-    // payload released), while running and recent jobs stay intact.
+    // addressable; older ones are released from the queue's job table
+    // and answer "released", while running and recent jobs stay
+    // intact.
     let net = ServeNetConfig::default().with_completed_retention(2);
     let (_queue, server) = serve_fixture(1, 8, net);
     let client = Client::connect(server.addr().to_string()).expect("connects");
@@ -321,9 +322,10 @@ fn completed_retention_evicts_and_releases_old_jobs() {
         ids.push(handles[0].job_id());
     }
 
-    // The oldest finished job aged out of the window...
+    // The oldest finished job aged out of the window, and says so...
     let err = client.poll_id(ids[0]).expect_err("evicted id");
     assert!(matches!(err, RuntimeError::Service(_)), "{err}");
+    assert!(err.to_string().contains("released"), "{err}");
     // ...while the newest is still addressable with its full result.
     let snap = client.poll_id(ids[3]).expect("recent id still polls");
     assert!(snap.done);

@@ -185,12 +185,12 @@ fn kill_between_every_fold_step_recovers_bit_identically() {
                 assert!(handles.is_empty(), "no jobs expected at cut {i}");
             } else {
                 // Crash after the Complete record: the finished job is
-                // not resurrected, but its id stays occupied by a
-                // tombstone so later ids can never shift.
-                assert_eq!(handles.len(), 1, "tombstone expected at cut {i}");
+                // not resurrected, but its id stays issued (released)
+                // so later ids can never shift.
+                assert_eq!(handles.len(), 1, "released id expected at cut {i}");
                 assert!(
                     handles[0].wait().is_err(),
-                    "cut {i}: a tombstone holds no result"
+                    "cut {i}: a released id holds no result"
                 );
             }
         } else {
@@ -285,20 +285,15 @@ fn eviction_is_durable_before_release_returns() {
     assert_eq!(report.jobs_recovered, 0, "released job must not resurrect");
     assert_eq!(report.jobs_dropped, 1, "its Complete record was durable");
     let handles2 = queue2.job_handles();
-    assert_eq!(
-        handles2.len(),
-        1,
-        "the released job's id stays occupied by a tombstone"
-    );
-    assert!(handles2[0].wait().is_err(), "a tombstone holds no result");
+    assert_eq!(handles2.len(), 1, "the released job's id stays issued");
+    assert!(handles2[0].wait().is_err(), "a released id holds no result");
     queue2.shutdown();
     let _ = std::fs::remove_dir_all(&image);
 }
 
 /// A recovered job keeps its pre-crash coordinator id: the serve
-/// acceptor seeds its job directory from the queue at startup, in
-/// admission order — the same order SUBMIT_ACK handed ids out before
-/// the crash. A client that held `--job 1` can still status/watch it
+/// front door's ids are the queue's ids + 1, and recovery restores
+/// each incomplete job at its journaled id. A client that held `--job 1` can still status/watch it
 /// on the restarted coordinator without ever re-submitting.
 #[test]
 fn recovered_job_is_addressable_by_its_precrash_id() {
@@ -327,8 +322,8 @@ fn recovered_job_is_addressable_by_its_precrash_id() {
     assert_eq!(result.histogram, serial.histogram);
     assert_eq!(result.stats, serial.stats);
     assert_eq!(result.mean_prob1, serial.mean_prob1);
-    // The restarted directory's id counter resumes *after* the seeded
-    // jobs: no other job exists yet, so id 2 must still be unknown.
+    // New ids resume *after* the recovered ones: no other job exists
+    // yet, so id 2 must still be unknown.
     assert!(client.poll_id(2).is_err());
     drop(client);
     drop(handle);
@@ -339,7 +334,7 @@ fn recovered_job_is_addressable_by_its_precrash_id() {
 /// The multi-job version of id stability: with several jobs in flight,
 /// a job whose `Complete` record was durable before the crash must not
 /// compact later jobs' queue indices on recovery — its id becomes a
-/// tombstone, and every survivor resolves by its pre-crash id with
+/// released id, and every survivor resolves by its pre-crash id with
 /// bit-identical aggregates.
 #[test]
 fn completed_jobs_do_not_shift_recovered_ids() {
@@ -404,7 +399,7 @@ fn completed_jobs_do_not_shift_recovered_ids() {
     assert_eq!(handles2.len(), 3, "the dropped job's id stays occupied");
     assert!(
         handles2[done_id].wait().is_err(),
-        "the completed job is a tombstone, not a resurrected run"
+        "the completed job is released, not a resurrected run"
     );
 
     // Address the survivors over the front door exactly as a pre-crash
@@ -433,7 +428,7 @@ fn completed_jobs_do_not_shift_recovered_ids() {
             "job {i}: mean P(1)"
         );
     }
-    // The directory counter resumed past every pre-crash id.
+    // New ids resume past every pre-crash id.
     assert!(client.poll_id(4).is_err());
     drop(client);
     drop(serve);
@@ -491,7 +486,7 @@ fn compacted_ids_stay_stable_across_restarts() {
         "every pre-crash id stays occupied after compaction"
     );
     for h in &handles2 {
-        assert!(h.wait().is_err(), "tombstones hold no result");
+        assert!(h.wait().is_err(), "released ids hold no result");
     }
 
     // New work lands above the pre-crash id space and runs exactly.

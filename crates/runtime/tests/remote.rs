@@ -10,7 +10,7 @@
 //! boundary.
 
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use eqasm_core::{Instantiation, Qubit, Topology};
@@ -553,8 +553,6 @@ fn draining_last_slot_fails_outstanding_jobs() {
 /// intervention.
 #[test]
 fn supervisor_reattaches_restarted_worker_bit_identically() {
-    // Sized so the kill below lands mid-run: at a few tens of µs per
-    // shot, 2,400 shots keep gen1 busy for well over the poll interval.
     let job = noisy_job("elastic", 2_400, 777);
     let reference = ShotEngine::serial()
         .with_batch_size(8)
@@ -572,40 +570,48 @@ fn supervisor_reattaches_restarted_worker_bit_identically() {
     let io_timeout = Some(Duration::from_secs(2));
     let backend = RemoteBackend::connect_with_timeout(addr.to_string(), io_timeout)
         .expect("connects to gen1");
+    // gen1's one slot runs the job's first batch, then holds the next
+    // until the gate opens: the kill below lands mid-job however fast
+    // the host runs shots.
+    let gate = Gate::new();
     // Remote-only pool: hold through the empty window between the kill
     // and the supervisor's reattach.
     let queue = Arc::new(JobQueue::with_backends(
         ServeConfig::default()
             .with_batch_size(8)
             .with_hold_when_empty(true),
-        vec![Box::new(backend)],
+        vec![Box::new(Gated {
+            inner: backend,
+            ran: 0,
+            gate: Arc::clone(&gate),
+        })],
     ));
-    // When CI provides a real external daemon, supervise it too: the
-    // reattach story then also runs across a genuine process boundary.
-    let mut supervised = vec![addr.to_string()];
-    if let Ok(external) = std::env::var("EQASM_REMOTE_ADDR") {
-        supervised.push(external);
-    }
-    let supervisor = PoolSupervisor::spawn(
-        Arc::clone(&queue),
-        supervised,
-        SupervisorConfig::default()
-            .with_probe_interval(Duration::from_millis(50))
-            .with_max_backoff(Duration::from_millis(200))
-            .with_io_timeout(io_timeout),
-    );
+    let config = SupervisorConfig::default()
+        .with_probe_interval(Duration::from_millis(50))
+        .with_max_backoff(Duration::from_millis(200))
+        .with_io_timeout(io_timeout);
+    let supervisor =
+        PoolSupervisor::spawn(Arc::clone(&queue), vec![addr.to_string()], config.clone());
 
     let handles = queue
         .submit(Submission::job("tenant", job.clone()))
         .expect("submits");
     let handle = &handles[0];
     wait_until(Duration::from_secs(60), "progress on gen1", || {
-        handle.snapshot().shots_done > 0 || handle.is_done()
+        handle.snapshot().shots_done > 0
     });
+    assert!(!handle.is_done(), "the kill must land mid-job");
 
     // The fleet event: the worker host dies...
     worker.kill();
     drop(worker);
+    // ...gen1's slot fails its held batch and retires, parking the job
+    // on the empty pool...
+    gate.open();
+    wait_until(Duration::from_secs(60), "gen1's slot to retire", || {
+        queue.pool_status()[0].state == SlotState::Retired
+    });
+    assert!(!handle.is_done(), "the job waits for capacity");
     // ...and its replacement comes up on the same address (bounded
     // rebind retry: the old listener's port may take a moment to
     // free).
@@ -629,18 +635,90 @@ fn supervisor_reattaches_restarted_worker_bit_identically() {
 
     // No coordinator involvement from here: the supervisor must
     // notice, re-handshake and attach.
+    let attached = || -> u64 { supervisor.status().iter().map(|w| w.attached_total).sum() };
+    wait_until(
+        Duration::from_secs(60),
+        "the supervisor to reattach gen2",
+        || attached() >= 1,
+    );
+    // When CI provides a real external daemon, supervise it too: the
+    // job then finishes across a genuine process boundary as well.
+    let external = std::env::var("EQASM_REMOTE_ADDR")
+        .ok()
+        .map(|external| PoolSupervisor::spawn(Arc::clone(&queue), vec![external], config));
+    // Bounded: a lost reattach fails here instead of parking the job,
+    // and the test, forever.
+    wait_until(Duration::from_secs(120), "the job to converge", || {
+        handle.is_done()
+    });
     let result = handle.wait().expect("job converges through the restart");
     assert_eq!(result.histogram, reference.histogram, "restart histogram");
     assert_eq!(result.stats, reference.stats, "restart stats");
     assert_eq!(result.mean_prob1, reference.mean_prob1, "restart mean P(1)");
-
-    let attached: u64 = supervisor.status().iter().map(|w| w.attached_total).sum();
     assert!(
-        attached >= 1,
+        attached() >= 1,
         "the supervisor attached at least one replacement slot"
     );
+    if let Some(external) = external {
+        external.shutdown();
+    }
     supervisor.shutdown();
     drop(worker2);
+}
+
+/// A one-shot gate a test opens when it is ready.
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn new() -> Arc<Gate> {
+        Arc::new(Gate {
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+        })
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    /// Blocks until the gate opens, for at most a minute.
+    fn pass(&self) {
+        let open = self.open.lock().unwrap();
+        let _ = self
+            .opened
+            .wait_timeout_while(open, Duration::from_secs(60), |open| !*open)
+            .unwrap();
+    }
+}
+
+/// A backend that runs its first range, then holds each later one at
+/// `gate` until it opens.
+struct Gated {
+    inner: RemoteBackend,
+    ran: usize,
+    gate: Arc<Gate>,
+}
+
+impl ExecBackend for Gated {
+    fn descriptor(&self) -> eqasm_runtime::BackendDescriptor {
+        self.inner.descriptor()
+    }
+
+    fn run_range(
+        &mut self,
+        job: &Job,
+        range: std::ops::Range<u64>,
+    ) -> Result<eqasm_runtime::BatchOut, RuntimeError> {
+        if self.ran > 0 {
+            self.gate.pass();
+        }
+        self.ran += 1;
+        self.inner.run_range(job, range)
+    }
 }
 
 /// Registry-driven membership: a worker listed in the registry file is
