@@ -25,7 +25,7 @@
 //!   [`DENSITY_QUBIT_LIMIT`] qubits, state vector beyond.
 //! * Forced policies (`Stabilizer`/`Density`/`Pure`) either apply
 //!   verbatim or fail loading with a typed
-//!   [`ConfigError`](crate::ConfigError) — the silent
+//!   [`ConfigError`] — the silent
 //!   density-to-pure downgrade is gone. A forced stabilizer accepts
 //!   depolarizing gate error (unravelled as sampled Paulis — exact in
 //!   distribution) but rejects finite T1/T2.

@@ -8,7 +8,7 @@
 //! dense qubit ceiling and run orders of magnitude faster per shot.
 //!
 //! [`Tableau`] is the state representation; [`StabilizerBackend`] puts
-//! it behind the [`Backend`](crate::Backend) trait with the same RNG
+//! it behind the [`Backend`] trait with the same RNG
 //! draw pattern as the dense backends, so a noiseless Clifford program
 //! produces **bit-identical** measurement outcomes under the same seed
 //! whichever backend runs it (each projective measurement consumes

@@ -41,9 +41,9 @@ use std::time::Duration;
 
 use crate::aggregate::JobResult;
 use crate::error::RuntimeError;
-use crate::net::{handshake, ConnectOptions};
+use crate::net::{connect_handshake, ConnectOptions};
 use crate::serve::{PartialResult, Submission};
-use crate::wire::{self, ErrorKind, ErrorMsg, RemoteJobInfo, SubmitAck, WireError};
+use crate::wire::{self, ErrorKind, ErrorMsg, RemoteJobInfo, SubmitAck};
 
 /// How many times a broken [`RemoteJobHandle::watch`] stream retries
 /// the connection before surfacing the transport error.
@@ -100,9 +100,8 @@ impl ClientConn {
     /// the acceptor, not the connection (and journal recovery keeps
     /// them stable across a coordinator restart too).
     fn reconnect(&mut self) -> Result<(), RuntimeError> {
-        let (stream, ack) = handshake(&self.addr, &self.options).map_err(|e| match e {
-            WireError::AuthFailed { message } => RuntimeError::Auth(message),
-            e => self.transport(e),
+        let (stream, ack) = connect_handshake(&self.addr, &self.options, || {
+            format!("{} ({})", self.server_name, self.addr)
         })?;
         self.stream = stream;
         self.server_name = ack.name;
@@ -138,13 +137,7 @@ impl Client {
         options: ConnectOptions,
     ) -> Result<Client, RuntimeError> {
         let addr = addr.into();
-        let (stream, ack) = handshake(&addr, &options).map_err(|e| match e {
-            WireError::AuthFailed { message } => RuntimeError::Auth(message),
-            e => RuntimeError::Transport {
-                backend: format!("serve {addr}"),
-                message: e.to_string(),
-            },
-        })?;
+        let (stream, ack) = connect_handshake(&addr, &options, || format!("serve {addr}"))?;
         Ok(Client {
             conn: Arc::new(Mutex::new(ClientConn {
                 stream,

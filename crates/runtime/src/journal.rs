@@ -23,7 +23,7 @@
 //! u32 len | u32 crc32(payload) | payload   (payload[0] is the tag)
 //! ```
 //!
-//! Four record types (see [`rtag`]):
+//! Four record types (see `rtag`):
 //!
 //! * `Admit` — job id, the job's [`crate::wire::encode_job`] bytes
 //!   (the same bytes a `LoadJob` ships), and the tenant name.

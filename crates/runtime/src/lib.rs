@@ -26,9 +26,10 @@
 //!   backend value is one execution *slot* that runs contiguous shot
 //!   ranges ([`BatchOut`] per range). [`LocalBackend`] drives a
 //!   machine on the calling thread; [`RemoteBackend`] ships ranges to
-//!   a worker daemon ([`run_worker`] / `eqasm-cli worker`) over TCP,
-//!   under an I/O deadline that turns hung workers into retirable
-//!   transport failures;
+//!   a worker daemon ([`run_worker_until`] / `eqasm-cli worker`, or
+//!   [`spawn_worker`] in process — one accept/drain loop) over TCP,
+//!   under the [`ConnectOptions`] I/O deadline that turns hung workers
+//!   into retirable transport failures;
 //! * **live pool membership** — slots follow an
 //!   `Active → Draining → Retired` lifecycle
 //!   ([`serve::SlotState`]): [`serve::JobQueue::attach_backend`]
@@ -209,9 +210,9 @@ pub use loadgen::{
 };
 pub use metrics::MetricsServer;
 pub use net::{
-    ping, ping_opts, ping_within, run_serve_until, run_worker, run_worker_until, spawn_serve,
-    spawn_worker, wake_serve_shutdown, ConnectOptions, RemoteBackend, ServeHandle, ServeNetConfig,
-    WireTraffic, WorkerConfig, WorkerHandle, DEFAULT_IO_TIMEOUT, DEFAULT_JOB_CACHE_CAPACITY,
+    ping, ping_opts, run_serve_until, run_worker_until, spawn_serve, spawn_worker,
+    wake_serve_shutdown, ConnectOptions, RemoteBackend, ServeHandle, ServeNetConfig, WireTraffic,
+    WorkerConfig, WorkerHandle, DEFAULT_IO_TIMEOUT, DEFAULT_JOB_CACHE_CAPACITY,
 };
 pub use serve::{
     CacheStats, JobHandle, JobQueue, PartialResult, ServeConfig, SlotState, SlotStatus, Submission,

@@ -49,6 +49,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::aggregate::LatencyHistogram;
 use crate::client::Client;
 use crate::error::RuntimeError;
 use crate::metrics::{default_registry, Counter, Gauge};
@@ -492,17 +493,6 @@ pub fn check_ceilings(failure_rate: f64, p50: Duration, ceilings: &Ceilings) -> 
     None
 }
 
-/// The `q`-quantile (0..=1) of an ascending-sorted latency slice,
-/// nearest-rank convention: `p(0.5)` of 4 samples is the 2nd.
-/// Empty input reports zero.
-pub fn percentile(sorted: &[Duration], q: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 // ---------------------------------------------------------------------------
 // /metrics scraping — server-side truth
 // ---------------------------------------------------------------------------
@@ -789,7 +779,8 @@ pub struct RungReport {
     pub failure_rate: f64,
     /// Completed jobs per second of window.
     pub achieved_rps: f64,
-    /// Median scheduled-tick→final latency (completed jobs).
+    /// Median scheduled-tick→final latency (completed jobs),
+    /// nearest-rank from a [`LatencyHistogram`], so within 1/64.
     pub p50: Duration,
     /// 95th percentile.
     pub p95: Duration,
@@ -838,7 +829,7 @@ struct Accum {
     submit_errors: u64,
     completed: u64,
     failed_jobs: u64,
-    latencies: Vec<Duration>,
+    latencies: LatencyHistogram,
     max_submit_lag: Duration,
     sealed: bool,
 }
@@ -849,7 +840,7 @@ impl Accum {
             return;
         }
         self.completed += 1;
-        self.latencies.push(latency);
+        self.latencies.record(latency.as_nanos() as u64);
         lg().completed.inc();
     }
 
@@ -1134,8 +1125,7 @@ pub fn run_rung(
     let mut a = accum.lock().expect("accum poisoned");
     a.sealed = true;
     let timed_out = a.submitted.saturating_sub(a.completed + a.failed_jobs);
-    a.latencies.sort_unstable();
-    let report_latencies = std::mem::take(&mut a.latencies);
+    let latencies = std::mem::take(&mut a.latencies);
     let (submitted, shots_submitted, submit_errors, completed, failed_jobs, max_submit_lag) = (
         a.submitted,
         a.shots_submitted,
@@ -1180,9 +1170,9 @@ pub fn run_rung(
         timed_out,
         failure_rate,
         achieved_rps: completed as f64 / window.as_secs_f64().max(f64::MIN_POSITIVE),
-        p50: percentile(&report_latencies, 0.50),
-        p95: percentile(&report_latencies, 0.95),
-        p99: percentile(&report_latencies, 0.99),
+        p50: Duration::from_nanos(latencies.quantile(0.50)),
+        p95: Duration::from_nanos(latencies.quantile(0.95)),
+        p99: Duration::from_nanos(latencies.quantile(0.99)),
         max_submit_lag,
         server,
         breach: None,
@@ -1825,17 +1815,6 @@ mod tests {
             check_ceilings(1.0, Duration::from_secs(60), &c),
             Some(Breach::FailureRate { .. })
         ));
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted: Vec<Duration> = (1..=4).map(|i| Duration::from_millis(i * 10)).collect();
-        assert_eq!(percentile(&sorted, 0.50), Duration::from_millis(20));
-        assert_eq!(percentile(&sorted, 0.95), Duration::from_millis(40));
-        assert_eq!(percentile(&sorted, 0.25), Duration::from_millis(10));
-        assert_eq!(percentile(&[], 0.5), Duration::ZERO);
-        let one = [Duration::from_millis(7)];
-        assert_eq!(percentile(&one, 0.99), Duration::from_millis(7));
     }
 
     #[test]

@@ -31,9 +31,10 @@
 //!   result.
 //! * A worker that **hangs** — host wedged, process stopped, TCP
 //!   stack still acking — is caught by the client-side request
-//!   deadline ([`DEFAULT_IO_TIMEOUT`], configurable per backend): the
-//!   stalled request becomes [`RuntimeError::Transport`] and the same
-//!   re-dispatch/retire path takes over. Without the deadline a hung
+//!   deadline ([`ConnectOptions::io_timeout`], by default
+//!   [`DEFAULT_IO_TIMEOUT`]): the stalled request becomes
+//!   [`RuntimeError::Transport`] and the same re-dispatch/retire path
+//!   takes over. Without the deadline a hung
 //!   worker wedged its dispatch slot forever, and retirement never
 //!   fired because no error ever surfaced.
 //!
@@ -41,11 +42,21 @@
 //!
 //! The daemon is built to *ride churn*, in both directions:
 //!
-//! * **Dying gracefully** — [`run_worker_until`] drains on shutdown:
-//!   it stops accepting, lets every in-flight batch finish and its
-//!   response reach the coordinator, then exits. `eqasm-cli worker`
-//!   wires SIGINT/SIGTERM to that flag, so a rolling restart never
-//!   loses a completed batch — coordinators just see slots retire.
+//! * **One loop** — [`run_worker_until`] (the body of `eqasm-cli
+//!   worker`) and [`spawn_worker`] (in-process, for tests, benches and
+//!   embedding) run the same accept/drain loop: one thread per
+//!   connection, each tracked for severing and counted in
+//!   `eqasm_net_open_connections{role="worker"}`.
+//! * **Dying gracefully** — flipping [`run_worker_until`]'s flag
+//!   drains: the loop stops accepting, lets every in-flight batch
+//!   finish and its response reach the coordinator, then exits.
+//!   `eqasm-cli worker` wires SIGINT/SIGTERM to that flag, so a rolling
+//!   restart never loses a completed batch — coordinators just see
+//!   slots retire. A connection still busy at the 30 s drain deadline
+//!   is severed, and the loop returns how many were.
+//! * **Dying abruptly** — [`WorkerHandle::kill`] (and dropping the
+//!   handle) flips the same flag and severs every connection at once,
+//!   without waiting for in-flight batches: the "host died" failure.
 //! * **Coming back** — a restarted worker is picked up by the
 //!   coordinator's [`crate::PoolSupervisor`], which probes known
 //!   addresses on a backoff schedule, re-handshakes, and attaches
@@ -111,7 +122,7 @@ use std::collections::VecDeque;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -139,13 +150,13 @@ pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// waiting for its next request.
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
-/// How often a nonblocking accept loop polls. Short enough that
-/// [`WorkerHandle::kill`] and daemon shutdown are prompt; long enough
-/// to cost nothing.
+/// How often the worker's nonblocking accept loop polls. Short enough
+/// that [`WorkerHandle::kill`] and daemon shutdown are prompt; long
+/// enough to cost nothing.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// How long a draining daemon waits for in-flight connections to
-/// finish their current batch before giving up on them.
+/// finish their current batch before severing them.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 
 // ---------------------------------------------------------------------
@@ -183,13 +194,6 @@ pub struct WorkerConfig {
     /// limiter. A connection that exceeds it gets a typed `Budget`
     /// rejection and is closed.
     pub max_requests_per_sec: Option<u32>,
-    /// How often the (still-threaded) worker accept loop re-polls a
-    /// quiet listener and the shutdown flag. The serve front door has
-    /// no analogue — its reactor blocks in the poller with no
-    /// periodic tick — but the worker keeps the poll, so tests can
-    /// tighten it and deployments can trade shutdown latency against
-    /// idle wakeups.
-    pub accept_poll: Duration,
     /// How the worker builds machines and forks shots.
     pub policy: ExecPolicy,
 }
@@ -203,7 +207,6 @@ impl Default for WorkerConfig {
             job_cache_capacity: DEFAULT_JOB_CACHE_CAPACITY,
             max_frame_len: MAX_FRAME_LEN,
             max_requests_per_sec: None,
-            accept_poll: ACCEPT_POLL,
             policy: ExecPolicy::default(),
         }
     }
@@ -247,13 +250,6 @@ impl WorkerConfig {
     /// (requests per second; `None` disables).
     pub fn with_max_requests_per_sec(mut self, rate: Option<u32>) -> Self {
         self.max_requests_per_sec = rate;
-        self
-    }
-
-    /// Returns the config with the given accept-loop poll interval
-    /// (clamped to at least 1 ms to keep the loop from spinning).
-    pub fn with_accept_poll(mut self, accept_poll: Duration) -> Self {
-        self.accept_poll = accept_poll.max(Duration::from_millis(1));
         self
     }
 
@@ -452,12 +448,13 @@ fn read_request_frame(
 }
 
 /// A handle to an in-process worker daemon, used by tests, benches and
-/// embedded deployments. The CLI's `eqasm-cli worker` uses the
-/// blocking [`run_worker`] instead.
+/// embedded deployments. It runs [`run_worker_until`]'s accept/drain
+/// loop on a background thread — the same daemon `eqasm-cli worker`
+/// runs in the foreground.
 pub struct WorkerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<(u64, TcpStream)>>>,
+    conns: Arc<Conns>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -471,19 +468,12 @@ impl WorkerHandle {
     /// Abruptly severs every open connection and stops accepting new
     /// ones — the "worker host died mid-job" failure, as a method, so
     /// failover paths can be tested deterministically. Clients see
-    /// transport errors on their next (or in-flight) request.
-    ///
-    /// Reliable by construction: the accept loop polls a nonblocking
-    /// listener, so the shutdown flag alone stops it within one poll
-    /// interval. (It used to dial itself with a short connect timeout
-    /// to unblock a blocking accept — on a loaded host that connect
-    /// could time out and leave the accept thread parked until the
-    /// next real client.)
+    /// transport errors on their next (or in-flight) request. Unlike a
+    /// drain, nothing waits for in-flight batches: the loop finds no
+    /// connection left to wait on and exits within one accept poll.
     pub fn kill(&self) {
         self.shutdown.store(true, Ordering::Release);
-        for (_, conn) in self.conns.lock().expect("conn list poisoned").drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
+        self.conns.sever();
     }
 }
 
@@ -496,80 +486,73 @@ impl Drop for WorkerHandle {
     }
 }
 
+/// The connections a worker's accept loop has open, each held as a
+/// cloned stream so a kill or an expired drain can sever it. Once
+/// severed, a connection accepted later is cut as it is tracked.
+#[derive(Default)]
+struct Conns(Mutex<ConnSet>);
+
+#[derive(Default)]
+struct ConnSet {
+    next_id: u64,
+    open: Vec<(u64, TcpStream)>,
+    severed: bool,
+}
+
+impl Conns {
+    fn lock(&self) -> std::sync::MutexGuard<'_, ConnSet> {
+        self.0.lock().expect("conn list poisoned")
+    }
+
+    /// Tracks `stream` and returns its id; `None` when it cannot be
+    /// cloned, and the connection must be dropped untracked.
+    fn track(&self, stream: &TcpStream) -> Option<u64> {
+        let clone = stream.try_clone().ok()?;
+        let mut set = self.lock();
+        let id = set.next_id;
+        set.next_id += 1;
+        if set.severed {
+            let _ = clone.shutdown(std::net::Shutdown::Both);
+        } else {
+            set.open.push((id, clone));
+        }
+        Some(id)
+    }
+
+    fn untrack(&self, id: u64) {
+        self.lock().open.retain(|(i, _)| *i != id);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.lock().open.is_empty()
+    }
+
+    /// Shuts down every tracked connection, and every one tracked
+    /// later; returns how many were open.
+    fn sever(&self) -> usize {
+        let mut set = self.lock();
+        set.severed = true;
+        let open = std::mem::take(&mut set.open);
+        for (_, conn) in &open {
+            let _ = conn.shutdown(std::net::Shutdown::Both);
+        }
+        open.len()
+    }
+}
+
 /// Starts a worker daemon on `listener` in background threads and
 /// returns a handle that stops it on drop (or explicitly via
 /// [`WorkerHandle::kill`]).
 pub fn spawn_worker(listener: TcpListener, config: WorkerConfig) -> std::io::Result<WorkerHandle> {
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let conns: Arc<Mutex<Vec<(u64, TcpStream)>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let accept_shutdown = Arc::clone(&shutdown);
-    let accept_conns = Arc::clone(&conns);
-    let accept_config = config;
+    let conns = Arc::new(Conns::default());
+    let (flag, tracked) = (Arc::clone(&shutdown), Arc::clone(&conns));
     let accept_thread = std::thread::Builder::new()
         .name("eqasm-worker-accept".to_owned())
         .spawn(move || {
-            let mut next_id = 0u64;
-            // Nonblocking accept poll: the shutdown flag alone stops
-            // this loop (see `WorkerHandle::kill` on why a blocking
-            // accept was a liability).
-            loop {
-                if accept_shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                let stream = match listener.accept() {
-                    Ok((stream, _)) => stream,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                        continue;
-                    }
-                    Err(_) => {
-                        // Transient accept failure: never take the
-                        // worker down over one bad accept.
-                        std::thread::sleep(ACCEPT_POLL);
-                        continue;
-                    }
-                };
-                let _ = stream.set_nonblocking(false);
-                let id = next_id;
-                next_id += 1;
-                if let Ok(clone) = stream.try_clone() {
-                    accept_conns
-                        .lock()
-                        .expect("conn list poisoned")
-                        .push((id, clone));
-                }
-                let config = accept_config.clone();
-                let conns = Arc::clone(&accept_conns);
-                let conn_shutdown = Arc::clone(&accept_shutdown);
-                if let Err(e) = std::thread::Builder::new()
-                    .name("eqasm-worker-conn".to_owned())
-                    .spawn(move || {
-                        serve_connection(stream, &config, &conn_shutdown);
-                        // Prune this connection's kill-handle clone:
-                        // a long-lived embedded worker must not leak
-                        // one duplicated fd per past connection.
-                        conns
-                            .lock()
-                            .expect("conn list poisoned")
-                            .retain(|(i, _)| *i != id);
-                    })
-                {
-                    // One connection lost to thread pressure; the
-                    // daemon (and its other slots) live on.
-                    eprintln!(
-                        "worker: could not spawn connection thread ({e}); dropping one connection"
-                    );
-                    accept_conns
-                        .lock()
-                        .expect("conn list poisoned")
-                        .retain(|(i, _)| *i != id);
-                }
-            }
+            let _ = worker_loop(listener, config, &flag, &tracked);
         })?;
-
     Ok(WorkerHandle {
         addr,
         shutdown,
@@ -578,20 +561,15 @@ pub fn spawn_worker(listener: TcpListener, config: WorkerConfig) -> std::io::Res
     })
 }
 
-/// Runs a worker daemon on `listener`, blocking until killed — the
-/// body of `eqasm-cli worker --listen <addr>`. Equivalent to
-/// [`run_worker_until`] with a flag that never flips.
-pub fn run_worker(listener: TcpListener, config: WorkerConfig) -> std::io::Result<()> {
-    run_worker_until(listener, config, &AtomicBool::new(false))
-}
-
 /// Runs a worker daemon on `listener` until `shutdown` flips, then
-/// **drains cleanly**: stops accepting, lets every in-flight batch
-/// finish and its response reach the coordinator, and closes idle
-/// connections — so a coordinator never loses a completed batch to a
-/// worker restart, it only sees slots retire. The CLI flips the flag
-/// from its SIGINT/SIGTERM handler, making rolling worker restarts a
-/// clean drain instead of an abrupt kill.
+/// **drains**: stops accepting, lets every in-flight batch finish and
+/// its response reach the coordinator, and closes idle connections —
+/// so a coordinator never loses a completed batch to a worker restart,
+/// it only sees slots retire. The CLI flips the flag from its
+/// SIGINT/SIGTERM handler.
+///
+/// A connection still busy after the drain deadline (30 s) is
+/// severed. Returns how many were: `0` is a clean drain.
 ///
 /// Availability hardening, both learned the hard way:
 ///
@@ -601,27 +579,34 @@ pub fn run_worker(listener: TcpListener, config: WorkerConfig) -> std::io::Resul
 ///   offline over one bad accept.
 /// * A *thread-spawn* failure for one connection is the same story:
 ///   log it, close that one connection, keep serving the others.
-///   (It used to propagate with `?` and take the whole daemon down —
-///   exactly the cascade the accept-loop hardening was meant to
-///   prevent.)
 pub fn run_worker_until(
     listener: TcpListener,
     config: WorkerConfig,
     shutdown: &AtomicBool,
-) -> std::io::Result<()> {
+) -> std::io::Result<usize> {
+    worker_loop(listener, config, shutdown, &Arc::default())
+}
+
+/// The worker daemon's one accept/drain loop, behind both
+/// [`run_worker_until`] and [`spawn_worker`]. Each accepted
+/// connection is tracked in `conns` and counted in
+/// `eqasm_net_open_connections{role="worker"}` while its thread runs.
+fn worker_loop(
+    listener: TcpListener,
+    config: WorkerConfig,
+    shutdown: &AtomicBool,
+    conns: &Arc<Conns>,
+) -> std::io::Result<usize> {
     listener.set_nonblocking(true)?;
     // Connections watch this (not the caller's reference, which this
     // function cannot outlive) and close after their current request.
-    let conn_shutdown = Arc::new(AtomicBool::new(false));
-    let active = Arc::new(AtomicUsize::new(0));
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            break;
-        }
+    let drain = Arc::new(AtomicBool::new(false));
+    let open = crate::metrics::rt().open_connections.with(&["worker"]);
+    while !shutdown.load(Ordering::Acquire) {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(config.accept_poll);
+                std::thread::sleep(ACCEPT_POLL);
                 continue;
             }
             Err(e) => {
@@ -631,37 +616,41 @@ pub fn run_worker_until(
             }
         };
         let _ = stream.set_nonblocking(false);
-        let config = config.clone();
-        let conn_shutdown = Arc::clone(&conn_shutdown);
-        let active_in_thread = Arc::clone(&active);
-        active.fetch_add(1, Ordering::SeqCst);
-        let open = crate::metrics::rt().open_connections.with(&["worker"]);
+        let Some(id) = conns.track(&stream) else {
+            eprintln!("worker: could not track a connection; dropping it");
+            continue;
+        };
         open.add(1);
+        let (config, drain, tracked, gauge) = (
+            config.clone(),
+            Arc::clone(&drain),
+            Arc::clone(conns),
+            Arc::clone(&open),
+        );
         let spawned = std::thread::Builder::new()
             .name("eqasm-worker-conn".to_owned())
             .spawn(move || {
-                serve_connection(stream, &config, &conn_shutdown);
-                active_in_thread.fetch_sub(1, Ordering::SeqCst);
-                crate::metrics::rt()
-                    .open_connections
-                    .with(&["worker"])
-                    .add(-1);
+                serve_connection(stream, &config, &drain);
+                gauge.add(-1);
+                tracked.untrack(id);
             });
         if let Err(e) = spawned {
-            active.fetch_sub(1, Ordering::SeqCst);
+            // The closure, and with it the stream, is already dropped.
             open.add(-1);
+            conns.untrack(id);
             eprintln!("worker: could not spawn connection thread ({e}); dropping one connection");
         }
     }
     // Drain: no new work is accepted; every connection finishes the
     // request it is running (a batch mid-execution completes and its
-    // response is written) and then closes.
-    conn_shutdown.store(true, Ordering::Release);
+    // response is written) and then closes. After a kill there is
+    // nothing left to wait on.
+    drain.store(true, Ordering::Release);
     let deadline = Instant::now() + DRAIN_TIMEOUT;
-    while active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+    while !conns.is_empty() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
-    Ok(())
+    Ok(conns.sever())
 }
 
 /// Sends a typed error frame, ignoring transport failures (the
@@ -899,9 +888,8 @@ fn serve_connection(mut stream: TcpStream, config: &WorkerConfig, shutdown: &Ato
 /// range elsewhere.
 ///
 /// Every request runs under a read/write deadline
-/// ([`DEFAULT_IO_TIMEOUT`] unless overridden via
-/// [`RemoteBackend::connect_with_timeout`] /
-/// [`RemoteBackend::with_io_timeout`]): a worker that *hangs* — its
+/// ([`DEFAULT_IO_TIMEOUT`] unless [`ConnectOptions::io_timeout`] says
+/// otherwise): a worker that *hangs* — its
 /// host wedged, its process stopped but the TCP stack alive — turns
 /// into a [`RuntimeError::Transport`] after the deadline instead of
 /// blocking a dispatch slot forever. A timed-out request is **not**
@@ -985,16 +973,6 @@ impl RemoteBackend {
         RemoteBackend::connect_opts(addr, ConnectOptions::default())
     }
 
-    /// [`RemoteBackend::connect`] with an explicit request deadline
-    /// (`None` waits forever — the pre-deadline behaviour, which a
-    /// hung worker can wedge).
-    pub fn connect_with_timeout(
-        addr: impl Into<String>,
-        io_timeout: Option<Duration>,
-    ) -> Result<Self, RuntimeError> {
-        RemoteBackend::connect_opts(addr, ConnectOptions::default().with_io_timeout(io_timeout))
-    }
-
     /// [`RemoteBackend::connect`] with full [`ConnectOptions`]
     /// (deadline, pre-shared key).
     pub fn connect_opts(
@@ -1002,13 +980,7 @@ impl RemoteBackend {
         options: ConnectOptions,
     ) -> Result<Self, RuntimeError> {
         let addr = addr.into();
-        let (stream, ack) = handshake(&addr, &options).map_err(|e| match e {
-            WireError::AuthFailed { message } => RuntimeError::Auth(message),
-            e => RuntimeError::Transport {
-                backend: format!("remote {addr}"),
-                message: e.to_string(),
-            },
-        })?;
+        let (stream, ack) = connect_handshake(&addr, &options, || format!("remote {addr}"))?;
         Ok(RemoteBackend {
             addr,
             name: ack.name,
@@ -1035,18 +1007,6 @@ impl RemoteBackend {
         RemoteBackend::connect_pool_opts(addr, ConnectOptions::default())
     }
 
-    /// [`RemoteBackend::connect_pool`] with an explicit request
-    /// deadline for every pooled connection.
-    pub fn connect_pool_with_timeout(
-        addr: impl Into<String>,
-        io_timeout: Option<Duration>,
-    ) -> Result<Vec<Self>, RuntimeError> {
-        RemoteBackend::connect_pool_opts(
-            addr,
-            ConnectOptions::default().with_io_timeout(io_timeout),
-        )
-    }
-
     /// [`RemoteBackend::connect_pool`] with full [`ConnectOptions`]
     /// for every pooled connection.
     pub fn connect_pool_opts(
@@ -1064,22 +1024,6 @@ impl RemoteBackend {
             }
         }
         Ok(pool)
-    }
-
-    /// Returns the backend with a different request deadline, applied
-    /// to the live connection immediately (`None` waits forever).
-    pub fn with_io_timeout(mut self, io_timeout: Option<Duration>) -> Self {
-        self.options.io_timeout = io_timeout;
-        if let Some(stream) = &self.stream {
-            let _ = stream.set_read_timeout(io_timeout);
-            let _ = stream.set_write_timeout(io_timeout);
-        }
-        self
-    }
-
-    /// The request deadline in force (`None` = wait forever).
-    pub fn io_timeout(&self) -> Option<Duration> {
-        self.options.io_timeout
     }
 
     /// The slot capacity the worker advertised.
@@ -1438,6 +1382,23 @@ pub(crate) fn handshake(
     }
 }
 
+/// [`handshake`] in the runtime's error space: a failed key exchange
+/// is [`RuntimeError::Auth`], any other failure a
+/// [`RuntimeError::Transport`] naming `backend`.
+pub(crate) fn connect_handshake(
+    addr: &str,
+    opts: &ConnectOptions,
+    backend: impl FnOnce() -> String,
+) -> Result<(TcpStream, HelloAck), RuntimeError> {
+    handshake(addr, opts).map_err(|e| match e {
+        WireError::AuthFailed { message } => RuntimeError::Auth(message),
+        e => RuntimeError::Transport {
+            backend: backend(),
+            message: e.to_string(),
+        },
+    })
+}
+
 impl ExecBackend for RemoteBackend {
     fn descriptor(&self) -> BackendDescriptor {
         BackendDescriptor {
@@ -1505,17 +1466,12 @@ impl ExecBackend for RemoteBackend {
 ///
 /// [`WireError`] when the worker is unreachable or unhealthy.
 pub fn ping(addr: &str) -> Result<HelloAck, WireError> {
-    ping_within(addr, Some(DEFAULT_IO_TIMEOUT))
+    ping_opts(addr, &ConnectOptions::default())
 }
 
-/// [`ping`] with an explicit deadline — what the pool supervisor uses,
-/// so one hung worker cannot stall a whole discovery sweep.
-pub fn ping_within(addr: &str, io_timeout: Option<Duration>) -> Result<HelloAck, WireError> {
-    ping_opts(addr, &ConnectOptions::default().with_io_timeout(io_timeout))
-}
-
-/// [`ping`] with full [`ConnectOptions`] — required to probe workers
-/// that demand PSK authentication.
+/// [`ping`] with full [`ConnectOptions`] — what the pool supervisor
+/// uses, so its deadline bounds each probe and its key reaches
+/// workers that demand authentication.
 pub fn ping_opts(addr: &str, options: &ConnectOptions) -> Result<HelloAck, WireError> {
     let (mut stream, ack) = handshake(addr, options)?;
     wire::write_frame(&mut stream, wire::tag::PING, &[])?;
@@ -1819,10 +1775,10 @@ mod tests {
     /// answers one. The pre-deadline client would block in
     /// `read_frame` forever.
     fn spawn_hung_worker() -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr");
+        let server = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = server.local_addr().expect("local addr");
         std::thread::spawn(move || {
-            let Ok((mut stream, _)) = listener.accept() else {
+            let Ok((mut stream, _)) = server.accept() else {
                 return;
             };
             let Ok((tag, payload)) = wire::read_frame(&mut stream) else {
@@ -1853,9 +1809,11 @@ mod tests {
         // fired. The I/O deadline turns the stall into a transport
         // error the re-dispatch/retire path can act on.
         let addr = spawn_hung_worker();
-        let mut remote =
-            RemoteBackend::connect_with_timeout(addr.to_string(), Some(Duration::from_millis(200)))
-                .expect("handshake succeeds; only requests hang");
+        let mut remote = RemoteBackend::connect_opts(
+            addr.to_string(),
+            ConnectOptions::default().with_io_timeout(Some(Duration::from_millis(200))),
+        )
+        .expect("handshake succeeds; only requests hang");
         let started = Instant::now();
         let err = remote
             .run_range(&tiny_job(4), 0..4)
@@ -1979,10 +1937,10 @@ mod tests {
     fn short_remote_batch_is_a_transport_error() {
         // A fake worker that handshakes, loads the job and answers the
         // range with a batch covering one shot fewer than asked.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().unwrap();
+        let server = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = server.local_addr().unwrap();
         let fake = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().expect("accept");
+            let (mut stream, _) = server.accept().expect("accept");
             wire::read_frame(&mut stream).expect("hello");
             let ack = HelloAck {
                 version: PROTOCOL_VERSION,

@@ -29,8 +29,8 @@
 //!   their latest snapshot on the keepalive interval, and an optional
 //!   idle timeout reaps silent request connections.
 //!
-//! Workers stay threaded ([`super::run_worker`]): they are few and
-//! busy, so an event loop buys them nothing. Both servers drive the
+//! Workers stay threaded ([`super::run_worker_until`]): they are few
+//! and busy, so an event loop buys them nothing. Both servers drive the
 //! one sans-IO handshake core (`super::handshake`), so version, auth
 //! and rejection semantics are the worker daemon's frame for frame.
 

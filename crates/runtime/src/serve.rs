@@ -223,13 +223,6 @@ pub struct ServeConfig {
     /// restore capacity; without one, `wait()` on those jobs blocks
     /// until capacity returns or the queue shuts down.
     pub hold_when_empty: bool,
-    /// Read/write deadline applied to [`crate::RemoteBackend`]s built
-    /// from this config (the CLI pool builder and the supervisor both
-    /// honour it). A worker that *hangs* — accepts requests but never
-    /// answers — then surfaces as [`RuntimeError::Transport`] after
-    /// this long instead of wedging its dispatch slot forever. `None`
-    /// disables the deadline.
-    pub remote_io_timeout: Option<Duration>,
     /// How the queue's own local slots execute jobs. Slots passed in
     /// through [`JobQueue::with_backends`] carry their own policy.
     pub policy: crate::ExecPolicy,
@@ -245,7 +238,6 @@ impl Default for ServeConfig {
             pending_cap: u64::MAX,
             max_batch_retries: 3,
             hold_when_empty: false,
-            remote_io_timeout: Some(crate::net::DEFAULT_IO_TIMEOUT),
             policy: crate::ExecPolicy::default(),
         }
     }
@@ -289,13 +281,6 @@ impl ServeConfig {
     /// the pool is empty — see [`ServeConfig::hold_when_empty`].
     pub fn with_hold_when_empty(mut self, hold: bool) -> Self {
         self.hold_when_empty = hold;
-        self
-    }
-
-    /// Returns the config with a remote I/O deadline (`None` disables)
-    /// — see [`ServeConfig::remote_io_timeout`].
-    pub fn with_remote_io_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.remote_io_timeout = timeout;
         self
     }
 

@@ -10,7 +10,7 @@
 //! or both), a background thread:
 //!
 //! 1. **probes** each address with a deadline-bounded handshake ping
-//!    ([`crate::ping_within`]) on an exponential-backoff schedule —
+//!    ([`crate::ping_opts`]) on an exponential-backoff schedule —
 //!    healthy workers are probed at the base interval, unreachable
 //!    ones back off up to a cap so a long-dead host costs almost
 //!    nothing;
@@ -41,9 +41,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::auth::Psk;
 use crate::backend::BackendKind;
-use crate::net::{ping_opts, ConnectOptions, RemoteBackend, DEFAULT_IO_TIMEOUT};
+use crate::net::{ping_opts, ConnectOptions, RemoteBackend};
 use crate::serve::{JobQueue, SlotState};
 
 /// Configuration of a [`PoolSupervisor`].
@@ -61,13 +60,9 @@ pub struct SupervisorConfig {
     /// disappear have their slots drained. Static addresses passed to
     /// [`PoolSupervisor::spawn`] are never dropped.
     pub registry: Option<PathBuf>,
-    /// Request deadline for probes and for the [`RemoteBackend`]s the
-    /// supervisor attaches (see
-    /// [`crate::ServeConfig::remote_io_timeout`]).
-    pub io_timeout: Option<Duration>,
-    /// Pre-shared key used for probes and attached backends, for
-    /// fleets whose workers demand authentication.
-    pub psk: Option<Psk>,
+    /// Request deadline and pre-shared key for probes and for the
+    /// [`RemoteBackend`]s the supervisor attaches.
+    pub connect: ConnectOptions,
 }
 
 impl Default for SupervisorConfig {
@@ -76,8 +71,7 @@ impl Default for SupervisorConfig {
             probe_interval: Duration::from_secs(2),
             max_backoff: Duration::from_secs(30),
             registry: None,
-            io_timeout: Some(DEFAULT_IO_TIMEOUT),
-            psk: None,
+            connect: ConnectOptions::default(),
         }
     }
 }
@@ -103,16 +97,10 @@ impl SupervisorConfig {
         self
     }
 
-    /// Returns the config with a probe/attach request deadline.
-    pub fn with_io_timeout(mut self, io_timeout: Option<Duration>) -> Self {
-        self.io_timeout = io_timeout;
-        self
-    }
-
-    /// Returns the config authenticating probes and attached
-    /// backends with the given pre-shared key.
-    pub fn with_psk(mut self, psk: Psk) -> Self {
-        self.psk = Some(psk);
+    /// Returns the config probing and attaching under `connect` (its
+    /// request deadline and pre-shared key).
+    pub fn with_connect(mut self, connect: ConnectOptions) -> Self {
+        self.connect = connect;
         self
     }
 }
@@ -167,7 +155,9 @@ struct SupShared {
 }
 
 /// Watches worker addresses and keeps a [`JobQueue`]'s remote slots
-/// topped up — see the [module docs](self) for the full contract.
+/// topped up: a background thread probes each address on a backoff
+/// schedule, attaches slots up to what a live worker advertises, and
+/// drains the slots of registry addresses that leave the file.
 ///
 /// Dropping the supervisor stops its thread. The queue itself is
 /// unaffected either way: the supervisor only ever calls the queue's
@@ -302,10 +292,6 @@ fn supervise(
     shared: &SupShared,
 ) {
     let mut workers: HashMap<String, AddrState> = HashMap::new();
-    let connect_opts = ConnectOptions {
-        io_timeout: config.io_timeout,
-        psk: config.psk.clone(),
-    };
     // The last registry roster that read and parsed cleanly. While
     // the file is unusable, this list stays in force — a corrupted
     // write must not drain the fleet.
@@ -403,7 +389,7 @@ fn supervise(
             }
             let live = live_for(&pool, addr);
             let m = crate::metrics::rt();
-            match ping_opts(addr, &connect_opts) {
+            match ping_opts(addr, &config.connect) {
                 Ok(ack) => {
                     m.probes_ok.inc();
                     state.live_probe = Some(ack.capacity);
@@ -412,7 +398,7 @@ fn supervise(
                     let want = (ack.capacity.max(1)) as usize;
                     for _ in live..want {
                         let Ok(backend) =
-                            RemoteBackend::connect_opts(addr.clone(), connect_opts.clone())
+                            RemoteBackend::connect_opts(addr.clone(), config.connect.clone())
                         else {
                             break; // worker got less welcoming mid-top-up
                         };

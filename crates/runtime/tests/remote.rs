@@ -568,8 +568,11 @@ fn supervisor_reattaches_restarted_worker_bit_identically() {
     .expect("spawn worker");
 
     let io_timeout = Some(Duration::from_secs(2));
-    let backend = RemoteBackend::connect_with_timeout(addr.to_string(), io_timeout)
-        .expect("connects to gen1");
+    let backend = RemoteBackend::connect_opts(
+        addr.to_string(),
+        ConnectOptions::default().with_io_timeout(io_timeout),
+    )
+    .expect("connects to gen1");
     // gen1's one slot runs the job's first batch, then holds the next
     // until the gate opens: the kill below lands mid-job however fast
     // the host runs shots.
@@ -589,7 +592,7 @@ fn supervisor_reattaches_restarted_worker_bit_identically() {
     let config = SupervisorConfig::default()
         .with_probe_interval(Duration::from_millis(50))
         .with_max_backoff(Duration::from_millis(200))
-        .with_io_timeout(io_timeout);
+        .with_connect(ConnectOptions::default().with_io_timeout(io_timeout));
     let supervisor =
         PoolSupervisor::spawn(Arc::clone(&queue), vec![addr.to_string()], config.clone());
 

@@ -167,6 +167,17 @@ mod signals {
     }
 }
 
+/// No signal handling off unix: the flag never flips, and the daemons
+/// run until the process is killed.
+#[cfg(not(unix))]
+mod signals {
+    use std::sync::atomic::AtomicBool;
+
+    pub static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+
+    pub fn install() {}
+}
+
 fn load_instantiation(chip: &str) -> Result<Instantiation, String> {
     match chip {
         "surface7" => Ok(Instantiation::paper()),
@@ -1102,25 +1113,24 @@ fn cmd_worker(
         if authed { ", PSK auth" } else { "" },
         config.job_cache_capacity,
     );
-    #[cfg(unix)]
-    {
-        // SIGINT/SIGTERM drain instead of kill: in-flight batches
-        // finish and reach their coordinators, then the daemon exits.
-        signals::install();
-        eqasm::runtime::run_worker_until(listener, config, &signals::SHUTDOWN)
-            .map_err(|e| e.to_string())?;
+    // SIGINT/SIGTERM drain instead of kill: in-flight batches finish
+    // and reach their coordinators, then the daemon exits.
+    signals::install();
+    let severed = eqasm::runtime::run_worker_until(listener, config, &signals::SHUTDOWN)
+        .map_err(|e| e.to_string())?;
+    if severed == 0 {
         println!("eqasm worker drained cleanly; exiting");
-        Ok(())
+    } else {
+        println!(
+            "eqasm worker drain timed out; severed {severed} connection(s) still mid-batch; exiting"
+        );
     }
-    #[cfg(not(unix))]
-    {
-        eqasm::runtime::run_worker(listener, config).map_err(|e| e.to_string())
-    }
+    Ok(())
 }
 
 /// Builds the serve backend pool: `workers` local slots plus every
-/// advertised slot of each `--remote` worker, under the config's
-/// remote I/O deadline. With `tolerate_down` (a supervisor is
+/// advertised slot of each `--remote` worker, under `connect_opts`
+/// (request deadline, key). With `tolerate_down` (a supervisor is
 /// running), a worker that is unreachable at startup is only a
 /// warning — the supervisor attaches it when it appears.
 fn build_backend_pool(
@@ -1170,13 +1180,7 @@ fn build_serve_queue(
     policy: ExecPolicy,
 ) -> Result<(std::sync::Arc<JobQueue>, Option<PoolSupervisor>), String> {
     let serve_config = ServeConfig::default().with_policy(policy);
-    let connect_opts = {
-        let mut opts = ConnectOptions::default().with_io_timeout(serve_config.remote_io_timeout);
-        if let Some(psk) = psk.clone() {
-            opts = opts.with_psk(psk);
-        }
-        opts
-    };
+    let connect_opts = client_opts(psk);
     let queue = if let Some(jc) = journal {
         // Recovery needs the explicit-backend constructor, so build a
         // local pool by hand when no remotes are configured.
@@ -1241,10 +1245,7 @@ fn build_serve_queue(
     let supervisor = rediscover.map(|secs| {
         let mut config = SupervisorConfig::default()
             .with_probe_interval(std::time::Duration::from_secs_f64(secs))
-            .with_io_timeout(serve_config.remote_io_timeout);
-        if let Some(psk) = psk {
-            config = config.with_psk(psk);
-        }
+            .with_connect(connect_opts.clone());
         if let Some(path) = registry {
             config = config.with_registry(path);
         }
@@ -1316,38 +1317,22 @@ fn cmd_serve_listen(
         eqasm::runtime::wire::PROTOCOL_VERSION,
         if authed { ", PSK auth" } else { "" },
     );
-    #[cfg(unix)]
-    {
-        signals::install();
-        eqasm::runtime::run_serve_until(
-            listener,
-            std::sync::Arc::clone(&queue),
-            net_config,
-            &signals::SHUTDOWN,
-        )
-        .map_err(|e| e.to_string())?;
-        drop(supervisor);
-        queue.shutdown();
-        println!("eqasm serve drained cleanly; exiting");
-        Ok(())
-    }
-    #[cfg(not(unix))]
-    {
-        let never = std::sync::atomic::AtomicBool::new(false);
-        eqasm::runtime::run_serve_until(
-            listener,
-            std::sync::Arc::clone(&queue),
-            net_config,
-            &never,
-        )
-        .map_err(|e| e.to_string())?;
-        drop(supervisor);
-        queue.shutdown();
-        Ok(())
-    }
+    signals::install();
+    eqasm::runtime::run_serve_until(
+        listener,
+        std::sync::Arc::clone(&queue),
+        net_config,
+        &signals::SHUTDOWN,
+    )
+    .map_err(|e| e.to_string())?;
+    drop(supervisor);
+    queue.shutdown();
+    println!("eqasm serve drained cleanly; exiting");
+    Ok(())
 }
 
-/// Client-side connect options for `submit`/`status`/`watch`.
+/// Client-side connect options for `submit`/`status`/`watch`, remote
+/// workers and the pool supervisor.
 fn client_opts(psk: Option<Psk>) -> ConnectOptions {
     let mut opts = ConnectOptions::default();
     if let Some(psk) = psk {
