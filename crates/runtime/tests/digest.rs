@@ -16,11 +16,26 @@
 //! - 200 full `run_shot` replays of the same program;
 //! - 2k shots of the 16-qubit, 8-layer Clifford chain (`chain16x8`)
 //!   under `Auto` selection (stabilizer backend, forked).
+//!
+//! A second golden pins the batch layer the service actually calls:
+//! [`LocalBackend::run_range`] over consecutive 256-shot ranges on one
+//! reused backend, folding each [`BatchOut`]'s histogram, statistics,
+//! `prob1_sum` bits and failure summary. Its three jobs are
+//! `rb1q-noisy` (10k shots), active reset (measurement feedback, 4k
+//! shots) and `chain16x8` (2k shots, more distinct outcomes than any
+//! bounded per-shape cache can hold). It was recorded before the batch
+//! layer served shots from memoized outcomes, so it pins that path to
+//! the bits of plain replays. The backend runs under the policy CI's
+//! execution-path legs select through `EQASM_EXEC_PATH` and
+//! `EQASM_PREFIX`, so the forced-replay legs reproduce the same golden.
+//! `chain16x8` keeps its own backend selection on every leg: the dense
+//! path would move it to a 16-qubit state vector, a different
+//! simulator whose `P(1)` sums are not the stabilizer's bits.
 
 use eqasm_core::Qubit;
 use eqasm_microarch::{BackendSelect, QuMa, RunResult, RunStats, SimConfig};
 use eqasm_quantum::{NoiseModel, ReadoutModel};
-use eqasm_runtime::WorkloadKind;
+use eqasm_runtime::{BatchOut, ExecBackend, ExecPolicy, Job, LocalBackend, WorkloadKind};
 
 /// 64-bit FNV-1a over little-endian `u64` words.
 struct Fnv1a(u64);
@@ -142,6 +157,120 @@ fn digest() -> u64 {
 /// Recorded from the reference build; see the module docs. A mismatch
 /// means some shot's statistics, outcome or `P(1)` bits changed.
 const GOLDEN: u64 = 0x80f1_39b5_c9ce_070c;
+
+impl Fnv1a {
+    /// Folds the deterministic fields of one batch.
+    fn batch(&mut self, out: &BatchOut) {
+        self.word(out.shots());
+        for (outcome, &count) in out.histogram.iter() {
+            self.word(outcome.measured);
+            self.word(outcome.bits);
+            self.word(count);
+        }
+        self.stats(&out.stats);
+        for p in &out.prob1_sum {
+            self.word(p.to_bits());
+        }
+        self.word(out.non_halted);
+        if let Some((shot, status)) = &out.first_failure {
+            self.word(*shot);
+            for b in status.bytes() {
+                self.word(b as u64);
+            }
+        }
+    }
+}
+
+/// The execution policy the CI execution-path legs select through
+/// `EQASM_EXEC_PATH` and `EQASM_PREFIX`: the library reads no
+/// environment, so the test harness does.
+fn env_policy() -> ExecPolicy {
+    ExecPolicy::parse(
+        std::env::var("EQASM_EXEC_PATH").ok().as_deref(),
+        std::env::var("EQASM_PREFIX").ok().as_deref(),
+    )
+    .expect("EQASM_EXEC_PATH / EQASM_PREFIX")
+}
+
+/// Runs `job` in consecutive 256-shot ranges on one backend and folds
+/// every batch.
+fn fold_ranges(h: &mut Fnv1a, backend: &mut LocalBackend, job: &Job) {
+    let mut start = 0;
+    while start < job.shots {
+        let end = (start + 256).min(job.shots);
+        let out = backend.run_range(job, start..end).expect("range runs");
+        h.batch(&out);
+        start = end;
+    }
+}
+
+fn job(name: &str, kind: WorkloadKind, config: SimConfig, shots: u64, seed: u64) -> Job {
+    let (inst, program) = kind.build().expect("workload builds");
+    Job::new(name, inst, program)
+        .with_config(config)
+        .with_shots(shots)
+        .with_seed(seed)
+}
+
+/// The digest of the three batch-layer jobs, in order. `rb1q-noisy` and
+/// active reset share one backend, so the second job runs on a slot
+/// that already holds the first one's machine.
+fn batch_digest() -> u64 {
+    let mut h = Fnv1a::new();
+    let policy = env_policy();
+    let mut backend = LocalBackend::new(0).with_policy(policy);
+    let rb = job(
+        "rb1q-noisy",
+        WorkloadKind::Rb {
+            k: 24,
+            interval_cycles: 1,
+            sequence_seed: 1,
+        },
+        noisy_rb_config(),
+        10_000,
+        11,
+    );
+    fold_ranges(&mut h, &mut backend, &rb);
+    let reset = job(
+        "active-reset",
+        WorkloadKind::ActiveReset { init_cycles: 200 },
+        SimConfig::default()
+            .with_noise(NoiseModel::with_coherence(25_000.0, 20_000.0))
+            .with_readout(ReadoutModel::paper_reset()),
+        4_000,
+        22,
+    );
+    fold_ranges(&mut h, &mut backend, &reset);
+    let chain = job(
+        "chain16x8",
+        WorkloadKind::CliffordChain {
+            qubits: 16,
+            layers: 8,
+        },
+        SimConfig::default().with_backend(BackendSelect::Auto),
+        2_000,
+        33,
+    );
+    let mut backend = LocalBackend::new(1).with_policy(ExecPolicy {
+        backend: None,
+        ..policy
+    });
+    fold_ranges(&mut h, &mut backend, &chain);
+    h.0
+}
+
+/// Recorded from a build whose batches replayed every shot; see the
+/// module docs.
+const BATCH_GOLDEN: u64 = 0x8b5d_219a_1be7_023d;
+
+#[test]
+fn batch_results_match_the_pinned_digest() {
+    let got = batch_digest();
+    assert_eq!(
+        got, BATCH_GOLDEN,
+        "batch digest changed: got {got:#018x}, pinned {BATCH_GOLDEN:#018x}"
+    );
+}
 
 #[test]
 fn shot_results_match_the_pinned_digest() {
