@@ -1,11 +1,12 @@
 //! Benchmarks the QuMA v2 simulator: classical-cycle throughput on a
 //! feedback-free RB program and on the CFC feedback loop, and the
 //! shared-prefix fork path of the shot service's `rb1q-noisy` shape
-//! (building the prefix once, and one forked shot).
+//! (building the prefix once, one forked shot, and one forked shot
+//! served from a warm outcome trie).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eqasm_core::{Instantiation, Qubit, Topology};
-use eqasm_microarch::{QuMa, SimConfig};
+use eqasm_microarch::{OutcomeTrie, QuMa, SimConfig};
 use eqasm_quantum::{NoiseModel, ReadoutModel};
 
 /// The service benchmark's `rb1q-noisy` machine: 24-Clifford RB on one
@@ -65,6 +66,22 @@ fn bench_machine(c: &mut Criterion) {
             let result = machine.run_shot_from(&snapshot, seed);
             assert!(result.status.is_halted());
             machine.measurement_value(Qubit::new(0))
+        })
+    });
+    group.bench_function("memo_shot_rb1q_noisy", |b| {
+        let mut machine = rb1q_noisy();
+        let snapshot = machine.run_prefix(0).unwrap();
+        let mut trie = OutcomeTrie::new();
+        // Warm: every (raw, reported) path of the one measurement.
+        for seed in 0..4_000 {
+            machine.run_shot_memo(&snapshot, &mut trie, seed);
+        }
+        let mut seed = 4_000u64;
+        b.iter(|| {
+            seed += 1;
+            let record = machine.run_shot_memo(&snapshot, &mut trie, seed);
+            assert!(record.result.status.is_halted());
+            record.measured[0]
         })
     });
     group.finish();

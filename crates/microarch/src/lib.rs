@@ -21,7 +21,11 @@
 //! [`QuMa::run_prefix`] executes once and snapshots so that
 //! [`QuMa::run_shot_from`] forks per-seed shots without re-simulating
 //! the prefix (bit-identical to a full replay; see [`select`] for the
-//! argument).
+//! argument). When the measurement is the program's only draw site,
+//! [`QuMa::run_shot_memo`] goes further: a forked shot is a function of
+//! its measurement outcomes, so it walks an [`OutcomeTrie`] of the
+//! outcome paths earlier shots took and reuses the stored result
+//! ([`memo`]).
 //!
 //! ```
 //! use eqasm_asm::assemble;
@@ -51,6 +55,7 @@
 mod config;
 mod error;
 mod machine;
+pub mod memo;
 pub mod select;
 mod stats;
 mod trace;
@@ -58,6 +63,7 @@ mod trace;
 pub use config::{BackendSelect, LatencyModel, MeasurementSource, SimConfig, TimingPolicy};
 pub use error::{ConfigError, Fault, LoadError};
 pub use machine::{MachineSnapshot, QuMa};
+pub use memo::{OutcomeTrie, ShotRecord};
 pub use select::{BackendSelection, SimBackendKind, DENSITY_QUBIT_LIMIT};
 pub use stats::{RunResult, RunStats, RunStatus};
 pub use trace::{Trace, TraceEvent, TraceKind};

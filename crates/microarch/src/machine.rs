@@ -46,9 +46,14 @@ use rand::SeedableRng;
 
 use crate::config::{MeasurementSource, SimConfig, TimingPolicy};
 use crate::error::{Fault, LoadError};
+use crate::memo::{Draw, OutcomeTrie, ShotRecord};
 use crate::select::{select_backend, BackendSelection, SimBackendKind};
 use crate::stats::{RunResult, RunStats, RunStatus};
 use crate::trace::{Trace, TraceKind};
+
+/// XORed into a shot's seed to seed its readout stream, so the readout
+/// and backend streams differ.
+pub(crate) const READOUT_SEED_SALT: u64 = 0x5eed_c0de;
 
 /// The physical effect of one queued device operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,6 +211,10 @@ pub struct QuMa {
 
     // ---- backend selection (see `crate::select`) ----
     selection: BackendSelection,
+
+    // ---- outcome recording for `QuMa::run_shot_memo` ----
+    recording: bool,
+    draws: Vec<Draw>,
 }
 
 impl std::fmt::Debug for QuMa {
@@ -271,13 +280,15 @@ impl QuMa {
             backend,
             idle_since_ns: vec![0.0; n],
             busy_until_qc: vec![0; n],
-            readout_rng: StdRng::seed_from_u64(config.seed ^ 0x5eed_c0de),
+            readout_rng: StdRng::seed_from_u64(config.seed ^ READOUT_SEED_SALT),
             clock_cc: 0,
             trace: Trace::new(config.record_trace),
             stats: RunStats::default(),
             fault: None,
             program: Arc::from([]),
             selection,
+            recording: false,
+            draws: Vec::new(),
             inst,
             config,
         }
@@ -359,7 +370,7 @@ impl QuMa {
         self.backend = make_backend(n, &self.config, self.selection.kind());
         self.idle_since_ns = vec![0.0; n];
         self.busy_until_qc = vec![0; n];
-        self.readout_rng = StdRng::seed_from_u64(seed ^ 0x5eed_c0de);
+        self.readout_rng = StdRng::seed_from_u64(seed ^ READOUT_SEED_SALT);
         self.clock_cc = 0;
         self.trace = Trace::new(self.config.record_trace);
         self.stats = RunStats::default();
@@ -517,8 +528,44 @@ impl QuMa {
         self.restore(snapshot);
         self.config.seed = seed;
         self.backend.reseed(seed);
-        self.readout_rng = StdRng::seed_from_u64(seed ^ 0x5eed_c0de);
+        self.readout_rng = StdRng::seed_from_u64(seed ^ READOUT_SEED_SALT);
         self.run()
+    }
+
+    /// Runs one forked shot like [`QuMa::run_shot_from`] and returns
+    /// its [`ShotRecord`], served from `trie` when the shot's outcome
+    /// path is stored there (see [`crate::memo`]).
+    ///
+    /// A stored path costs two RNG seedings and the path's draws; the
+    /// machine is not touched. An unseen path replays the shot with
+    /// [`QuMa::run_shot_from`], recording each measurement, and adds
+    /// it to `trie` unless the trie is full. A machine whose selection
+    /// is not [memo-eligible](BackendSelection::memo_eligible) always
+    /// replays. The record is bit-identical to replaying and reading
+    /// the machine with [`ShotRecord::capture`] either way; the trace
+    /// of a served shot is not produced.
+    ///
+    /// `trie` must only ever see shots forked from `snapshot` on this
+    /// machine's loaded program and configuration.
+    pub fn run_shot_memo<'t>(
+        &mut self,
+        snapshot: &MachineSnapshot,
+        trie: &'t mut OutcomeTrie,
+        seed: u64,
+    ) -> &'t ShotRecord {
+        let eligible = self.selection.memo_eligible();
+        if let Some(leaf) = eligible.then(|| trie.walk(seed)).flatten() {
+            return trie.leaf(leaf);
+        }
+        self.recording = eligible && !trie.is_full();
+        self.draws.clear();
+        let result = self.run_shot_from(snapshot, seed);
+        trie.scratch_mut().capture(self, result);
+        if std::mem::take(&mut self.recording) {
+            trie.insert_scratch(&self.draws)
+        } else {
+            trie.scratch()
+        }
     }
 
     // ---------------------------------------------------------------
@@ -1166,15 +1213,11 @@ impl QuMa {
     /// of the classifier's per-instruction stochastic rules
     /// (see `crate::select`).
     fn op_draws(&self, op: &ReadyOp) -> bool {
-        let trajectory = self.selection.kind().is_trajectory();
-        let noise = &self.config.noise;
-        let idle = noise.has_idle_decay(1.0);
+        let draws = self.selection.draws;
         match op.effect {
-            OpEffect::Measure => {
-                matches!(self.config.measurement_source, MeasurementSource::Quantum)
-            }
-            OpEffect::Unitary(_) => trajectory && (noise.depol_1q > 0.0 || idle),
-            OpEffect::PairHalf { .. } => trajectory && (noise.depol_2q > 0.0 || idle),
+            OpEffect::Measure => draws.measure,
+            OpEffect::Unitary(_) => draws.gate_1q,
+            OpEffect::PairHalf { .. } => draws.gate_2q,
             OpEffect::None => false,
         }
     }
@@ -1321,10 +1364,19 @@ impl QuMa {
         match &self.config.measurement_source {
             MeasurementSource::Quantum => {
                 self.flush_idle(q.index());
-                let raw = self.backend.measure(q.index());
-                let ro = self.config.readout;
-                let reported = ro.corrupt(raw, &mut self.readout_rng);
-                (raw, reported)
+                let m = self.backend.measure(q.index());
+                let readout = self.config.readout;
+                let reported = readout.corrupt(m.outcome, &mut self.readout_rng);
+                if self.recording {
+                    self.draws.push(Draw {
+                        qubit: q,
+                        p1: m.p1,
+                        readout,
+                        raw: m.outcome,
+                        reported,
+                    });
+                }
+                (m.outcome, reported)
             }
             MeasurementSource::MockAlternating { .. } => {
                 let raw = self.mock_next[q.index()];

@@ -61,6 +61,37 @@
 //! anchor the boundary to — those configurations are marked prefix-
 //! ineligible ([`BackendSelection::prefix_eligible`]) and always replay
 //! from reset.
+//!
+//! ## Outcome-memoized shots and why they are exact
+//!
+//! Past the prefix, a shot draws randomness only where an operation
+//! the same rules call stochastic applies. When the **measurement is
+//! the only such site** — the `Quantum` source on the density matrix
+//! (whose noise channels are exact, not sampled), or on a trajectory
+//! backend under a fully ideal noise model (no sampled gate error, no
+//! idle flush) — each measurement consumes exactly two things: one
+//! uniform `f64` from the backend stream compared against the `P(1)`
+//! the backend computed ([`eqasm_quantum::Measurement::draw`]), then
+//! [`ReadoutModel::corrupt`](eqasm_quantum::ReadoutModel::corrupt)'s
+//! conditional draw from the readout stream. Everything else the shot
+//! does is a pure function of the program, the configuration and the
+//! sequence of (raw, reported) outcomes seen so far: in QuMA v2 results
+//! steer the pipeline only through feedback — fast conditional
+//! execution and `FMR` into a branch (paper §3.1.2, §4.4) — and both
+//! read the reported values, while the qubit state follows the raw
+//! ones by collapse. So the next measurement's qubit and `P(1)`, and at
+//! the end the shot's status, counters, measured values and final
+//! `P(1)` vector, are determined by the outcome path.
+//!
+//! [`crate::memo::OutcomeTrie`] stores that function as it is
+//! discovered: inner nodes hold the next measurement's qubit, its exact
+//! `P(1)` and the readout flip probabilities, leaves hold the shot's
+//! record. A memoized shot seeds both streams exactly as
+//! [`QuMa::run_shot_from`](crate::QuMa::run_shot_from) does and walks
+//! the trie drawing the same values in the same order, so it reaches
+//! the leaf the replay would have produced, with the same bits. A path
+//! the trie has not seen yet replays the shot and records it.
+//! [`BackendSelection::memo_eligible`] is the rule above.
 
 use std::f64::consts::PI;
 use std::fmt;
@@ -119,7 +150,21 @@ pub struct BackendSelection {
     kind: SimBackendKind,
     clifford_only: bool,
     prefix_eligible: bool,
+    memo_eligible: bool,
     first_stochastic: Option<usize>,
+    pub(crate) draws: DrawSites,
+}
+
+/// Which kinds of applied operation consume a random draw under the
+/// selected backend and configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DrawSites {
+    /// A measurement (the `Quantum` source).
+    pub(crate) measure: bool,
+    /// A single-qubit gate (sampled gate error or idle flush).
+    pub(crate) gate_1q: bool,
+    /// A two-qubit gate (sampled gate error or idle flush).
+    pub(crate) gate_2q: bool,
 }
 
 impl BackendSelection {
@@ -141,6 +186,16 @@ impl BackendSelection {
         self.prefix_eligible
     }
 
+    /// Whether shots forked from the prefix may be served from an
+    /// outcome trie: prefix-eligible, and the measurement is the only
+    /// draw site — the `Quantum` measurement source on the density
+    /// matrix, or on a trajectory backend under a fully ideal noise
+    /// model. See the module docs for why that makes a shot a function
+    /// of its outcomes.
+    pub fn memo_eligible(&self) -> bool {
+        self.memo_eligible
+    }
+
     /// The address of the first stochastic instruction in program
     /// order, or `None` when the whole program is deterministic. This
     /// is the static view for observability; execution finds the
@@ -159,7 +214,13 @@ impl BackendSelection {
             kind: SimBackendKind::Pure,
             clifford_only: false,
             prefix_eligible: false,
+            memo_eligible: false,
             first_stochastic: None,
+            draws: DrawSites {
+                measure: true,
+                gate_1q: true,
+                gate_2q: true,
+            },
         }
     }
 }
@@ -267,16 +328,29 @@ pub(crate) fn select_backend(
     };
 
     let trajectory = kind.is_trajectory();
-    let quantum_meas = matches!(config.measurement_source, MeasurementSource::Quantum);
-    let gate_1q_draws = trajectory && (noise.depol_1q > 0.0 || idle_channel);
-    let gate_2q_draws = trajectory && (noise.depol_2q > 0.0 || idle_channel);
+    let draws = DrawSites {
+        measure: matches!(config.measurement_source, MeasurementSource::Quantum),
+        gate_1q: trajectory && (noise.depol_1q > 0.0 || idle_channel),
+        gate_2q: trajectory && (noise.depol_2q > 0.0 || idle_channel),
+    };
     let first_stochastic = flags.iter().position(|f| {
-        (f.measure && quantum_meas) || (f.gate_1q && gate_1q_draws) || (f.gate_2q && gate_2q_draws)
+        (f.measure && draws.measure) || (f.gate_1q && draws.gate_1q) || (f.gate_2q && draws.gate_2q)
     });
+    let prefix_eligible = !(trajectory && idle_channel);
+    // The measurement must be the only draw site: no sampled gate, and
+    // on a trajectory backend no idle flush, which `is_ideal` rules out
+    // for every duration (`idle_channel` tests only a 1 ns idle).
+    let memo_eligible = prefix_eligible
+        && draws.measure
+        && !draws.gate_1q
+        && !draws.gate_2q
+        && (!trajectory || noise.is_ideal());
     Ok(BackendSelection {
         kind,
         clifford_only,
-        prefix_eligible: !(trajectory && idle_channel),
+        prefix_eligible,
+        memo_eligible,
         first_stochastic,
+        draws,
     })
 }

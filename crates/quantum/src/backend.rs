@@ -40,6 +40,29 @@ pub enum BackendState {
     Stabilizer(Tableau),
 }
 
+/// One projective measurement: its outcome and the exact `P(|1⟩)` the
+/// outcome was drawn against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Measurement {
+    /// `true` for `|1⟩`.
+    pub outcome: bool,
+    /// The probability of `|1⟩` the draw compared against.
+    pub p1: f64,
+}
+
+impl Measurement {
+    /// Draws an outcome against `p1`: one uniform `f64` from `rng`,
+    /// `|1⟩` when it falls below `p1`. Every backend measures through
+    /// this, so a caller that knows `p1` and holds a stream seeded like
+    /// the backend's draws the outcome the backend would.
+    pub fn draw<R: RngExt + ?Sized>(p1: f64, rng: &mut R) -> Self {
+        Measurement {
+            outcome: rng.random::<f64>() < p1,
+            p1,
+        }
+    }
+}
+
 /// A simulated quantum register with noise.
 ///
 /// All implementations are deterministic given the seed supplied at
@@ -65,9 +88,12 @@ pub trait Backend: Send {
     fn idle(&mut self, q: usize, t_ns: f64);
 
     /// Projectively measures qubit `q` in the computational basis,
-    /// collapsing the state. Assignment error is *not* applied here; it
-    /// belongs to the readout electronics model of the microarchitecture.
-    fn measure(&mut self, q: usize) -> bool;
+    /// collapsing the state, and returns the outcome with the `P(|1⟩)`
+    /// it was drawn against ([`Measurement::draw`], the backend's only
+    /// draw under ideal trajectory noise and on the density matrix).
+    /// Assignment error is *not* applied here; it belongs to the
+    /// readout electronics model of the microarchitecture.
+    fn measure(&mut self, q: usize) -> Measurement;
 
     /// The probability of `|1⟩` on qubit `q` without collapsing — used
     /// by experiment harnesses that want noiseless expectation readout.
@@ -171,7 +197,7 @@ impl Backend for DensityBackend {
         }
     }
 
-    fn measure(&mut self, q: usize) -> bool {
+    fn measure(&mut self, q: usize) -> Measurement {
         self.rho.measure(q, &mut self.rng)
     }
 
@@ -273,7 +299,7 @@ impl Backend for PureBackend {
         }
     }
 
-    fn measure(&mut self, q: usize) -> bool {
+    fn measure(&mut self, q: usize) -> Measurement {
         self.psi.measure(q, &mut self.rng)
     }
 
@@ -331,7 +357,7 @@ mod tests {
     fn both_backends_measure_deterministically() {
         for mut b in backends(1, NoiseModel::ideal()) {
             b.apply_1q(0, &gates::rx(PI));
-            assert!(b.measure(0));
+            assert!(b.measure(0).outcome);
             // Post-measurement state stays |1>.
             assert!((b.prob1(0) - 1.0).abs() < 1e-10);
         }
@@ -356,7 +382,7 @@ mod tests {
             let mut b = PureBackend::new(1, noise, seed);
             b.apply_1q(0, &gates::rx(PI));
             b.idle(0, 1000.0);
-            if b.measure(0) {
+            if b.measure(0).outcome {
                 survive += 1;
             }
         }
@@ -404,7 +430,7 @@ mod tests {
             let mut bits = Vec::new();
             for _ in 0..20 {
                 b.apply_1q(0, &gates::rx(PI / 2.0));
-                bits.push(b.measure(0));
+                bits.push(b.measure(0).outcome);
                 b.reset();
             }
             bits

@@ -7,6 +7,7 @@
 
 use rand::RngExt;
 
+use crate::backend::Measurement;
 use crate::complex::C64;
 use crate::matrix::{mat2, CMatrix, Mat2};
 use crate::statevector::StateVector;
@@ -362,11 +363,10 @@ impl DensityMatrix {
     }
 
     /// Projectively measures qubit `q`, collapsing the state.
-    pub fn measure<R: RngExt + ?Sized>(&mut self, q: usize, rng: &mut R) -> bool {
-        let p1 = self.prob1(q).clamp(0.0, 1.0);
-        let outcome = rng.random::<f64>() < p1;
-        self.collapse(q, outcome);
-        outcome
+    pub fn measure<R: RngExt + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
+        let m = Measurement::draw(self.prob1(q).clamp(0.0, 1.0), rng);
+        self.collapse(q, m.outcome);
+        m
     }
 
     /// Forces qubit `q` into the given outcome and renormalises.
@@ -529,7 +529,7 @@ mod tests {
         let mut rho = DensityMatrix::zero_state(2);
         rho.apply_1q(0, &gates::hadamard());
         rho.apply_2q(0, 1, &gates::cnot());
-        let m = rho.measure(0, &mut rng);
+        let m = rho.measure(0, &mut rng).outcome;
         assert!((rho.prob1(1) - if m { 1.0 } else { 0.0 }).abs() < 1e-10);
         assert!((rho.trace() - 1.0).abs() < 1e-10);
     }

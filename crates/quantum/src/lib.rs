@@ -37,7 +37,7 @@ pub mod stabilizer;
 mod statevector;
 pub mod tomography;
 
-pub use backend::{Backend, BackendState, DensityBackend, PureBackend};
+pub use backend::{Backend, BackendState, DensityBackend, Measurement, PureBackend};
 pub use clifford::{Clifford, Primitive, CLIFFORD_COUNT};
 pub use complex::C64;
 pub use density::DensityMatrix;

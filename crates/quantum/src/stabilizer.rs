@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::OnceLock;
 
-use crate::backend::{Backend, BackendState};
+use crate::backend::{Backend, BackendState, Measurement};
 use crate::clifford::{Clifford, CLIFFORD_COUNT};
 use crate::matrix::CMatrix;
 use crate::noise::NoiseModel;
@@ -493,11 +493,10 @@ impl Backend for StabilizerBackend {
         debug_assert!(self.noise.idle_kraus(t_ns).is_none());
     }
 
-    fn measure(&mut self, q: usize) -> bool {
-        let p1 = self.tab.prob1(q);
-        let outcome = self.rng.random::<f64>() < p1;
-        self.tab.project(q, outcome);
-        outcome
+    fn measure(&mut self, q: usize) -> Measurement {
+        let m = Measurement::draw(self.tab.prob1(q), &mut self.rng);
+        self.tab.project(q, m.outcome);
+        m
     }
 
     fn prob1(&self, q: usize) -> f64 {
@@ -576,7 +575,7 @@ mod tests {
         let mut b = StabilizerBackend::new(1, NoiseModel::ideal(), 7);
         b.apply_1q(0, &gates::rx(PI));
         assert_eq!(b.prob1(0), 1.0);
-        assert!(b.measure(0));
+        assert!(b.measure(0).outcome);
         assert_eq!(b.prob1(0), 1.0);
         b.reset();
         assert_eq!(b.prob1(0), 0.0);
@@ -687,7 +686,7 @@ mod tests {
         for seed in 0..trials {
             let mut b = StabilizerBackend::new(1, noise, seed);
             b.apply_1q(0, &gates::rx(PI));
-            if b.measure(0) {
+            if b.measure(0).outcome {
                 ones += 1;
             }
         }

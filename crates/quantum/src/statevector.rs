@@ -7,6 +7,7 @@
 
 use rand::RngExt;
 
+use crate::backend::Measurement;
 use crate::complex::C64;
 use crate::matrix::CMatrix;
 
@@ -183,16 +184,15 @@ impl StateVector {
 
     /// Projectively measures qubit `q`, collapsing the state.
     ///
-    /// Returns `true` for outcome `|1⟩`.
+    /// The outcome is `true` for `|1⟩`.
     ///
     /// # Panics
     ///
     /// Panics if `q` is out of range.
-    pub fn measure<R: RngExt + ?Sized>(&mut self, q: usize, rng: &mut R) -> bool {
-        let p1 = self.prob1(q);
-        let outcome = rng.random::<f64>() < p1;
-        self.collapse(q, outcome);
-        outcome
+    pub fn measure<R: RngExt + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
+        let m = Measurement::draw(self.prob1(q), rng);
+        self.collapse(q, m.outcome);
+        m
     }
 
     /// Forces qubit `q` into the given outcome and renormalises.
@@ -335,7 +335,7 @@ mod tests {
         let mut psi = StateVector::zero_state(2);
         psi.apply_1q(0, &gates::hadamard());
         psi.apply_2q(0, 1, &gates::cnot());
-        let m0 = psi.measure(0, &mut rng);
+        let m0 = psi.measure(0, &mut rng).outcome;
         // After measuring one half of a Bell pair the other is determined.
         let p1 = psi.prob1(1);
         if m0 {
@@ -353,7 +353,7 @@ mod tests {
         for _ in 0..n {
             let mut psi = StateVector::zero_state(1);
             psi.apply_1q(0, &gates::rx(PI / 2.0));
-            if psi.measure(0, &mut rng) {
+            if psi.measure(0, &mut rng).outcome {
                 ones += 1;
             }
         }

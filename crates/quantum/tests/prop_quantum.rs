@@ -162,11 +162,11 @@ proptest! {
         for s in &steps {
             apply_to_state(&mut psi, s);
         }
-        let m = psi.measure(0, &mut rng);
+        let m = psi.measure(0, &mut rng).outcome;
         let p1 = psi.prob1(0);
         let expected = if m { 1.0 } else { 0.0 };
         prop_assert!((p1 - expected).abs() < 1e-9);
-        let again = psi.measure(0, &mut rng);
+        let again = psi.measure(0, &mut rng).outcome;
         prop_assert_eq!(again, m);
     }
 

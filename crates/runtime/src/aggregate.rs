@@ -1,7 +1,6 @@
 //! Aggregated results of a job: measurement histograms, rolled-up
 //! machine statistics and latency/throughput figures.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -62,12 +61,15 @@ impl fmt::Display for BitString {
     }
 }
 
-/// Counts of final measurement outcomes over a job's shots. Backed by
-/// a `BTreeMap` so iteration order — and therefore rendered reports —
-/// is deterministic.
+/// Counts of final measurement outcomes over a job's shots, kept as
+/// a vector sorted by outcome: iteration order — and therefore
+/// rendered reports — is deterministic, and a retained result costs
+/// 24 bytes per distinct outcome (a wide job, such as a 16-qubit chain,
+/// sees thousands).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
-    counts: BTreeMap<BitString, u64>,
+    /// Strictly increasing outcomes, each with a non-zero count.
+    counts: Vec<(BitString, u64)>,
 }
 
 impl Histogram {
@@ -78,15 +80,24 @@ impl Histogram {
 
     /// Records one outcome.
     pub fn record(&mut self, outcome: BitString) {
-        *self.counts.entry(outcome).or_insert(0) += 1;
+        self.add(outcome, 1);
     }
 
     /// Adds `count` observations of one outcome at once — the wire
     /// decoder's path (per-occurrence [`Histogram::record`] would be
     /// O(count) for nothing).
     pub fn add(&mut self, outcome: BitString, count: u64) {
-        if count > 0 {
-            *self.counts.entry(outcome).or_insert(0) += count;
+        if count == 0 {
+            return;
+        }
+        // Outcomes usually arrive in order (the decoder) or repeat.
+        if self.counts.last().is_none_or(|(last, _)| *last < outcome) {
+            self.counts.push((outcome, count));
+            return;
+        }
+        match self.counts.binary_search_by_key(&outcome, |&(k, _)| k) {
+            Ok(i) => self.counts[i].1 += count,
+            Err(i) => self.counts.insert(i, (outcome, count)),
         }
     }
 
@@ -94,24 +105,57 @@ impl Histogram {
     /// commutative and associative, so any merge order yields the same
     /// histogram.
     pub fn merge(&mut self, other: &Histogram) {
-        for (&k, &v) in &other.counts {
-            *self.counts.entry(k).or_insert(0) += v;
+        let fits = other
+            .counts
+            .iter()
+            .all(|(k, _)| self.counts.binary_search_by_key(k, |&(k, _)| k).is_ok());
+        if fits {
+            for &(k, v) in &other.counts {
+                self.add(k, v);
+            }
+            return;
         }
+        // New outcomes: one ordered merge instead of shifting per insert.
+        let (a, b) = (std::mem::take(&mut self.counts), &other.counts);
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                std::cmp::Ordering::Less => {
+                    merged.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    merged.push(b[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    merged.push((a[i].0, a[i].1 + b[j].1));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        merged.extend_from_slice(&a[i..]);
+        merged.extend_from_slice(&b[j..]);
+        self.counts = merged;
     }
 
     /// Total recorded shots.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().map(|(_, n)| n).sum()
     }
 
     /// The count of one outcome.
     pub fn count(&self, outcome: &BitString) -> u64 {
-        self.counts.get(outcome).copied().unwrap_or(0)
+        self.counts
+            .binary_search_by_key(outcome, |&(k, _)| k)
+            .map_or(0, |i| self.counts[i].1)
     }
 
     /// Iterates outcomes in deterministic (bit-pattern) order.
     pub fn iter(&self) -> impl Iterator<Item = (&BitString, &u64)> {
-        self.counts.iter()
+        self.counts.iter().map(|(k, n)| (k, n))
     }
 
     /// Number of distinct outcomes.
@@ -130,7 +174,7 @@ impl Histogram {
     pub fn ones_fraction(&self, q: usize) -> Option<f64> {
         let mut measured = 0u64;
         let mut ones = 0u64;
-        for (k, &n) in &self.counts {
+        for (k, &n) in self.iter() {
             if let Some(v) = k.get(q) {
                 measured += n;
                 if v {
@@ -195,6 +239,11 @@ fn bucket_range(bucket: usize) -> (u64, u64) {
 /// A mergeable log-linear histogram of per-shot wall-clock durations
 /// (nanoseconds), in the style of HdrHistogram.
 ///
+/// The shot runtime reads the clock once per batch and records every
+/// shot of the batch at the batch's mean duration
+/// ([`LatencyHistogram::record_n`]), so a job's percentiles describe
+/// the spread between its batches, not between shots within one.
+///
 /// * Each power-of-two octave splits into 32 equal buckets, so p50,
 ///   p95 and p99 are within 1/64 of the exact nearest-rank value.
 /// * The count, the `u128` sum (so the mean is exact) and the maximum
@@ -224,9 +273,19 @@ impl LatencyHistogram {
 
     /// Records one duration.
     pub fn record(&mut self, ns: u64) {
-        self.add(bucket_of(ns), 1);
-        self.count += 1;
-        self.sum += u128::from(ns);
+        self.record_n(ns, 1);
+    }
+
+    /// Records `n` samples of one duration: the same histogram as `n`
+    /// calls of [`LatencyHistogram::record`]. The shot runtime records
+    /// each batch this way, every shot carrying the batch's mean.
+    pub fn record_n(&mut self, ns: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.add(bucket_of(ns), n);
+        self.count += n;
+        self.sum += u128::from(ns) * u128::from(n);
         self.max = self.max.max(ns);
     }
 
@@ -438,6 +497,36 @@ mod tests {
         assert_eq!(ab.ones_fraction(0), Some(2.0 / 3.0));
     }
 
+    #[test]
+    fn histogram_matches_an_ordered_map() {
+        let mut reference = std::collections::BTreeMap::new();
+        let mut h = Histogram::new();
+        let mut x = 7u64;
+        for round in 0..60u64 {
+            // Early rounds bring new outcomes (an ordered merge), later
+            // ones mostly repeat them (in-place adds).
+            let mut batch = Histogram::new();
+            for _ in 0..round % 9 * 4 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let outcome = BitString {
+                    measured: 0b1111,
+                    bits: (x >> 59) % (4 + round / 4).min(16),
+                };
+                batch.record(outcome);
+                *reference.entry(outcome).or_insert(0u64) += 1;
+            }
+            h.merge(&batch);
+        }
+        let got: Vec<_> = h.iter().map(|(&k, &n)| (k, n)).collect();
+        let want: Vec<_> = reference.into_iter().collect();
+        assert_eq!(got, want);
+        assert_eq!(h.total(), want.iter().map(|(_, n)| n).sum::<u64>());
+        for (k, n) in &want {
+            assert_eq!(h.count(k), *n);
+        }
+        assert_eq!(h.count(&BitString::EMPTY), 0);
+    }
+
     /// The exact nearest-rank percentile, the reference the histogram
     /// approximates.
     fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
@@ -513,6 +602,25 @@ mod tests {
         assert_eq!(l.mean_ns, big);
         assert_eq!(l.max_ns, big);
         assert_within_64th(l.p50_ns, big);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record_and_round_trips_the_wire() {
+        for (ns, k) in [(0u64, 1u64), (31, 5), (1_700, 256), (u64::MAX / 3, 3)] {
+            let mut batched = LatencyHistogram::new();
+            batched.record(12);
+            batched.record_n(ns, k);
+            batched.record_n(ns, 0);
+            let mut single = LatencyHistogram::new();
+            single.record(12);
+            for _ in 0..k {
+                single.record(ns);
+            }
+            assert_eq!(batched, single, "{k} × {ns} ns");
+            let bytes = crate::wire::encode_latency_histogram(&batched);
+            let decoded = crate::wire::decode_latency_histogram(&bytes).expect("decodes");
+            assert_eq!(decoded, batched);
+        }
     }
 
     #[test]

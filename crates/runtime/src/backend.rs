@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Arc, Weak};
 
-use eqasm_microarch::{BackendSelect, MachineSnapshot, QuMa, RunStats};
+use eqasm_microarch::{BackendSelect, MachineSnapshot, OutcomeTrie, QuMa, RunStats};
 
 use crate::aggregate::{Histogram, LatencyHistogram};
 use crate::engine::{build_machine, run_batch, ExecPolicy};
@@ -51,7 +51,9 @@ use crate::metrics::rt;
 /// within the batch) and failure info. The timing fields are measured
 /// wall-clock — they vary run to run and host to host, but
 /// `latency.count()` always equals the range length, which the fold
-/// relies on for `shots_done` accounting.
+/// relies on for `shots_done` accounting. The clock is read once per
+/// batch, so every shot in `latency` carries the batch's mean shot
+/// duration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchOut {
     /// Outcome counts over the range.
@@ -61,7 +63,8 @@ pub struct BatchOut {
     /// Per-qubit sum of post-run `P(|1⟩)` over the range, in shot
     /// order.
     pub prob1_sum: Vec<f64>,
-    /// Per-shot wall-clock durations (count == range length).
+    /// Per-shot wall-clock durations (count == range length), each the
+    /// batch's mean: `elapsed_ns / shots`, rounded down.
     pub latency: LatencyHistogram,
     /// Shots that did not halt cleanly.
     pub non_halted: u64,
@@ -157,7 +160,10 @@ const MACHINES_PER_SLOT: usize = 4;
 /// draws no randomness, see `eqasm_microarch::select`, so a fork is
 /// bit-identical to a full replay; no snapshot without
 /// [`ExecPolicy::prefix`], on the dense path or for an ineligible
-/// program). Entries hold their shape weakly.
+/// program). A memo-eligible shape also keeps a byte-bounded
+/// [`OutcomeTrie`] (`eqasm_microarch::memo`), so a forked shot whose
+/// outcome path an earlier shot took is read from the trie instead of
+/// simulated. Entries hold their shape weakly.
 pub struct LocalBackend {
     name: String,
     policy: ExecPolicy,
@@ -166,11 +172,13 @@ pub struct LocalBackend {
     builds: u64,
 }
 
-/// A machine built for one shape, with its prefix snapshot.
+/// A machine built for one shape, with its prefix snapshot and, when
+/// the shape is memo-eligible, the outcome trie its forked shots walk.
 struct Loaded {
     shape: Weak<JobShape>,
     machine: QuMa,
     prefix: Option<MachineSnapshot>,
+    memo: Option<OutcomeTrie>,
 }
 
 impl LocalBackend {
@@ -222,12 +230,14 @@ impl LocalBackend {
         let prefix = (self.policy.prefix && machine.config().backend != BackendSelect::Dense)
             .then(|| machine.run_prefix(0))
             .flatten();
+        let memo = (prefix.is_some() && machine.selection().memo_eligible()).then(OutcomeTrie::new);
         self.machines.retain(|l| l.shape.strong_count() > 0);
         self.machines.truncate(MACHINES_PER_SLOT - 1);
         self.machines.push_front(Loaded {
             shape: Arc::downgrade(&job.shape),
             machine,
             prefix,
+            memo,
         });
         Ok(())
     }
@@ -258,6 +268,7 @@ impl ExecBackend for LocalBackend {
         Ok(run_batch(
             &mut loaded.machine,
             loaded.prefix.as_ref(),
+            loaded.memo.as_mut(),
             job,
             range,
         ))
@@ -377,6 +388,42 @@ pub(crate) mod tests {
             }
             assert_eq!(reused.builds, 1);
         }
+    }
+
+    #[test]
+    fn memo_eligible_shapes_serve_shots_from_their_trie() {
+        let (inst, program) = crate::WorkloadKind::Rb {
+            k: 24,
+            interval_cycles: 1,
+            sequence_seed: 1,
+        }
+        .build()
+        .expect("builds");
+        let rb1q_noisy = Job::new("rb1q-noisy", inst, program)
+            .with_config(
+                eqasm_microarch::SimConfig::default()
+                    .with_noise(
+                        eqasm_quantum::NoiseModel::with_coherence(25_000.0, 25_000.0)
+                            .with_gate_error(0.0009, 0.0),
+                    )
+                    .with_readout(eqasm_quantum::ReadoutModel::symmetric(0.05)),
+            )
+            .with_shots(2_000)
+            .with_seed(7);
+        let mut memo = LocalBackend::new(0);
+        let mut replay = LocalBackend::new(1).with_policy(ExecPolicy {
+            backend: None,
+            prefix: false,
+        });
+        for range in [0..1_000, 1_000..2_000] {
+            let got = memo.run_range(&rb1q_noisy, range.clone()).expect("runs");
+            let want = replay.run_range(&rb1q_noisy, range).expect("runs");
+            assert_eq!(deterministic(&got), deterministic(&want));
+        }
+        let trie = memo.machines[0].memo.as_ref().expect("memo-eligible");
+        // One measurement: four (raw, reported) paths, the rest hits.
+        assert!(trie.hits() >= 2_000 - 4, "{} hits", trie.hits());
+        assert!(replay.machines[0].memo.is_none(), "no prefix, no trie");
     }
 
     #[test]

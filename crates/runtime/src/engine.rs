@@ -6,7 +6,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use eqasm_microarch::{BackendSelect, MachineSnapshot, QuMa, RunStats, SimConfig};
+use eqasm_microarch::{
+    BackendSelect, MachineSnapshot, OutcomeTrie, QuMa, RunStats, ShotRecord, SimConfig,
+};
 
 use crate::aggregate::{BitString, Histogram, JobResult, LatencyHistogram};
 use crate::backend::{BatchOut, ExecBackend, LocalBackend};
@@ -389,57 +391,75 @@ pub(crate) fn build_machine(
 
 /// Runs one contiguous shot range on a machine [`build_machine`] built
 /// for `job`'s shape, forking each shot from `prefix` when there is
-/// one (full replays otherwise — bit-identical by construction). The
-/// deterministic fields of the returned [`BatchOut`] depend only on
-/// `(job, range)` — this is the common execution path of every
-/// backend, local or (on the far side of the socket) remote.
+/// one — through `memo`'s outcome trie when there is one too — and
+/// replaying it from reset otherwise; all three are bit-identical by
+/// construction. The deterministic fields of the returned [`BatchOut`]
+/// depend only on `(job, range)` — this is the common execution path
+/// of every backend, local or (on the far side of the socket) remote.
+///
+/// The clock is read once per batch: every shot's latency sample is
+/// the batch's mean shot duration.
 pub(crate) fn run_batch(
     machine: &mut QuMa,
     prefix: Option<&MachineSnapshot>,
+    mut memo: Option<&mut OutcomeTrie>,
     job: &Job,
     range: std::ops::Range<u64>,
 ) -> BatchOut {
     let started_at = Instant::now();
     let n = job.shape.inst().topology().num_qubits();
+    let shots = range.end.saturating_sub(range.start);
     let mut histogram = Histogram::new();
     let mut stats = RunStats::default();
     let mut prob1_sum = vec![0.0f64; n];
-    let mut latency = LatencyHistogram::new();
     let mut non_halted = 0;
     let mut first_failure = None;
+    let memo_hits = memo.as_ref().map_or(0, |trie| trie.hits());
+    let mut replayed = ShotRecord::default();
 
     for shot in range {
-        let t0 = Instant::now();
         let seed = job.shot_seed(shot);
-        let result = match prefix {
-            Some(snap) => machine.run_shot_from(snap, seed),
-            None => machine.run_shot(seed),
+        let record = match (prefix, memo.as_deref_mut()) {
+            (Some(snap), Some(trie)) => machine.run_shot_memo(snap, trie, seed),
+            (prefix, _) => {
+                let result = match prefix {
+                    Some(snap) => machine.run_shot_from(snap, seed),
+                    None => machine.run_shot(seed),
+                };
+                replayed.capture(machine, result);
+                &replayed
+            }
         };
-        latency.record(t0.elapsed().as_nanos() as u64);
-        stats.merge(&result.stats);
-        if !result.status.is_halted() {
+        stats.merge(&record.result.stats);
+        if !record.result.status.is_halted() {
             non_halted += 1;
             if first_failure.is_none() {
-                first_failure = Some((shot, describe_status(&result.status)));
+                first_failure = Some((shot, describe_status(&record.result.status)));
             }
         }
         let mut outcome = BitString::EMPTY;
-        for q in 0..n {
-            if let Some(v) = machine.measurement_value(eqasm_core::Qubit::new(q as u8)) {
+        for (q, v) in record.measured.iter().enumerate() {
+            if let Some(v) = *v {
                 outcome.set(q, v);
             }
         }
         histogram.record(outcome);
-        for (q, acc) in prob1_sum.iter_mut().enumerate() {
-            *acc += machine.prob1(eqasm_core::Qubit::new(q as u8));
+        for (acc, p) in prob1_sum.iter_mut().zip(&record.prob1) {
+            *acc += p;
         }
     }
 
+    let elapsed_ns = started_at.elapsed().as_nanos() as u64;
+    let mut latency = LatencyHistogram::new();
+    latency.record_n(elapsed_ns / shots.max(1), shots);
     let m = crate::metrics::rt();
-    m.shots_executed.add(latency.count());
+    m.shots_executed.add(shots);
     m.batches_executed.inc();
     if prefix.is_some() {
-        m.prefix_fork_shots.add(latency.count());
+        m.prefix_fork_shots.add(shots);
+    }
+    if let Some(trie) = memo {
+        m.memo_shots.add(trie.hits() - memo_hits);
     }
 
     BatchOut {
@@ -449,6 +469,6 @@ pub(crate) fn run_batch(
         latency,
         non_halted,
         first_failure,
-        elapsed_ns: started_at.elapsed().as_nanos() as u64,
+        elapsed_ns,
     }
 }

@@ -619,6 +619,8 @@ pub(crate) struct RuntimeMetrics {
     pub prefix_cache_misses: Arc<Counter>,
     /// `eqasm_prefix_fork_shots_total`
     pub prefix_fork_shots: Arc<Counter>,
+    /// `eqasm_memo_shots_total`
+    pub memo_shots: Arc<Counter>,
 
     // --- wire / transport ---------------------------------------------
     frames_in: FrameCounters,
@@ -791,6 +793,10 @@ impl RuntimeMetrics {
             prefix_fork_shots: r.counter(
                 "eqasm_prefix_fork_shots_total",
                 "Shots executed by forking from a cached prefix snapshot instead of a full reset.",
+            ),
+            memo_shots: r.counter(
+                "eqasm_memo_shots_total",
+                "Forked shots served from a slot's outcome trie instead of simulated.",
             ),
             frames_in: FrameCounters::new(&wire_frames, "in"),
             frames_out: FrameCounters::new(&wire_frames, "out"),

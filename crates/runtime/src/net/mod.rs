@@ -551,7 +551,7 @@ pub fn spawn_worker(listener: TcpListener, config: WorkerConfig) -> std::io::Res
     let accept_thread = std::thread::Builder::new()
         .name("eqasm-worker-accept".to_owned())
         .spawn(move || {
-            let _ = worker_loop(listener, config, &flag, &tracked);
+            let _ = worker_loop(listener, config, &flag, &tracked, DRAIN_TIMEOUT);
         })?;
     Ok(WorkerHandle {
         addr,
@@ -584,18 +584,21 @@ pub fn run_worker_until(
     config: WorkerConfig,
     shutdown: &AtomicBool,
 ) -> std::io::Result<usize> {
-    worker_loop(listener, config, shutdown, &Arc::default())
+    worker_loop(listener, config, shutdown, &Arc::default(), DRAIN_TIMEOUT)
 }
 
 /// The worker daemon's one accept/drain loop, behind both
 /// [`run_worker_until`] and [`spawn_worker`]. Each accepted
 /// connection is tracked in `conns` and counted in
 /// `eqasm_net_open_connections{role="worker"}` while its thread runs.
+/// Connections still open `drain_timeout` after `shutdown` flips are
+/// severed.
 fn worker_loop(
     listener: TcpListener,
     config: WorkerConfig,
     shutdown: &AtomicBool,
     conns: &Arc<Conns>,
+    drain_timeout: Duration,
 ) -> std::io::Result<usize> {
     listener.set_nonblocking(true)?;
     // Connections watch this (not the caller's reference, which this
@@ -646,7 +649,7 @@ fn worker_loop(
     // response is written) and then closes. After a kill there is
     // nothing left to wait on.
     drain.store(true, Ordering::Release);
-    let deadline = Instant::now() + DRAIN_TIMEOUT;
+    let deadline = Instant::now() + drain_timeout;
     while !conns.is_empty() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -1860,6 +1863,78 @@ mod tests {
             .run_range(&tiny_job(4), 0..4)
             .expect_err("drained daemon serves nothing");
         assert!(err.is_transport(), "{err}");
+    }
+
+    /// The drain deadline's severing path, run alone in a child process
+    /// of this test binary: the worker connection gauge is
+    /// process-global, and the other tests here move it too.
+    #[test]
+    fn drain_deadline_severs_a_stalled_connection() {
+        let test = "net::tests::drain_deadline_severs_a_stalled_connection_alone";
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([test, "--exact", "--ignored", "--test-threads=1"])
+            .output()
+            .expect("runs the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    #[test]
+    #[ignore = "run in its own process by drain_deadline_severs_a_stalled_connection"]
+    fn drain_deadline_severs_a_stalled_connection_alone() {
+        let gauge = crate::metrics::rt().open_connections.with(&["worker"]);
+        let before = gauge.get();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&shutdown);
+        let daemon = std::thread::spawn(move || {
+            worker_loop(
+                listener,
+                WorkerConfig::default(),
+                &flag,
+                &Arc::default(),
+                Duration::from_millis(200),
+            )
+        });
+
+        // A peer that handshakes, then sends three bytes of a frame
+        // header and stalls: its connection thread blocks mid-frame,
+        // with no read deadline, where the drain flag cannot reach it.
+        let (mut peer, _) = handshake(&addr, &ConnectOptions::default()).expect("handshakes");
+        peer.write_all(&[wire::tag::PING, 0, 0]).expect("writes");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gauge.get() != before + 1 {
+            assert!(
+                Instant::now() < deadline,
+                "the connection was never counted"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let started = Instant::now();
+        shutdown.store(true, Ordering::Release);
+        let severed = daemon.join().expect("daemon thread").expect("drains");
+        assert_eq!(severed, 1, "the stalled connection is severed");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "a 200 ms drain deadline took {:?}",
+            started.elapsed()
+        );
+        // The severed connection's thread wakes, exits and uncounts it.
+        while gauge.get() != before {
+            assert!(
+                Instant::now() < deadline,
+                "the worker gauge reads {}, expected {before}",
+                gauge.get()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop(peer);
     }
 
     #[test]

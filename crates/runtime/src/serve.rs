@@ -1308,6 +1308,10 @@ impl QueueState {
             non_halted: p.non_halted,
             first_failure: p.first_failure.clone(),
         });
+        // Every batch is folded, so the stash is empty, but an emptied
+        // `BTreeMap` keeps its root node: eleven batch slots, ~3.7 KB
+        // that completed retention would hold per job.
+        p.stash = BTreeMap::new();
         self.terminal(job_id);
     }
 
