@@ -51,9 +51,7 @@ use crate::metrics::rt;
 /// within the batch) and failure info. The timing fields are measured
 /// wall-clock — they vary run to run and host to host, but
 /// `latency.count()` always equals the range length, which the fold
-/// relies on for `shots_done` accounting. The clock is read once per
-/// batch, so every shot in `latency` carries the batch's mean shot
-/// duration.
+/// relies on for `shots_done` accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchOut {
     /// Outcome counts over the range.
@@ -160,10 +158,11 @@ const MACHINES_PER_SLOT: usize = 4;
 /// draws no randomness, see `eqasm_microarch::select`, so a fork is
 /// bit-identical to a full replay; no snapshot without
 /// [`ExecPolicy::prefix`], on the dense path or for an ineligible
-/// program). A memo-eligible shape also keeps a byte-bounded
-/// [`OutcomeTrie`] (`eqasm_microarch::memo`), so a forked shot whose
-/// outcome path an earlier shot took is read from the trie instead of
-/// simulated. Entries hold their shape weakly.
+/// program). Beside each snapshot sits the byte-bounded
+/// [`OutcomeTrie`] its forked shots walk (`eqasm_microarch::memo`): on
+/// a memo-eligible shape, a shot whose outcome path an earlier shot
+/// took is read from the trie instead of simulated. Entries hold their
+/// shape weakly.
 pub struct LocalBackend {
     name: String,
     policy: ExecPolicy,
@@ -172,13 +171,12 @@ pub struct LocalBackend {
     builds: u64,
 }
 
-/// A machine built for one shape, with its prefix snapshot and, when
-/// the shape is memo-eligible, the outcome trie its forked shots walk.
+/// A machine built for one shape, with its prefix snapshot and the
+/// outcome trie of the shots forked from it.
 struct Loaded {
     shape: Weak<JobShape>,
     machine: QuMa,
-    prefix: Option<MachineSnapshot>,
-    memo: Option<OutcomeTrie>,
+    prefix: Option<(MachineSnapshot, OutcomeTrie)>,
 }
 
 impl LocalBackend {
@@ -229,15 +227,14 @@ impl LocalBackend {
         // The snapshot is seed-independent, so seed 0 serves every job.
         let prefix = (self.policy.prefix && machine.config().backend != BackendSelect::Dense)
             .then(|| machine.run_prefix(0))
-            .flatten();
-        let memo = (prefix.is_some() && machine.selection().memo_eligible()).then(OutcomeTrie::new);
+            .flatten()
+            .map(|snapshot| (snapshot, OutcomeTrie::new()));
         self.machines.retain(|l| l.shape.strong_count() > 0);
         self.machines.truncate(MACHINES_PER_SLOT - 1);
         self.machines.push_front(Loaded {
             shape: Arc::downgrade(&job.shape),
             machine,
             prefix,
-            memo,
         });
         Ok(())
     }
@@ -265,13 +262,8 @@ impl ExecBackend for LocalBackend {
     fn run_range(&mut self, job: &Job, range: Range<u64>) -> Result<BatchOut, RuntimeError> {
         self.load(job)?;
         let loaded = self.machines.front_mut().expect("just loaded");
-        Ok(run_batch(
-            &mut loaded.machine,
-            loaded.prefix.as_ref(),
-            loaded.memo.as_mut(),
-            job,
-            range,
-        ))
+        let prefix = loaded.prefix.as_mut().map(|(snap, trie)| (&*snap, trie));
+        Ok(run_batch(&mut loaded.machine, prefix, job, range))
     }
 }
 
@@ -420,10 +412,10 @@ pub(crate) mod tests {
             let want = replay.run_range(&rb1q_noisy, range).expect("runs");
             assert_eq!(deterministic(&got), deterministic(&want));
         }
-        let trie = memo.machines[0].memo.as_ref().expect("memo-eligible");
+        let (_, trie) = memo.machines[0].prefix.as_ref().expect("forks");
         // One measurement: four (raw, reported) paths, the rest hits.
         assert!(trie.hits() >= 2_000 - 4, "{} hits", trie.hits());
-        assert!(replay.machines[0].memo.is_none(), "no prefix, no trie");
+        assert!(replay.machines[0].prefix.is_none(), "replays every shot");
     }
 
     #[test]

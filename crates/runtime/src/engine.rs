@@ -390,9 +390,9 @@ pub(crate) fn build_machine(
 }
 
 /// Runs one contiguous shot range on a machine [`build_machine`] built
-/// for `job`'s shape, forking each shot from `prefix` when there is
-/// one — through `memo`'s outcome trie when there is one too — and
-/// replaying it from reset otherwise; all three are bit-identical by
+/// for `job`'s shape, forking each shot from `prefix`'s snapshot
+/// through its outcome trie ([`QuMa::run_shot_memo`]) when there is
+/// one, and replaying it from reset otherwise — bit-identical by
 /// construction. The deterministic fields of the returned [`BatchOut`]
 /// depend only on `(job, range)` — this is the common execution path
 /// of every backend, local or (on the far side of the socket) remote.
@@ -401,8 +401,7 @@ pub(crate) fn build_machine(
 /// the batch's mean shot duration.
 pub(crate) fn run_batch(
     machine: &mut QuMa,
-    prefix: Option<&MachineSnapshot>,
-    mut memo: Option<&mut OutcomeTrie>,
+    mut prefix: Option<(&MachineSnapshot, &mut OutcomeTrie)>,
     job: &Job,
     range: std::ops::Range<u64>,
 ) -> BatchOut {
@@ -414,18 +413,15 @@ pub(crate) fn run_batch(
     let mut prob1_sum = vec![0.0f64; n];
     let mut non_halted = 0;
     let mut first_failure = None;
-    let memo_hits = memo.as_ref().map_or(0, |trie| trie.hits());
+    let memo_hits = prefix.as_ref().map_or(0, |(_, trie)| trie.hits());
     let mut replayed = ShotRecord::default();
 
     for shot in range {
         let seed = job.shot_seed(shot);
-        let record = match (prefix, memo.as_deref_mut()) {
-            (Some(snap), Some(trie)) => machine.run_shot_memo(snap, trie, seed),
-            (prefix, _) => {
-                let result = match prefix {
-                    Some(snap) => machine.run_shot_from(snap, seed),
-                    None => machine.run_shot(seed),
-                };
+        let record = match &mut prefix {
+            Some((snap, trie)) => machine.run_shot_memo(snap, trie, seed),
+            None => {
+                let result = machine.run_shot(seed);
                 replayed.capture(machine, result);
                 &replayed
             }
@@ -455,10 +451,8 @@ pub(crate) fn run_batch(
     let m = crate::metrics::rt();
     m.shots_executed.add(shots);
     m.batches_executed.inc();
-    if prefix.is_some() {
+    if let Some((_, trie)) = prefix {
         m.prefix_fork_shots.add(shots);
-    }
-    if let Some(trie) = memo {
         m.memo_shots.add(trie.hits() - memo_hits);
     }
 
