@@ -235,7 +235,10 @@ impl OutcomeTrie {
             "a replayed path is already stored, or ends where the trie continues"
         );
         let need = (path.len() - depth) * size_of::<Node>() + self.scratch.bytes();
-        if at != NONE || self.bytes + need > self.limit {
+        // Links are 31-bit indices.
+        let indexable =
+            self.nodes.len() + path.len() < LEAF as usize && self.leaves.len() < LEAF as usize;
+        if at != NONE || self.bytes + need > self.limit || !indexable {
             self.full |= at == NONE;
             return &self.scratch;
         }
