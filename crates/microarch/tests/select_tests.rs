@@ -8,7 +8,8 @@ use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 use eqasm_asm::assemble;
 use eqasm_core::{ArchParams, Instantiation, OpConfig, PulseKind, Qubit, Topology};
 use eqasm_microarch::{
-    BackendSelect, ConfigError, LoadError, QuMa, SimBackendKind, SimConfig, DENSITY_QUBIT_LIMIT,
+    BackendSelect, ConfigError, LoadError, MeasurementSource, QuMa, SimBackendKind, SimConfig,
+    DENSITY_QUBIT_LIMIT,
 };
 use eqasm_quantum::NoiseModel;
 
@@ -221,6 +222,72 @@ fn trajectory_with_finite_coherence_is_prefix_ineligible() {
     let mut m = loaded(&inst, cfg, "SMIS S0, {0}\nX S0\nMEASZ S0\nSTOP");
     assert!(!m.selection().prefix_eligible());
     assert!(m.run_prefix(0).is_none());
+}
+
+#[test]
+fn memo_eligible_only_where_measurements_are_the_only_draws() {
+    let inst = Instantiation::paper();
+    let depol = NoiseModel::ideal().with_gate_error(0.01, 0.0);
+    let cases = [
+        // The density matrix applies every channel exactly.
+        (
+            BackendSelect::Density,
+            depol,
+            MeasurementSource::Quantum,
+            true,
+        ),
+        (
+            BackendSelect::Pure,
+            NoiseModel::ideal(),
+            MeasurementSource::Quantum,
+            true,
+        ),
+        (
+            BackendSelect::Stabilizer,
+            NoiseModel::ideal(),
+            MeasurementSource::Quantum,
+            true,
+        ),
+        // A sampled gate error draws between measurements.
+        (
+            BackendSelect::Pure,
+            depol,
+            MeasurementSource::Quantum,
+            false,
+        ),
+        (
+            BackendSelect::Stabilizer,
+            depol,
+            MeasurementSource::Quantum,
+            false,
+        ),
+        // Finite T1/T2 on a trajectory: not even prefix-eligible.
+        (
+            BackendSelect::Pure,
+            NoiseModel::with_coherence(30_000.0, 20_000.0),
+            MeasurementSource::Quantum,
+            false,
+        ),
+        // Mock results draw nothing to walk.
+        (
+            BackendSelect::Density,
+            NoiseModel::ideal(),
+            MeasurementSource::MockAlternating { start: false },
+            false,
+        ),
+    ];
+    for (backend, noise, source, want) in cases {
+        let cfg = SimConfig::default()
+            .with_backend(backend)
+            .with_noise(noise)
+            .with_measurement_source(source.clone());
+        let m = loaded(&inst, cfg, "SMIS S0, {0}\nQWAIT 100\nX S0\nMEASZ S0\nSTOP");
+        assert_eq!(
+            m.selection().memo_eligible(),
+            want,
+            "{backend:?} under {noise:?} with {source:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
