@@ -556,8 +556,10 @@ fn main() {
         MetricsServer::spawn("127.0.0.1:0", eqasm_runtime::metrics::default_registry())
             .expect("spawn capacity metrics");
     let cap_shots = (shots / 4).max(250);
-    // Two slots × serial rate, in jobs/sec — the rough service capacity
-    // the ramp is hunting for.
+    // Two slots × serial rate, in jobs/sec — the most the ramp can
+    // find. It starts far below: once shots are cheap the front door,
+    // not execution, bounds the rate, and a first rung at half this
+    // ceiling breaches before any rung is measured.
     let cap_jobs_per_sec = (2.0 * serial_rate / cap_shots as f64).max(2.0);
     let cap_spec = LoadSpec::new(vec![LoadClass {
         tenant: "cap".into(),
@@ -578,7 +580,7 @@ fn main() {
     .with_watchers(1)
     .with_seed(0xcafe);
     let cap_config = SweepConfig {
-        initial_rps: (cap_jobs_per_sec / 2.0).max(2.0),
+        initial_rps: (cap_jobs_per_sec / 2.0).clamp(2.0, 64.0),
         step: RpsStep::Mul(2.0),
         max_rps: cap_jobs_per_sec * 16.0,
         window: std::time::Duration::from_millis(1500),
