@@ -7,6 +7,8 @@ use std::sync::{Arc, OnceLock, Weak};
 use eqasm_core::{Instantiation, Instruction};
 use eqasm_microarch::SimConfig;
 
+use crate::serve::CacheStats;
+
 /// What a job runs: the instantiation, the assembled program and the
 /// simulator configuration. eQASM configures quantum operations at
 /// compile time, so these are fixed for every shot; only the seed and
@@ -72,11 +74,20 @@ impl PartialEq for JobShape {
     }
 }
 
-/// Interns job shapes by their wire bytes, so every job of one shape
-/// shares one `Arc`. Entries are weak: a shape dies with its last job.
+/// Interns job shapes, so every job of one shape shares one `Arc`.
+/// Two weak indexes lead to a shape: its wire bytes, and, for a shape
+/// built from a workload spec, the spec's key ([`crate::wire::spec_key`]).
+/// Entries are weak: a shape dies with its last job, and the spec
+/// index with it, so a stream of distinct specs holds nothing once its
+/// jobs are released.
 #[derive(Debug, Default)]
 pub(crate) struct ShapeTable {
-    shapes: HashMap<Box<[u8]>, Weak<JobShape>>,
+    shapes: WeakIndex,
+    specs: WeakIndex,
+    /// Spec lookups that found a live shape.
+    hits: u64,
+    /// Spec lookups that built one.
+    misses: u64,
     /// Shapes decoded through this table because none was live.
     #[cfg(test)]
     pub(crate) decoded: usize,
@@ -85,7 +96,7 @@ pub(crate) struct ShapeTable {
 impl ShapeTable {
     /// The live interned shape encoded as `bytes`.
     pub(crate) fn find(&self, bytes: &[u8]) -> Option<Arc<JobShape>> {
-        self.shapes.get(bytes).and_then(Weak::upgrade)
+        self.shapes.find(bytes)
     }
 
     /// The live shape with `shape`'s wire bytes, or `shape` itself,
@@ -98,9 +109,63 @@ impl ShapeTable {
         if let Some(live) = self.find(bytes) {
             return live;
         }
-        self.shapes.retain(|_, w| w.strong_count() > 0);
-        self.shapes.insert(bytes.into(), Arc::downgrade(shape));
+        self.shapes.insert(bytes.into(), shape);
         Arc::clone(shape)
+    }
+
+    /// The live shape built for the spec keyed `key`, counted as a hit.
+    pub(crate) fn find_spec(&mut self, key: &[u8]) -> Option<Arc<JobShape>> {
+        let live = self.specs.find(key)?;
+        self.hits += 1;
+        crate::metrics::rt().cache_hits.inc();
+        Some(live)
+    }
+
+    /// The shape the spec keyed `key` runs, given `built`, a shape
+    /// just built for it. A live shape that raced in for the key first
+    /// wins and counts as a hit. Otherwise the build counts as a miss
+    /// and is interned by its wire bytes too, so it is shared with an
+    /// equal prebuilt or recovered job's shape.
+    pub(crate) fn insert_spec(&mut self, key: Box<[u8]>, built: &Arc<JobShape>) -> Arc<JobShape> {
+        if let Some(live) = self.find_spec(&key) {
+            return live;
+        }
+        self.misses += 1;
+        crate::metrics::rt().cache_misses.inc();
+        let shape = self.intern(built);
+        self.specs.insert(key, &shape);
+        shape
+    }
+
+    /// Spec hits and misses, and the spec keys with a live shape.
+    pub(crate) fn spec_stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            entries: self.specs.live(),
+        }
+    }
+}
+
+/// Shapes by byte key, held weakly.
+#[derive(Debug, Default)]
+struct WeakIndex {
+    map: HashMap<Box<[u8]>, Weak<JobShape>>,
+}
+
+impl WeakIndex {
+    fn find(&self, key: &[u8]) -> Option<Arc<JobShape>> {
+        self.map.get(key).and_then(Weak::upgrade)
+    }
+
+    /// Indexes `shape` under `key`, dropping dead entries first.
+    fn insert(&mut self, key: Box<[u8]>, shape: &Arc<JobShape>) {
+        self.map.retain(|_, w| w.strong_count() > 0);
+        self.map.insert(key, Arc::downgrade(shape));
+    }
+
+    fn live(&self) -> usize {
+        self.map.values().filter(|w| w.strong_count() > 0).count()
     }
 }
 

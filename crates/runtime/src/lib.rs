@@ -20,8 +20,8 @@
 //!   [`JobQueue`] with per-tenant weighted-fair scheduling (deficit
 //!   round-robin plus in-flight-shot quotas), streaming
 //!   [`PartialResult`] snapshots that are exact prefixes of the final
-//!   merge, a program cache keyed by [`WorkloadKind`], and per-tenant
-//!   pending-shot admission control;
+//!   merge, one weakly held job shape per live [`WorkloadKind`]
+//!   build, and per-tenant pending-shot admission control;
 //! * [`ExecBackend`] — the transport-agnostic execution API: one
 //!   backend value is one execution *slot* that runs contiguous shot
 //!   ranges ([`BatchOut`] per range). [`LocalBackend`] drives a

@@ -735,11 +735,11 @@ impl RuntimeMetrics {
             ),
             cache_hits: r.counter(
                 "eqasm_program_cache_hits_total",
-                "Workload program builds served from the per-WorkloadKind cache.",
+                "Workload spec submissions that reused a live job shape of an equal spec.",
             ),
             cache_misses: r.counter(
                 "eqasm_program_cache_misses_total",
-                "Workload program builds that had to assemble from scratch.",
+                "Workload spec submissions that built their program.",
             ),
             retention_evictions: r.counter(
                 "eqasm_completed_retention_evictions_total",

@@ -15,8 +15,11 @@
 //! * [`PartialResult`] — a streaming snapshot per job (histogram,
 //!   machine stats, mean `P(|1⟩)`, `shots_done / shots_total`) that
 //!   pollers can read at any time;
-//! * a **program cache** keyed by [`WorkloadKind`], so mixed-traffic
-//!   streams stop rebuilding identical programs per job instance;
+//! * **one shape per program** — every job's (instantiation, program,
+//!   `SimConfig`) is interned weakly by its wire bytes, and a
+//!   [`WorkloadSpec`] finds a live shape by its kind and `SimConfig`,
+//!   so mixed-traffic streams build each program once while any job
+//!   of it is queued, and hold nothing after;
 //! * a **backend pool with live membership** — dispatch drives
 //!   `Box<dyn `[`ExecBackend`]`>` slots, so the same queue schedules
 //!   onto local threads ([`crate::LocalBackend`]), remote workers
@@ -89,17 +92,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use eqasm_core::{Instantiation, Instruction};
 use eqasm_microarch::RunStats;
 
 use crate::aggregate::{Histogram, JobResult, LatencyHistogram, LatencyStats};
 use crate::backend::{BackendDescriptor, BatchOut, ExecBackend, LocalBackend};
 use crate::engine::TaggedBatch;
 use crate::error::RuntimeError;
-use crate::job::{default_batch_size, partition_shots, Job, ShapeTable};
+use crate::job::{default_batch_size, partition_shots, Job, JobShape, ShapeTable};
 use crate::journal::{self, JournalConfig, JournalHandle, RecoveryReport};
 use crate::wire::WireError;
-use crate::workload::{WorkloadKind, WorkloadSpec};
+use crate::workload::WorkloadSpec;
 
 /// Identifies the tenant a submission is accounted against. Cheap to
 /// clone; compares by name.
@@ -134,8 +136,8 @@ impl fmt::Display for TenantId {
 
 /// A unit of work handed to the queue: a prebuilt [`Job`] or a
 /// declarative [`WorkloadSpec`] (expanded to `weight` job instances
-/// through the program cache), tagged with the [`TenantId`] it is
-/// accounted against.
+/// of one shared shape), tagged with the [`TenantId`] it is accounted
+/// against.
 #[derive(Debug, Clone)]
 pub struct Submission {
     tenant: TenantId,
@@ -161,7 +163,9 @@ impl Submission {
 
     /// Submits a workload spec under `tenant`: the spec's `weight`
     /// field is its instance count (as in [`crate::MixedWorkload`]),
-    /// and all instances share one cached program build.
+    /// and all instances share one job shape. An equal spec (same
+    /// kind and `SimConfig`) whose jobs are still in the queue lends
+    /// its shape instead of a new build.
     pub fn workload(tenant: impl Into<TenantId>, spec: WorkloadSpec) -> Self {
         Submission {
             tenant: tenant.into(),
@@ -347,136 +351,20 @@ pub struct SlotStatus {
     pub batches_completed: u64,
 }
 
-/// Program-cache hit/miss counters, for observability and tests.
+/// How [`Submission::workload`] submissions found their job shape,
+/// from [`JobQueue::cache_stats`]. A spec's shape is keyed by its
+/// [`WorkloadKind`](crate::WorkloadKind) and `SimConfig` and held
+/// weakly: it lives exactly as long as some job of it is queued.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Spec submissions served from a cached program build.
+    /// Spec submissions that reused a live shape, built for an equal
+    /// spec whose jobs are still in the queue.
     pub hits: u64,
-    /// Spec submissions that had to build their program.
+    /// Spec submissions that built their program.
     pub misses: u64,
-    /// Distinct programs currently cached.
+    /// Spec keys whose shape is live now: some job of it has not been
+    /// released.
     pub entries: usize,
-}
-
-/// Hashable identity of a [`WorkloadKind`]: every field that feeds the
-/// program build, with `f64`s compared by bit pattern.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum CacheKey {
-    Rabi {
-        amplitude_bits: Vec<u64>,
-        index: usize,
-    },
-    AllXy {
-        round: usize,
-        init_cycles: u32,
-    },
-    Rb {
-        k: usize,
-        interval_cycles: u32,
-        sequence_seed: u64,
-    },
-    ActiveReset {
-        init_cycles: u32,
-    },
-    CliffordChain {
-        qubits: usize,
-        layers: u32,
-    },
-    Source {
-        text: String,
-    },
-}
-
-impl CacheKey {
-    fn of(kind: &WorkloadKind) -> Self {
-        match kind {
-            WorkloadKind::Rabi {
-                amplitudes,
-                amplitude_index,
-            } => CacheKey::Rabi {
-                amplitude_bits: amplitudes.iter().map(|a| a.to_bits()).collect(),
-                index: *amplitude_index,
-            },
-            WorkloadKind::AllXy { round, init_cycles } => CacheKey::AllXy {
-                round: *round,
-                init_cycles: *init_cycles,
-            },
-            WorkloadKind::Rb {
-                k,
-                interval_cycles,
-                sequence_seed,
-            } => CacheKey::Rb {
-                k: *k,
-                interval_cycles: *interval_cycles,
-                sequence_seed: *sequence_seed,
-            },
-            WorkloadKind::ActiveReset { init_cycles } => CacheKey::ActiveReset {
-                init_cycles: *init_cycles,
-            },
-            WorkloadKind::CliffordChain { qubits, layers } => CacheKey::CliffordChain {
-                qubits: *qubits,
-                layers: *layers,
-            },
-            WorkloadKind::Source { text } => CacheKey::Source { text: text.clone() },
-        }
-    }
-}
-
-/// Assembled programs keyed by the [`WorkloadKind`] that builds them.
-/// The kind is the complete input of the build (the `SimConfig` only
-/// affects execution), so equal kinds always yield equal programs.
-struct ProgramCache {
-    entries: HashMap<CacheKey, Arc<(Instantiation, Vec<Instruction>)>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl ProgramCache {
-    fn new() -> Self {
-        ProgramCache {
-            entries: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// The cached build for `key`, counting a hit when present.
-    fn lookup(&mut self, key: &CacheKey) -> Option<Arc<(Instantiation, Vec<Instruction>)>> {
-        let built = self.entries.get(key).map(Arc::clone);
-        if built.is_some() {
-            self.hits += 1;
-            crate::metrics::rt().cache_hits.inc();
-        }
-        built
-    }
-
-    /// Stores a build produced outside the lock, counting a miss. If
-    /// a concurrent submission raced the build in first, the earlier
-    /// artifact wins (counted as a hit) so every instance of a kind
-    /// shares one program.
-    fn insert(
-        &mut self,
-        key: CacheKey,
-        built: Arc<(Instantiation, Vec<Instruction>)>,
-    ) -> Arc<(Instantiation, Vec<Instruction>)> {
-        if let Some(existing) = self.entries.get(&key) {
-            self.hits += 1;
-            crate::metrics::rt().cache_hits.inc();
-            return Arc::clone(existing);
-        }
-        self.misses += 1;
-        crate::metrics::rt().cache_misses.inc();
-        self.entries.insert(key, Arc::clone(&built));
-        built
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.entries.len(),
-        }
-    }
 }
 
 /// A point-in-time view of a queued job, readable at any moment
@@ -833,7 +721,6 @@ struct QueueState {
     tenant_index: HashMap<TenantId, usize>,
     ring_cursor: usize,
     jobs: JobTable,
-    cache: ProgramCache,
     /// Undispatched batches across all tenants (fast idle check).
     pending: usize,
     /// The DRR quantum unit: at least the largest batch cost ever
@@ -869,7 +756,6 @@ impl QueueState {
             tenant_index: HashMap::new(),
             ring_cursor: 0,
             jobs: JobTable::default(),
-            cache: ProgramCache::new(),
             pending: 0,
             quantum_unit: 1,
             slots: Vec::new(),
@@ -2135,7 +2021,8 @@ impl JobQueue {
     /// Accepts a submission and returns one [`JobHandle`] per job it
     /// expands to: exactly one for a [`Submission::job`], the spec's
     /// `weight` instances for a [`Submission::workload`] (all sharing
-    /// one cached program build).
+    /// one job shape, reused from a live equal spec when there is one
+    /// — see [`CacheStats`]).
     ///
     /// # Errors
     ///
@@ -2150,36 +2037,19 @@ impl JobQueue {
         submission: impl Into<Submission>,
     ) -> Result<Vec<JobHandle>, RuntimeError> {
         let submission = submission.into();
-        // Program builds (assembly + emission) can be expensive, so
-        // they never run under the queue mutex — a cache miss would
-        // otherwise stall every worker, completion and poller for the
-        // build's duration. Double-checked: peek the cache, build
-        // unlocked, then insert (first build wins a race).
-        let mut jobs = match submission.work {
-            Work::Job(job) => vec![*job],
+        let jobs = match submission.work {
+            Work::Job(mut job) => {
+                let mut shapes = self.shared.shapes.lock().expect("shape table poisoned");
+                job.shape = shapes.intern(&job.shape);
+                vec![*job]
+            }
             Work::Spec(spec) => {
-                let key = CacheKey::of(&spec.kind);
-                let cached = {
-                    let mut state = self.shared.state.lock().expect("queue state poisoned");
-                    state.cache.lookup(&key)
-                };
-                let built = match cached {
-                    Some(built) => built,
-                    None => {
-                        let fresh = Arc::new(spec.kind.build()?);
-                        let mut state = self.shared.state.lock().expect("queue state poisoned");
-                        state.cache.insert(key, fresh)
-                    }
-                };
+                let shape = self.spec_shape(&spec)?;
                 (0..spec.weight.max(1))
-                    .map(|i| spec.instance_with_program(i, built.0.clone(), built.1.clone()))
+                    .map(|i| spec.instance_of_shape(i, &shape))
                     .collect::<Result<Vec<Job>, RuntimeError>>()?
             }
         };
-        let mut shapes = self.shared.shapes.lock().expect("shape table poisoned");
-        jobs.iter_mut()
-            .for_each(|job| job.shape = shapes.intern(&job.shape));
-        drop(shapes);
         let requested: u64 = jobs.iter().fold(0u64, |acc, j| acc.saturating_add(j.shots));
         let mut state = self.shared.state.lock().expect("queue state poisoned");
         let tenant = state.tenant_slot(&submission.tenant);
@@ -2198,10 +2068,33 @@ impl JobQueue {
         Ok(handles)
     }
 
-    /// Program-cache counters.
+    /// The shape `spec`'s jobs run: the live one of an equal spec, or
+    /// a new build. Program builds (assembly + emission) can be
+    /// expensive, so they run with no lock held, never under the
+    /// shape lock the reactor's `decode_submission` takes. The insert
+    /// is double-checked, so racing submitters share the first shape.
+    fn spec_shape(&self, spec: &WorkloadSpec) -> Result<Arc<JobShape>, RuntimeError> {
+        let key = crate::wire::spec_key(spec);
+        let live = self
+            .shared
+            .shapes
+            .lock()
+            .expect("shape table poisoned")
+            .find_spec(&key);
+        if let Some(live) = live {
+            return Ok(live);
+        }
+        let built = spec.build_shape()?;
+        // Interning compares wire bytes: encode them unlocked too.
+        built.wire();
+        let mut shapes = self.shared.shapes.lock().expect("shape table poisoned");
+        Ok(shapes.insert_spec(key, &built))
+    }
+
+    /// How spec submissions found their shapes (see [`CacheStats`]).
     pub fn cache_stats(&self) -> CacheStats {
-        let state = self.shared.state.lock().expect("queue state poisoned");
-        state.cache.stats()
+        let shapes = self.shared.shapes.lock().expect("shape table poisoned");
+        shapes.spec_stats()
     }
 
     /// Completed shots per tenant, in registration order — the
@@ -2391,6 +2284,7 @@ fn backend_loop(shared: &Shared, mut backend: Box<dyn ExecBackend>, slot_id: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::WorkloadKind;
 
     /// A tiny real job: active reset on the two-qubit chip.
     fn tiny_job(name: &str, shots: u64) -> Job {
@@ -2951,5 +2845,94 @@ mod tests {
             &state.jobs[0].job.shape,
             &state.jobs[1].job.shape
         ));
+    }
+
+    /// The shape job `handle` runs.
+    fn shape_of(handle: &JobHandle) -> Arc<JobShape> {
+        let state = handle.shared.state.lock().expect("queue state poisoned");
+        Arc::clone(&state.jobs[handle.job].job.shape)
+    }
+
+    fn reset_spec(weight: u32) -> WorkloadSpec {
+        WorkloadSpec::new("reset", WorkloadKind::ActiveReset { init_cycles: 40 }, 0)
+            .with_weight(weight)
+    }
+
+    #[test]
+    fn a_specs_instances_share_one_shape() {
+        let queue = JobQueue::new(ServeConfig::default().with_workers(1));
+        let handles = queue
+            .submit(Submission::workload("t", reset_spec(3)))
+            .expect("submits");
+        assert_eq!(handles.len(), 3);
+        let first = shape_of(&handles[0]);
+        assert!(handles.iter().all(|h| Arc::ptr_eq(&shape_of(h), &first)));
+        let stats = queue.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
+    }
+
+    #[test]
+    fn a_prebuilt_job_interns_onto_a_specs_shape() {
+        let queue = JobQueue::new(ServeConfig::default().with_workers(1));
+        let spec = reset_spec(3);
+        let built = queue
+            .submit(Submission::workload("t", spec.clone()))
+            .expect("submits");
+        let job = spec.build_instance(7).expect("builds");
+        assert!(!Arc::ptr_eq(&job.shape, &shape_of(&built[0])));
+        let prebuilt = queue.submit(Submission::job("u", job)).expect("submits");
+        assert!(Arc::ptr_eq(&shape_of(&prebuilt[0]), &shape_of(&built[0])));
+        assert_eq!(
+            queue.cache_stats().misses,
+            1,
+            "a prebuilt job builds nothing"
+        );
+    }
+
+    #[test]
+    fn another_config_is_a_miss_with_its_own_shape() {
+        let queue = JobQueue::new(ServeConfig::default().with_workers(1));
+        let plain = queue
+            .submit(Submission::workload("t", reset_spec(1)))
+            .expect("submits");
+        let seeded = reset_spec(1).with_config(eqasm_microarch::SimConfig {
+            seed: 3,
+            ..eqasm_microarch::SimConfig::default()
+        });
+        let other = queue
+            .submit(Submission::workload("t", seeded))
+            .expect("submits");
+        assert!(!Arc::ptr_eq(&shape_of(&plain[0]), &shape_of(&other[0])));
+        assert_eq!(shape_of(&other[0]).config().seed, 3);
+        let stats = queue.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 2));
+    }
+
+    #[test]
+    fn concurrent_submitters_of_one_kind_share_one_entry() {
+        let queue = JobQueue::new(ServeConfig::default().with_workers(1));
+        let start = std::sync::Barrier::new(2);
+        let shapes: Vec<Arc<JobShape>> = std::thread::scope(|scope| {
+            let submitters: Vec<_> = (0..2)
+                .map(|i| {
+                    let (queue, start) = (&queue, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let spec = reset_spec(2).with_seed(i * 100);
+                        let handles = queue
+                            .submit(Submission::workload("t", spec))
+                            .expect("submits");
+                        shape_of(&handles[0])
+                    })
+                })
+                .collect();
+            submitters
+                .into_iter()
+                .map(|s| s.join().expect("submitter"))
+                .collect()
+        });
+        assert!(Arc::ptr_eq(&shapes[0], &shapes[1]));
+        let stats = queue.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 }

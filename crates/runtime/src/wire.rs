@@ -2341,6 +2341,16 @@ fn put_workload_spec(w: &mut Writer, spec: &WorkloadSpec) {
     put_sim_config(w, &spec.config);
 }
 
+/// The key a spec's shape is interned under in the queue's shape
+/// table: the encoding of its [`WorkloadKind`] and [`SimConfig`], the
+/// whole input of the shape's build.
+pub(crate) fn spec_key(spec: &WorkloadSpec) -> Box<[u8]> {
+    let mut w = Writer::new();
+    put_workload_kind(&mut w, &spec.kind);
+    put_sim_config(&mut w, &spec.config);
+    w.buf.into()
+}
+
 fn get_workload_spec(r: &mut Reader<'_>) -> Result<WorkloadSpec, WireError> {
     Ok(WorkloadSpec {
         name: r.get_str("WorkloadSpec.name")?,

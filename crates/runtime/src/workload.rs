@@ -239,15 +239,12 @@ impl WorkloadSpec {
     ///
     /// Propagates generator failures; rejects zero-weight specs.
     pub fn build_instance(&self, instance: u32) -> Result<Job, RuntimeError> {
-        let (inst, program) = self.kind.build()?;
-        self.instance_with_program(instance, inst, program)
+        self.instance_of_shape(instance, &self.build_shape()?)
     }
 
     /// Builds the job for instance `instance` from an already-built
-    /// `(instantiation, program)` pair — the path taken by
-    /// [`crate::serve`]'s program cache, which builds each distinct
-    /// [`WorkloadKind`] once and stamps out instances from the cached
-    /// artifact.
+    /// `(instantiation, program)` pair, under this spec's
+    /// configuration.
     ///
     /// # Errors
     ///
@@ -259,6 +256,23 @@ impl WorkloadSpec {
         inst: Instantiation,
         program: Vec<Instruction>,
     ) -> Result<Job, RuntimeError> {
+        let shape = Arc::new(JobShape::new(inst, program, self.config.clone()));
+        self.instance_of_shape(instance, &shape)
+    }
+
+    /// Builds the shape every instance of this spec runs.
+    pub(crate) fn build_shape(&self) -> Result<Arc<JobShape>, RuntimeError> {
+        let (inst, program) = self.kind.build()?;
+        Ok(Arc::new(JobShape::new(inst, program, self.config.clone())))
+    }
+
+    /// Stamps instance `instance` of this spec onto `shape`, which it
+    /// shares with every other instance.
+    pub(crate) fn instance_of_shape(
+        &self,
+        instance: u32,
+        shape: &Arc<JobShape>,
+    ) -> Result<Job, RuntimeError> {
         if self.weight == 0 {
             return Err(RuntimeError::Spec(format!(
                 "workload `{}` has weight 0",
@@ -267,7 +281,7 @@ impl WorkloadSpec {
         }
         Ok(Job {
             name: format!("{}#{}", self.name, instance),
-            shape: Arc::new(JobShape::new(inst, program, self.config.clone())),
+            shape: Arc::clone(shape),
             shots: self.shots,
             // Wrapping on both the stride multiply and the add: for a
             // base seed near u64::MAX the unchecked forms panic in
@@ -396,7 +410,8 @@ impl MixedWorkload {
 
     /// Expands the mix into its interleaved job stream: one round-robin
     /// pass per weight step, so a weight-3 spec contributes three jobs
-    /// spread across the stream rather than clumped together.
+    /// spread across the stream rather than clumped together. Each
+    /// spec's program is built once, and its jobs share one shape.
     ///
     /// # Errors
     ///
@@ -410,12 +425,17 @@ impl MixedWorkload {
                 zero.name
             )));
         }
+        let shapes = self
+            .specs
+            .iter()
+            .map(WorkloadSpec::build_shape)
+            .collect::<Result<Vec<_>, _>>()?;
         let mut out = Vec::new();
         let max_weight = self.specs.iter().map(|s| s.weight).max().unwrap_or(0);
         for round in 0..max_weight {
-            for (idx, spec) in self.specs.iter().enumerate() {
+            for (idx, (spec, shape)) in self.specs.iter().zip(&shapes).enumerate() {
                 if round < spec.weight {
-                    out.push((idx, spec.build_instance(round)?));
+                    out.push((idx, spec.instance_of_shape(round, shape)?));
                 }
             }
         }
@@ -490,6 +510,34 @@ mod tests {
         assert_eq!(jobs[0].1.base_seed, 0);
         assert_eq!(jobs[2].1.base_seed, 4);
         assert_eq!(jobs[3].1.base_seed, 8);
+    }
+
+    #[test]
+    fn a_specs_instances_share_one_shape() {
+        let mix = MixedWorkload::new()
+            .push(
+                WorkloadSpec::new("reset", WorkloadKind::ActiveReset { init_cycles: 100 }, 4)
+                    .with_weight(4),
+            )
+            .push(WorkloadSpec::new(
+                "allxy",
+                WorkloadKind::AllXy {
+                    round: 3,
+                    init_cycles: 10,
+                },
+                4,
+            ));
+        let jobs = mix.jobs().unwrap();
+        let shapes = |tag: usize| -> Vec<&Arc<JobShape>> {
+            jobs.iter()
+                .filter(|(t, _)| *t == tag)
+                .map(|(_, j)| &j.shape)
+                .collect()
+        };
+        let reset = shapes(0);
+        assert_eq!(reset.len(), 4);
+        assert!(reset.iter().all(|s| Arc::ptr_eq(s, reset[0])));
+        assert!(!Arc::ptr_eq(shapes(1)[0], reset[0]));
     }
 
     #[test]

@@ -241,6 +241,29 @@ fn program_cache_hits_on_repeated_workload_kinds() {
     }
 }
 
+/// A stream of distinct `Source` specs, each waited for and released,
+/// holds no build once its jobs are gone: spec shapes live only as
+/// long as some job of them.
+#[test]
+fn released_spec_jobs_leave_no_live_builds() {
+    let queue = JobQueue::new(ServeConfig::default().with_workers(1));
+    for i in 0..10_000 {
+        let text = format!("QWAIT {}\nSTOP", i + 1);
+        let spec = WorkloadSpec::new("src", WorkloadKind::Source { text }, 0);
+        let handles = queue
+            .submit(Submission::workload("t", spec))
+            .expect("submits");
+        for handle in &handles {
+            handle
+                .wait()
+                .expect("a zero-shot job finishes at submission");
+            assert!(handle.release());
+        }
+    }
+    let stats = queue.cache_stats();
+    assert_eq!((stats.misses, stats.entries), (10_000, 0));
+}
+
 /// A job admitted to an empty held pool waits for capacity, and runs
 /// exactly once a slot attaches.
 #[test]

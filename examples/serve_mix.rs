@@ -45,7 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cal = queue.submit(Submission::job("cal-team", rb_job.clone()))?;
 
     // ...while the bulk tenant submits a 4-instance active-reset spec
-    // twice — the second submission reuses the cached program build.
+    // twice — the second submission reuses the first one's live job
+    // shape instead of building the program again.
     let reset = WorkloadSpec::new(
         "reset",
         WorkloadKind::ActiveReset { init_cycles: 100 },
@@ -97,8 +98,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let cache = queue.cache_stats();
     println!(
-        "program cache: built {} programs, reused {} times",
-        cache.misses, cache.hits
+        "spec shapes: {} built, {} reused, {} live",
+        cache.misses, cache.hits, cache.entries
+    );
+    assert_eq!(
+        (cache.misses, cache.hits, cache.entries),
+        (1, 1, 1),
+        "the second reset submission reuses the first one's shape"
     );
     Ok(())
 }

@@ -1784,7 +1784,7 @@ fn cmd_serve(
     }
     let cache = queue.cache_stats();
     println!(
-        "program cache: {} built, {} reused ({} distinct programs)",
+        "spec shapes: {} built, {} reused ({} live)",
         cache.misses, cache.hits, cache.entries
     );
     if !remotes.is_empty() || supervised {
