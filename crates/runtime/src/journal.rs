@@ -6,11 +6,18 @@
 //! Execution is deterministic and batch-indexed (shot `i` runs under
 //! `base_seed + i`; batch boundaries are a pure function of
 //! `(shots, batch_size)`), so durable state does not need to capture
-//! *execution* at all — only which jobs were admitted and which batch
-//! ranges already folded. Recovery re-admits incomplete jobs, restores
-//! the recorded ranges, and re-dispatches **only the missing ranges**;
-//! the recovered aggregates are bit-identical to an uninterrupted run
+//! *execution* at all — only which jobs were admitted and how far each
+//! one's batch-index-ordered fold had got. Recovery re-admits
+//! incomplete jobs, seeds each one's fold with its last journaled
+//! prefix, and re-dispatches **only the batches after it**; the
+//! recovered aggregates are bit-identical to an uninterrupted run
 //! because the fold is strictly batch-index-ordered either way.
+//!
+//! A running job journals its folded prefix on a fixed cadence
+//! ([`PROGRESS_INTERVAL`]), not once per batch, so the record and fsync
+//! rates track admissions and completions rather than batch count. A
+//! crash costs re-executing at most about one interval of each running
+//! job.
 //!
 //! ## Record grammar
 //!
@@ -27,12 +34,16 @@
 //!
 //! * `Admit` — job id, the job's [`crate::wire::encode_job`] bytes
 //!   (the same bytes a `LoadJob` ships), and the tenant name.
-//! * `RangeDone` — job id, batch index, shot range, and the batch's
-//!   encoded [`crate::BatchOut`]. Carrying the full batch result is
-//!   what makes recovery exact *without re-executing done ranges*: the
-//!   fold consumed the data, so the journal is the only place it
-//!   still exists. Its latencies are a histogram, so the record's size
-//!   does not grow with the range's shots.
+//! * `Progress` — job id, the number `k` of contiguous batches folded,
+//!   the prefix's end shot, and the prefix aggregate encoded as one
+//!   [`crate::BatchOut`]. The fold appends one when the prefix has
+//!   advanced and [`PROGRESS_INTERVAL`] has passed since the job's
+//!   `Admit` or its previous `Progress`; a job shorter than that
+//!   journals only `Admit` + `Complete`. Carrying the aggregate is
+//!   what makes recovery exact *without re-executing batches `0..k`*:
+//!   the fold consumed their results, so the journal is the only
+//!   place they still exist. Replay keeps a job's latest `Progress`;
+//!   its size does not grow with `k` or with the prefix's shots.
 //! * `Complete` — job id; terminal. The job (succeeded, failed, or
 //!   evicted) leaves durable state and is never resurrected.
 //! * `Checkpoint` — opens a compacted segment. Replay resets its state
@@ -51,9 +62,10 @@
 //! fsyncs (the OS decides). Compaction and recovery always fsync
 //! before retiring old segments, whatever the policy. Because appends
 //! are asynchronous, a crash can lose the tail of very recent records
-//! — recovery then re-runs those ranges, which is correct by
-//! determinism; durability of *results handed to clients* is ensured
-//! by flushing the journal before a completed job is released.
+//! — recovery then re-runs the batches after the last durable
+//! `Progress`, which is correct by determinism; durability of
+//! *results handed to clients* is ensured by flushing the journal
+//! before a completed job is released.
 //!
 //! ## Torn tails
 //!
@@ -66,7 +78,6 @@
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -79,8 +90,8 @@ use crate::wire::{self, Reader, WireError, Writer};
 pub(crate) mod rtag {
     /// A job entered the queue: id, job bytes, tenant.
     pub const ADMIT: u8 = 1;
-    /// A batch range folded: id, batch index, range, encoded result.
-    pub const RANGE_DONE: u8 = 2;
+    /// A job's folded prefix: id, batch count, end shot, aggregate.
+    pub const PROGRESS: u8 = 2;
     /// A job left durable state (completed, failed, or evicted).
     pub const COMPLETE: u8 = 3;
     /// Opens a compacted segment; replay state resets here.
@@ -90,10 +101,18 @@ pub(crate) mod rtag {
 /// Magic bytes opening every segment file.
 const SEGMENT_MAGIC: [u8; 4] = *b"EQJL";
 
-/// Segment format version. Version 3 ships `Admit` job bytes plain;
-/// a segment of any other version is a typed
+/// Segment format version. Version 4 journals each running job's
+/// folded prefix as `Progress` records (version 3 had one `RangeDone`
+/// per batch); a segment of any other version is a typed
 /// [`JournalError::BadHeader`].
-const SEGMENT_VERSION: u16 = 3;
+const SEGMENT_VERSION: u16 = 4;
+
+/// How often a running job's folded prefix is journaled: the fold
+/// appends a `Progress` record only once this much time has passed,
+/// by the folding batch's finish time, since the job's `Admit` or its
+/// previous `Progress`. It bounds what a crash re-executes to about
+/// one interval of each running job.
+pub const PROGRESS_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Segment header length: magic + version + reserved.
 const HEADER_LEN: usize = 8;
@@ -269,7 +288,10 @@ pub struct RecoveryReport {
     pub records_replayed: u64,
     /// Incomplete jobs re-admitted into the fresh queue.
     pub jobs_recovered: usize,
-    /// Folded batch ranges restored without re-execution.
+    /// Batches restored without re-execution: the sum over recovered
+    /// jobs of the batch count `k` in each one's latest `Progress`
+    /// record (a record that disagrees with the current partition
+    /// restores nothing).
     pub ranges_recovered: usize,
     /// Jobs with a durable `Complete` record, dropped (their results
     /// were already surfaced or released; resurrecting them would leak
@@ -326,21 +348,15 @@ pub(crate) fn admit_payload(job_id: u64, tenant: &str, job: &Job) -> Result<Vec<
     Ok(w.into_bytes())
 }
 
-/// Builds a `RangeDone` payload carrying the batch's full encoded
-/// result.
-pub(crate) fn range_done_payload(
-    job_id: u64,
-    batch: u32,
-    range: &Range<u64>,
-    out: &BatchOut,
-) -> Vec<u8> {
+/// Builds a `Progress` payload: the first `batches` batches of the
+/// job, ending at shot `out.shots()`, folded into `out`.
+pub(crate) fn progress_payload(job_id: u64, batches: u32, out: &BatchOut) -> Vec<u8> {
     let out_bytes = wire::encode_batch_out(out);
     let mut w = Writer::new();
-    w.put_u8(rtag::RANGE_DONE);
+    w.put_u8(rtag::PROGRESS);
     w.put_u64(job_id);
-    w.put_u32(batch);
-    w.put_u64(range.start);
-    w.put_u64(range.end);
+    w.put_u32(batches);
+    w.put_u64(out.shots());
     w.put_bytes(&out_bytes);
     w.into_bytes()
 }
@@ -375,11 +391,9 @@ enum Record {
         // live briefly on the replay path only.
         job: Box<Job>,
     },
-    RangeDone {
+    Progress {
         job_id: u64,
-        batch: u32,
-        range: Range<u64>,
-        out: Box<BatchOut>,
+        progress: Box<Progress>,
     },
     Complete {
         job_id: u64,
@@ -404,23 +418,24 @@ fn decode_record(payload: &[u8], shapes: &mut ShapeTable) -> Result<Record, Wire
                 job: Box::new(wire::decode_job_interned(job_bytes, shapes)?),
             }
         }
-        rtag::RANGE_DONE => {
-            let job_id = r.get_u64("RangeDone.job_id")?;
-            let batch = r.get_u32("RangeDone.batch")?;
-            let start = r.get_u64("RangeDone.start")?;
-            let end = r.get_u64("RangeDone.end")?;
-            let out = Box::new(wire::decode_batch_out(&r.get_bytes("RangeDone.out")?)?);
-            if Some(out.shots()) != end.checked_sub(start) {
+        rtag::PROGRESS => {
+            let job_id = r.get_u64("Progress.job_id")?;
+            let batches = r.get_u32("Progress.batches")?;
+            let end = r.get_u64("Progress.end")?;
+            let out = wire::decode_batch_out(&r.get_bytes("Progress.out")?)?;
+            if batches == 0 || out.shots() != end {
                 return Err(WireError::Invalid(format!(
-                    "RangeDone: {} shots recorded for range {start}..{end}",
+                    "Progress: {} shots recorded for {batches} batches ending at shot {end}",
                     out.shots()
                 )));
             }
-            Record::RangeDone {
+            Record::Progress {
                 job_id,
-                batch,
-                range: start..end,
-                out,
+                progress: Box::new(Progress {
+                    batches: batches as usize,
+                    end,
+                    out,
+                }),
             }
         }
         rtag::COMPLETE => Record::Complete {
@@ -527,13 +542,22 @@ fn create_segment(
 // Replay
 // ---------------------------------------------------------------------
 
+/// A job's journaled folded prefix: batches `0..batches`, ending at
+/// shot `end`, folded into `out`.
+#[derive(Debug)]
+pub(crate) struct Progress {
+    pub(crate) batches: usize,
+    pub(crate) end: u64,
+    pub(crate) out: BatchOut,
+}
+
 /// One incomplete (or completed) job reconstructed from the journal.
 #[derive(Debug)]
 pub(crate) struct RecoveredJob {
     pub(crate) tenant: String,
     pub(crate) job: Job,
-    /// Folded ranges by batch index, with their recorded results.
-    pub(crate) done: BTreeMap<usize, (Range<u64>, BatchOut)>,
+    /// The latest `Progress` recorded for the job, if any.
+    pub(crate) progress: Option<Progress>,
     pub(crate) completed: bool,
 }
 
@@ -610,31 +634,27 @@ fn apply_record(jobs: &mut BTreeMap<u64, RecoveredJob>, next_job_id: &mut u64, r
                 RecoveredJob {
                     tenant,
                     job: *job,
-                    done: BTreeMap::new(),
+                    progress: None,
                     completed: false,
                 },
             );
         }
-        Record::RangeDone {
-            job_id,
-            batch,
-            range,
-            out,
-        } => {
+        Record::Progress { job_id, progress } => {
             // Stale ids (already completed, or from a lost Admit in a
             // torn tail) are ignored: the journal is an append log,
             // not a strict state machine, and replay must accept any
-            // prefix of a valid history.
+            // prefix of a valid history. A job's prefix only grows, so
+            // its latest record supersedes the earlier ones.
             if let Some(entry) = jobs.get_mut(&job_id) {
                 if !entry.completed {
-                    entry.done.entry(batch as usize).or_insert((range, *out));
+                    entry.progress = Some(*progress);
                 }
             }
         }
         Record::Complete { job_id } => {
             if let Some(entry) = jobs.get_mut(&job_id) {
                 entry.completed = true;
-                entry.done.clear();
+                entry.progress = None;
             }
         }
     }
@@ -1064,7 +1084,8 @@ mod tests {
             0,
             &[
                 admit_payload(3, "cal", &job).unwrap(),
-                range_done_payload(3, 0, &(0..32), &out),
+                progress_payload(3, 1, &sample_out(16)),
+                progress_payload(3, 2, &out),
                 admit_payload(4, "batch", &job).unwrap(),
                 complete_payload(4),
             ],
@@ -1077,11 +1098,9 @@ mod tests {
         assert!(!j3.completed);
         assert_eq!(j3.tenant, "cal");
         assert_eq!(j3.job, job);
-        assert_eq!(j3.done.len(), 1);
-        let (range, rec) = &j3.done[&0];
-        assert_eq!(*range, 0..32);
-        assert_eq!(rec.histogram, out.histogram);
-        assert_eq!(rec.latency, out.latency);
+        let progress = j3.progress.as_ref().expect("the latest Progress");
+        assert_eq!((progress.batches, progress.end), (2, 32));
+        assert_eq!(progress.out, out);
         assert!(replay.jobs[&4].completed);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1092,7 +1111,7 @@ mod tests {
         let job = sample_job(64);
         let payloads = vec![
             admit_payload(0, "t", &job).unwrap(),
-            range_done_payload(0, 0, &(0..32), &sample_out(32)),
+            progress_payload(0, 1, &sample_out(32)),
         ];
         let path = write_segment(&dir, 0, &payloads);
         let full = std::fs::read(&path).expect("read segment");
@@ -1104,9 +1123,9 @@ mod tests {
             let replay = replay_dir(&dir)
                 .unwrap_or_else(|e| panic!("cut at {cut} must replay cleanly, got: {e}"));
             // The Admit before the torn record always survives; the
-            // torn RangeDone never half-applies.
+            // torn Progress never half-applies.
             assert_eq!(replay.jobs.len(), 1, "cut at {cut}");
-            assert!(replay.jobs[&0].done.is_empty(), "cut at {cut}");
+            assert!(replay.jobs[&0].progress.is_none(), "cut at {cut}");
             // At cut == keep_min the final record is cleanly absent —
             // that is a valid short journal, not a torn one.
             assert_eq!(replay.torn_tail, cut > keep_min, "cut at {cut}");
@@ -1116,8 +1135,9 @@ mod tests {
 
     #[test]
     fn version_1_segment_is_a_typed_bad_header() {
-        // Version 2 (RLE-packed `Admit` job bytes) is refused like 1.
-        for version in [1u16, 2] {
+        // Version 2 (RLE-packed `Admit` job bytes) and version 3 (one
+        // `RangeDone` per batch) are refused like 1.
+        for version in [1u16, 2, 3] {
             let dir = temp_dir("old-version");
             let path = write_segment(&dir, 0, &[admit_payload(0, "t", &sample_job(8)).unwrap()]);
             let mut bytes = std::fs::read(&path).expect("read segment");
@@ -1134,10 +1154,12 @@ mod tests {
         }
     }
 
-    /// A `RangeDone` record's size does not grow with its range: a
-    /// 1-qubit RB batch stays under 1 KiB at 64 and at 65,536 shots.
+    /// A `Progress` record's size does not grow with its prefix: a
+    /// 1-qubit RB prefix stays under 1 KiB at 64 and at 65,536 shots,
+    /// and the same aggregate encodes to the same size at any batch
+    /// count `k`.
     #[test]
-    fn range_done_payload_is_small_at_any_range_length() {
+    fn progress_payload_is_small_at_any_prefix_length() {
         use crate::ExecBackend as _;
         let (inst, program) = crate::WorkloadKind::Rb {
             k: 8,
@@ -1154,9 +1176,12 @@ mod tests {
             let out = backend.run_range(&job, 0..shots).expect("runs");
             assert_eq!(out.shots(), shots);
             let batch = wire::encode_batch_out(&out).len();
-            let record = range_done_payload(0, 0, &(0..shots), &out).len();
+            let record = progress_payload(0, 1, &out).len();
             assert!(batch < 1024, "BatchOut of {shots} shots is {batch} B");
-            assert!(record < 1024, "RangeDone of {shots} shots is {record} B");
+            assert!(record < 1024, "Progress of {shots} shots is {record} B");
+            for k in [2, 256, u32::MAX] {
+                assert_eq!(progress_payload(0, k, &out).len(), record, "k = {k}");
+            }
         }
     }
 
@@ -1174,13 +1199,23 @@ mod tests {
         assert!(std::sync::Arc::ptr_eq(&first, &second));
     }
 
+    /// A `Progress` whose end shot disagrees with its aggregate's shot
+    /// count, or that claims zero batches, is a typed decode error.
     #[test]
-    fn range_done_with_the_wrong_shot_count_is_rejected() {
-        let payload = range_done_payload(0, 0, &(0..33), &sample_out(32));
-        assert!(matches!(
-            decode_record(&payload, &mut ShapeTable::default()),
-            Err(WireError::Invalid(_))
-        ));
+    fn progress_with_the_wrong_shot_count_is_rejected() {
+        let out_bytes = wire::encode_batch_out(&sample_out(32));
+        for (batches, end) in [(2u32, 33u64), (0, 32)] {
+            let mut w = Writer::new();
+            w.put_u8(rtag::PROGRESS);
+            w.put_u64(0);
+            w.put_u32(batches);
+            w.put_u64(end);
+            w.put_bytes(&out_bytes);
+            assert!(matches!(
+                decode_record(&w.into_bytes(), &mut ShapeTable::default()),
+                Err(WireError::Invalid(_))
+            ));
+        }
     }
 
     #[test]
@@ -1286,25 +1321,21 @@ mod tests {
 
         /// Round-trip property: any mix of records written to a
         /// segment replays to exactly the state those records
-        /// describe.
+        /// describe — the latest `Progress` of a live job, verbatim.
         #[test]
         fn journal_codec_roundtrips(
             shots in 1u64..2000,
-            batches in 1usize..6,
+            records in 0usize..6,
+            k_step in 1u32..100_000,
             complete in any::<bool>(),
             tenant in "[a-z]{1,12}",
         ) {
             let dir = temp_dir("prop");
             let job = sample_job(shots);
             let mut payloads = vec![admit_payload(9, &tenant, &job).unwrap()];
-            for b in 0..batches {
-                let lo = (b as u64) * 10;
-                payloads.push(range_done_payload(
-                    9,
-                    b as u32,
-                    &(lo..lo + 10),
-                    &sample_out(10),
-                ));
+            for i in 1..=records {
+                let k = k_step.saturating_mul(i as u32);
+                payloads.push(progress_payload(9, k, &sample_out(10 * i as u64)));
             }
             if complete {
                 payloads.push(complete_payload(9));
@@ -1315,14 +1346,15 @@ mod tests {
             let entry = &replay.jobs[&9];
             prop_assert_eq!(entry.completed, complete);
             prop_assert_eq!(&entry.job, &job);
-            if complete {
-                prop_assert!(entry.done.is_empty());
-            } else {
-                prop_assert_eq!(entry.done.len(), batches);
-                prop_assert_eq!(&entry.tenant, &tenant);
-                for b in 0..batches {
-                    let lo = (b as u64) * 10;
-                    prop_assert_eq!(entry.done[&b].0.clone(), lo..lo + 10);
+            prop_assert_eq!(&entry.tenant, &tenant);
+            match &entry.progress {
+                None => prop_assert!(complete || records == 0),
+                Some(progress) => {
+                    prop_assert!(!complete && records > 0);
+                    let last = records as u64;
+                    prop_assert_eq!(progress.batches, k_step.saturating_mul(last as u32) as usize);
+                    prop_assert_eq!(progress.end, 10 * last);
+                    prop_assert_eq!(&progress.out, &sample_out(10 * last));
                 }
             }
             std::fs::remove_dir_all(&dir).ok();
@@ -1340,7 +1372,7 @@ mod tests {
             let job = sample_job(shots);
             let payloads = vec![
                 admit_payload(1, "t", &job).unwrap(),
-                range_done_payload(1, 0, &(0..shots), &sample_out(shots.min(64))),
+                progress_payload(1, 3, &sample_out(shots)),
             ];
             let path = write_segment(&dir, 0, &payloads);
             let full = std::fs::read(&path).unwrap();
@@ -1374,7 +1406,7 @@ mod tests {
             }
             for payload in [
                 admit_payload(4, "tenant", &sample_job(16)).unwrap(),
-                range_done_payload(4, 1, &(16..32), &sample_out(16)),
+                progress_payload(4, 2, &sample_out(16)),
                 complete_payload(4),
                 checkpoint_payload(2, 5),
             ] {
@@ -1398,14 +1430,13 @@ mod tests {
         admit.extend(4u64.to_le_bytes());
         admit.extend(u32::MAX.to_le_bytes());
         admit.extend([1, 2]);
-        let mut range_done = vec![rtag::RANGE_DONE];
-        range_done.extend(4u64.to_le_bytes());
-        range_done.extend(1u32.to_le_bytes());
-        range_done.extend(0u64.to_le_bytes());
-        range_done.extend(8u64.to_le_bytes());
-        range_done.extend(u32::MAX.to_le_bytes());
-        range_done.extend([1, 2]);
-        for payload in [admit, range_done] {
+        let mut progress = vec![rtag::PROGRESS];
+        progress.extend(4u64.to_le_bytes());
+        progress.extend(1u32.to_le_bytes());
+        progress.extend(8u64.to_le_bytes());
+        progress.extend(u32::MAX.to_le_bytes());
+        progress.extend([1, 2]);
+        for payload in [admit, progress] {
             match decode_record(&payload, &mut ShapeTable::default()) {
                 Err(WireError::Truncated { needed, have, .. }) => {
                     assert_eq!((needed, have), (u32::MAX as usize, 2));

@@ -863,7 +863,7 @@ impl RuntimeMetrics {
             ),
             journal_recovered_ranges: r.counter(
                 "eqasm_journal_recovered_ranges_total",
-                "Folded batch ranges restored from the journal without re-execution.",
+                "Batches restored from journaled job prefixes without re-execution.",
             ),
             journal_compactions: r.counter(
                 "eqasm_journal_compactions_total",

@@ -244,30 +244,53 @@ fn set_nonblocking_fd(fd: RawFd) -> std::io::Result<()> {
 // ---------------------------------------------------------------------
 
 /// The write end of the reactor's self-pipe. Cheap, clonable,
-/// thread-safe, and — critically — **async-signal-safe** to fire: one
-/// `write(2)` of one byte, no locks. The job queue's progress hook,
-/// [`super::ServeHandle::kill`], and the CLI's signal handler all wake
-/// the loop through one of these. Writes into a full pipe fail with
-/// `EAGAIN`, which is exactly the coalescing we want: a parked reactor
-/// needs one pending byte, not one per fold.
+/// thread-safe and lock-free. The job queue's progress hook (fired on
+/// every fold) and [`super::ServeHandle::kill`] wake the loop through
+/// one of these. Wakes coalesce on a shared `pending` flag: only the
+/// wake that flips it false → true writes a byte, so a parked reactor
+/// gets one pending byte however many folds land before it runs —
+/// without the flag every fold would cost a `write(2)`, and a full
+/// pipe (64 KiB) would be the only limit. The CLI's signal handler
+/// writes the fd directly ([`wake_serve_shutdown`]), which stays
+/// async-signal-safe.
 #[derive(Clone)]
 pub(crate) struct ReactorWaker {
     inner: Arc<WakerFd>,
 }
 
-struct WakerFd(RawFd);
+struct WakerFd {
+    fd: RawFd,
+    /// Set by the wake that wrote the pending byte; cleared by the
+    /// reactor ([`ReactorWaker::drain`]) once it has drained the pipe.
+    pending: AtomicBool,
+}
 
 impl Drop for WakerFd {
     fn drop(&mut self) {
-        unsafe { sys::close(self.0) };
+        unsafe { sys::close(self.fd) };
     }
 }
 
 impl ReactorWaker {
-    /// Wakes the reactor (best-effort, never blocks).
+    /// Wakes the reactor (best-effort, never blocks). A wake while an
+    /// earlier one is still pending writes nothing.
     pub(crate) fn wake(&self) {
-        let byte = 1u8;
-        unsafe { sys::write(self.inner.0, (&byte as *const u8).cast(), 1) };
+        if !self.inner.pending.swap(true, Ordering::AcqRel) {
+            let byte = 1u8;
+            unsafe { sys::write(self.inner.fd, (&byte as *const u8).cast(), 1) };
+        }
+    }
+
+    /// Reactor side: reads the self-pipe `rx` dry, then clears the
+    /// pending flag. The caller reads queue progress only after this
+    /// returns. The order is what makes coalescing lossless: a wake
+    /// that finds the flag still set (between the drain and the clear)
+    /// made its progress before the clear, so the caller's read sees
+    /// it; a wake after the clear writes a fresh byte.
+    fn drain(&self, rx: RawFd) {
+        let mut buf = [0u8; 64];
+        while unsafe { sys::read(rx, buf.as_mut_ptr().cast(), buf.len()) } > 0 {}
+        self.inner.pending.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -291,7 +314,10 @@ fn wake_pipe() -> std::io::Result<(RawFd, ReactorWaker)> {
     Ok((
         fds[0],
         ReactorWaker {
-            inner: Arc::new(WakerFd(fds[1])),
+            inner: Arc::new(WakerFd {
+                fd: fds[1],
+                pending: AtomicBool::new(false),
+            }),
         },
     ))
 }
@@ -466,7 +492,7 @@ impl ServeReactor {
             .set_progress_hook(Some(Arc::new(move || hook_waker.wake())));
         // Let the CLI's signal handler reach us (one reactor per
         // process; a second one simply isn't signal-wakeable).
-        let wake_fd = self.waker.inner.0;
+        let wake_fd = self.waker.inner.fd;
         let installed_signal_fd = SIGNAL_WAKE_FD
             .compare_exchange(-1, wake_fd, Ordering::AcqRel, Ordering::Acquire)
             .is_ok();
@@ -505,10 +531,7 @@ impl ServeReactor {
                 match token {
                     LISTENER_TOKEN => self.accept_ready(),
                     WAKER_TOKEN => {
-                        let mut buf = [0u8; 64];
-                        while unsafe { sys::read(self.wake_rx, buf.as_mut_ptr().cast(), buf.len()) }
-                            > 0
-                        {}
+                        self.waker.drain(self.wake_rx);
                         woken = true;
                     }
                     token => self.conn_ready(token, readiness),
@@ -1177,6 +1200,43 @@ mod tests {
     use super::*;
     use crate::serve::ServeConfig;
     use crate::wire::{Hello, HelloAck, PROTOCOL_VERSION};
+
+    /// Readable bytes in a nonblocking pipe, read out.
+    fn pipe_bytes(rx: RawFd) -> usize {
+        let mut buf = [0u8; 4096];
+        let mut total = 0;
+        loop {
+            let n = unsafe { sys::read(rx, buf.as_mut_ptr().cast(), buf.len()) };
+            if n <= 0 {
+                return total;
+            }
+            total += n as usize;
+        }
+    }
+
+    #[test]
+    fn wakes_coalesce_and_a_wake_after_a_drain_is_kept() {
+        let (rx, waker) = wake_pipe().expect("pipe");
+        for _ in 0..10_000 {
+            waker.wake();
+        }
+        assert_eq!(pipe_bytes(rx), 1, "10,000 wakes leave one byte");
+        // The pipe is empty but the flag still says a wake is pending:
+        // until the reactor's drain clears it, wakes stay coalesced.
+        waker.wake();
+        assert_eq!(pipe_bytes(rx), 0);
+        waker.drain(rx);
+        waker.wake();
+        assert_eq!(pipe_bytes(rx), 1, "a wake after a drain writes again");
+        // A wake whose byte the drain reads is followed by the clear,
+        // so the next wake writes again too.
+        waker.wake();
+        waker.drain(rx);
+        assert_eq!(pipe_bytes(rx), 0, "drain reads what the wakes wrote");
+        waker.wake();
+        assert_eq!(pipe_bytes(rx), 1);
+        unsafe { sys::close(rx) };
+    }
 
     #[test]
     fn wake_pipe_roundtrip() {

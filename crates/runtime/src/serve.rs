@@ -556,6 +556,38 @@ impl PartialState {
         }
     }
 
+    /// The folded prefix as one [`BatchOut`] — what a `Progress`
+    /// record journals.
+    fn aggregate(&self) -> BatchOut {
+        BatchOut {
+            histogram: self.histogram.clone(),
+            stats: self.stats,
+            prob1_sum: self.prob1_sum.clone(),
+            latency: self.latency.clone(),
+            non_halted: self.non_halted,
+            first_failure: self.first_failure.clone(),
+            elapsed_ns: self
+                .window
+                .map_or(0, |(s, f)| f.duration_since(s).as_nanos() as u64),
+        }
+    }
+
+    /// Seeds an unstarted fold with a journaled prefix: batches
+    /// `0..folded` folded into `out`. Exactly the state the fold held
+    /// when the prefix was journaled, so folding the remaining batches
+    /// onto it is bit-identical to an uninterrupted run.
+    fn restore(&mut self, folded: usize, out: BatchOut) {
+        debug_assert!(self.folded == 0 && self.stash.is_empty());
+        self.folded = folded;
+        self.shots_done = out.shots();
+        self.histogram = out.histogram;
+        self.stats = out.stats;
+        self.prob1_sum = out.prob1_sum;
+        self.latency = out.latency;
+        self.non_halted = out.non_halted;
+        self.first_failure = out.first_failure;
+    }
+
     fn mean_prob1(&self) -> Vec<f64> {
         if self.shots_done == 0 {
             return self.prob1_sum.clone();
@@ -575,8 +607,12 @@ impl PartialState {
 struct DurableJob {
     /// The job's `Admit` payload, as appended.
     admit: Vec<u8>,
-    /// Every `RangeDone` payload appended so far, in fold order.
-    ranges: Vec<Vec<u8>>,
+    /// The job's latest `Progress` payload, if one was appended.
+    progress: Option<Vec<u8>>,
+    /// When the `Admit` or the latest `Progress` was appended: the
+    /// next `Progress` waits until a batch finishes
+    /// [`journal::PROGRESS_INTERVAL`] after this.
+    journaled_at: Instant,
 }
 
 /// A job tracked by the queue.
@@ -747,6 +783,14 @@ struct QueueState {
     journal_live: u64,
     /// Compaction floor (see [`JournalConfig::compact_min_bytes`]).
     journal_compact_min: u64,
+    /// Dispatch slots parked on `work_ready`, and [`JobHandle::wait`]
+    /// callers parked on `progress`. Each is counted under this mutex
+    /// before its condvar wait, so a fold that sees zero may skip the
+    /// notify (a syscall with std's futex condvar) without losing a
+    /// wakeup: a waiter not yet counted re-checks its condition after
+    /// the fold releases the lock.
+    parked_slots: usize,
+    parked_waiters: usize,
 }
 
 impl QueueState {
@@ -765,6 +809,8 @@ impl QueueState {
             journal_appended: 0,
             journal_live: 0,
             journal_compact_min: 0,
+            parked_slots: 0,
+            parked_waiters: 0,
         }
     }
 
@@ -987,29 +1033,20 @@ impl QueueState {
     }
 
     /// Folds a completed batch back in and finalizes the job when its
-    /// last batch lands. `journal_payload` is the batch's pre-encoded
-    /// `RangeDone` record — built by the dispatch thread *outside* the
-    /// queue mutex (encoding a large `BatchOut` under the lock would
-    /// stall every worker), `None` when not journaling.
-    fn complete(
-        &mut self,
-        task: &DispatchedTask,
-        tagged: TaggedBatch,
-        journal_payload: Option<Vec<u8>>,
-    ) {
+    /// last batch lands. While the job runs, a fold that advances its
+    /// prefix journals it once [`journal::PROGRESS_INTERVAL`] has
+    /// passed (see [`QueueState::journal_progress`]).
+    fn complete(&mut self, task: &DispatchedTask, tagged: TaggedBatch) {
         let t = &mut self.tenants[task.tenant];
         t.inflight = t.inflight.saturating_sub(task.cost());
         t.shots_done += task.cost();
         t.sync_gauges();
         // A job that failed through another batch may be released
         // while this one ran; then the batch has nowhere to go.
-        let Some(done) = self.jobs.get(task.job_id).map(JobEntry::done) else {
+        let Some(entry) = self.jobs.get_mut(task.job_id) else {
             return;
         };
-        if let (Some(payload), false) = (journal_payload, done) {
-            self.journal_range_done(task.job_id, payload);
-        }
-        let entry = &mut self.jobs[task.job_id];
+        let finished_at = tagged.finished_at;
         let before_batches = entry.partial.folded;
         let before_shots = entry.partial.shots_done;
         entry.partial.absorb(tagged);
@@ -1020,6 +1057,8 @@ impl QueueState {
             .add(entry.partial.shots_done - before_shots);
         if entry.partial.folded == entry.batches_total && entry.final_result.is_none() {
             self.finalize(task.job_id);
+        } else if entry.partial.folded > before_batches {
+            self.journal_progress(task.job_id, finished_at);
         }
     }
 
@@ -1221,7 +1260,8 @@ impl QueueState {
                 journal.append(payload.clone());
                 self.jobs[job_id].durable = Some(DurableJob {
                     admit: payload,
-                    ranges: Vec::new(),
+                    progress: None,
+                    journaled_at: Instant::now(),
                 });
                 self.journal_appended += len;
                 self.journal_live += len;
@@ -1234,18 +1274,45 @@ impl QueueState {
         }
     }
 
-    /// Appends a pre-encoded `RangeDone` record for `job_id`.
-    fn journal_range_done(&mut self, job_id: usize, payload: Vec<u8>) {
+    /// Appends a `Progress` record of `job_id`'s folded prefix when a
+    /// batch that finished at `at` lands [`journal::PROGRESS_INTERVAL`]
+    /// or more after the job's previous `Admit` or `Progress`. Runs at
+    /// most once per interval per job, so encoding the aggregate
+    /// under the mutex costs little. A terminal job has dropped its
+    /// durable ledger and journals nothing.
+    fn journal_progress(&mut self, job_id: usize, at: Instant) {
+        let entry = &self.jobs[job_id];
+        if entry.durable.as_ref().is_some_and(|d| {
+            at.saturating_duration_since(d.journaled_at) >= journal::PROGRESS_INTERVAL
+        }) {
+            self.append_progress(job_id, at);
+        }
+    }
+
+    /// Appends `job_id`'s folded prefix as a `Progress` record, which
+    /// replaces the job's previous one in its durable ledger.
+    fn append_progress(&mut self, job_id: usize, at: Instant) {
         let Some(journal) = self.journal.clone() else {
             return;
         };
+        let entry = &mut self.jobs[job_id];
+        let Some(durable) = &mut entry.durable else {
+            return;
+        };
+        let payload = journal::progress_payload(
+            job_id as u64,
+            entry.partial.folded as u32,
+            &entry.partial.aggregate(),
+        );
         let len = journal::framed_len(&payload);
         journal.append(payload.clone());
-        if let Some(durable) = &mut self.jobs[job_id].durable {
-            durable.ranges.push(payload);
-        }
+        let replaced = durable
+            .progress
+            .replace(payload)
+            .map_or(0, |p| journal::framed_len(&p));
+        durable.journaled_at = at;
         self.journal_appended += len;
-        self.journal_live += len;
+        self.journal_live = self.journal_live.saturating_sub(replaced) + len;
     }
 
     /// Records `job_id`'s terminal transition — success, failure,
@@ -1264,11 +1331,7 @@ impl QueueState {
         journal.append(payload);
         if let Some(durable) = self.jobs[job_id].durable.take() {
             let retained = journal::framed_len(&durable.admit)
-                + durable
-                    .ranges
-                    .iter()
-                    .map(|r| journal::framed_len(r))
-                    .sum::<u64>();
+                + durable.progress.as_deref().map_or(0, journal::framed_len);
             self.journal_live = self.journal_live.saturating_sub(retained);
         }
         self.maybe_compact();
@@ -1293,31 +1356,31 @@ impl QueueState {
             if let Some(durable) = &entry.durable {
                 live_jobs += 1;
                 payloads.push(durable.admit.clone());
-                payloads.extend(durable.ranges.iter().cloned());
+                payloads.extend(durable.progress.clone());
             }
         }
         journal.compact(payloads, live_jobs, self.jobs.next_id() as u64);
         self.journal_appended = 0;
     }
 
-    /// Re-admits one incomplete job from journal replay: recorded
-    /// ranges fold immediately (no re-execution), only missing ranges
-    /// re-enter the dispatch queue, and the fresh journal generation
-    /// gets the job's `Admit`/`RangeDone` records re-emitted (recovery
-    /// doubles as compaction). Returns the job id and how many ranges
-    /// were restored.
+    /// Re-admits one incomplete job from journal replay: its latest
+    /// journaled prefix seeds the fold (no re-execution), only the
+    /// batches after it re-enter the dispatch queue, and the fresh
+    /// journal generation gets the job's `Admit`/`Progress` records
+    /// re-emitted (recovery doubles as compaction). Returns the job id
+    /// and how many batches were restored.
     ///
     /// Batch boundaries are recomputed from the current configuration;
-    /// if the recorded ranges do not match (the operator changed
-    /// `--batch-size` across the restart), the recorded results are
-    /// discarded and the whole job re-runs — partitioning is pure, so
-    /// either way the final aggregates are bit-identical to an
-    /// uninterrupted run.
+    /// if the prefix's end shot is not the end of its batch count under
+    /// them (the operator changed `--batch-size` across the restart),
+    /// the prefix is discarded and the whole job re-runs —
+    /// partitioning is pure, so either way the final aggregates are
+    /// bit-identical to an uninterrupted run.
     fn enqueue_recovered_job(
         &mut self,
         tenant: usize,
         job: Job,
-        mut done: BTreeMap<usize, (std::ops::Range<u64>, BatchOut)>,
+        progress: Option<journal::Progress>,
     ) -> (usize, usize) {
         let batch = self
             .config
@@ -1325,54 +1388,42 @@ impl QueueState {
             .unwrap_or_else(|| default_batch_size(job.shots))
             .max(1);
         let ranges = partition_shots(job.shots, batch);
-        if !done
-            .iter()
-            .all(|(b, (range, _))| ranges.get(*b) == Some(range))
-        {
-            done.clear();
-        }
+        let num_qubits = job.shape.inst().topology().num_qubits();
+        let progress = progress.filter(|p| {
+            p.batches
+                .checked_sub(1)
+                .and_then(|last| ranges.get(last))
+                .is_some_and(|r| r.end == p.end)
+                && p.out.prob1_sum.len() == num_qubits
+        });
+        let restored = progress.as_ref().map_or(0, |p| p.batches);
         let job_id = self.jobs.push(JobEntry::new(job, tenant, ranges.len()));
         self.journal_admit(job_id);
-        for (b, range) in ranges.iter().enumerate() {
-            if done.contains_key(&b) {
-                continue;
-            }
+        for (b, range) in ranges.into_iter().enumerate().skip(restored) {
             self.quantum_unit = self.quantum_unit.max(range.end - range.start);
             self.tenants[tenant].pending_shots += range.end - range.start;
             self.tenants[tenant].queue.push_back(PendingBatch {
                 job: job_id,
                 batch: b,
-                range: range.clone(),
+                range,
                 failed_on: Vec::new(),
             });
             self.pending += 1;
         }
         self.tenants[tenant].sync_gauges();
         self.sync_depth();
-        let restored = done.len();
-        let now = Instant::now();
-        let m = crate::metrics::rt();
-        for (b, (range, out)) in done {
-            let cost = range.end - range.start;
-            let shots = out.shots();
-            self.journal_range_done(
-                job_id,
-                journal::range_done_payload(job_id as u64, b as u32, &range, &out),
-            );
-            self.jobs[job_id].partial.absorb(TaggedBatch {
-                job: job_id,
-                batch: b,
-                out,
-                started_at: now,
-                finished_at: now,
-            });
-            self.tenants[tenant].shots_done += cost;
-            m.batches_folded.inc();
-            m.shots_completed.add(shots);
+        if let Some(p) = progress {
+            self.tenants[tenant].shots_done += p.end;
+            let m = crate::metrics::rt();
+            m.batches_folded.add(restored as u64);
+            m.shots_completed.add(p.end);
+            self.jobs[job_id].partial.restore(restored, p.out);
         }
         let entry = &self.jobs[job_id];
-        if entry.partial.folded == entry.batches_total && !entry.done() {
+        if entry.partial.folded == entry.batches_total {
             self.finalize(job_id);
+        } else if restored > 0 {
+            self.append_progress(job_id, Instant::now());
         }
         (job_id, restored)
     }
@@ -1449,10 +1500,6 @@ struct Shared {
     /// Pollers wait here for job completion.
     progress: Condvar,
     shutdown: AtomicBool,
-    /// Whether this queue journals (fixed at construction). Dispatch
-    /// threads read it to decide whether to pre-encode `RangeDone`
-    /// payloads outside the queue mutex.
-    journaled: bool,
     /// An optional event-driven progress listener, fired (outside the
     /// state mutex) wherever [`Shared::notify_progress`] wakes the
     /// `progress` condvar. The serve reactor installs a self-pipe
@@ -1498,6 +1545,11 @@ impl Shared {
     /// reactor), if any.
     fn notify_progress(&self) {
         self.progress.notify_all();
+        self.fire_progress_hook();
+    }
+
+    /// Fires the registered progress hook, if any.
+    fn fire_progress_hook(&self) {
         let hook = self
             .progress_hook
             .lock()
@@ -1597,11 +1649,13 @@ impl JobHandle {
                     entry.job.name
                 )));
             }
+            state.parked_waiters += 1;
             state = self
                 .shared
                 .progress
                 .wait(state)
                 .expect("queue state poisoned");
+            state.parked_waiters -= 1;
         }
     }
 }
@@ -1681,7 +1735,6 @@ impl JobQueue {
             backends.push(Box::new(LocalBackend::new(0).with_policy(config.policy)));
         }
         let mut state = QueueState::new(config);
-        let journaled = journal.is_some();
         if let Some((handle, compact_min)) = journal {
             state.journal = Some(handle);
             state.journal_compact_min = compact_min;
@@ -1692,7 +1745,6 @@ impl JobQueue {
             work_ready: Condvar::new(),
             progress: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            journaled,
             progress_hook: Mutex::new(None),
         });
         let queue = JobQueue {
@@ -1711,16 +1763,16 @@ impl JobQueue {
     /// Starts a **durable** queue: replays the write-ahead journal in
     /// `journal_config.dir` (empty or missing is a cold start),
     /// re-admits every incomplete job **at its pre-crash id** with its
-    /// already-folded ranges restored — only missing ranges
-    /// re-dispatch — and journals everything from here on. Ids of
+    /// latest journaled folded prefix restored — only the batches
+    /// after it re-dispatch — and journals everything from here on. Ids of
     /// completed (or compacted-away) jobs come back released: the job
     /// table holds no entry for them, they answer "released", a
     /// pre-crash id never resolves to a different job after restart,
     /// and new submissions continue above the pre-crash high-water
     /// mark. Final aggregates of recovered jobs are bit-identical to an
-    /// uninterrupted run: partitioning is pure, recorded ranges carry
-    /// their exact `BatchOut`, and the fold is batch-index-ordered
-    /// either way.
+    /// uninterrupted run: partitioning is pure, a journaled prefix
+    /// carries exactly the state the fold held, and the fold is
+    /// batch-index-ordered either way.
     ///
     /// Recovery doubles as compaction: the surviving state is
     /// re-emitted into a fresh checkpointed segment, flushed, and the
@@ -1772,7 +1824,7 @@ impl JobQueue {
                 state.jobs.release_below(id as usize);
                 let tenant = state.tenant_slot(&TenantId::new(recovered.tenant));
                 let (job_id, restored) =
-                    state.enqueue_recovered_job(tenant, recovered.job, recovered.done);
+                    state.enqueue_recovered_job(tenant, recovered.job, recovered.progress);
                 debug_assert_eq!(
                     job_id as u64, id,
                     "recovered job must keep its pre-crash id"
@@ -2210,7 +2262,9 @@ fn backend_loop(shared: &Shared, mut backend: Box<dyn ExecBackend>, slot_id: usi
                 if let Some(task) = state.next_task(slot_id) {
                     break task;
                 }
+                state.parked_slots += 1;
                 state = shared.work_ready.wait(state).expect("queue state poisoned");
+                state.parked_slots -= 1;
             }
         };
 
@@ -2229,27 +2283,22 @@ fn backend_loop(shared: &Shared, mut backend: Box<dyn ExecBackend>, slot_id: usi
                     started_at,
                     finished_at: Instant::now(),
                 };
-                // Journal mode: encode the RangeDone record here,
-                // outside the queue mutex — the payload embeds the
-                // full BatchOut, and serializing that under the lock
-                // would stall every other slot.
-                let journal_payload = shared.journaled.then(|| {
-                    journal::range_done_payload(
-                        task.job_id as u64,
-                        task.batch as u32,
-                        &task.range,
-                        &tagged.out,
-                    )
-                });
                 let mut state = shared.state.lock().expect("queue state poisoned");
                 state.slots[slot_id].consecutive_failures = 0;
                 state.slots[slot_id].batches_completed += 1;
-                state.complete(&task, tagged, journal_payload);
+                state.complete(&task, tagged);
+                let (slots, waiters) = (state.parked_slots > 0, state.parked_waiters > 0);
                 drop(state);
-                // Completion both frees quota (wake workers) and may
-                // have finished a job (wake pollers).
-                shared.work_ready.notify_all();
-                shared.notify_progress();
+                // Completion both frees quota (wake parked slots) and
+                // may have finished a job (wake pollers). Every fold
+                // lands here, so notify only whoever is parked.
+                if slots {
+                    shared.work_ready.notify_all();
+                }
+                if waiters {
+                    shared.progress.notify_all();
+                }
+                shared.fire_progress_hook();
             }
             Err(err) if err.is_transport() => {
                 let mut state = shared.state.lock().expect("queue state poisoned");
@@ -2465,7 +2514,7 @@ mod tests {
         let reversed_tasks: Vec<&DispatchedTask> = tasks.iter().rev().collect();
         for (task, out) in reversed_tasks.into_iter().zip(outs) {
             let batches_before = state.jobs[job_id].partial.folded;
-            state.complete(task, out, None);
+            state.complete(task, out);
             let snap = state.snapshot(job_id, Instant::now());
             // Prefix-only: nothing folds until batch 0 arrives (last).
             if task.batch > 0 {
@@ -2487,6 +2536,71 @@ mod tests {
         assert_eq!(final_result.mean_prob1, engine_result.mean_prob1);
     }
 
+    /// A running job journals its folded prefix only when a fold that
+    /// advances it lands `PROGRESS_INTERVAL` after the job's `Admit` or
+    /// previous `Progress`, by the batch's finish time; the final fold
+    /// journals `Complete` alone.
+    #[test]
+    fn progress_is_journaled_once_per_interval() {
+        let dir = std::env::temp_dir().join(format!(
+            "eqasm-serve-progress-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = journal::spawn(&JournalConfig::new(&dir), 0, 0).expect("opens");
+        let job = tiny_job("cadence", 64).with_seed(3);
+        let mut state = QueueState::new(ServeConfig::default().with_batch_size(8));
+        state.journal = Some(journal.handle.clone());
+        add_local_slots(&mut state, 1);
+        let slot = state.tenant_slot(&TenantId::new("t"));
+        let job_id = state.enqueue_job(slot, job.clone());
+        let admitted = state.jobs[job_id]
+            .durable
+            .as_ref()
+            .expect("journaled")
+            .journaled_at;
+        let journaled_k = |state: &QueueState| {
+            let durable = state.jobs[job_id].durable.as_ref()?;
+            let payload = durable.progress.as_ref()?;
+            Some(u32::from_le_bytes(payload[9..13].try_into().unwrap()))
+        };
+        let mut backend = LocalBackend::new(0);
+        let interval = journal::PROGRESS_INTERVAL;
+        // Finish offsets in tenths of the interval, and the batch count
+        // the latest Progress holds after each fold.
+        let steps = [
+            (1, None),
+            (5, None),
+            (12, Some(3)),
+            (15, Some(3)),
+            (21, Some(3)),
+            (23, Some(6)),
+            (24, Some(6)),
+            (40, None),
+        ];
+        for (tenths, expect) in steps {
+            let task = state.next_task(0).expect("a batch");
+            let out = TaggedBatch {
+                job: task.job_id,
+                batch: task.batch,
+                out: backend.run_range(&job, task.range.clone()).expect("runs"),
+                started_at: admitted,
+                finished_at: admitted + interval * tenths / 10,
+            };
+            state.complete(&task, out);
+            assert_eq!(journaled_k(&state), expect, "after batch {}", task.batch);
+        }
+        assert!(state.jobs[job_id].final_result.is_some());
+        assert!(journal.handle.shutdown());
+        journal.thread.join().expect("journal thread");
+        let replay = journal::replay_dir(&dir).expect("replays");
+        // Admit + two Progress + Complete.
+        assert_eq!(replay.records, 1 + 4);
+        assert!(replay.jobs[&(job_id as u64)].completed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn finalized_job_keeps_one_histogram() {
         // The final result takes the partial histogram instead of
@@ -2505,7 +2619,7 @@ mod tests {
                 started_at: Instant::now(),
                 finished_at: Instant::now(),
             };
-            state.complete(&task, out, None);
+            state.complete(&task, out);
         }
         assert!(
             state.jobs[job_id].partial.histogram.is_empty(),

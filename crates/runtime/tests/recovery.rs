@@ -7,16 +7,23 @@
 //! prefix of the segment it wrote — each prefix is exactly the on-disk
 //! state a `kill -9` between two fold steps would have left (the
 //! journal is append-only, so a crash image *is* a prefix). A cut in
-//! the middle of the final record exercises the torn-tail path.
+//! the middle of the final record exercises the torn-tail path. The
+//! recorded run paces every batch past
+//! [`eqasm_runtime::journal::PROGRESS_INTERVAL`], so each fold of the
+//! running job journals its prefix as a `Progress` record.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use eqasm_asm::assemble;
 use eqasm_core::Instantiation;
+use eqasm_runtime::journal::PROGRESS_INTERVAL;
 use eqasm_runtime::{
-    ExecBackend, Job, JobQueue, JournalConfig, JournalError, LocalBackend, RuntimeError,
-    ServeConfig, ShotEngine, Submission,
+    BackendDescriptor, BatchOut, ExecBackend, Job, JobQueue, JournalConfig, JournalError,
+    LocalBackend, RuntimeError, ServeConfig, ShotEngine, Submission,
 };
 
 /// A Clifford-only two-qubit program with genuinely random outcomes on
@@ -65,6 +72,48 @@ fn local_pool(workers: usize) -> Vec<Box<dyn ExecBackend>> {
         .collect()
 }
 
+/// The ranges a [`Paced`] backend ran, in run order.
+type RangeLog = Arc<Mutex<Vec<Range<u64>>>>;
+
+/// A local backend that logs every range it runs and then sleeps for
+/// `pause`: a pause of at least [`PROGRESS_INTERVAL`] makes every fold
+/// of a running job journal a `Progress` record.
+struct Paced {
+    inner: LocalBackend,
+    pause: Duration,
+    ran: RangeLog,
+}
+
+impl Paced {
+    /// A one-slot pool of `Paced`, and the log of the ranges it runs.
+    fn pool(pause: Duration) -> (Vec<Box<dyn ExecBackend>>, RangeLog) {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let backend = Paced {
+            inner: LocalBackend::new(0),
+            pause,
+            ran: Arc::clone(&ran),
+        };
+        (vec![Box::new(backend) as Box<dyn ExecBackend>], ran)
+    }
+}
+
+impl ExecBackend for Paced {
+    fn descriptor(&self) -> BackendDescriptor {
+        self.inner.descriptor()
+    }
+
+    fn run_range(&mut self, job: &Job, range: Range<u64>) -> Result<BatchOut, RuntimeError> {
+        self.ran.lock().unwrap().push(range.clone());
+        let out = self.inner.run_range(job, range)?;
+        std::thread::sleep(self.pause);
+        Ok(out)
+    }
+}
+
+/// The journal record tags the tests look for.
+const PROGRESS: u8 = 2;
+const COMPLETE: u8 = 3;
+
 fn serve_config() -> ServeConfig {
     ServeConfig::default().with_batch_size(25)
 }
@@ -102,7 +151,7 @@ fn record_cuts(bytes: &[u8]) -> Vec<usize> {
 
 /// Walks a segment's records and returns, per record, the byte offset
 /// just after it (a valid crash cut), its tag byte, and the first
-/// `u64` of its payload (the job id for Admit/RangeDone/Complete; the
+/// `u64` of its payload (the job id for Admit/Progress/Complete; the
 /// live-job count for Checkpoint).
 fn records(bytes: &[u8]) -> Vec<(usize, u8, u64)> {
     let mut out = Vec::new();
@@ -131,15 +180,17 @@ fn crash_image(tag: &str, segment: &[u8], len: usize) -> PathBuf {
     dir
 }
 
-/// Runs one journaled clifford job to completion and returns the bytes
-/// of the single segment it left behind, plus the expected serial
-/// result for comparison.
+/// Runs one journaled clifford job (16 batches, each paced past
+/// [`PROGRESS_INTERVAL`]) to completion and returns the bytes of the
+/// single segment it left behind, plus the expected serial result for
+/// comparison.
 fn completed_run(tag: &str, wait: u32) -> (Vec<u8>, eqasm_runtime::JobResult, Job) {
     let dir = temp_dir(tag);
     let job = clifford_job(tag, wait, 400, 11);
     let jc = JournalConfig::new(&dir);
+    let (pool, _) = Paced::pool(PROGRESS_INTERVAL + Duration::from_millis(5));
     let (queue, report) =
-        JobQueue::recover(serve_config(), local_pool(1), &jc).expect("cold start recovers");
+        JobQueue::recover(serve_config(), pool, &jc).expect("cold start recovers");
     assert_eq!(report.jobs_recovered, 0, "cold start has nothing to replay");
     let handles = queue
         .submit(Submission::job("tenant-r", job.clone()))
@@ -167,8 +218,9 @@ fn completed_run(tag: &str, wait: u32) -> (Vec<u8>, eqasm_runtime::JobResult, Jo
 fn kill_between_every_fold_step_recovers_bit_identically() {
     let (bytes, serial, _job) = completed_run("killstep", 100);
     let cuts = record_cuts(&bytes);
-    // Checkpoint + Admit + 16 RangeDone + Complete.
-    assert_eq!(cuts.len(), 19, "expected record count for 400/25 shots");
+    // Checkpoint + Admit + 15 Progress + Complete: every fold but the
+    // last journals the prefix, and the last one journals Complete.
+    assert_eq!(cuts.len(), 18, "expected record count for 400/25 shots");
 
     let mut recovered_runs = 0usize;
     for (i, &cut) in cuts.iter().enumerate() {
@@ -206,8 +258,8 @@ fn kill_between_every_fold_step_recovers_bit_identically() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     // Every cut from Admit up to (not including) Complete resumes the
-    // job: 17 of the 19 prefixes.
-    assert_eq!(recovered_runs, 17);
+    // job: 16 of the 18 prefixes.
+    assert_eq!(recovered_runs, 16);
 }
 
 /// A crash mid-write leaves a torn final record; recovery truncates it
@@ -216,14 +268,14 @@ fn kill_between_every_fold_step_recovers_bit_identically() {
 fn torn_final_record_recovers_bit_identically() {
     let (bytes, serial, _job) = completed_run("torn", 110);
     // Cut three bytes into the final (Complete) record's payload: the
-    // job replays as incomplete-but-fully-folded and finalizes on
-    // recovery.
+    // job replays as incomplete with its 15-batch prefix, and only the
+    // last batch re-runs.
     let dir = crash_image("torn-cut", &bytes, bytes.len() - 3);
     let jc = JournalConfig::new(&dir);
     let (queue, report) = JobQueue::recover(serve_config(), local_pool(1), &jc).expect("recovers");
     assert!(report.torn_tail, "mid-record cut must be reported as torn");
     assert_eq!(report.jobs_recovered, 1);
-    assert_eq!(report.ranges_recovered, 16);
+    assert_eq!(report.ranges_recovered, 15);
     let handles = queue.job_handles();
     let result = handles[0].wait().expect("completes");
     assert_eq!(result.histogram, serial.histogram);
@@ -233,17 +285,79 @@ fn torn_final_record_recovers_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Retention eviction must be durable *before* the job is released: a
-/// crash immediately after `release()` returns — simulated by copying
-/// the journal at that instant — must never resurrect the evicted job.
-/// A journal in the previous segment format (version 1, per-shot
+/// Crash after the k-th `Progress` record: recovery restores batches
+/// `0..k` from it and re-runs exactly batches `k..`, bit-identically.
+#[test]
+fn only_batches_after_the_kth_progress_rerun() {
+    let (bytes, serial, _job) = completed_run("kth", 105);
+    let progress_cuts: Vec<usize> = records(&bytes)
+        .into_iter()
+        .filter_map(|(cut, tag, _)| (tag == PROGRESS).then_some(cut))
+        .collect();
+    assert_eq!(progress_cuts.len(), 15);
+    for k in [1usize, 7, 15] {
+        let dir = crash_image("kth-cut", &bytes, progress_cuts[k - 1]);
+        let (pool, ran) = Paced::pool(Duration::ZERO);
+        let (queue, report) =
+            JobQueue::recover(serve_config(), pool, &JournalConfig::new(&dir)).expect("recovers");
+        assert_eq!(report.jobs_recovered, 1);
+        assert_eq!(report.ranges_recovered, k, "k = {k}");
+        let result = queue.job_handles()[0].wait().expect("completes");
+        assert_eq!(result.histogram, serial.histogram, "k = {k}: histogram");
+        assert_eq!(result.stats, serial.stats, "k = {k}: stats");
+        assert_eq!(result.mean_prob1, serial.mean_prob1, "k = {k}: mean P(1)");
+        queue.shutdown();
+        let mut ran = ran.lock().unwrap().clone();
+        ran.sort_by_key(|r| r.start);
+        let expected: Vec<Range<u64>> = (k as u64..16).map(|b| b * 25..b * 25 + 25).collect();
+        assert_eq!(ran, expected, "k = {k}: only batches k.. re-run");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A `Progress` whose end shot is not the end of its batch count under
+/// the restarted queue's partition (the batch size changed across the
+/// restart) is discarded: the whole job re-runs under the new
+/// partition, exactly as an uninterrupted run of it would.
+#[test]
+fn progress_that_disagrees_with_the_partition_is_discarded() {
+    let (bytes, _, job) = completed_run("repartition", 115);
+    let fifth = records(&bytes)
+        .into_iter()
+        .filter(|&(_, tag, _)| tag == PROGRESS)
+        .nth(4)
+        .map(|(cut, _, _)| cut)
+        .expect("a fifth Progress record");
+    // Five batches of 25 end at shot 125; five batches of 20 end at 100.
+    let dir = crash_image("repartition-cut", &bytes, fifth);
+    let (pool, ran) = Paced::pool(Duration::ZERO);
+    let config = ServeConfig::default().with_batch_size(20);
+    let (queue, report) =
+        JobQueue::recover(config, pool, &JournalConfig::new(&dir)).expect("recovers");
+    assert_eq!(report.jobs_recovered, 1);
+    assert_eq!(report.ranges_recovered, 0, "the prefix is discarded");
+    let result = queue.job_handles()[0].wait().expect("completes");
+    queue.shutdown();
+    assert_eq!(ran.lock().unwrap().len(), 20, "every batch re-runs");
+    let serial = ShotEngine::serial()
+        .with_batch_size(20)
+        .run_job(&job)
+        .expect("serial reference");
+    assert_eq!(result.histogram, serial.histogram);
+    assert_eq!(result.stats, serial.stats);
+    assert_eq!(result.mean_prob1, serial.mean_prob1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal in an earlier segment format (version 1, per-shot
 /// durations in every `RangeDone`) fails recovery with a typed
 /// `BadHeader` instead of a misread record.
 #[test]
 fn version_1_journal_is_a_typed_bad_header() {
     let (bytes, _, _) = completed_run("segment-old", 160);
-    // Version 2 (RLE-packed `Admit` job bytes) is refused like 1.
-    for version in [1u16, 2] {
+    // Version 2 (RLE-packed `Admit` job bytes) and version 3 (one
+    // `RangeDone` per batch) are refused like 1.
+    for version in [1u16, 2, 3] {
         let mut bytes = bytes.clone();
         bytes[4..6].copy_from_slice(&version.to_le_bytes());
         let dir = crash_image("segment-old-image", &bytes, bytes.len());
@@ -258,6 +372,9 @@ fn version_1_journal_is_a_typed_bad_header() {
     }
 }
 
+/// Retention eviction must be durable *before* the job is released: a
+/// crash immediately after `release()` returns — simulated by copying
+/// the journal at that instant — must never resurrect the evicted job.
 #[test]
 fn eviction_is_durable_before_release_returns() {
     let dir = temp_dir("evict");
@@ -303,7 +420,7 @@ fn recovered_job_is_addressable_by_its_precrash_id() {
 
     let (bytes, serial, job) = completed_run("addr", 150);
     let cuts = record_cuts(&bytes);
-    // Crash after the Admit record and a handful of folded ranges.
+    // Crash after the Admit record and five folded batches' Progress.
     let dir = crash_image("addr-cut", &bytes, cuts[6]);
     let jc = JournalConfig::new(&dir);
     let (queue, report) = JobQueue::recover(serve_config(), local_pool(2), &jc).expect("recovers");
@@ -385,7 +502,7 @@ fn completed_jobs_do_not_shift_recovered_ids() {
     // completion is durable, the other two are mid-flight.
     let (cut, done_id) = records(&bytes)
         .into_iter()
-        .find_map(|(cut, tag, id)| (tag == 3).then_some((cut, id as usize)))
+        .find_map(|(cut, tag, id)| (tag == COMPLETE).then_some((cut, id as usize)))
         .expect("a Complete record exists");
     let image = crash_image("idshift-cut", &bytes, cut);
     let _ = std::fs::remove_dir_all(&dir);
