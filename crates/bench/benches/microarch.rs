@@ -1,13 +1,15 @@
 //! Benchmarks the QuMA v2 simulator: classical-cycle throughput on a
-//! feedback-free RB program and on the CFC feedback loop, and the
+//! feedback-free RB program and on the CFC feedback loop, the
 //! shared-prefix fork path of the shot service's `rb1q-noisy` shape
 //! (building the prefix once, one forked shot, and one forked shot
-//! served from a warm outcome trie).
+//! served from a warm outcome trie), and one forked shot of its
+//! `chain16x8` shape on the stabilizer backend.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eqasm_core::{Instantiation, Qubit, Topology};
 use eqasm_microarch::{OutcomeTrie, QuMa, SimConfig};
 use eqasm_quantum::{NoiseModel, ReadoutModel};
+use eqasm_runtime::WorkloadKind;
 
 /// The service benchmark's `rb1q-noisy` machine: 24-Clifford RB on one
 /// qubit under the Fig. 12 noise (T1 = T2 = 25 µs, 9e-4 gate error, 5%
@@ -82,6 +84,29 @@ fn bench_machine(c: &mut Criterion) {
             let record = machine.run_shot_memo(&snapshot, &mut trie, seed);
             assert!(record.result.status.is_halted());
             record.measured[0]
+        })
+    });
+    group.bench_function("fork_shot_chain16x8", |b| {
+        // 16-qubit, 8-layer Clifford brick wall: `Auto` selection puts
+        // it on the stabilizer tableau; the suffix measures every qubit.
+        let kind = WorkloadKind::CliffordChain {
+            qubits: 16,
+            layers: 8,
+        };
+        let (inst, program) = kind.build().unwrap();
+        let config = SimConfig {
+            record_trace: false,
+            ..SimConfig::default()
+        };
+        let mut machine = QuMa::new(inst, config);
+        machine.load(&program).unwrap();
+        let snapshot = machine.run_prefix(0).unwrap();
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let result = machine.run_shot_from(&snapshot, seed);
+            assert!(result.status.is_halted());
+            machine.measurement_value(Qubit::new(15))
         })
     });
     group.finish();

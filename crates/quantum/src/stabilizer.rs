@@ -3,9 +3,19 @@
 //! Randomized benchmarking — the paper's flagship workload (§5,
 //! Fig. 12) — is pure Clifford, yet the dense backends pay 2ⁿ (state
 //! vector) or 4ⁿ (density matrix) per gate. The Aaronson–Gottesman
-//! tableau representation tracks the same states in O(n²) bits and
-//! applies gates in O(n), so Clifford-only programs scale far past the
-//! dense qubit ceiling and run orders of magnitude faster per shot.
+//! tableau representation (arXiv:quant-ph/0406196) tracks the same
+//! states in O(n²) bits and applies gates in O(n), so Clifford-only
+//! programs scale far past the dense qubit ceiling and run orders of
+//! magnitude faster per shot.
+//!
+//! Measurement is word-parallel, as in Stim (arXiv:2103.02202): the
+//! phase of a generator product is read from popcounts over whole
+//! `u64` words of X and Z bits, never qubit by qubit. Measuring one
+//! qubit makes one determinism check (a scan of the `n` stabilizer
+//! rows); a random outcome then multiplies at most `2n` rows by one
+//! row, and a deterministic one accumulates at most `n` rows in
+//! registers, so either costs O(n²/64) word operations. Measurement,
+//! `P(1)` reads and [`Tableau::reset`] allocate nothing.
 //!
 //! [`Tableau`] is the state representation; [`StabilizerBackend`] puts
 //! it behind the [`Backend`] trait with the same RNG
@@ -97,10 +107,7 @@ impl Tableau {
             z: vec![0; 2 * n * words],
             r: vec![false; 2 * n],
         };
-        for i in 0..n {
-            t.set_x(i, i, true);
-            t.set_z(n + i, i, true);
-        }
+        t.reset();
         t
     }
 
@@ -109,9 +116,15 @@ impl Tableau {
         self.n
     }
 
-    /// Resets to `|0…0⟩`.
+    /// Resets to `|0…0⟩` in place (no allocation).
     pub fn reset(&mut self) {
-        *self = Tableau::zero_state(self.n);
+        self.x.fill(0);
+        self.z.fill(0);
+        self.r.fill(false);
+        for i in 0..self.n {
+            self.set_x(i, i, true);
+            self.set_z(self.n + i, i, true);
+        }
     }
 
     #[inline]
@@ -220,61 +233,101 @@ impl Tableau {
         }
     }
 
-    /// The phase exponent contribution of multiplying single-qubit
-    /// Paulis (x1,z1)·(x2,z2): the power of `i` picked up, in {-1,0,1}.
+    /// The word of qubit `q` within a row half, and `q`'s bit in it.
     #[inline]
-    fn g(x1: bool, z1: bool, x2: bool, z2: bool) -> i32 {
-        match (x1, z1) {
-            (false, false) => 0,
-            (true, true) => (z2 as i32) - (x2 as i32),
-            (true, false) => (z2 as i32) * (2 * (x2 as i32) - 1),
-            (false, true) => (x2 as i32) * (1 - 2 * (z2 as i32)),
-        }
+    fn column(q: usize) -> (usize, u64) {
+        (q / 64, 1 << (q % 64))
     }
 
-    /// Row `h` ← row `h` · row `i` (generator product with exact sign
-    /// tracking; the total phase is always ±1 for commuting updates).
+    /// The first stabilizer row whose X part touches `q` — the one that
+    /// anticommutes with `Z_q` — or `None` when `q`'s outcome is
+    /// deterministic.
+    fn anticommuting_stabilizer(&self, q: usize) -> Option<usize> {
+        let (w, bit) = Self::column(q);
+        (self.n..2 * self.n).find(|&row| self.x[row * self.words + w] & bit != 0)
+    }
+
+    /// Row `h` ← row `i` · row `h`, with exact sign tracking: the
+    /// product of two commuting generators has a real phase.
     fn rowsum(&mut self, h: usize, i: usize) {
-        let mut t: i32 = 2 * (self.r[h] as i32) + 2 * (self.r[i] as i32);
-        for q in 0..self.n {
-            t += Self::g(self.xb(i, q), self.zb(i, q), self.xb(h, q), self.zb(h, q));
+        let words = self.words;
+        let mut t = 2 * (self.r[h] as u32 + self.r[i] as u32);
+        for w in 0..words {
+            let (x1, z1) = (self.x[i * words + w], self.z[i * words + w]);
+            let (x2, z2) = (self.x[h * words + w], self.z[h * words + w]);
+            t += phase_log_i(x1, z1, x2, z2);
+            self.x[h * words + w] = x1 ^ x2;
+            self.z[h * words + w] = z1 ^ z2;
         }
-        debug_assert!(t.rem_euclid(2) == 0, "rowsum phase must be real");
-        self.r[h] = t.rem_euclid(4) == 2;
-        for w in 0..self.words {
-            self.x[h * self.words + w] ^= self.x[i * self.words + w];
-            self.z[h * self.words + w] ^= self.z[i * self.words + w];
+        debug_assert!(t.is_multiple_of(2), "rowsum phase must be real");
+        self.r[h] = t % 4 == 2;
+    }
+
+    /// The sign of `Z_q` in the stabilizer group, for a qubit with no
+    /// anticommuting stabilizer: the sign of the product of the
+    /// stabilizers that the destabilizers' X bits at `q` select.
+    ///
+    /// The product's phase is a sum over qubits, so each word is
+    /// accumulated on its own, in registers.
+    fn z_sign(&self, q: usize) -> bool {
+        let (n, words) = (self.n, self.words);
+        let (wq, bit) = Self::column(q);
+        let mut t = 0u32;
+        for w in 0..words {
+            let (mut sx, mut sz) = (0u64, 0u64);
+            for i in 0..n {
+                if self.x[i * words + wq] & bit == 0 {
+                    continue;
+                }
+                let row = n + i;
+                if w == 0 {
+                    t += 2 * self.r[row] as u32;
+                }
+                let (x1, z1) = (self.x[row * words + w], self.z[row * words + w]);
+                t += phase_log_i(x1, z1, sx, sz);
+                sx ^= x1;
+                sz ^= z1;
+            }
+        }
+        t % 4 == 2
+    }
+
+    /// Collapses a random measurement of `q` onto `outcome`, given the
+    /// anticommuting stabilizer row `p`.
+    fn collapse(&mut self, q: usize, p: usize, outcome: bool) {
+        let (n, words) = (self.n, self.words);
+        let (wq, bit) = Self::column(q);
+        // Destabilizer p−n is *overwritten* by the old stabilizer row
+        // first (its previous content would anticommute with row p),
+        // then the stabilizer row becomes ±Z_q, and finally every other
+        // generator still carrying X_q is multiplied by the old
+        // stabilizer — all of those commute with it, so signs stay real.
+        let (dst, src) = (p - n, p);
+        self.x
+            .copy_within(src * words..(src + 1) * words, dst * words);
+        self.z
+            .copy_within(src * words..(src + 1) * words, dst * words);
+        self.x[src * words..(src + 1) * words].fill(0);
+        self.z[src * words..(src + 1) * words].fill(0);
+        self.r[dst] = self.r[src];
+        self.z[src * words + wq] = bit;
+        self.r[src] = outcome;
+        // Stabilizer rows n..p carry no X_q (p is the first), and row p
+        // no longer does.
+        for row in (0..n).chain(p + 1..2 * n) {
+            if row != dst && self.x[row * words + wq] & bit != 0 {
+                self.rowsum(row, dst);
+            }
         }
     }
 
     /// The measurement outcome of qubit `q` if it is deterministic
     /// (`q` in a Z eigenstate), else `None`.
     pub fn deterministic_outcome(&self, q: usize) -> Option<bool> {
-        if (self.n..2 * self.n).any(|row| self.xb(row, q)) {
-            return None;
+        match self.anticommuting_stabilizer(q) {
+            Some(_) => None,
+            None => Some(self.z_sign(q)),
         }
-        // Accumulate the product of the stabilizer rows selected by the
-        // destabilizer X bits into a scratch row; its sign is the
-        // outcome.
-        let mut sx = vec![0u64; self.words];
-        let mut sz = vec![0u64; self.words];
-        let mut t: i32 = 0;
-        for i in 0..self.n {
-            if self.xb(i, q) {
-                let row = self.n + i;
-                t += 2 * (self.r[row] as i32);
-                for col in 0..self.n {
-                    let hx = sx[col / 64] >> (col % 64) & 1 == 1;
-                    let hz = sz[col / 64] >> (col % 64) & 1 == 1;
-                    t += Self::g(self.xb(row, col), self.zb(row, col), hx, hz);
-                }
-                for w in 0..self.words {
-                    sx[w] ^= self.x[row * self.words + w];
-                    sz[w] ^= self.z[row * self.words + w];
-                }
-            }
-        }
-        Some(t.rem_euclid(4) == 2)
     }
 
     /// The probability of reading `|1⟩` on qubit `q`: exactly 0, ½ or 1
@@ -296,39 +349,31 @@ impl Tableau {
     ///
     /// Panics if the outcome has probability zero.
     pub fn project(&mut self, q: usize, outcome: bool) {
-        match self.deterministic_outcome(q) {
-            Some(det) => assert_eq!(
-                det, outcome,
+        match self.anticommuting_stabilizer(q) {
+            Some(p) => self.collapse(q, p, outcome),
+            None => assert_eq!(
+                self.z_sign(q),
+                outcome,
                 "projection onto a zero-probability outcome on qubit {q}"
             ),
-            None => {
-                let p = (self.n..2 * self.n)
-                    .find(|&row| self.xb(row, q))
-                    .expect("random outcome implies an anticommuting stabilizer");
-                // Destabilizer p−n is *overwritten* by the old
-                // stabilizer row first (its previous content would
-                // anticommute with row p), then the stabilizer row
-                // becomes ±Z_q, and finally every other generator still
-                // carrying X_q is multiplied by the old stabilizer —
-                // all of those commute with it, so signs stay real.
-                let (dst, src) = (p - self.n, p);
-                for w in 0..self.words {
-                    self.x[dst * self.words + w] = self.x[src * self.words + w];
-                    self.z[dst * self.words + w] = self.z[src * self.words + w];
-                    self.x[src * self.words + w] = 0;
-                    self.z[src * self.words + w] = 0;
-                }
-                self.r[dst] = self.r[src];
-                self.set_z(src, q, true);
-                self.r[src] = outcome;
-                for row in 0..2 * self.n {
-                    if row != dst && self.xb(row, q) {
-                        self.rowsum(row, dst);
-                    }
-                }
-            }
         }
     }
+}
+
+/// The power of `i` (mod 4) picked up by the Pauli product `P₁·P₂`,
+/// summed over the 64 qubits of one word, where `(x1, z1)` and
+/// `(x2, z2)` are the words' X and Z parts.
+///
+/// Qubits whose factors anticommute (both non-identity and distinct)
+/// contribute `+i` when `P₂` follows `P₁` in the cycle X → Y → Z → X and
+/// `−i` (≡ 3 mod 4) otherwise; the rest contribute nothing. So the sum
+/// is the popcount of the anticommuting lanes plus twice that of the
+/// `−i` lanes.
+#[inline]
+fn phase_log_i(x1: u64, z1: u64, x2: u64, z2: u64) -> u32 {
+    let anti = (x1 & z2) ^ (z1 & x2);
+    let minus = anti & (x1 ^ x2 ^ z1 ^ z2 ^ (x1 & z2));
+    anti.count_ones() + 2 * minus.count_ones()
 }
 
 /// The H/S generator words realizing each of the 24 single-qubit
@@ -494,9 +539,18 @@ impl Backend for StabilizerBackend {
     }
 
     fn measure(&mut self, q: usize) -> Measurement {
-        let m = Measurement::draw(self.tab.prob1(q), &mut self.rng);
-        self.tab.project(q, m.outcome);
-        m
+        // One determinism check, then one draw either way.
+        match self.tab.anticommuting_stabilizer(q) {
+            Some(p) => {
+                let m = Measurement::draw(0.5, &mut self.rng);
+                self.tab.collapse(q, p, m.outcome);
+                m
+            }
+            None => {
+                let p1 = if self.tab.z_sign(q) { 1.0 } else { 0.0 };
+                Measurement::draw(p1, &mut self.rng)
+            }
+        }
     }
 
     fn prob1(&self, q: usize) -> f64 {
@@ -533,6 +587,177 @@ mod tests {
     use crate::gates;
     use crate::statevector::StateVector;
     use std::f64::consts::{FRAC_PI_2, PI};
+
+    /// The per-bit measurement path the word-parallel one replaced: the
+    /// phase function `g` evaluated one qubit at a time, and a
+    /// determinism check that accumulates into heap scratch rows. Kept
+    /// as the reference the property test below holds the tableau to.
+    mod oracle {
+        use super::Tableau;
+
+        /// The power of `i` picked up by the single-qubit Pauli product
+        /// (x1,z1)·(x2,z2), in {-1, 0, 1}.
+        pub fn g(x1: bool, z1: bool, x2: bool, z2: bool) -> i32 {
+            match (x1, z1) {
+                (false, false) => 0,
+                (true, true) => (z2 as i32) - (x2 as i32),
+                (true, false) => (z2 as i32) * (2 * (x2 as i32) - 1),
+                (false, true) => (x2 as i32) * (1 - 2 * (z2 as i32)),
+            }
+        }
+
+        fn rowsum(t: &mut Tableau, h: usize, i: usize) {
+            let mut ph: i32 = 2 * (t.r[h] as i32) + 2 * (t.r[i] as i32);
+            for q in 0..t.n {
+                ph += g(t.xb(i, q), t.zb(i, q), t.xb(h, q), t.zb(h, q));
+            }
+            assert!(ph.rem_euclid(2) == 0, "rowsum phase must be real");
+            t.r[h] = ph.rem_euclid(4) == 2;
+            for w in 0..t.words {
+                t.x[h * t.words + w] ^= t.x[i * t.words + w];
+                t.z[h * t.words + w] ^= t.z[i * t.words + w];
+            }
+        }
+
+        pub fn deterministic_outcome(t: &Tableau, q: usize) -> Option<bool> {
+            if (t.n..2 * t.n).any(|row| t.xb(row, q)) {
+                return None;
+            }
+            let mut sx = vec![0u64; t.words];
+            let mut sz = vec![0u64; t.words];
+            let mut ph: i32 = 0;
+            for i in 0..t.n {
+                if t.xb(i, q) {
+                    let row = t.n + i;
+                    ph += 2 * (t.r[row] as i32);
+                    for col in 0..t.n {
+                        let hx = sx[col / 64] >> (col % 64) & 1 == 1;
+                        let hz = sz[col / 64] >> (col % 64) & 1 == 1;
+                        ph += g(t.xb(row, col), t.zb(row, col), hx, hz);
+                    }
+                    for w in 0..t.words {
+                        sx[w] ^= t.x[row * t.words + w];
+                        sz[w] ^= t.z[row * t.words + w];
+                    }
+                }
+            }
+            Some(ph.rem_euclid(4) == 2)
+        }
+
+        pub fn prob1(t: &Tableau, q: usize) -> f64 {
+            match deterministic_outcome(t, q) {
+                Some(true) => 1.0,
+                Some(false) => 0.0,
+                None => 0.5,
+            }
+        }
+
+        pub fn project(t: &mut Tableau, q: usize, outcome: bool) {
+            match deterministic_outcome(t, q) {
+                Some(det) => assert_eq!(det, outcome, "zero-probability projection"),
+                None => {
+                    let p = (t.n..2 * t.n).find(|&row| t.xb(row, q)).unwrap();
+                    let (dst, src) = (p - t.n, p);
+                    for w in 0..t.words {
+                        t.x[dst * t.words + w] = t.x[src * t.words + w];
+                        t.z[dst * t.words + w] = t.z[src * t.words + w];
+                        t.x[src * t.words + w] = 0;
+                        t.z[src * t.words + w] = 0;
+                    }
+                    t.r[dst] = t.r[src];
+                    t.set_z(src, q, true);
+                    t.r[src] = outcome;
+                    for row in 0..2 * t.n {
+                        if row != dst && t.xb(row, q) {
+                            rowsum(t, row, dst);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Register sizes on both sides of every word boundary up to two
+    /// words.
+    const SIZES: [usize; 9] = [1, 2, 16, 31, 32, 33, 63, 64, 65];
+
+    /// Applies one random Clifford or Pauli to `t`.
+    fn random_gate(t: &mut Tableau, rng: &mut StdRng) {
+        let n = t.num_qubits();
+        let q = rng.random_range(0..n);
+        let kind = if n == 1 {
+            rng.random_range(0..5u32)
+        } else {
+            rng.random_range(0..8u32)
+        };
+        match kind {
+            0 => t.h(q),
+            1 => t.s(q),
+            2 => t.pauli_x(q),
+            3 => t.pauli_y(q),
+            4 => t.pauli_z(q),
+            k => {
+                let b = (q + rng.random_range(1..n)) % n;
+                match k {
+                    5 => t.cnot(q, b),
+                    6 => t.cz(q, b),
+                    _ => t.swap(q, b),
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random Clifford circuits with interleaved Paulis and
+        /// measurements: the backend's outcomes, every `P(1)` and the
+        /// whole tableau match the per-bit oracle drawing from an
+        /// identically seeded stream.
+        #[test]
+        fn measurement_path_matches_per_bit_oracle(
+            size in 0..SIZES.len(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let n = SIZES[size];
+            let mut circuit = StdRng::seed_from_u64(seed);
+            let mut fast = StabilizerBackend::new(n, NoiseModel::ideal(), seed);
+            let mut reference = Tableau::zero_state(n);
+            let mut draws = StdRng::seed_from_u64(seed);
+            for _ in 0..6 * n.max(4) {
+                if circuit.random_range(0..3u32) > 0 {
+                    random_gate(&mut fast.tab, &mut circuit.clone());
+                    random_gate(&mut reference, &mut circuit);
+                    continue;
+                }
+                let q = circuit.random_range(0..n);
+                let m = fast.measure(q);
+                let want = Measurement::draw(oracle::prob1(&reference, q), &mut draws);
+                oracle::project(&mut reference, q, want.outcome);
+                proptest::prop_assert_eq!(m, want, "measurement of qubit {} (n = {})", q, n);
+                proptest::prop_assert!(fast.tab == reference, "tableaux differ (n = {})", n);
+                for q in 0..n {
+                    proptest::prop_assert_eq!(fast.prob1(q), oracle::prob1(&reference, q));
+                }
+            }
+        }
+    }
+
+    /// The word phase agrees with `g` on every pair of single-qubit
+    /// Paulis, in every lane.
+    #[test]
+    fn word_phase_matches_g_lane_by_lane() {
+        for a in 0..4u32 {
+            for b in 0..4u32 {
+                let (x1, z1, x2, z2) = (a & 1 == 1, a & 2 == 2, b & 1 == 1, b & 2 == 2);
+                let want = oracle::g(x1, z1, x2, z2).rem_euclid(4) as u32;
+                for lane in [0, 17, 63] {
+                    let w = |v: bool| (v as u64) << lane;
+                    assert_eq!(phase_log_i(w(x1), w(z1), w(x2), w(z2)), want);
+                }
+            }
+        }
+    }
 
     #[test]
     fn hs_words_reproduce_all_cliffords() {

@@ -61,15 +61,24 @@ impl fmt::Display for BitString {
     }
 }
 
-/// Counts of final measurement outcomes over a job's shots, kept as
-/// a vector sorted by outcome: iteration order — and therefore
-/// rendered reports — is deterministic, and a retained result costs
-/// 24 bytes per distinct outcome (a wide job, such as a 16-qubit chain,
-/// sees thousands).
+/// Counts of final measurement outcomes over a job's shots, kept
+/// sorted by outcome: iteration order — and therefore rendered reports
+/// — is deterministic.
+///
+/// A wide job, such as a 16-qubit chain, sees thousands of distinct
+/// outcomes, and every outcome of one program measures the same
+/// qubits. So the sorted `measured` column is run-length encoded apart
+/// from the entries: a retained result costs 16 bytes per distinct
+/// outcome (its bits and count) plus 16 per distinct measured mask.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
-    /// Strictly increasing outcomes, each with a non-zero count.
-    counts: Vec<(BitString, u64)>,
+    /// `(bits, count)` per distinct outcome, in outcome order; every
+    /// count is non-zero.
+    entries: Vec<(u64, u64)>,
+    /// The `measured` column as runs `(mask, end)`: entries from the
+    /// previous run's end up to `end` measured `mask`. Masks strictly
+    /// increase and no run is empty.
+    runs: Vec<(u64, usize)>,
 }
 
 impl Histogram {
@@ -78,9 +87,46 @@ impl Histogram {
         Histogram::default()
     }
 
+    /// An empty histogram with room for `outcomes` distinct outcomes:
+    /// a decoded result is held at its exact size.
+    pub(crate) fn with_capacity(outcomes: usize) -> Self {
+        Histogram {
+            entries: Vec::with_capacity(outcomes),
+            runs: Vec::new(),
+        }
+    }
+
     /// Records one outcome.
     pub fn record(&mut self, outcome: BitString) {
         self.add(outcome, 1);
+    }
+
+    /// The run index of `measured`, or where a run for it would go.
+    fn run_of(&self, measured: u64) -> Result<usize, usize> {
+        // Nearly every histogram holds one run.
+        match self.runs.last() {
+            Some(&(last, _)) if last == measured => Ok(self.runs.len() - 1),
+            _ => self.runs.binary_search_by_key(&measured, |&(m, _)| m),
+        }
+    }
+
+    /// The first entry of run `run` (or of a run inserted there).
+    fn run_start(&self, run: usize) -> usize {
+        if run == 0 {
+            0
+        } else {
+            self.runs[run - 1].1
+        }
+    }
+
+    /// The entry index of `outcome`, if it was recorded.
+    fn find(&self, outcome: BitString) -> Option<usize> {
+        let run = self.run_of(outcome.measured).ok()?;
+        let start = self.run_start(run);
+        self.entries[start..self.runs[run].1]
+            .binary_search_by_key(&outcome.bits, |&(bits, _)| bits)
+            .ok()
+            .map(|i| start + i)
     }
 
     /// Adds `count` observations of one outcome at once — the wire
@@ -90,14 +136,29 @@ impl Histogram {
         if count == 0 {
             return;
         }
+        let run = match self.run_of(outcome.measured) {
+            Ok(run) => run,
+            Err(run) => {
+                self.runs
+                    .insert(run, (outcome.measured, self.run_start(run)));
+                run
+            }
+        };
+        let start = self.run_start(run);
+        let entries = &mut self.entries[start..self.runs[run].1];
         // Outcomes usually arrive in order (the decoder) or repeat.
-        if self.counts.last().is_none_or(|(last, _)| *last < outcome) {
-            self.counts.push((outcome, count));
-            return;
-        }
-        match self.counts.binary_search_by_key(&outcome, |&(k, _)| k) {
-            Ok(i) => self.counts[i].1 += count,
-            Err(i) => self.counts.insert(i, (outcome, count)),
+        let at = match entries.last() {
+            Some(&(last, _)) if last < outcome.bits => Err(entries.len()),
+            _ => entries.binary_search_by_key(&outcome.bits, |&(bits, _)| bits),
+        };
+        match at {
+            Ok(i) => entries[i].1 += count,
+            Err(i) => {
+                self.entries.insert(start + i, (outcome.bits, count));
+                for r in &mut self.runs[run..] {
+                    r.1 += 1;
+                }
+            }
         }
     }
 
@@ -105,67 +166,63 @@ impl Histogram {
     /// commutative and associative, so any merge order yields the same
     /// histogram.
     pub fn merge(&mut self, other: &Histogram) {
-        let fits = other
-            .counts
-            .iter()
-            .all(|(k, _)| self.counts.binary_search_by_key(k, |&(k, _)| k).is_ok());
-        if fits {
-            for &(k, v) in &other.counts {
+        if other.iter().all(|(k, _)| self.find(k).is_some()) {
+            for (k, &v) in other.iter() {
                 self.add(k, v);
             }
             return;
         }
         // New outcomes: one ordered merge instead of shifting per insert.
-        let (a, b) = (std::mem::take(&mut self.counts), &other.counts);
-        let mut merged = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => {
-                    merged.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push((a[i].0, a[i].1 + b[j].1));
-                    i += 1;
-                    j += 1;
-                }
-            }
+        let old = std::mem::take(self);
+        self.entries.reserve(old.len() + other.len());
+        let (mut a, mut b) = (old.iter().peekable(), other.iter().peekable());
+        loop {
+            let next = match (a.peek().map(|e| e.0), b.peek().map(|e| e.0)) {
+                (Some(ka), Some(kb)) if kb < ka => b.next(),
+                (Some(_), _) => a.next(),
+                (None, _) => b.next(),
+            };
+            let Some((k, &n)) = next else { break };
+            self.add(k, n);
         }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
-        self.counts = merged;
     }
 
     /// Total recorded shots.
     pub fn total(&self) -> u64 {
-        self.counts.iter().map(|(_, n)| n).sum()
+        self.entries.iter().map(|(_, n)| n).sum()
     }
 
     /// The count of one outcome.
     pub fn count(&self, outcome: &BitString) -> u64 {
-        self.counts
-            .binary_search_by_key(outcome, |&(k, _)| k)
-            .map_or(0, |i| self.counts[i].1)
+        self.find(*outcome).map_or(0, |i| self.entries[i].1)
     }
 
     /// Iterates outcomes in deterministic (bit-pattern) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&BitString, &u64)> {
-        self.counts.iter().map(|(k, n)| (k, n))
+    pub fn iter(&self) -> impl Iterator<Item = (BitString, &u64)> {
+        let mut start = 0;
+        self.runs.iter().flat_map(move |&(measured, end)| {
+            let run = &self.entries[start..end];
+            start = end;
+            run.iter().map(move |(bits, count)| {
+                (
+                    BitString {
+                        measured,
+                        bits: *bits,
+                    },
+                    count,
+                )
+            })
+        })
     }
 
     /// Number of distinct outcomes.
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.entries.len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.entries.is_empty()
     }
 
     /// Fraction of shots in which qubit `q` was measured as `|1⟩`,
@@ -508,18 +565,28 @@ mod tests {
             let mut batch = Histogram::new();
             for _ in 0..round % 9 * 4 {
                 x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                // Mostly one measured mask, as in a real job, plus two
+                // others that open runs before and after it.
+                let measured = [0b1111, 0b1111, 0b0011, 0b1_0000][(x >> 40) as usize % 4];
                 let outcome = BitString {
-                    measured: 0b1111,
-                    bits: (x >> 59) % (4 + round / 4).min(16),
+                    measured,
+                    bits: ((x >> 59) % (4 + round / 4).min(16)) & measured,
                 };
-                batch.record(outcome);
+                if round % 2 == 0 {
+                    batch.record(outcome);
+                } else {
+                    h.record(outcome);
+                }
                 *reference.entry(outcome).or_insert(0u64) += 1;
             }
             h.merge(&batch);
         }
-        let got: Vec<_> = h.iter().map(|(&k, &n)| (k, n)).collect();
+        let got: Vec<_> = h.iter().map(|(k, &n)| (k, n)).collect();
         let want: Vec<_> = reference.into_iter().collect();
         assert_eq!(got, want);
+        assert_eq!(h.len(), want.len());
+        let masks: std::collections::BTreeSet<_> = want.iter().map(|(k, _)| k.measured).collect();
+        assert_eq!(h.runs.len(), masks.len(), "one run per measured mask");
         assert_eq!(h.total(), want.iter().map(|(_, n)| n).sum::<u64>());
         for (k, n) in &want {
             assert_eq!(h.count(k), *n);

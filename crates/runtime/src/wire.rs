@@ -1203,7 +1203,7 @@ fn put_histogram(w: &mut Writer, h: &Histogram) {
 
 fn get_histogram(r: &mut Reader<'_>) -> Result<Histogram, WireError> {
     let n = r.get_count("Histogram.entries", 24)?;
-    let mut h = Histogram::new();
+    let mut h = Histogram::with_capacity(n);
     for _ in 0..n {
         let outcome = BitString {
             measured: r.get_u64("BitString.measured")?,
