@@ -9,34 +9,25 @@
 
 use std::sync::Arc;
 
+use eqasm_bench::loadgen::{
+    capacity_sweep, Ceilings, LoadClass, LoadSpec, MetricsSnapshot, RpsStep, ShotsDist,
+    SweepConfig, SweepTarget,
+};
 use eqasm_core::{Instantiation, Qubit, Topology};
 use eqasm_microarch::SimConfig;
 use eqasm_quantum::{NoiseModel, ReadoutModel};
-use eqasm_runtime::loadgen::RpsStep;
 use eqasm_runtime::{
-    capacity_sweep, spawn_serve, spawn_worker, Ceilings, Client, ExecBackend, ExecPolicy, Job,
-    JobQueue, JournalConfig, LoadClass, LoadSpec, LocalBackend, MetricsServer, RemoteBackend,
-    ServeConfig, ServeNetConfig, ShotEngine, ShotsDist, Submission, SweepConfig, SweepTarget,
-    WorkerConfig, WorkloadKind, WorkloadSpec,
+    spawn_serve, spawn_worker, Client, ExecBackend, ExecPolicy, Job, JobQueue, JournalConfig,
+    LocalBackend, MetricsServer, RemoteBackend, ServeConfig, ServeNetConfig, ShotEngine,
+    Submission, WorkerConfig, WorkloadKind, WorkloadSpec,
 };
 use eqasm_workloads::rb_program;
 
-/// Reads one unlabeled series from the process-global metrics
-/// registry by scraping the exposition text, the same way an external
-/// Prometheus would.
+/// Reads one series from the process-global metrics registry by
+/// parsing the exposition text, the same way an external Prometheus
+/// would.
 fn sample_metric(name: &str) -> f64 {
-    let text = eqasm_runtime::metrics::default_registry().encode();
-    text.lines()
-        .filter(|l| !l.starts_with('#'))
-        .find_map(|l| {
-            let (n, v) = l.rsplit_once(' ')?;
-            if n == name {
-                v.parse::<f64>().ok()
-            } else {
-                None
-            }
-        })
-        .unwrap_or(0.0)
+    MetricsSnapshot::parse(&eqasm_runtime::metrics::default_registry().encode()).value(name)
 }
 
 fn main() {

@@ -18,9 +18,11 @@
 //! | `grover_fidelity` | §5 Grover + tomography (85.6 %) |
 //! | `rabi` | §5 Rabi calibration sweep |
 //! | `issue_rate` | §1.2 issue-rate comparison vs QuMIS style |
+//! | `throughput` | `BENCH_runtime.json`, its `capacity` section from the [`loadgen`] sweep |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
 pub mod fit;
+pub mod loadgen;

@@ -1,8 +1,11 @@
-//! The closed-loop load generator and capacity-sweep harness for the
+//! The open-loop load generator and capacity-sweep harness for the
 //! serve front door.
 //!
-//! Everything else in this crate *is* the service; this module is the
-//! instrument that pressures it. A [`LoadSpec`] describes a mixed,
+//! This module is a client of the service, not part of it: it speaks
+//! through [`Client`], one raw subscribe over [`client::handshake`]
+//! and an HTTP scrape of `/metrics`. It registers no series of its
+//! own; every figure it measures is a field of its reports. A
+//! [`LoadSpec`] describes a mixed,
 //! multi-tenant traffic shape (workload classes with traffic shares, a
 //! shots-per-job distribution, an optional subscribe-per-job ratio
 //! that exercises the reactor's fanout path). [`run_rung`] drives a
@@ -46,74 +49,12 @@ use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::aggregate::LatencyHistogram;
-use crate::client::Client;
-use crate::error::RuntimeError;
-use crate::metrics::{default_registry, Counter, Gauge};
-use crate::net::ConnectOptions;
-use crate::serve::Submission;
-use crate::wire;
-use crate::workload::WorkloadSpec;
-
-// ---------------------------------------------------------------------------
-// Client-side metrics (catalogued in METRICS.md)
-// ---------------------------------------------------------------------------
-
-/// The load generator's own instrument panel, registered in
-/// [`default_registry`] — client-side counters, deliberately distinct
-/// from the coordinator's `eqasm_shots_completed_total` family so a
-/// sweep can be cross-checked end to end (client submitted vs server
-/// completed).
-struct LoadgenMetrics {
-    /// `eqasm_loadgen_submitted_total`
-    submitted: Arc<Counter>,
-    /// `eqasm_loadgen_completed_total`
-    completed: Arc<Counter>,
-    /// `eqasm_loadgen_failed_total`
-    failed: Arc<Counter>,
-    /// `eqasm_loadgen_shots_submitted_total`
-    shots_submitted: Arc<Counter>,
-    /// `eqasm_loadgen_max_submit_lag_ms`
-    max_submit_lag_ms: Arc<Gauge>,
-    /// `eqasm_loadgen_churn_cycles_total`
-    churn_cycles: Arc<Counter>,
-}
-
-fn lg() -> &'static LoadgenMetrics {
-    static LG: OnceLock<LoadgenMetrics> = OnceLock::new();
-    LG.get_or_init(|| {
-        let r = default_registry();
-        LoadgenMetrics {
-            submitted: r.counter(
-                "eqasm_loadgen_submitted_total",
-                "Load-generator submissions acknowledged by the coordinator.",
-            ),
-            completed: r.counter(
-                "eqasm_loadgen_completed_total",
-                "Load-generator jobs observed complete (submit\u{2192}final).",
-            ),
-            failed: r.counter(
-                "eqasm_loadgen_failed_total",
-                "Load-generator submissions that failed: rejected, errored or timed out.",
-            ),
-            shots_submitted: r.counter(
-                "eqasm_loadgen_shots_submitted_total",
-                "Aggregate shots carried by acknowledged load-generator submissions.",
-            ),
-            max_submit_lag_ms: r.gauge(
-                "eqasm_loadgen_max_submit_lag_ms",
-                "Worst pacer-tick to on-the-wire lag in the most recent rung, in ms.",
-            ),
-            churn_cycles: r.counter(
-                "eqasm_loadgen_churn_cycles_total",
-                "Completed subscriber-churn cycles (connect, subscribe, disconnect).",
-            ),
-        }
-    })
-}
+use eqasm_runtime::{
+    client, wire, Client, ConnectOptions, LatencyHistogram, RuntimeError, Submission, WorkloadSpec,
+};
 
 // ---------------------------------------------------------------------------
 // Open-loop pacing
@@ -145,11 +86,6 @@ impl Pacer {
             target_rps: if target_rps > 0.0 { target_rps } else { 1e-9 },
             issued: 0,
         }
-    }
-
-    /// The target rate this pacer runs at.
-    pub fn target_rps(&self) -> f64 {
-        self.target_rps
     }
 
     /// Total ticks scheduled at or before `elapsed` (tick 0 at zero).
@@ -517,15 +453,6 @@ impl fmt::Display for ScrapeError {
 
 impl std::error::Error for ScrapeError {}
 
-impl From<ScrapeError> for RuntimeError {
-    fn from(e: ScrapeError) -> RuntimeError {
-        RuntimeError::Transport {
-            backend: format!("metrics {}", e.addr),
-            message: e.detail,
-        }
-    }
-}
-
 /// One parsed `/metrics` exposition: series name (labels included,
 /// exactly as exposed) to sample value.
 #[derive(Debug, Clone, Default)]
@@ -583,7 +510,7 @@ impl MetricsSnapshot {
 }
 
 /// Scrapes `http://{addr}/metrics` once. A hand-rolled HTTP/1.0 GET —
-/// the exact counterpart of the crate's own [`crate::MetricsServer`]
+/// the exact counterpart of the runtime's [`eqasm_runtime::MetricsServer`]
 /// responder, so no HTTP client dependency enters the build.
 ///
 /// # Errors
@@ -841,7 +768,6 @@ impl Accum {
         }
         self.completed += 1;
         self.latencies.record(latency.as_nanos() as u64);
-        lg().completed.inc();
     }
 
     fn record_failed_job(&mut self) {
@@ -849,7 +775,6 @@ impl Accum {
             return;
         }
         self.failed_jobs += 1;
-        lg().failed.inc();
     }
 }
 
@@ -931,8 +856,6 @@ pub fn run_rung(
                                 a.max_submit_lag = a.max_submit_lag.max(lag);
                             }
                         }
-                        lg().submitted.inc();
-                        lg().shots_submitted.add(shots);
                         for handle in handles {
                             let out = Outstanding {
                                 job_id: handle.job_id(),
@@ -953,8 +876,6 @@ pub fn run_rung(
                         if !a.sealed {
                             a.submit_errors += 1;
                         }
-                        drop(a);
-                        lg().failed.inc();
                     }
                 }
             }
@@ -1135,9 +1056,6 @@ pub fn run_rung(
         a.max_submit_lag,
     );
     drop(a);
-    lg().failed.add(timed_out);
-    lg().max_submit_lag_ms
-        .set(max_submit_lag.as_millis() as i64);
 
     // The tracker exits promptly on the stop flag; watcher threads
     // blocked inside an overlong wait are left to finish on their own
@@ -1527,6 +1445,24 @@ struct ChurnAccum {
     jobs_driven: u64,
 }
 
+/// Submits generation `generation` of the churn sweep's long-running
+/// job: `template` at `shots` shots, renamed and reseeded per
+/// generation so no two generations share a job or its seeds.
+fn submit_churn_job(
+    control: &Client,
+    template: &WorkloadSpec,
+    shots: u64,
+    generation: u64,
+) -> Result<u64, RuntimeError> {
+    let mut spec = template.clone();
+    spec.weight = 1;
+    spec.shots = shots.max(1);
+    spec.name = format!("{}-churn{generation}", spec.name);
+    spec.base_seed = spec.base_seed.wrapping_add(generation);
+    let handles = control.submit(Submission::workload("churn", spec))?;
+    Ok(handles[0].job_id())
+}
+
 /// Drives the subscriber-churn sweep: `workers` threads repeatedly
 /// connect, `SUBSCRIBE` to a shared long-running job (with a resume
 /// point after the first cycle), read a few snapshots, and hard-drop
@@ -1549,21 +1485,7 @@ pub fn churn_sweep(
         return Err(RuntimeError::Spec("churn needs at least one worker".into()));
     }
     let control = Client::connect_opts(&target.connect, target.options.clone())?;
-    let submit_long_job = {
-        let template = job_template.clone();
-        move |control: &Client, generation: u64| -> Result<u64, RuntimeError> {
-            let mut spec = template.clone();
-            spec.weight = 1;
-            spec.shots = spec.shots.max(1);
-            spec.name = format!("{}-churn{generation}", spec.name);
-            spec.base_seed = spec.base_seed.wrapping_add(generation);
-            let handles = control.submit(Submission::workload("churn", spec))?;
-            Ok(handles[0].job_id())
-        }
-    };
-    let mut spec = job_template.clone();
-    spec.shots = config.job_shots;
-    let first_id = submit_long_job(&control, 0)?;
+    let first_id = submit_churn_job(&control, job_template, config.job_shots, 0)?;
 
     // (job id, generation): workers reset their resume point when the
     // generation moves under them.
@@ -1590,16 +1512,6 @@ pub fn churn_sweep(
         let job_template = job_template.clone();
         let config = config.clone();
         threads.push(std::thread::spawn(move || {
-            let submit_long_job = |generation: u64| -> Result<u64, RuntimeError> {
-                let control = control.lock().expect("control client poisoned");
-                let mut spec = job_template.clone();
-                spec.weight = 1;
-                spec.shots = config.job_shots;
-                spec.name = format!("{}-churn{generation}", spec.name);
-                spec.base_seed = spec.base_seed.wrapping_add(generation);
-                let handles = control.submit(Submission::workload("churn", spec))?;
-                Ok(handles[0].job_id())
-            };
             // The worker's resume point, valid for (job, generation).
             let mut last_seen: Option<u64> = None;
             let mut my_generation = {
@@ -1615,7 +1527,7 @@ pub fn churn_sweep(
                 // Raw subscribe: the Client API intentionally has no
                 // "abandon a live stream" — churn needs exactly that,
                 // so it speaks the wire directly.
-                let Ok((mut stream, _)) = crate::net::handshake(&target.connect, &target.options)
+                let Ok((mut stream, _)) = client::handshake(&target.connect, &target.options)
                 else {
                     std::thread::sleep(Duration::from_millis(20));
                     continue;
@@ -1682,7 +1594,6 @@ pub fn churn_sweep(
                         a.resumed_cycles += 1;
                     }
                 }
-                lg().churn_cycles.inc();
                 if let Some(m) = stream_max {
                     last_seen = Some(last_seen.unwrap_or(0).max(m));
                 }
@@ -1690,8 +1601,12 @@ pub fn churn_sweep(
                     // First worker to notice rolls the generation.
                     let mut c = current.lock().expect("current job poisoned");
                     if c.0 == job_id && Instant::now() < deadline {
-                        if let Ok(new_id) = submit_long_job(generation + 1) {
-                            *c = (new_id, generation + 1);
+                        let control = control.lock().expect("control client poisoned");
+                        let next = generation + 1;
+                        if let Ok(new_id) =
+                            submit_churn_job(&control, &job_template, config.job_shots, next)
+                        {
+                            *c = (new_id, next);
                             accum.lock().expect("churn accum poisoned").jobs_driven += 1;
                         }
                     }
@@ -1748,7 +1663,7 @@ pub fn churn_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::WorkloadKind;
+    use eqasm_runtime::WorkloadKind;
 
     fn secs(s: f64) -> Duration {
         Duration::from_secs_f64(s)

@@ -2,29 +2,28 @@
 //! survives a mid-scrape coordinator restart, a tiny two-rung
 //! capacity sweep against an in-process `spawn_serve` coordinator
 //! (asserting the `capacity` JSON schema), a short subscriber-churn
-//! sweep, and end-to-end coverage of the `CliffordChain` workload
-//! (wire roundtrip, stabilizer selection above the dense ceiling, and
-//! the 17-qubit envelope).
+//! sweep, and, alone in a child process, the check that the generator
+//! adds no series to the registry and that its shot ledger matches
+//! the coordinator's.
 //!
 //! Note on metrics: every in-process server here shares the
 //! process-global default registry, and the test harness runs tests
 //! concurrently — so server-side assertions are existence/positivity
-//! checks, not exact totals. The CI capacity-sweep smoke leg runs a
-//! *dedicated* serve process and asserts exact shot accounting there.
+//! checks, not exact totals, except in the test that reruns itself
+//! alone in a child process.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use eqasm_microarch::{QuMa, SimBackendKind};
-use eqasm_runtime::loadgen::{scrape_metrics, scrape_with_retry, RpsStep, StopCause};
-use eqasm_runtime::serve::{JobQueue, ServeConfig, Submission};
-use eqasm_runtime::{
-    capacity_sweep, churn_sweep, spawn_serve, wire, Ceilings, ChurnConfig, Client, LoadClass,
-    LoadSpec, RuntimeError, ServeHandle, ServeNetConfig, ShotEngine, ShotsDist, SweepConfig,
-    SweepTarget, WorkloadKind, WorkloadSpec,
+use eqasm_bench::loadgen::{
+    capacity_sweep, churn_sweep, scrape_metrics, scrape_with_retry, Ceilings, ChurnConfig,
+    LoadClass, LoadSpec, MetricsSnapshot, RpsStep, ShotsDist, StopCause, SweepConfig, SweepTarget,
 };
+use eqasm_runtime::metrics::default_registry;
+use eqasm_runtime::serve::{JobQueue, ServeConfig};
+use eqasm_runtime::{spawn_serve, ServeHandle, ServeNetConfig, WorkloadKind, WorkloadSpec};
 
 /// A queue with `workers` local slots behind a loopback acceptor.
 fn serve_fixture(workers: usize, batch: u64) -> (Arc<JobQueue>, ServeHandle) {
@@ -283,128 +282,88 @@ fn churn_sweep_holds_resume_correctness() {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 2: large-n Clifford workload, end to end
+// The generator is a client of the service
 // ---------------------------------------------------------------------------
 
-/// Tag-5 wire roundtrip: a CliffordChain submission encodes, decodes,
-/// and re-encodes to identical bytes.
+/// Runs its `_alone` twin in a child process of this test binary: the
+/// coordinator's `eqasm_shots_completed_total` is process-global, and
+/// the other tests here move it too.
 #[test]
-fn clifford_chain_submission_roundtrips_on_the_wire() {
-    let spec = WorkloadSpec::new(
-        "stab",
-        WorkloadKind::CliffordChain {
-            qubits: 12,
-            layers: 2,
-        },
-        64,
-    )
-    .with_seed(99);
-    let submission = Submission::workload("tenant-a", spec);
-    let bytes = wire::encode_submission(&submission).expect("encodes");
-    let decoded = wire::decode_submission(&bytes).expect("decodes");
-    let re = wire::encode_submission(&decoded).expect("re-encodes");
-    assert_eq!(bytes, re, "decode must preserve every field");
+fn loadgen_adds_no_series_and_its_shot_ledger_matches_the_coordinators() {
+    let test = "loadgen_adds_no_series_and_its_shot_ledger_matches_the_coordinators_alone";
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args([test, "--exact", "--ignored", "--test-threads=1"])
+        .output()
+        .expect("runs the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
-/// A 12-qubit CliffordChain — above the 10-qubit dense-simulation
-/// comfort zone — selects the stabilizer backend and executes to a
-/// full histogram through the serve front door.
+/// One capacity sweep and one churn sweep against an in-process
+/// coordinator that shares the process's default registry: the sweep's
+/// acknowledged shots are exactly the shots the coordinator completes,
+/// and neither sweep registers a series of its own.
 #[test]
-fn clifford_chain_runs_above_the_dense_ceiling() {
-    let spec = WorkloadSpec::new(
-        "stab",
-        WorkloadKind::CliffordChain {
-            qubits: 12,
-            layers: 2,
-        },
-        64,
-    )
-    .with_seed(3);
-
-    // Selection: Clifford-only under ideal noise rides the tableau.
-    let job = spec.build_instance(0).expect("builds");
-    let mut machine = QuMa::new(job.shape.inst().clone(), job.shape.config().clone());
-    machine.load(job.shape.program()).expect("loads");
-    assert_eq!(machine.selection().kind(), SimBackendKind::Stabilizer);
-
-    // End to end over TCP.
+#[ignore = "run in its own process by loadgen_adds_no_series_and_its_shot_ledger_matches_the_coordinators"]
+fn loadgen_adds_no_series_and_its_shot_ledger_matches_the_coordinators_alone() {
+    let registry = default_registry();
+    let shots_completed =
+        || MetricsSnapshot::parse(&registry.encode()).value("eqasm_shots_completed_total") as u64;
     let (_queue, server) = serve_fixture(2, 16);
-    let client = Client::connect(server.addr().to_string()).expect("connects");
-    let handles = client
-        .submit(Submission::workload("tenant-a", spec))
-        .expect("submits CliffordChain");
-    let result = handles[0].wait().expect("completes");
-    assert_eq!(result.histogram.total(), 64, "every shot must land");
-}
+    let target = SweepTarget::new(server.addr().to_string());
+    let before = shots_completed();
 
-/// CliffordChain parameter validation: the generator rejects sizes
-/// outside the envelope with a typed `Spec` error. A chain of n qubits
-/// has 2(n−1) directed pairs, which must fit the 32-bit two-qubit
-/// target mask, so 18 qubits is the first size out.
-#[test]
-fn clifford_chain_rejects_out_of_envelope_parameters() {
-    for (qubits, layers) in [(1usize, 2u32), (18, 2), (33, 2), (12, 0), (12, 17)] {
-        let err = WorkloadKind::CliffordChain { qubits, layers }
-            .build()
-            .expect_err("out-of-envelope parameters must be rejected");
-        assert!(matches!(err, RuntimeError::Spec(_)), "{err}");
-        let msg = err.to_string();
-        assert!(
-            msg.contains("qubits") || msg.contains("layers"),
-            "error should name the offending parameter: {msg}"
-        );
+    let spec = LoadSpec::new(vec![LoadClass {
+        tenant: "alice".into(),
+        spec: rb_spec(24),
+        share: 1,
+    }])
+    .with_shots(ShotsDist::fixed(24))
+    .with_subscribe_ratio(0.25)
+    .with_connections(2)
+    .with_watchers(1)
+    .with_seed(11);
+    let config = SweepConfig {
+        initial_rps: 8.0,
+        step: RpsStep::Mul(2.0),
+        max_rps: 16.0,
+        window: Duration::from_millis(600),
+        drain_timeout: Duration::from_secs(20),
+        stop: Ceilings {
+            failure_rate: 0.99,
+            p50: Duration::from_secs(30),
+        },
+        ..SweepConfig::default()
+    };
+    let report = capacity_sweep(&spec, &target, &config).expect("sweep runs");
+    let submitted: u64 = report.rungs.iter().map(|r| r.shots_submitted).sum();
+    assert!(submitted > 0, "the sweep submitted nothing: {report:?}");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while shots_completed() - before < submitted && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
     }
-}
-
-/// 17 qubits, the top of the envelope, assembles, selects the
-/// stabilizer backend and runs every shot.
-#[test]
-fn clifford_chain_of_17_runs_on_the_stabilizer_backend() {
-    let spec = WorkloadSpec::new(
-        "stab17",
-        WorkloadKind::CliffordChain {
-            qubits: 17,
-            layers: 2,
-        },
-        32,
-    )
-    .with_seed(4);
-    let job = spec.build_instance(0).expect("17 qubits builds");
-    let mut machine = QuMa::new(job.shape.inst().clone(), job.shape.config().clone());
-    machine.load(job.shape.program()).expect("loads");
-    assert_eq!(machine.selection().kind(), SimBackendKind::Stabilizer);
-    let result = ShotEngine::serial().run_job(&job).expect("runs");
-    assert_eq!(result.histogram.total(), 32);
-    assert_eq!(result.non_halted, 0);
-}
-
-/// The wire decoder checks the same envelope: an 18-qubit chain
-/// submission is a typed decode error, not a failure deep in the
-/// assembler.
-#[test]
-fn clifford_chain_of_18_is_a_typed_wire_error() {
-    let ok = WorkloadSpec::new(
-        "stab",
-        WorkloadKind::CliffordChain {
-            qubits: 17,
-            layers: 2,
-        },
-        8,
+    assert_eq!(
+        shots_completed() - before,
+        submitted,
+        "the coordinator's shot ledger must match the sweep's"
     );
-    let mut bytes = wire::encode_submission(&Submission::workload("t", ok)).expect("encodes");
-    wire::decode_submission(&bytes).expect("17 decodes");
-    // Re-encode with 18 qubits: the encoder does not validate.
-    let bad = WorkloadSpec::new(
-        "stab",
-        WorkloadKind::CliffordChain {
-            qubits: 18,
-            layers: 2,
-        },
-        8,
+
+    let churn = ChurnConfig {
+        workers: 2,
+        duration: Duration::from_millis(800),
+        snapshots_per_cycle: 2,
+        job_shots: 50_000,
+    };
+    let churned = churn_sweep(&rb_spec(50_000), &target, &churn).expect("churn runs");
+    assert!(churned.cycles > 0, "{churned:?}");
+
+    let exposition = registry.encode();
+    assert!(
+        !exposition.contains("eqasm_loadgen_"),
+        "the load generator registered series in the service's registry:\n{exposition}"
     );
-    bytes = wire::encode_submission(&Submission::workload("t", bad)).expect("encodes");
-    match wire::decode_submission(&bytes) {
-        Err(wire::WireError::Invalid(msg)) => assert!(msg.contains("2..=17"), "{msg}"),
-        other => panic!("expected a typed Invalid error, got {other:?}"),
-    }
 }

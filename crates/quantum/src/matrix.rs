@@ -195,7 +195,12 @@ impl CMatrix {
         if (phase.abs() - 1.0).abs() > eps {
             return false;
         }
-        self.approx_eq(&other.scale(phase), eps)
+        // `approx_eq(&other.scale(phase), eps)` without building the
+        // scaled copy: the same product per entry, so the same bits.
+        self.data
+            .iter()
+            .zip(&other.data)
+            .all(|(a, &b)| a.approx_eq(b * phase, eps))
     }
 
     /// Eigendecomposition of a Hermitian matrix by the complex Jacobi

@@ -505,14 +505,20 @@ impl Backend for StabilizerBackend {
     }
 
     fn apply_2q(&mut self, qa: usize, qb: usize, u: &CMatrix) {
+        // The references, built once like `hs_words`.
+        static REFS: OnceLock<[CMatrix; 4]> = OnceLock::new();
+        let [cz, cnot, swap, identity] = REFS.get_or_init(|| {
+            use crate::gates::{cnot, cz, swap};
+            [cz(), cnot(), swap(), CMatrix::identity(4)]
+        });
         let eps = 1e-9;
-        if u.approx_eq_up_to_phase(&crate::gates::cz(), eps) {
+        if u.approx_eq_up_to_phase(cz, eps) {
             self.tab.cz(qa, qb);
-        } else if u.approx_eq_up_to_phase(&crate::gates::cnot(), eps) {
+        } else if u.approx_eq_up_to_phase(cnot, eps) {
             self.tab.cnot(qa, qb);
-        } else if u.approx_eq_up_to_phase(&crate::gates::swap(), eps) {
+        } else if u.approx_eq_up_to_phase(swap, eps) {
             self.tab.swap(qa, qb);
-        } else if u.approx_eq_up_to_phase(&CMatrix::identity(4), eps) {
+        } else if u.approx_eq_up_to_phase(identity, eps) {
             // CPhase(0) and friends.
         } else {
             panic!("non-Clifford two-qubit unitary reached the stabilizer backend");

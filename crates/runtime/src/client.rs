@@ -45,6 +45,8 @@ use crate::net::{connect_handshake, ConnectOptions};
 use crate::serve::{PartialResult, Submission};
 use crate::wire::{self, ErrorKind, ErrorMsg, RemoteJobInfo, SubmitAck};
 
+pub use crate::net::handshake;
+
 /// How many times a broken [`RemoteJobHandle::watch`] stream retries
 /// the connection before surfacing the transport error.
 const WATCH_RECONNECT_ATTEMPTS: u32 = 3;

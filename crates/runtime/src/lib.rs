@@ -61,7 +61,8 @@
 //!   bit-identical prefixes of the final aggregate — the serve
 //!   queue's determinism invariant, now provable from another process
 //!   over TCP ([`spawn_serve`] / [`run_serve_until`] are the server
-//!   half);
+//!   half). [`client::handshake`] opens a raw handshaken stream for
+//!   callers that speak wire frames themselves;
 //! * [`metrics`] — the observability surface: a dependency-free
 //!   Prometheus registry (atomic counters/gauges, fixed-bucket
 //!   histograms, labeled families) instrumenting the queue, the wire,
@@ -70,17 +71,7 @@
 //!   responder ([`MetricsServer`], `--metrics` on `eqasm-cli
 //!   serve`/`worker`). Scrapes read only atomics — never the queue
 //!   mutex — so observing the service cannot stall it. The series
-//!   catalogue lives in `METRICS.md`;
-//! * [`loadgen`] — the instrument that pressures all of the above: an
-//!   open-loop load generator ([`loadgen::LoadSpec`],
-//!   [`loadgen::run_rung`]) whose pacer never slows when the server
-//!   lags, a [`loadgen::capacity_sweep`] ramp that steps the target
-//!   rate until a failure-rate or p50-latency ceiling is breached
-//!   (scraping `/metrics` for server-side truth, emitting the
-//!   `capacity` section of `BENCH_runtime.json`), and a
-//!   [`loadgen::churn_sweep`] that cycles
-//!   connect/subscribe/resume/disconnect watchers while checking
-//!   resume correctness (`eqasm-cli loadgen` rides all three).
+//!   catalogue lives in `METRICS.md`.
 //!
 //! ## Determinism — including across hosts
 //!
@@ -188,7 +179,6 @@ mod engine;
 mod error;
 mod job;
 pub mod journal;
-pub mod loadgen;
 pub mod metrics;
 mod net;
 pub mod serve;
@@ -204,10 +194,6 @@ pub use engine::{ExecPolicy, ShotEngine};
 pub use error::RuntimeError;
 pub use job::{default_batch_size, partition_shots, Job, JobShape};
 pub use journal::{FsyncPolicy, JournalConfig, JournalError, RecoveryReport};
-pub use loadgen::{
-    capacity_sweep, churn_sweep, run_rung, CapacityReport, Ceilings, ChurnConfig, ChurnReport,
-    LoadClass, LoadSpec, RungReport, ShotsDist, SweepConfig, SweepTarget,
-};
 pub use metrics::MetricsServer;
 pub use net::{
     ping, ping_opts, run_serve_until, run_worker_until, spawn_serve, spawn_worker,

@@ -1283,10 +1283,11 @@ fn open_stream(addr: &str, io_timeout: Option<Duration>) -> Result<TcpStream, Wi
 /// server that accepts the TCP connection and then goes silent must
 /// not hang the caller) and every later request on the returned
 /// stream.
-pub(crate) fn handshake(
-    addr: &str,
-    opts: &ConnectOptions,
-) -> Result<(TcpStream, HelloAck), WireError> {
+///
+/// Public as [`crate::client::handshake`] for callers that write wire
+/// frames themselves, such as a subscriber that drops its stream
+/// mid-subscription on purpose.
+pub fn handshake(addr: &str, opts: &ConnectOptions) -> Result<(TcpStream, HelloAck), WireError> {
     let mut stream = open_stream(addr, opts.io_timeout)?;
     let hello = Hello {
         version: PROTOCOL_VERSION,

@@ -2,22 +2,29 @@
 //! random jobs, batch results and latency histograms (including `f64`
 //! bit patterns the cross-host determinism argument depends on), the
 //! histogram's merge laws and error bound, and typed rejection of
-//! malformed bytes.
+//! malformed bytes. The `CliffordChain` workload is covered end to
+//! end: wire roundtrip, stabilizer selection above the dense ceiling
+//! and the 17-qubit envelope.
 
+use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::Duration;
 
 use eqasm_core::{
     Bundle, BundleOp, CmpFlag, Gpr, Instantiation, Instruction, OpTarget, Qubit, SReg, TReg,
     Topology,
 };
-use eqasm_microarch::{BackendSelect, MeasurementSource, SimConfig, TimingPolicy};
+use eqasm_microarch::{
+    BackendSelect, MeasurementSource, QuMa, SimBackendKind, SimConfig, TimingPolicy,
+};
 use eqasm_quantum::{NoiseModel, ReadoutModel};
 use eqasm_runtime::wire::{
     self, decode_batch_out, decode_job, encode_batch_out, encode_job, WireError,
 };
 use eqasm_runtime::{
-    BatchOut, BitString, Histogram, Job, JobResult, LatencyHistogram, PartialResult, Submission,
-    TenantId, WorkloadKind, WorkloadSpec,
+    spawn_serve, BatchOut, BitString, Client, Histogram, Job, JobQueue, JobResult,
+    LatencyHistogram, PartialResult, RuntimeError, ServeConfig, ServeHandle, ServeNetConfig,
+    ShotEngine, Submission, TenantId, WorkloadKind, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -1280,4 +1287,144 @@ fn subscribe_codec_fresh_and_resume_forms() {
     trailing.push(0);
     assert!(wire::decode_subscribe(&trailing).is_err());
     assert!(wire::decode_subscribe(&[]).is_err());
+}
+
+// ---------------------------------------------------------------------
+// The large-n CliffordChain workload, end to end
+// ---------------------------------------------------------------------
+
+/// A queue with `workers` local slots behind a loopback acceptor.
+fn serve_fixture(workers: usize, batch: u64) -> (Arc<JobQueue>, ServeHandle) {
+    let queue = Arc::new(JobQueue::new(
+        ServeConfig::default()
+            .with_workers(workers)
+            .with_batch_size(batch),
+    ));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let handle =
+        spawn_serve(listener, Arc::clone(&queue), ServeNetConfig::default()).expect("spawn serve");
+    (queue, handle)
+}
+
+/// Tag-5 wire roundtrip: a CliffordChain submission encodes, decodes,
+/// and re-encodes to identical bytes.
+#[test]
+fn clifford_chain_submission_roundtrips_on_the_wire() {
+    let spec = WorkloadSpec::new(
+        "stab",
+        WorkloadKind::CliffordChain {
+            qubits: 12,
+            layers: 2,
+        },
+        64,
+    )
+    .with_seed(99);
+    let submission = Submission::workload("tenant-a", spec);
+    let bytes = wire::encode_submission(&submission).expect("encodes");
+    let decoded = wire::decode_submission(&bytes).expect("decodes");
+    let re = wire::encode_submission(&decoded).expect("re-encodes");
+    assert_eq!(bytes, re, "decode must preserve every field");
+}
+
+/// A 12-qubit CliffordChain — above the 10-qubit dense-simulation
+/// comfort zone — selects the stabilizer backend and executes to a
+/// full histogram through the serve front door.
+#[test]
+fn clifford_chain_runs_above_the_dense_ceiling() {
+    let spec = WorkloadSpec::new(
+        "stab",
+        WorkloadKind::CliffordChain {
+            qubits: 12,
+            layers: 2,
+        },
+        64,
+    )
+    .with_seed(3);
+
+    // Selection: Clifford-only under ideal noise rides the tableau.
+    let job = spec.build_instance(0).expect("builds");
+    let mut machine = QuMa::new(job.shape.inst().clone(), job.shape.config().clone());
+    machine.load(job.shape.program()).expect("loads");
+    assert_eq!(machine.selection().kind(), SimBackendKind::Stabilizer);
+
+    // End to end over TCP.
+    let (_queue, server) = serve_fixture(2, 16);
+    let client = Client::connect(server.addr().to_string()).expect("connects");
+    let handles = client
+        .submit(Submission::workload("tenant-a", spec))
+        .expect("submits CliffordChain");
+    let result = handles[0].wait().expect("completes");
+    assert_eq!(result.histogram.total(), 64, "every shot must land");
+}
+
+/// CliffordChain parameter validation: the generator rejects sizes
+/// outside the envelope with a typed `Spec` error. A chain of n qubits
+/// has 2(n−1) directed pairs, which must fit the 32-bit two-qubit
+/// target mask, so 18 qubits is the first size out.
+#[test]
+fn clifford_chain_rejects_out_of_envelope_parameters() {
+    for (qubits, layers) in [(1usize, 2u32), (18, 2), (33, 2), (12, 0), (12, 17)] {
+        let err = WorkloadKind::CliffordChain { qubits, layers }
+            .build()
+            .expect_err("out-of-envelope parameters must be rejected");
+        assert!(matches!(err, RuntimeError::Spec(_)), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("qubits") || msg.contains("layers"),
+            "error should name the offending parameter: {msg}"
+        );
+    }
+}
+
+/// 17 qubits, the top of the envelope, assembles, selects the
+/// stabilizer backend and runs every shot.
+#[test]
+fn clifford_chain_of_17_runs_on_the_stabilizer_backend() {
+    let spec = WorkloadSpec::new(
+        "stab17",
+        WorkloadKind::CliffordChain {
+            qubits: 17,
+            layers: 2,
+        },
+        32,
+    )
+    .with_seed(4);
+    let job = spec.build_instance(0).expect("17 qubits builds");
+    let mut machine = QuMa::new(job.shape.inst().clone(), job.shape.config().clone());
+    machine.load(job.shape.program()).expect("loads");
+    assert_eq!(machine.selection().kind(), SimBackendKind::Stabilizer);
+    let result = ShotEngine::serial().run_job(&job).expect("runs");
+    assert_eq!(result.histogram.total(), 32);
+    assert_eq!(result.non_halted, 0);
+}
+
+/// The wire decoder checks the same envelope: an 18-qubit chain
+/// submission is a typed decode error, not a failure deep in the
+/// assembler.
+#[test]
+fn clifford_chain_of_18_is_a_typed_wire_error() {
+    let ok = WorkloadSpec::new(
+        "stab",
+        WorkloadKind::CliffordChain {
+            qubits: 17,
+            layers: 2,
+        },
+        8,
+    );
+    let mut bytes = wire::encode_submission(&Submission::workload("t", ok)).expect("encodes");
+    wire::decode_submission(&bytes).expect("17 decodes");
+    // Re-encode with 18 qubits: the encoder does not validate.
+    let bad = WorkloadSpec::new(
+        "stab",
+        WorkloadKind::CliffordChain {
+            qubits: 18,
+            layers: 2,
+        },
+        8,
+    );
+    bytes = wire::encode_submission(&Submission::workload("t", bad)).expect("encodes");
+    match wire::decode_submission(&bytes) {
+        Err(wire::WireError::Invalid(msg)) => assert!(msg.contains("2..=17"), "{msg}"),
+        other => panic!("expected a typed Invalid error, got {other:?}"),
+    }
 }

@@ -121,11 +121,14 @@ use eqasm::asm::{disassemble_source, encoding};
 use eqasm::compiler::lift_program;
 use eqasm::prelude::*;
 use eqasm::runtime::{
-    capacity_sweep, churn_sweep, Ceilings, ChurnConfig, Client, ConnectOptions, ExecBackend,
-    ExecPolicy, FsyncPolicy, Job, JobHandle, JobQueue, JournalConfig, LoadClass, LoadSpec,
-    LocalBackend, MixedWorkload, PartialResult, PoolSupervisor, Psk, RemoteBackend, ServeConfig,
-    ServeNetConfig, ShotEngine, Submission, SupervisorConfig, SweepConfig, SweepTarget,
-    WorkerConfig, WorkloadKind, WorkloadReport, WorkloadSpec,
+    Client, ConnectOptions, ExecBackend, ExecPolicy, FsyncPolicy, Job, JobHandle, JobQueue,
+    JournalConfig, LocalBackend, MixedWorkload, PartialResult, PoolSupervisor, Psk, RemoteBackend,
+    ServeConfig, ServeNetConfig, ShotEngine, Submission, SupervisorConfig, WorkerConfig,
+    WorkloadKind, WorkloadReport, WorkloadSpec,
+};
+use eqasm_bench::loadgen::{
+    capacity_sweep, churn_sweep, Ceilings, ChurnConfig, LoadClass, LoadSpec, RpsStep, SweepConfig,
+    SweepTarget,
 };
 
 /// SIGINT/SIGTERM → one atomic flag, so the worker daemon can drain
@@ -1356,7 +1359,6 @@ fn cmd_loadgen(
     psk: Option<Psk>,
     lg: &LoadgenOpts,
 ) -> Result<(), String> {
-    use eqasm::runtime::loadgen::RpsStep;
     use std::time::Duration;
 
     if lg.rps_step.is_some() && lg.rps_factor.is_some() {
