@@ -31,13 +31,14 @@
 //! backend implementation only ever sees `run_range` calls and never
 //! needs to know it is being rotated in or out.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 
 use eqasm_microarch::{BackendSelect, MachineSnapshot, OutcomeTrie, QuMa, RunStats};
 
-use crate::aggregate::{Histogram, LatencyHistogram};
+use crate::aggregate::{Histogram, JobResult, LatencyHistogram};
 use crate::engine::{build_machine, run_batch, ExecPolicy};
 use crate::error::RuntimeError;
 use crate::job::{Job, JobShape};
@@ -77,6 +78,152 @@ impl BatchOut {
     /// Shots this batch covered.
     pub fn shots(&self) -> u64 {
         self.latency.count()
+    }
+
+    /// The fold of no batches, for `num_qubits` qubits.
+    fn empty(num_qubits: usize) -> Self {
+        BatchOut {
+            histogram: Histogram::new(),
+            stats: RunStats::default(),
+            prob1_sum: vec![0.0; num_qubits],
+            latency: LatencyHistogram::new(),
+            non_halted: 0,
+            first_failure: None,
+            elapsed_ns: 0,
+        }
+    }
+
+    /// Folds `next`, the batch that follows this one's range, into
+    /// this one: the only per-field fold of batch results. `prob1_sum`
+    /// adds `next`'s sums onto the running ones, so folding batches
+    /// one at a time in batch order groups the additions as
+    /// `(p + b1) + b2`, never `p + (b1 + b2)`: every path that folds
+    /// in that order gets the same bits. The first failure stays the
+    /// earliest one, and `elapsed_ns` becomes the summed batch time.
+    pub(crate) fn absorb(&mut self, next: &BatchOut) {
+        self.histogram.merge(&next.histogram);
+        self.stats.merge(&next.stats);
+        for (acc, s) in self.prob1_sum.iter_mut().zip(&next.prob1_sum) {
+            *acc += s;
+        }
+        self.latency.merge(&next.latency);
+        self.non_halted += next.non_halted;
+        if self.first_failure.is_none() {
+            self.first_failure.clone_from(&next.first_failure);
+        }
+        self.elapsed_ns = self.elapsed_ns.saturating_add(next.elapsed_ns);
+    }
+}
+
+/// A completed [`BatchOut`] tagged with its merge position and the
+/// coordinator-side wall-clock window. The tag never crosses a host
+/// boundary — remote batches are stamped by the coordinator when they
+/// arrive, which only affects the (explicitly non-deterministic)
+/// timing figures.
+pub(crate) struct TaggedBatch {
+    pub(crate) batch: usize,
+    pub(crate) out: BatchOut,
+    pub(crate) started_at: Instant,
+    pub(crate) finished_at: Instant,
+}
+
+/// Widens `window` to cover `span`: the earliest start to the latest
+/// finish.
+pub(crate) fn widen(window: &mut Option<(Instant, Instant)>, (start, finish): (Instant, Instant)) {
+    *window = Some(match *window {
+        None => (start, finish),
+        Some((s, f)) => (s.min(start), f.max(finish)),
+    });
+}
+
+/// One job's completed batches, folded in batch-index order: the one
+/// accumulator behind [`crate::ShotEngine`] results, serve-queue
+/// snapshots and final results, journaled `Progress` records and their
+/// recovery. Batches may arrive in any order, from any backend; a
+/// batch waits in the stash until every batch before it has folded,
+/// so `acc` always holds exactly batches `0..folded`, folded one at a
+/// time by [`BatchOut::absorb`].
+pub(crate) struct Fold {
+    /// Contiguous batches folded into `acc` so far.
+    pub(crate) folded: usize,
+    /// Completed batches waiting for their prefix, by batch index.
+    pub(crate) stash: BTreeMap<usize, TaggedBatch>,
+    /// Batches `0..folded` folded into one.
+    pub(crate) acc: BatchOut,
+    /// First folded batch start to last folded batch end, on this
+    /// process's clock (`None` until a batch folds here).
+    pub(crate) window: Option<(Instant, Instant)>,
+}
+
+impl Fold {
+    /// The empty fold of `job`.
+    pub(crate) fn new(job: &Job) -> Self {
+        Fold {
+            folded: 0,
+            stash: BTreeMap::new(),
+            acc: BatchOut::empty(job.shape.inst().topology().num_qubits()),
+            window: None,
+        }
+    }
+
+    /// Stashes a completed batch and folds the contiguous prefix.
+    pub(crate) fn absorb(&mut self, tagged: TaggedBatch) {
+        self.stash.insert(tagged.batch, tagged);
+        while let Some(next) = self.stash.remove(&self.folded) {
+            self.acc.absorb(&next.out);
+            widen(&mut self.window, (next.started_at, next.finished_at));
+            self.folded += 1;
+        }
+    }
+
+    /// Seeds an unstarted fold with a journaled prefix: batches
+    /// `0..folded` folded into `acc`. Exactly the state the fold held
+    /// when the prefix was journaled, so folding the remaining batches
+    /// onto it is bit-identical to an uninterrupted run.
+    pub(crate) fn restore(&mut self, folded: usize, acc: BatchOut) {
+        debug_assert!(self.folded == 0 && self.stash.is_empty());
+        self.folded = folded;
+        self.acc = acc;
+    }
+
+    /// The active span: `window`'s length.
+    pub(crate) fn active(&self) -> Duration {
+        self.window.map_or(Duration::ZERO, |(start, finish)| {
+            finish.duration_since(start)
+        })
+    }
+
+    /// Mean post-run `P(|1⟩)` per qubit over the folded shots.
+    pub(crate) fn mean_prob1(&self) -> Vec<f64> {
+        let shots = self.acc.shots();
+        if shots == 0 {
+            return self.acc.prob1_sum.clone();
+        }
+        self.acc
+            .prob1_sum
+            .iter()
+            .map(|s| s / shots as f64)
+            .collect()
+    }
+
+    /// The folded batches as the [`JobResult`] of job `name`.
+    pub(crate) fn finish(&self, name: String) -> JobResult {
+        let shots = self.acc.shots();
+        let elapsed = self.active();
+        let secs = elapsed.as_secs_f64();
+        JobResult {
+            name,
+            shots,
+            histogram: self.acc.histogram.clone(),
+            stats: self.acc.stats,
+            mean_prob1: self.mean_prob1(),
+            latency: self.acc.latency.clone(),
+            elapsed,
+            shots_per_sec: if secs > 0.0 { shots as f64 / secs } else { 0.0 },
+            window: self.window,
+            non_halted: self.acc.non_halted,
+            first_failure: self.acc.first_failure.clone(),
+        }
     }
 }
 

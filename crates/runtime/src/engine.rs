@@ -4,14 +4,14 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use eqasm_microarch::{
     BackendSelect, MachineSnapshot, OutcomeTrie, QuMa, RunStats, ShotRecord, SimConfig,
 };
 
 use crate::aggregate::{BitString, Histogram, JobResult, LatencyHistogram};
-use crate::backend::{BatchOut, ExecBackend, LocalBackend};
+use crate::backend::{BatchOut, ExecBackend, Fold, LocalBackend, TaggedBatch};
 use crate::error::RuntimeError;
 use crate::job::{default_batch_size, partition_shots, Job};
 
@@ -23,10 +23,13 @@ use crate::job::{default_batch_size, partition_shots, Job};
 /// machine that was fully reset beforehand, so each shot's outcome is
 /// independent of which worker ran it and what that worker ran
 /// earlier. Batch boundaries are a pure function of the shot count
-/// (never of the worker count), and floating-point roll-ups are folded
-/// in batch order — aggregate results are therefore **bit-identical**
-/// for any `workers ≥ 1`. Only wall-clock figures (latency
-/// percentiles, shots/sec) vary between runs.
+/// (never of the worker count), and each job's batches fold in batch
+/// order through the crate's one accumulator (`Fold`, beside
+/// [`BatchOut`]), whatever order the workers finish them in — the same
+/// fold behind [`crate::serve`] snapshots, final results and journal
+/// recovery. Aggregate results are therefore **bit-identical** for
+/// any `workers ≥ 1` and to a serve-queue run. Only wall-clock figures
+/// (latency percentiles, shots/sec) vary between runs.
 ///
 /// # Examples
 ///
@@ -55,19 +58,6 @@ pub struct ShotEngine {
     workers: usize,
     batch_size: Option<u64>,
     policy: ExecPolicy,
-}
-
-/// A completed [`BatchOut`] tagged with its merge position and the
-/// coordinator-side wall-clock window. The tag never crosses a host
-/// boundary — remote batches are stamped by the coordinator when they
-/// arrive, which only affects the (explicitly non-deterministic)
-/// timing figures.
-pub(crate) struct TaggedBatch {
-    pub(crate) job: usize,
-    pub(crate) batch: usize,
-    pub(crate) out: BatchOut,
-    pub(crate) started_at: Instant,
-    pub(crate) finished_at: Instant,
 }
 
 /// A batch task: run `range` shots of job `job`.
@@ -162,15 +152,14 @@ impl ShotEngine {
         }
 
         let cursor = AtomicUsize::new(0);
-        let outputs: Mutex<Vec<TaggedBatch>> = Mutex::new(Vec::with_capacity(tasks.len()));
+        let folds: Mutex<Vec<Fold>> = Mutex::new(jobs.iter().map(Fold::new).collect());
         let load_errors: Mutex<std::collections::BTreeMap<usize, RuntimeError>> =
             Mutex::new(std::collections::BTreeMap::new());
         let worker_count = self.workers.min(tasks.len()).max(1);
 
         std::thread::scope(|scope| {
             for slot in 0..worker_count {
-                let (tasks, cursor, outputs, load_errors) =
-                    (&tasks, &cursor, &outputs, &load_errors);
+                let (tasks, cursor, folds, load_errors) = (&tasks, &cursor, &folds, &load_errors);
                 scope.spawn(move || {
                     let mut backend = LocalBackend::new(slot).with_policy(self.policy);
                     loop {
@@ -185,18 +174,14 @@ impl ShotEngine {
                         }
                         let started_at = Instant::now();
                         match backend.run_range(&jobs[task.job], task.range.clone()) {
-                            Ok(out) => {
-                                outputs
-                                    .lock()
-                                    .expect("collector poisoned")
-                                    .push(TaggedBatch {
-                                        job: task.job,
-                                        batch: task.batch,
-                                        out,
-                                        started_at,
-                                        finished_at: Instant::now(),
-                                    })
-                            }
+                            Ok(out) => folds.lock().expect("folds poisoned")[task.job].absorb(
+                                TaggedBatch {
+                                    batch: task.batch,
+                                    out,
+                                    started_at,
+                                    finished_at: Instant::now(),
+                                },
+                            ),
                             Err(err) => {
                                 load_errors
                                     .lock()
@@ -214,69 +199,12 @@ impl ShotEngine {
         if let Some((_, err)) = load_errors.pop_first() {
             return Err(err);
         }
-
-        let mut outputs = outputs.into_inner().expect("collector poisoned");
-        // Deterministic fold order: by (job, batch index).
-        outputs.sort_by_key(|o| (o.job, o.batch));
-
-        let mut results: Vec<JobResult> = jobs
+        let folds = folds.into_inner().expect("folds poisoned");
+        Ok(jobs
             .iter()
-            .map(|job| JobResult {
-                name: job.name.clone(),
-                shots: job.shots,
-                histogram: Histogram::new(),
-                stats: RunStats::default(),
-                mean_prob1: vec![0.0; job.shape.inst().topology().num_qubits()],
-                latency: LatencyHistogram::new(),
-                elapsed: Duration::ZERO,
-                shots_per_sec: 0.0,
-                window: None,
-                non_halted: 0,
-                first_failure: None,
-            })
-            .collect();
-
-        // Per-job active window: first batch start to last batch end,
-        // so a job's shots/sec is not diluted by time the pool spent
-        // on *other* jobs before this one was picked up.
-        let mut windows: Vec<Option<(Instant, Instant)>> = vec![None; jobs.len()];
-        for tagged in outputs {
-            let r = &mut results[tagged.job];
-            r.histogram.merge(&tagged.out.histogram);
-            r.stats.merge(&tagged.out.stats);
-            for (acc, s) in r.mean_prob1.iter_mut().zip(&tagged.out.prob1_sum) {
-                *acc += s;
-            }
-            r.latency.merge(&tagged.out.latency);
-            r.non_halted += tagged.out.non_halted;
-            if r.first_failure.is_none() {
-                r.first_failure = tagged.out.first_failure;
-            }
-            windows[tagged.job] = Some(match windows[tagged.job] {
-                None => (tagged.started_at, tagged.finished_at),
-                Some((s, f)) => (s.min(tagged.started_at), f.max(tagged.finished_at)),
-            });
-        }
-        for (r, window) in results.iter_mut().zip(&windows) {
-            r.window = *window;
-            if let Some((start, finish)) = window {
-                r.elapsed = finish.duration_since(*start);
-            }
-        }
-        for r in &mut results {
-            if r.shots > 0 {
-                for p in &mut r.mean_prob1 {
-                    *p /= r.shots as f64;
-                }
-            }
-            let secs = r.elapsed.as_secs_f64();
-            r.shots_per_sec = if secs > 0.0 {
-                r.shots as f64 / secs
-            } else {
-                0.0
-            };
-        }
-        Ok(results)
+            .zip(&folds)
+            .map(|(job, fold)| fold.finish(job.name.clone()))
+            .collect())
     }
 }
 

@@ -41,12 +41,15 @@
 //!
 //! ## Snapshot determinism — including under pool churn
 //!
-//! Completed batches are folded into each job's snapshot strictly in
-//! batch-index order (out-of-order completions are stashed until the
-//! prefix is contiguous). A snapshot whose `shots_done` is `k` batches
-//! worth of shots is therefore **bit-identical** — histogram, stats
-//! and mean-`P(|1⟩)` — to serially running just those first `k`
-//! batches, and the final result is bit-identical to
+//! Completed batches are folded into each job's one accumulator (the
+//! crate's `Fold`, the same one [`crate::ShotEngine`] folds with)
+//! strictly in batch-index order: out-of-order completions are stashed
+//! until the prefix is contiguous. Snapshots, the final result and the
+//! journaled `Progress` records all read that one fold, and recovery
+//! seeds it with the journaled prefix. A snapshot whose `shots_done`
+//! is `k` batches worth of shots is therefore **bit-identical** —
+//! histogram, stats and mean-`P(|1⟩)` — to serially running just
+//! those first `k` batches, and the final result is bit-identical to
 //! [`crate::ShotEngine::run_job`] on the same job. Streaming partial
 //! histograms are exact prefixes of the final answer, not
 //! approximations.
@@ -94,9 +97,8 @@ use std::time::{Duration, Instant};
 
 use eqasm_microarch::RunStats;
 
-use crate::aggregate::{Histogram, JobResult, LatencyHistogram, LatencyStats};
-use crate::backend::{BackendDescriptor, BatchOut, ExecBackend, LocalBackend};
-use crate::engine::TaggedBatch;
+use crate::aggregate::{Histogram, JobResult, LatencyStats};
+use crate::backend::{BackendDescriptor, ExecBackend, Fold, LocalBackend, TaggedBatch};
 use crate::error::RuntimeError;
 use crate::job::{default_batch_size, partition_shots, Job, JobShape, ShapeTable};
 use crate::journal::{self, JournalConfig, JournalHandle, RecoveryReport};
@@ -402,8 +404,9 @@ pub struct PartialResult {
     pub done: bool,
     /// The failure message, if the job's program failed to load.
     pub failed: Option<String>,
-    /// Time from submission until the job's first batch started (or
-    /// until this snapshot, while it is still queued).
+    /// Time from submission until the job's first batch started. A job
+    /// no batch has folded for in this process counts until this
+    /// snapshot while it is live, and until it ended once it is done.
     pub queue_wait: Duration,
     /// Active span so far: first folded batch start to last folded
     /// batch end.
@@ -496,109 +499,6 @@ impl TenantState {
     }
 }
 
-/// Batch-index-ordered accumulation of one job's completed batches.
-struct PartialState {
-    /// Contiguous batches folded so far.
-    folded: usize,
-    /// Completed batches waiting for their prefix (keyed by batch
-    /// index).
-    stash: BTreeMap<usize, TaggedBatch>,
-    shots_done: u64,
-    histogram: Histogram,
-    stats: RunStats,
-    prob1_sum: Vec<f64>,
-    latency: LatencyHistogram,
-    non_halted: u64,
-    first_failure: Option<(u64, String)>,
-    window: Option<(Instant, Instant)>,
-}
-
-impl PartialState {
-    fn new(num_qubits: usize) -> Self {
-        PartialState {
-            folded: 0,
-            stash: BTreeMap::new(),
-            shots_done: 0,
-            histogram: Histogram::new(),
-            stats: RunStats::default(),
-            prob1_sum: vec![0.0; num_qubits],
-            latency: LatencyHistogram::new(),
-            non_halted: 0,
-            first_failure: None,
-            window: None,
-        }
-    }
-
-    /// Stashes a completed batch and folds the contiguous prefix —
-    /// the same fold, in the same order, as the engine's final merge.
-    /// Whether a stashed batch came from a local thread or across a
-    /// socket is invisible here: its deterministic fields are
-    /// bit-identical either way.
-    fn absorb(&mut self, tagged: TaggedBatch) {
-        self.stash.insert(tagged.batch, tagged);
-        while let Some(next) = self.stash.remove(&self.folded) {
-            self.shots_done += next.out.shots();
-            self.histogram.merge(&next.out.histogram);
-            self.stats.merge(&next.out.stats);
-            for (acc, s) in self.prob1_sum.iter_mut().zip(&next.out.prob1_sum) {
-                *acc += s;
-            }
-            self.latency.merge(&next.out.latency);
-            self.non_halted += next.out.non_halted;
-            if self.first_failure.is_none() {
-                self.first_failure = next.out.first_failure;
-            }
-            self.window = Some(match self.window {
-                None => (next.started_at, next.finished_at),
-                Some((s, f)) => (s.min(next.started_at), f.max(next.finished_at)),
-            });
-            self.folded += 1;
-        }
-    }
-
-    /// The folded prefix as one [`BatchOut`] — what a `Progress`
-    /// record journals.
-    fn aggregate(&self) -> BatchOut {
-        BatchOut {
-            histogram: self.histogram.clone(),
-            stats: self.stats,
-            prob1_sum: self.prob1_sum.clone(),
-            latency: self.latency.clone(),
-            non_halted: self.non_halted,
-            first_failure: self.first_failure.clone(),
-            elapsed_ns: self
-                .window
-                .map_or(0, |(s, f)| f.duration_since(s).as_nanos() as u64),
-        }
-    }
-
-    /// Seeds an unstarted fold with a journaled prefix: batches
-    /// `0..folded` folded into `out`. Exactly the state the fold held
-    /// when the prefix was journaled, so folding the remaining batches
-    /// onto it is bit-identical to an uninterrupted run.
-    fn restore(&mut self, folded: usize, out: BatchOut) {
-        debug_assert!(self.folded == 0 && self.stash.is_empty());
-        self.folded = folded;
-        self.shots_done = out.shots();
-        self.histogram = out.histogram;
-        self.stats = out.stats;
-        self.prob1_sum = out.prob1_sum;
-        self.latency = out.latency;
-        self.non_halted = out.non_halted;
-        self.first_failure = out.first_failure;
-    }
-
-    fn mean_prob1(&self) -> Vec<f64> {
-        if self.shots_done == 0 {
-            return self.prob1_sum.clone();
-        }
-        self.prob1_sum
-            .iter()
-            .map(|s| s / self.shots_done as f64)
-            .collect()
-    }
-}
-
 /// The encoded journal payloads a live job retains so compaction can
 /// rewrite durable state without re-encoding (or re-reading) anything.
 /// Dropped at the job's terminal transition — completed jobs take no
@@ -622,8 +522,11 @@ struct JobEntry {
     tenant: usize,
     batches_total: usize,
     submitted_at: Instant,
-    partial: PartialState,
-    final_result: Option<JobResult>,
+    /// The job's one copy of its aggregates: snapshots, the final
+    /// result and `Progress` records all read it.
+    fold: Fold,
+    /// When the job turned terminal (success or failure).
+    ended_at: Option<Instant>,
     failed: Option<String>,
     /// Journal-mode only: this job's live journal payloads (see
     /// [`DurableJob`]); `None` once terminal or when not journaling.
@@ -634,19 +537,19 @@ impl JobEntry {
     /// An entry for `job`, not yet started.
     fn new(job: Job, tenant: usize, batches_total: usize) -> Self {
         JobEntry {
-            partial: PartialState::new(job.shape.inst().topology().num_qubits()),
+            fold: Fold::new(&job),
             job: Arc::new(job),
             tenant,
             batches_total,
             submitted_at: Instant::now(),
-            final_result: None,
+            ended_at: None,
             failed: None,
             durable: None,
         }
     }
 
     fn done(&self) -> bool {
-        self.final_result.is_some() || self.failed.is_some()
+        self.ended_at.is_some()
     }
 }
 
@@ -1047,17 +950,16 @@ impl QueueState {
             return;
         };
         let finished_at = tagged.finished_at;
-        let before_batches = entry.partial.folded;
-        let before_shots = entry.partial.shots_done;
-        entry.partial.absorb(tagged);
+        let before_batches = entry.fold.folded;
+        let before_shots = entry.fold.acc.shots();
+        entry.fold.absorb(tagged);
         let m = crate::metrics::rt();
         m.batches_folded
-            .add((entry.partial.folded - before_batches) as u64);
-        m.shots_completed
-            .add(entry.partial.shots_done - before_shots);
-        if entry.partial.folded == entry.batches_total && entry.final_result.is_none() {
+            .add((entry.fold.folded - before_batches) as u64);
+        m.shots_completed.add(entry.fold.acc.shots() - before_shots);
+        if entry.fold.folded == entry.batches_total && !entry.done() {
             self.finalize(task.job_id);
-        } else if entry.partial.folded > before_batches {
+        } else if entry.fold.folded > before_batches {
             self.journal_progress(task.job_id, finished_at);
         }
     }
@@ -1197,46 +1099,22 @@ impl QueueState {
         Ok(())
     }
 
-    /// Seals a fully-folded job into its final [`JobResult`] —
+    /// Seals a fully-folded job: its fold is its final result, which
+    /// [`JobHandle::wait`] reads through [`Fold::finish`] —
     /// bit-identical to the engine's merge of the same batches.
     fn finalize(&mut self, job_id: usize) {
         let entry = &mut self.jobs[job_id];
-        let p = &mut entry.partial;
-        let mut elapsed = Duration::ZERO;
-        if let Some((start, finish)) = p.window {
-            elapsed = finish.duration_since(start);
-        }
         let m = crate::metrics::rt();
-        if let Some((start, _)) = p.window {
+        if let Some((start, _)) = entry.fold.window {
             m.queue_wait_seconds
                 .observe(start.duration_since(entry.submitted_at).as_secs_f64());
         }
-        m.active_seconds.observe(elapsed.as_secs_f64());
+        m.active_seconds.observe(entry.fold.active().as_secs_f64());
         m.jobs_completed.with(&["ok"]).inc();
-        let secs = elapsed.as_secs_f64();
-        entry.final_result = Some(JobResult {
-            name: entry.job.name.clone(),
-            shots: entry.job.shots,
-            // Moved, not copied: once `final_result` is set, snapshots
-            // read it and nothing reads the partial histogram again.
-            histogram: std::mem::take(&mut p.histogram),
-            stats: p.stats,
-            mean_prob1: p.mean_prob1(),
-            latency: std::mem::take(&mut p.latency),
-            elapsed,
-            shots_per_sec: if secs > 0.0 {
-                entry.job.shots as f64 / secs
-            } else {
-                0.0
-            },
-            window: p.window,
-            non_halted: p.non_halted,
-            first_failure: p.first_failure.clone(),
-        });
         // Every batch is folded, so the stash is empty, but an emptied
         // `BTreeMap` keeps its root node: eleven batch slots, ~3.7 KB
         // that completed retention would hold per job.
-        p.stash = BTreeMap::new();
+        entry.fold.stash = BTreeMap::new();
         self.terminal(job_id);
     }
 
@@ -1299,11 +1177,8 @@ impl QueueState {
         let Some(durable) = &mut entry.durable else {
             return;
         };
-        let payload = journal::progress_payload(
-            job_id as u64,
-            entry.partial.folded as u32,
-            &entry.partial.aggregate(),
-        );
+        let payload =
+            journal::progress_payload(job_id as u64, entry.fold.folded as u32, &entry.fold.acc);
         let len = journal::framed_len(&payload);
         journal.append(payload.clone());
         let replaced = durable
@@ -1322,6 +1197,7 @@ impl QueueState {
     /// observe the job as done, so recovery can never resurrect a job
     /// whose result was already surfaced.
     fn terminal(&mut self, job_id: usize) {
+        self.jobs[job_id].ended_at = Some(Instant::now());
         self.jobs.finished.insert(job_id);
         let Some(journal) = self.journal.clone() else {
             return;
@@ -1417,10 +1293,10 @@ impl QueueState {
             let m = crate::metrics::rt();
             m.batches_folded.add(restored as u64);
             m.shots_completed.add(p.end);
-            self.jobs[job_id].partial.restore(restored, p.out);
+            self.jobs[job_id].fold.restore(restored, p.out);
         }
         let entry = &self.jobs[job_id];
-        if entry.partial.folded == entry.batches_total {
+        if entry.fold.folded == entry.batches_total {
             self.finalize(job_id);
         } else if restored > 0 {
             self.append_progress(job_id, Instant::now());
@@ -1440,50 +1316,28 @@ impl QueueState {
                 ..PartialResult::default()
             };
         };
-        let p = &entry.partial;
-        let queue_wait = match p.window {
-            Some((start, _)) => start.duration_since(entry.submitted_at),
-            None => now.duration_since(entry.submitted_at),
-        };
-        let active = match p.window {
-            Some((start, finish)) => finish.duration_since(start),
-            None => Duration::ZERO,
-        };
-        if let Some(final_result) = &entry.final_result {
-            return PartialResult {
-                name: final_result.name.clone(),
-                tenant: self.tenants[entry.tenant].id.clone(),
-                shots_done: final_result.shots,
-                shots_total: final_result.shots,
-                batches_done: entry.batches_total,
-                batches_total: entry.batches_total,
-                histogram: final_result.histogram.clone(),
-                stats: final_result.stats,
-                mean_prob1: final_result.mean_prob1.clone(),
-                latency: final_result.latency.stats(),
-                non_halted: final_result.non_halted,
-                done: true,
-                failed: None,
-                queue_wait,
-                active,
-            };
-        }
+        // A job no batch has folded for waited until now, or, once
+        // terminal, until it ended.
+        let f = &entry.fold;
+        let waited_until = f
+            .window
+            .map_or(entry.ended_at.unwrap_or(now), |(start, _)| start);
         PartialResult {
             name: entry.job.name.clone(),
             tenant: self.tenants[entry.tenant].id.clone(),
-            shots_done: p.shots_done,
+            shots_done: f.acc.shots(),
             shots_total: entry.job.shots,
-            batches_done: p.folded,
+            batches_done: f.folded,
             batches_total: entry.batches_total,
-            histogram: p.histogram.clone(),
-            stats: p.stats,
-            mean_prob1: p.mean_prob1(),
-            latency: p.latency.stats(),
-            non_halted: p.non_halted,
+            histogram: f.acc.histogram.clone(),
+            stats: f.acc.stats,
+            mean_prob1: f.mean_prob1(),
+            latency: f.acc.latency.stats(),
+            non_halted: f.acc.non_halted,
             done: entry.done(),
             failed: entry.failed.clone(),
-            queue_wait,
-            active,
+            queue_wait: waited_until.duration_since(entry.submitted_at),
+            active: f.active(),
         }
     }
 }
@@ -1595,7 +1449,7 @@ impl JobHandle {
         state
             .jobs
             .get(self.job)
-            .map_or((0, true), |e| (e.partial.folded, e.done()))
+            .map_or((0, true), |e| (e.fold.folded, e.done()))
     }
 
     /// Releases a **completed** job: its entry — shape reference,
@@ -1640,8 +1494,8 @@ impl JobHandle {
             if let Some(message) = &entry.failed {
                 return Err(RuntimeError::Service(message.clone()));
             }
-            if let Some(final_result) = &entry.final_result {
-                return Ok(final_result.clone());
+            if entry.done() {
+                return Ok(entry.fold.finish(entry.job.name.clone()));
             }
             if self.shared.shutdown.load(Ordering::Acquire) {
                 return Err(RuntimeError::Service(format!(
@@ -2277,7 +2131,6 @@ fn backend_loop(shared: &Shared, mut backend: Box<dyn ExecBackend>, slot_id: usi
                     .checked_sub(Duration::from_nanos(out.elapsed_ns))
                     .unwrap_or_else(Instant::now);
                 let tagged = TaggedBatch {
-                    job: task.job_id,
                     batch: task.batch,
                     out,
                     started_at,
@@ -2483,57 +2336,101 @@ mod tests {
 
     #[test]
     fn out_of_order_completion_folds_in_batch_order() {
-        // Dispatch every batch, complete them in REVERSE order, and
-        // check each intermediate snapshot only ever exposes the
-        // contiguous prefix — then verify the final result against the
-        // engine on the same job.
+        // For each batch boundary k, restore the job from the journaled
+        // prefix of its first k batches (none for k = 0), then complete
+        // the rest in reverse and in seeded random orders. Every
+        // intermediate snapshot must expose only the contiguous prefix,
+        // bit-identical to folding just those batches, and the final
+        // result must match the engine on every deterministic field.
         let job = tiny_job("ooo", 64).with_seed(11);
-        let mut state = QueueState::new(ServeConfig::default().with_batch_size(8));
-        add_local_slots(&mut state, 1);
-        let slot = state.tenant_slot(&TenantId::new("t"));
-        let job_id = state.enqueue_job(slot, job.clone());
-
-        let mut tasks = Vec::new();
-        while let Some(task) = state.next_task(0) {
-            tasks.push(task);
-        }
-        assert_eq!(tasks.len(), 8);
-
         let mut backend = LocalBackend::new(0);
-        let mut outs: Vec<TaggedBatch> = tasks
-            .iter()
-            .map(|t| TaggedBatch {
-                job: t.job_id,
-                batch: t.batch,
-                out: backend.run_range(&job, t.range.clone()).expect("runs"),
-                started_at: Instant::now(),
-                finished_at: Instant::now(),
-            })
+        let outs: Vec<_> = partition_shots(job.shots, 8)
+            .into_iter()
+            .map(|range| backend.run_range(&job, range).expect("runs"))
             .collect();
-        outs.reverse();
-        let reversed_tasks: Vec<&DispatchedTask> = tasks.iter().rev().collect();
-        for (task, out) in reversed_tasks.into_iter().zip(outs) {
-            let batches_before = state.jobs[job_id].partial.folded;
-            state.complete(task, out);
-            let snap = state.snapshot(job_id, Instant::now());
-            // Prefix-only: nothing folds until batch 0 arrives (last).
-            if task.batch > 0 {
-                assert_eq!(snap.batches_done, batches_before);
-                assert_eq!(snap.shots_done, 8 * batches_before as u64);
-            }
-        }
-        let snap = state.snapshot(job_id, Instant::now());
-        assert!(snap.done);
-        assert_eq!(snap.shots_done, 64);
-
-        let engine_result = crate::ShotEngine::serial()
+        let tagged = |batch: usize| TaggedBatch {
+            batch,
+            out: outs[batch].clone(),
+            started_at: Instant::now(),
+            finished_at: Instant::now(),
+        };
+        let prefix = |k: usize| {
+            let mut fold = Fold::new(&job);
+            (0..k).for_each(|b| fold.absorb(tagged(b)));
+            fold
+        };
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let deterministic = |r: &JobResult| {
+            (
+                r.histogram.clone(),
+                r.stats,
+                bits(&r.mean_prob1),
+                r.non_halted,
+                r.first_failure.clone(),
+                r.latency.count(),
+            )
+        };
+        let engine = crate::ShotEngine::serial()
             .with_batch_size(8)
             .run_job(&job)
             .expect("engine runs");
-        let final_result = state.jobs[job_id].final_result.as_ref().expect("finalized");
-        assert_eq!(final_result.histogram, engine_result.histogram);
-        assert_eq!(final_result.stats, engine_result.stats);
-        assert_eq!(final_result.mean_prob1, engine_result.mean_prob1);
+
+        for k in 0..=outs.len() {
+            for order in 0..4u64 {
+                let mut state = QueueState::new(ServeConfig::default().with_batch_size(8));
+                add_local_slots(&mut state, 1);
+                let slot = state.tenant_slot(&TenantId::new("t"));
+                let job_id = if k == 0 {
+                    state.enqueue_job(slot, job.clone())
+                } else {
+                    let progress = journal::Progress {
+                        batches: k,
+                        end: 8 * k as u64,
+                        out: prefix(k).acc,
+                    };
+                    let (id, restored) =
+                        state.enqueue_recovered_job(slot, job.clone(), Some(progress));
+                    assert_eq!(restored, k);
+                    id
+                };
+                let mut tasks = Vec::new();
+                while let Some(task) = state.next_task(0) {
+                    tasks.push(task);
+                }
+                assert_eq!(tasks.len(), outs.len() - k);
+                tasks.reverse();
+                // Order 0 stays reversed; the others are xorshift
+                // Fisher-Yates shuffles.
+                let mut rng = 0x9e37_79b9_7f4a_7c15 ^ (order * 64 + k as u64);
+                for i in (1..tasks.len()).rev().filter(|_| order > 0) {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    tasks.swap(i, (rng % (i as u64 + 1)) as usize);
+                }
+                for task in &tasks {
+                    let before = state.jobs[job_id].fold.folded;
+                    state.complete(task, tagged(task.batch));
+                    let snap = state.snapshot(job_id, Instant::now());
+                    if task.batch != before {
+                        assert_eq!(snap.batches_done, before, "k {k}, order {order}");
+                    }
+                    let want = prefix(snap.batches_done);
+                    assert_eq!(snap.shots_done, want.acc.shots());
+                    assert_eq!(snap.histogram, want.acc.histogram);
+                    assert_eq!(bits(&snap.mean_prob1), bits(&want.mean_prob1()));
+                }
+                let snap = state.snapshot(job_id, Instant::now());
+                assert!(snap.done);
+                assert_eq!(snap.shots_done, 64);
+                let result = state.jobs[job_id].fold.finish(job.name.clone());
+                assert_eq!(
+                    deterministic(&result),
+                    deterministic(&engine),
+                    "k {k}, order {order}"
+                );
+            }
+        }
     }
 
     /// A running job journals its folded prefix only when a fold that
@@ -2582,7 +2479,6 @@ mod tests {
         for (tenths, expect) in steps {
             let task = state.next_task(0).expect("a batch");
             let out = TaggedBatch {
-                job: task.job_id,
                 batch: task.batch,
                 out: backend.run_range(&job, task.range.clone()).expect("runs"),
                 started_at: admitted,
@@ -2591,7 +2487,7 @@ mod tests {
             state.complete(&task, out);
             assert_eq!(journaled_k(&state), expect, "after batch {}", task.batch);
         }
-        assert!(state.jobs[job_id].final_result.is_some());
+        assert!(state.jobs[job_id].done());
         assert!(journal.handle.shutdown());
         journal.thread.join().expect("journal thread");
         let replay = journal::replay_dir(&dir).expect("replays");
@@ -2603,8 +2499,8 @@ mod tests {
 
     #[test]
     fn finalized_job_keeps_one_histogram() {
-        // The final result takes the partial histogram instead of
-        // copying it; the done job's snapshot reads the final result.
+        // A finished job's fold is its only copy of the aggregates:
+        // its snapshot and its final result both read it.
         let job = tiny_job("once", 32).with_seed(5);
         let mut state = QueueState::new(ServeConfig::default().with_batch_size(8));
         add_local_slots(&mut state, 1);
@@ -2613,7 +2509,6 @@ mod tests {
         let mut backend = LocalBackend::new(0);
         while let Some(task) = state.next_task(0) {
             let out = TaggedBatch {
-                job: task.job_id,
                 batch: task.batch,
                 out: backend.run_range(&job, task.range.clone()).expect("runs"),
                 started_at: Instant::now(),
@@ -2622,8 +2517,8 @@ mod tests {
             state.complete(&task, out);
         }
         assert!(
-            state.jobs[job_id].partial.histogram.is_empty(),
-            "the partial copy is released once the job is final"
+            state.jobs[job_id].fold.stash.is_empty(),
+            "nothing is left stashed once the job is final"
         );
 
         let engine_result = crate::ShotEngine::serial()
@@ -2631,11 +2526,14 @@ mod tests {
             .run_job(&job)
             .expect("engine runs");
         let snap = state.snapshot(job_id, Instant::now());
+        let result = state.jobs[job_id].fold.finish(job.name.clone());
         assert!(snap.done);
         assert_eq!(snap.shots_done, 32);
         assert_eq!(snap.histogram, engine_result.histogram);
         assert_eq!(snap.stats, engine_result.stats);
         assert_eq!(snap.mean_prob1, engine_result.mean_prob1);
+        assert_eq!(result.histogram, snap.histogram);
+        assert_eq!(result.mean_prob1, snap.mean_prob1);
     }
 
     #[test]
@@ -2859,12 +2757,17 @@ mod tests {
         assert_eq!(snap.shots_total, 0);
         assert_eq!(snap.progress(), 1.0);
         assert!(state.next_task(0).is_none());
+        // No batch ever ran, so the wait ended with the job: a later
+        // poll reports the same `queue_wait`.
+        let later = state.snapshot(job_id, Instant::now() + Duration::from_millis(10));
+        assert_eq!(later.queue_wait, snap.queue_wait);
     }
 
     /// Marks live `id` failed and terminal, as `QueueState::terminal`
     /// would.
     fn finish(table: &mut JobTable, id: usize) {
         table[id].failed = Some("done".to_owned());
+        table[id].ended_at = Some(Instant::now());
         table.finished.insert(id);
     }
 

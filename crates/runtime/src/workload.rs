@@ -15,6 +15,7 @@ use eqasm_microarch::{RunStats, SimConfig};
 use eqasm_workloads as workloads;
 
 use crate::aggregate::{Histogram, JobResult, LatencyHistogram};
+use crate::backend::widen;
 use crate::engine::ShotEngine;
 use crate::error::RuntimeError;
 use crate::job::{Job, JobShape};
@@ -359,11 +360,8 @@ impl WorkloadReport {
         self.stats.merge(&result.stats);
         self.latency.merge(&result.latency);
         self.non_halted += result.non_halted;
-        if let Some((start, finish)) = result.window {
-            *window = Some(match *window {
-                None => (start, finish),
-                Some((s, f)) => (s.min(start), f.max(finish)),
-            });
+        if let Some(span) = result.window {
+            widen(window, span);
         }
     }
 

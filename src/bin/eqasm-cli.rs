@@ -233,6 +233,67 @@ impl Default for LoadgenOpts {
     }
 }
 
+impl LoadgenOpts {
+    /// Sets value-taking loadgen flag `flag` from `value`: `None` when
+    /// `flag` is not one, `Some(false)` when `value` is rejected.
+    fn set(&mut self, flag: &str, value: &str) -> Option<bool> {
+        let positive = |x: &f64| *x > 0.0;
+        let fraction = |x: &f64| (0.0..=1.0).contains(x);
+        let real = |valid: fn(&f64) -> bool, wants| flag_value(flag, value, valid, wants);
+        let set = match flag {
+            "--initial-rps" => real(positive, "a positive rate").map(|r| self.initial_rps = r),
+            "--rps-step" => {
+                real(positive, "a positive rate increment").map(|r| self.rps_step = Some(r))
+            }
+            "--rps-factor" => real(|f| *f > 1.0, "a factor > 1").map(|f| self.rps_factor = Some(f)),
+            "--max-rps" => real(positive, "a positive rate").map(|r| self.max_rps = r),
+            "--rung-secs" => real(positive, "a positive duration").map(|s| self.rung_secs = s),
+            "--drain-secs" => {
+                real(|s| *s >= 0.0, "a duration in seconds").map(|s| self.drain_secs = s)
+            }
+            "--stop-failure-rate" => {
+                real(fraction, "a fraction in 0..=1").map(|x| self.stop_failure_rate = x)
+            }
+            "--stop-p50-ms" => {
+                real(positive, "a positive duration in ms").map(|x| self.stop_p50_ms = x)
+            }
+            "--connections" => flag_value(flag, value, |n: &usize| *n > 0, "a positive count")
+                .map(|n| self.connections = n),
+            "--watchers" => {
+                flag_value(flag, value, |_| true, "a connection count").map(|n| self.watchers = n)
+            }
+            "--subscribe-ratio" => {
+                real(fraction, "a fraction in 0..=1").map(|x| self.subscribe_ratio = x)
+            }
+            "--scrape" => {
+                self.scrape = Some(value.to_owned());
+                Some(())
+            }
+            "--churn-secs" => real(positive, "a positive duration").map(|s| self.churn_secs = s),
+            _ => return None,
+        };
+        Some(set.is_some())
+    }
+}
+
+/// Parses flag `flag`'s `value`, keeping it only when `valid` holds.
+/// Numeric flags fail closed: any other value prints
+/// `error: <flag> wants <wants>` and yields `None`, so a typo in a
+/// limit or a ceiling refuses to start instead of running with the
+/// default.
+fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    value: &str,
+    valid: impl FnOnce(&T) -> bool,
+    wants: &str,
+) -> Option<T> {
+    let parsed = value.parse().ok().filter(valid);
+    if parsed.is_none() {
+        eprintln!("error: {flag} wants {wants}");
+    }
+    parsed
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: eqasm-cli <asm|disasm|run|lift> <file> [--seed n] [--shots n] [--workers n] [--chip name] [--trace]\n       eqasm-cli <workload|serve> <rabi|allxy|rb|active-reset|mix> [--shots n] [--workers n] [--seed n] [--remote host:port,...] [--rediscover secs] [--registry file] [--psk-file f] [--metrics addr] [--journal dir] [--journal-fsync every|batch|off]\n       eqasm-cli serve --listen <addr> [--workers n] [--remote ...] [--rediscover secs] [--registry file] [--psk-file f] [--metrics addr] [--journal dir] [--journal-fsync every|batch|off]\n       eqasm-cli submit <rabi|allxy|rb|active-reset|mix> --connect <addr> [--shots n] [--seed n] [--verify-serial] [--psk-file f]\n       eqasm-cli status --connect <addr> --job <id> [--job <id> ...] [--psk-file f]\n       eqasm-cli loadgen [rabi|allxy|rb|active-reset|stabilizer|mix] --connect <addr> [--scrape addr] [--initial-rps r] [--rps-factor f | --rps-step r] [--max-rps r] [--rung-secs s] [--drain-secs s] [--stop-failure-rate x] [--stop-p50-ms ms] [--connections n] [--watchers n] [--subscribe-ratio x] [--shots n] [--seed n] [--json] [--churn] [--churn-secs s] [--psk-file f]\n       eqasm-cli watch --connect <addr> --job <id> [--resume-after batches] [--psk-file f]\n       eqasm-cli worker --listen <addr> [--capacity n] [--name s] [--psk-file f] [--job-cache n] [--max-frame bytes] [--rate-limit req/s] [--metrics addr]"
@@ -302,7 +363,7 @@ fn main() -> ExitCode {
     let mut lg = LoadgenOpts::default();
     // Flags that only mean something to `loadgen`; accepting them
     // elsewhere would silently do nothing.
-    let mut loadgen_flags: Vec<&'static str> = Vec::new();
+    let mut loadgen_flags: Vec<&str> = Vec::new();
     let mut i = flag_start;
     while i < args.len() {
         match args[i].as_str() {
@@ -349,9 +410,9 @@ fn main() -> ExitCode {
                 i += 2;
             }
             "--rediscover" if i + 1 < args.len() => {
-                rediscover = args[i + 1].parse().ok().filter(|s: &f64| *s > 0.0);
+                let wants = "a positive interval in seconds";
+                rediscover = flag_value("--rediscover", &args[i + 1], |s: &f64| *s > 0.0, wants);
                 if rediscover.is_none() {
-                    eprintln!("error: --rediscover wants a positive interval in seconds");
                     return usage();
                 }
                 i += 2;
@@ -369,13 +430,11 @@ fn main() -> ExitCode {
                 i += 2;
             }
             "--job" if i + 1 < args.len() => {
-                match args[i + 1].parse() {
-                    Ok(id) => job_ids.push(id),
-                    Err(_) => {
-                        eprintln!("error: --job wants a numeric job id");
-                        return usage();
-                    }
-                }
+                let Some(id) = flag_value("--job", &args[i + 1], |_| true, "a numeric job id")
+                else {
+                    return usage();
+                };
+                job_ids.push(id);
                 i += 2;
             }
             "--verify-serial" => {
@@ -383,15 +442,10 @@ fn main() -> ExitCode {
                 i += 1;
             }
             "--resume-after" if i + 1 < args.len() => {
-                match args[i + 1].parse() {
-                    Ok(n) => resume_after = Some(n),
-                    Err(_) => {
-                        eprintln!(
-                            "error: --resume-after wants a folded-batch count, got `{}`",
-                            args[i + 1]
-                        );
-                        return usage();
-                    }
+                let wants = format!("a folded-batch count, got `{}`", args[i + 1]);
+                resume_after = flag_value("--resume-after", &args[i + 1], |_| true, &wants);
+                if resume_after.is_none() {
+                    return usage();
                 }
                 i += 2;
             }
@@ -399,28 +453,18 @@ fn main() -> ExitCode {
             // security limit silently disabling it is worse than a
             // refusal to start.
             "--job-cache" if i + 1 < args.len() => {
-                match args[i + 1].parse() {
-                    Ok(n) => job_cache = Some(n),
-                    Err(_) => {
-                        eprintln!(
-                            "error: --job-cache wants a job count, got `{}`",
-                            args[i + 1]
-                        );
-                        return usage();
-                    }
+                let wants = format!("a job count, got `{}`", args[i + 1]);
+                job_cache = flag_value("--job-cache", &args[i + 1], |_| true, &wants);
+                if job_cache.is_none() {
+                    return usage();
                 }
                 i += 2;
             }
             "--max-frame" if i + 1 < args.len() => {
-                match args[i + 1].parse() {
-                    Ok(n) => max_frame = Some(n),
-                    Err(_) => {
-                        eprintln!(
-                            "error: --max-frame wants a byte count, got `{}`",
-                            args[i + 1]
-                        );
-                        return usage();
-                    }
+                let wants = format!("a byte count, got `{}`", args[i + 1]);
+                max_frame = flag_value("--max-frame", &args[i + 1], |_| true, &wants);
+                if max_frame.is_none() {
+                    return usage();
                 }
                 i += 2;
             }
@@ -448,153 +492,11 @@ fn main() -> ExitCode {
                 i += 2;
             }
             "--rate-limit" if i + 1 < args.len() => {
-                match args[i + 1].parse() {
-                    Ok(n) => rate_limit = Some(n),
-                    Err(_) => {
-                        eprintln!(
-                            "error: --rate-limit wants requests/sec, got `{}`",
-                            args[i + 1]
-                        );
-                        return usage();
-                    }
+                let wants = format!("requests/sec, got `{}`", args[i + 1]);
+                rate_limit = flag_value("--rate-limit", &args[i + 1], |_| true, &wants);
+                if rate_limit.is_none() {
+                    return usage();
                 }
-                i += 2;
-            }
-            // The loadgen knobs fail closed like the budget flags: a
-            // typo in a ceiling must refuse to start, not silently
-            // sweep with the default.
-            "--initial-rps" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|r| *r > 0.0) {
-                    Some(r) => lg.initial_rps = r,
-                    None => {
-                        eprintln!("error: --initial-rps wants a positive rate");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--initial-rps");
-                i += 2;
-            }
-            "--rps-step" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|r| *r > 0.0) {
-                    Some(r) => lg.rps_step = Some(r),
-                    None => {
-                        eprintln!("error: --rps-step wants a positive rate increment");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--rps-step");
-                i += 2;
-            }
-            "--rps-factor" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|f| *f > 1.0) {
-                    Some(f) => lg.rps_factor = Some(f),
-                    None => {
-                        eprintln!("error: --rps-factor wants a factor > 1");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--rps-factor");
-                i += 2;
-            }
-            "--max-rps" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|r| *r > 0.0) {
-                    Some(r) => lg.max_rps = r,
-                    None => {
-                        eprintln!("error: --max-rps wants a positive rate");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--max-rps");
-                i += 2;
-            }
-            "--rung-secs" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|s| *s > 0.0) {
-                    Some(s) => lg.rung_secs = s,
-                    None => {
-                        eprintln!("error: --rung-secs wants a positive duration");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--rung-secs");
-                i += 2;
-            }
-            "--drain-secs" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|s| *s >= 0.0) {
-                    Some(s) => lg.drain_secs = s,
-                    None => {
-                        eprintln!("error: --drain-secs wants a duration in seconds");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--drain-secs");
-                i += 2;
-            }
-            "--stop-failure-rate" if i + 1 < args.len() => {
-                match args[i + 1]
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|x| (0.0..=1.0).contains(x))
-                {
-                    Some(x) => lg.stop_failure_rate = x,
-                    None => {
-                        eprintln!("error: --stop-failure-rate wants a fraction in 0..=1");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--stop-failure-rate");
-                i += 2;
-            }
-            "--stop-p50-ms" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|x| *x > 0.0) {
-                    Some(x) => lg.stop_p50_ms = x,
-                    None => {
-                        eprintln!("error: --stop-p50-ms wants a positive duration in ms");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--stop-p50-ms");
-                i += 2;
-            }
-            "--connections" if i + 1 < args.len() => {
-                match args[i + 1].parse::<usize>().ok().filter(|n| *n > 0) {
-                    Some(n) => lg.connections = n,
-                    None => {
-                        eprintln!("error: --connections wants a positive count");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--connections");
-                i += 2;
-            }
-            "--watchers" if i + 1 < args.len() => {
-                match args[i + 1].parse::<usize>() {
-                    Ok(n) => lg.watchers = n,
-                    Err(_) => {
-                        eprintln!("error: --watchers wants a connection count");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--watchers");
-                i += 2;
-            }
-            "--subscribe-ratio" if i + 1 < args.len() => {
-                match args[i + 1]
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|x| (0.0..=1.0).contains(x))
-                {
-                    Some(x) => lg.subscribe_ratio = x,
-                    None => {
-                        eprintln!("error: --subscribe-ratio wants a fraction in 0..=1");
-                        return usage();
-                    }
-                }
-                loadgen_flags.push("--subscribe-ratio");
-                i += 2;
-            }
-            "--scrape" if i + 1 < args.len() => {
-                lg.scrape = Some(args[i + 1].clone());
-                loadgen_flags.push("--scrape");
                 i += 2;
             }
             "--json" => {
@@ -607,21 +509,17 @@ fn main() -> ExitCode {
                 loadgen_flags.push("--churn");
                 i += 1;
             }
-            "--churn-secs" if i + 1 < args.len() => {
-                match args[i + 1].parse::<f64>().ok().filter(|s| *s > 0.0) {
-                    Some(s) => lg.churn_secs = s,
-                    None => {
-                        eprintln!("error: --churn-secs wants a positive duration");
-                        return usage();
-                    }
+            other => match args.get(i + 1).and_then(|value| lg.set(other, value)) {
+                Some(true) => {
+                    loadgen_flags.push(other);
+                    i += 2;
                 }
-                loadgen_flags.push("--churn-secs");
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown option `{other}`");
-                return usage();
-            }
+                Some(false) => return usage(),
+                None => {
+                    eprintln!("unknown option `{other}`");
+                    return usage();
+                }
+            },
         }
     }
 
