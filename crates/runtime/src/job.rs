@@ -249,8 +249,12 @@ pub fn partition_shots(shots: u64, batch_size: u64) -> Vec<std::ops::Range<u64>>
 
 /// The batch size used when the engine is not given an explicit one:
 /// small enough that every worker gets several batches (load balance),
-/// large enough that per-batch overhead stays negligible. Depends only
-/// on the shot count, so results are reproducible across pool sizes by
+/// and at most 256 shots. It fixes the partition, and with it the f64
+/// bits of `mean_prob1`, so it is not a throughput knob: memoized
+/// shots run a 256-shot batch in microseconds, and a serve slot pays
+/// its dispatch per *lease* — a run of batches claimed under one lock
+/// and folded under one — not per batch. Depends only on the shot
+/// count, so results are reproducible across pool sizes by
 /// construction.
 pub fn default_batch_size(shots: u64) -> u64 {
     (shots / 64).clamp(1, 256)

@@ -609,6 +609,8 @@ pub(crate) struct RuntimeMetrics {
     pub shots_executed: Arc<Counter>,
     /// `eqasm_batches_executed_total`
     pub batches_executed: Arc<Counter>,
+    /// `eqasm_slot_leases_total`
+    pub slot_leases: Arc<Counter>,
 
     // --- program-aware execution paths ---------------------------------
     /// `eqasm_backend_selected_total{kind}`
@@ -776,6 +778,10 @@ impl RuntimeMetrics {
             batches_executed: r.counter(
                 "eqasm_batches_executed_total",
                 "Shot batches simulated by this process.",
+            ),
+            slot_leases: r.counter(
+                "eqasm_slot_leases_total",
+                "Leases claimed by serve queue slots: runs of batches taken under one lock and folded under one lock.",
             ),
             backend_selected: r.counter_vec(
                 "eqasm_backend_selected_total",

@@ -11,7 +11,9 @@
 //! * **weighted-fair scheduling** — the next batch is picked by
 //!   deficit round-robin over per-tenant weights, with a per-tenant
 //!   in-flight-shot quota, so one tenant's million-shot sweep cannot
-//!   starve another's calibration loop;
+//!   starve another's calibration loop. A slot takes a *lease* of
+//!   consecutive picks under one lock and folds their results under
+//!   one lock, so dispatch costs little beside microsecond batches;
 //! * [`PartialResult`] — a streaming snapshot per job (histogram,
 //!   machine stats, mean `P(|1⟩)`, `shots_done / shots_total`) that
 //!   pollers can read at any time;
@@ -201,7 +203,13 @@ pub struct ServeConfig {
     /// Shot batch size override (clamped to at least 1). `None` uses
     /// [`default_batch_size`] per job. The batch size is also the
     /// scheduler's fairness granularity: one batch is the smallest
-    /// unit of work a tenant can be granted.
+    /// unit of work a tenant can be granted. A slot claims a *lease* of
+    /// several batches under one lock, but each is its own
+    /// deficit-round-robin pick, with credit and quota applied as if
+    /// the slot had asked once per batch. Lease length — about a
+    /// quarter millisecond of the slot's measured work, at most 64
+    /// batches — bounds how long a granted batch waits to run and to
+    /// fold.
     pub batch_size: Option<u64>,
     /// Scheduling weight for tenants that were never explicitly
     /// registered (clamped to at least 1).
@@ -310,9 +318,9 @@ impl ServeConfig {
 ///
 /// * **Active** — the slot's thread is dispatching batches.
 /// * **Draining** — [`JobQueue::detach_backend`] was called: the slot
-///   finishes the batch it is running (if any), takes no new work, and
-///   retires. Nothing is lost: an in-flight batch completes and folds
-///   normally.
+///   finishes the lease (run of batches) it holds, if any, takes no new
+///   work, and retires. Nothing is lost: in-flight batches complete and
+///   fold normally.
 /// * **Retired** — the slot's thread has exited. Retired slot ids are
 ///   never reused, so a worker that reconnects gets a *new* slot id
 ///   (which keeps per-batch distinct-backend retry accounting honest).
@@ -320,7 +328,7 @@ impl ServeConfig {
 pub enum SlotState {
     /// Dispatching batches.
     Active,
-    /// Finishing its current batch, then retiring (clean detach).
+    /// Finishing its current lease, then retiring (clean detach).
     Draining,
     /// Thread exited; the slot is history.
     Retired,
@@ -933,6 +941,50 @@ impl QueueState {
             self.ring_cursor += 1;
         }
         None
+    }
+
+    /// Claims a lease for slot `slot_id` into `lease`: successive
+    /// [`QueueState::next_task`] picks, so credit, quotas and the
+    /// last-failer exclusion apply to each pick exactly as if the slot
+    /// had asked once per batch. The lease stops growing once it holds
+    /// `shot_budget` shots or [`LEASE_MAX_BATCHES`] batches, and holds
+    /// at least one batch whenever one is dispatchable.
+    fn lease(&mut self, slot_id: usize, shot_budget: u64, lease: &mut Vec<DispatchedTask>) {
+        let mut shots = 0u64;
+        while lease.len() < LEASE_MAX_BATCHES {
+            let Some(task) = self.next_task(slot_id) else {
+                break;
+            };
+            shots += task.cost();
+            lease.push(task);
+            if shots >= shot_budget {
+                break;
+            }
+        }
+    }
+
+    /// Returns a lease's unrun tail to the head of its tenants' queues,
+    /// in pick order and with each batch's retry history as it was: the
+    /// batches never ran, so none counts as a retry. A batch whose job
+    /// ended meanwhile (failed through another batch, maybe released)
+    /// only gives back its in-flight shots.
+    fn unclaim(&mut self, tail: &[DispatchedTask]) {
+        for task in tail.iter().rev() {
+            let t = &mut self.tenants[task.tenant];
+            t.inflight = t.inflight.saturating_sub(task.cost());
+            if self.jobs.get(task.job_id).is_some_and(|e| !e.done()) {
+                t.pending_shots += task.cost();
+                t.queue.push_front(PendingBatch {
+                    job: task.job_id,
+                    batch: task.batch,
+                    range: task.range.clone(),
+                    failed_on: task.failed_on.clone(),
+                });
+                self.pending += 1;
+            }
+            t.sync_gauges();
+        }
+        self.sync_depth();
     }
 
     /// Folds a completed batch back in and finalizes the job when its
@@ -1839,7 +1891,7 @@ impl JobQueue {
         Ok(slot_id)
     }
 
-    /// Drains and retires slot `slot_id`: the slot finishes the batch
+    /// Drains and retires slot `slot_id`: the slot finishes the lease
     /// it is currently running (if any), takes no new work, and its
     /// thread exits. Returns immediately — watch
     /// [`JobQueue::pool_status`] for the transition to
@@ -2075,22 +2127,50 @@ impl Drop for JobQueue {
 /// retry per batch it touches.
 const BACKEND_FAILURE_LIMIT: u32 = 3;
 
-/// One dispatch slot: pull a batch under the lock, run it on this
-/// slot's backend outside the lock, fold the result back in.
+/// The run time a slot aims each lease at, by its own measured per-shot
+/// wall time: long beside a lease's two lock round trips and one
+/// progress wake, short enough that a fold, a drain or a failed batch's
+/// requeue waits little for the rest of the lease.
+const LEASE_WORK_TARGET: Duration = Duration::from_micros(250);
+
+/// The most batches one lease holds, whatever the estimate allows.
+const LEASE_MAX_BATCHES: usize = 64;
+
+/// One dispatch slot: claim a lease — a run of batches — under the
+/// lock, run its batches back to back on this slot's backend outside
+/// the lock, then fold them all under the lock with one wake.
 ///
-/// Failure handling: a transport error requeues the batch for
-/// re-dispatch (preferring other backends) and counts against this
-/// slot's health; any other error is a property of the *job* (program
-/// validation) and fails it. A slot that fails
-/// [`BACKEND_FAILURE_LIMIT`] times in a row retires from the pool.
+/// Lease length: a lease grows until its estimated cost reaches
+/// [`LEASE_WORK_TARGET`] or it holds [`LEASE_MAX_BATCHES`] batches. The
+/// estimate is the slot's own per-shot wall time over its last lease,
+/// measured around `run_range` and so including transport: a remote
+/// slot or a slow shape settles at one batch per lease by itself. A
+/// slot with no measurement yet, or whose last lease failed, takes one
+/// batch. Each batch stays its own `run_range` call and folds on its
+/// own, in batch order, so leasing changes no bit of any result.
+///
+/// Failure handling: the batches that finished before a failure fold
+/// as usual, and the lease's unrun tail goes back to the head of its
+/// tenants' queues as it was ([`QueueState::unclaim`]). A transport
+/// error requeues the failing batch for re-dispatch (preferring other
+/// backends) and counts against this slot's health; any other error is
+/// a property of the *job* (program validation) and fails it. A slot
+/// that fails [`BACKEND_FAILURE_LIMIT`] times in a row retires from the
+/// pool.
 ///
 /// Lifecycle: the slot honours [`JobQueue::detach_backend`] by
-/// checking its own [`SlotState`] at every pick — a `Draining` slot
-/// retires instead of taking new work (the batch it just finished has
-/// already folded), so a drain never loses or duplicates a batch.
+/// checking its own [`SlotState`] at every claim — a `Draining` slot
+/// runs and folds the lease it holds, then retires instead of claiming
+/// another, so a drain never loses or duplicates a batch.
 fn backend_loop(shared: &Shared, mut backend: Box<dyn ExecBackend>, slot_id: usize) {
+    // One lease and one result buffer per slot, reused lease to lease.
+    let mut lease: Vec<DispatchedTask> = Vec::with_capacity(LEASE_MAX_BATCHES);
+    let mut outs: Vec<TaggedBatch> = Vec::with_capacity(LEASE_MAX_BATCHES);
+    // Shots the last lease ran per `LEASE_WORK_TARGET` of wall time;
+    // 0 (one batch) until a lease has run without a failure.
+    let mut shot_budget = 0u64;
     loop {
-        let task = {
+        {
             let mut state = shared.state.lock().expect("queue state poisoned");
             loop {
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -2113,72 +2193,93 @@ fn backend_loop(shared: &Shared, mut backend: Box<dyn ExecBackend>, slot_id: usi
                     shared.notify_progress();
                     return;
                 }
-                if let Some(task) = state.next_task(slot_id) {
-                    break task;
+                state.lease(slot_id, shot_budget, &mut lease);
+                if !lease.is_empty() {
+                    break;
                 }
                 state.parked_slots += 1;
                 state = shared.work_ready.wait(state).expect("queue state poisoned");
                 state.parked_slots -= 1;
             }
+        }
+        crate::metrics::rt().slot_leases.inc();
+
+        // The batches run outside the queue lock — on a local backend
+        // this is the machine loop, on a remote one a request/response
+        // round trip per batch.
+        let started = Instant::now();
+        let mut failure = None;
+        for task in &lease {
+            match backend.run_range(&task.job, task.range.clone()) {
+                Ok(out) => {
+                    let finished_at = Instant::now();
+                    outs.push(TaggedBatch {
+                        batch: task.batch,
+                        started_at: finished_at
+                            .checked_sub(Duration::from_nanos(out.elapsed_ns))
+                            .unwrap_or(finished_at),
+                        finished_at,
+                        out,
+                    });
+                }
+                Err(err) => {
+                    failure = Some(err);
+                    break;
+                }
+            }
+        }
+        shot_budget = if failure.is_some() {
+            0
+        } else {
+            let shots: u64 = lease.iter().map(DispatchedTask::cost).sum();
+            let target = LEASE_WORK_TARGET.as_nanos() * u128::from(shots);
+            u64::try_from(target / started.elapsed().as_nanos().max(1)).unwrap_or(u64::MAX)
         };
 
-        // The batch itself runs outside the queue lock — on a local
-        // backend this is the machine loop, on a remote one the full
-        // request/response round trip.
-        match backend.run_range(&task.job, task.range.clone()) {
-            Ok(out) => {
-                let started_at = Instant::now()
-                    .checked_sub(Duration::from_nanos(out.elapsed_ns))
-                    .unwrap_or_else(Instant::now);
-                let tagged = TaggedBatch {
-                    batch: task.batch,
-                    out,
-                    started_at,
-                    finished_at: Instant::now(),
-                };
-                let mut state = shared.state.lock().expect("queue state poisoned");
-                state.slots[slot_id].consecutive_failures = 0;
-                state.slots[slot_id].batches_completed += 1;
-                state.complete(&task, tagged);
-                let (slots, waiters) = (state.parked_slots > 0, state.parked_waiters > 0);
-                drop(state);
-                // Completion both frees quota (wake parked slots) and
-                // may have finished a job (wake pollers). Every fold
-                // lands here, so notify only whoever is parked.
-                if slots {
-                    shared.work_ready.notify_all();
-                }
-                if waiters {
-                    shared.progress.notify_all();
-                }
-                shared.fire_progress_hook();
-            }
-            Err(err) if err.is_transport() => {
-                let mut state = shared.state.lock().expect("queue state poisoned");
+        let ran = outs.len();
+        let mut state = shared.state.lock().expect("queue state poisoned");
+        let slot = &mut state.slots[slot_id];
+        slot.batches_completed += ran as u64;
+        if ran > 0 {
+            slot.consecutive_failures = 0;
+        }
+        for (task, tagged) in lease.iter().zip(outs.drain(..)) {
+            state.complete(task, tagged);
+        }
+        let mut retire = false;
+        if let Some(err) = failure {
+            state.unclaim(&lease[ran + 1..]);
+            let task = &lease[ran];
+            if err.is_transport() {
                 state.slots[slot_id].consecutive_failures += 1;
-                let retire = state.slots[slot_id].consecutive_failures >= BACKEND_FAILURE_LIMIT;
-                state.requeue(&task, slot_id, &err.to_string());
+                retire = state.slots[slot_id].consecutive_failures >= BACKEND_FAILURE_LIMIT;
+                state.requeue(task, slot_id, &err.to_string());
                 if retire {
                     state.retire_slot(slot_id);
                 }
-                drop(state);
-                // The requeued batch must wake the *other* slots (this
-                // one will skip it), and retirement may have failed
-                // jobs pollers are waiting on.
-                shared.work_ready.notify_all();
-                shared.notify_progress();
-                if retire {
-                    return;
-                }
-            }
-            Err(err) => {
-                let mut state = shared.state.lock().expect("queue state poisoned");
+            } else {
                 state.slots[slot_id].consecutive_failures = 0;
-                state.fail(&task, err.to_string());
-                drop(state);
-                shared.work_ready.notify_all();
-                shared.notify_progress();
+                state.fail(task, err.to_string());
             }
+        }
+        let (slots, waiters) = (state.parked_slots > 0, state.parked_waiters > 0);
+        drop(state);
+        // The leased jobs' `Arc`s drop outside the lock.
+        lease.clear();
+        // One wake per lease. Folds free quota and a failure requeues
+        // work (wake parked slots: a requeued batch is for the *other*
+        // slots); folds, failures and a retirement may end jobs (wake
+        // pollers). Both kinds of waiter are counted under the mutex
+        // before they park, so only whoever is parked needs a notify.
+        if slots {
+            shared.work_ready.notify_all();
+        }
+        if waiters {
+            shared.progress.notify_all();
+        }
+        shared.fire_progress_hook();
+        if retire {
+            return;
         }
     }
 }
@@ -2332,6 +2433,72 @@ mod tests {
             t.inflight = 0;
         }
         assert_eq!(state.tenants[0].deficit, 0, "idle tenant keeps no credit");
+    }
+
+    /// Three weighted tenants (the second quota-blocked at two batches
+    /// in flight) on a two-slot pool, with one batch whose last failure
+    /// was on slot 0.
+    fn leasing_state() -> QueueState {
+        let mut state = loaded_state(&[3, 2, 1], &[u64::MAX, 16, u64::MAX], 40);
+        add_local_slots(&mut state, 1);
+        let task = state.next_task(0).expect("a batch");
+        state.requeue(&task, 0, "connection reset");
+        state
+    }
+
+    #[test]
+    fn a_lease_is_the_sequential_pick_order() {
+        // Nothing completes, so the quota holds and the failed batch
+        // stays excluded: the run ends when slot 0 can pick nothing.
+        let mut reference = leasing_state();
+        let mut picks = Vec::new();
+        while let Some(task) = reference.next_task(0) {
+            picks.push((task.job_id, task.batch));
+        }
+
+        let mut state = leasing_state();
+        let (mut leased, mut lease, mut sizes) = (Vec::new(), Vec::new(), Vec::new());
+        for budget in [0, 8, 20, 64, u64::MAX].into_iter().cycle() {
+            state.lease(0, budget, &mut lease);
+            if lease.is_empty() {
+                break;
+            }
+            sizes.push(lease.len());
+            leased.extend(lease.drain(..).map(|t| (t.job_id, t.batch)));
+        }
+        assert_eq!(leased, picks, "leases joined end to end are the picks");
+        assert!(
+            sizes.iter().all(|n| (1..=LEASE_MAX_BATCHES).contains(n)),
+            "{sizes:?}"
+        );
+        assert_eq!(sizes[..5], [1, 1, 3, 8, LEASE_MAX_BATCHES]);
+    }
+
+    #[test]
+    fn a_failed_lease_returns_its_tail_in_order() {
+        // Slot 0 leases four batches, runs the first, and fails the
+        // second: the tail goes back ahead of everything else with its
+        // history untouched, and only the failed batch is a retry.
+        let mut state = loaded_state(&[1], &[u64::MAX], 8);
+        add_local_slots(&mut state, 1);
+        let mut lease = Vec::new();
+        state.lease(0, 32, &mut lease);
+        let order: Vec<usize> = lease.iter().map(|t| t.batch).collect();
+        assert_eq!(order, [0, 1, 2, 3]);
+        state.unclaim(&lease[2..]);
+        state.requeue(&lease[1], 0, "connection reset");
+        assert_eq!(state.pending, 8 - 1);
+        assert_eq!(state.tenants[0].inflight, 8, "only the first batch is out");
+        assert_eq!(state.tenants[0].pending_shots, 8 * 7);
+        let queued: Vec<(usize, Vec<usize>)> = state.tenants[0]
+            .queue
+            .iter()
+            .map(|b| (b.batch, b.failed_on.clone()))
+            .collect();
+        assert_eq!(queued[..3], [(1, vec![0]), (2, vec![]), (3, vec![])]);
+        // Slot 1 takes the retry; slot 0, which it failed on, the tail.
+        assert_eq!(state.next_task(1).expect("retry").batch, 1);
+        assert_eq!(state.next_task(0).expect("tail").batch, 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use eqasm_asm::assemble;
 use eqasm_core::Instantiation;
@@ -568,7 +568,13 @@ fn compacted_ids_stay_stable_across_restarts() {
         JobQueue::recover(serve_config(), local_pool(1), &jc).expect("cold start recovers");
 
     // Complete jobs until compaction rewrites the journal into a later
-    // segment (observable as the first segment file disappearing).
+    // segment (observable as the first segment file disappearing). The
+    // rewrite runs on the journal thread after the job that triggered
+    // it is done, so each job gives it a bounded grace period.
+    let rewritten = || {
+        let segs = segments(&dir);
+        !segs.is_empty() && !segs[0].ends_with("segment-00000000.eqjl")
+    };
     let mut count = 0u32;
     loop {
         let job = clifford_job(
@@ -583,8 +589,11 @@ fn compacted_ids_stay_stable_across_restarts() {
             .remove(0);
         handle.wait().expect("completes");
         count += 1;
-        let segs = segments(&dir);
-        if !segs.is_empty() && !segs[0].ends_with("segment-00000000.eqjl") {
+        let deadline = Instant::now() + Duration::from_millis(50);
+        while !rewritten() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if rewritten() {
             break;
         }
         assert!(count < 64, "compaction never triggered");

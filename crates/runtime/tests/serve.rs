@@ -1,16 +1,19 @@
 //! Service-level contracts of the `serve` job queue: final results
 //! bit-identical to the engine, mid-run snapshots that are exact
 //! prefixes of the final merge, weighted-fair tenant scheduling,
-//! quota enforcement, program-cache behaviour and failure isolation.
+//! quota enforcement, program-cache behaviour, failure isolation, and
+//! slot leases that fail or drain part way through.
 
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use eqasm_core::{Bundle, BundleOp, Instantiation, OpTarget, QOpcode, Qubit, Topology};
 use eqasm_microarch::{BackendSelect, SimConfig};
 use eqasm_quantum::{NoiseModel, ReadoutModel};
 use eqasm_runtime::{
-    Job, JobQueue, LocalBackend, RuntimeError, ServeConfig, ShotEngine, Submission, WorkloadKind,
+    partition_shots, BackendDescriptor, BatchOut, ExecBackend, Job, JobHandle, JobQueue, JobResult,
+    LocalBackend, RuntimeError, ServeConfig, ShotEngine, SlotState, Submission, WorkloadKind,
     WorkloadSpec,
 };
 
@@ -379,4 +382,223 @@ fn snapshot_reports_queue_wait_and_progress() {
     assert_eq!(snap.progress(), 1.0);
     assert!(snap.active > Duration::ZERO, "active span covers the run");
     assert_eq!(snap.tenant.as_str(), "t");
+}
+
+/// A Clifford two-qubit job with random outcomes on both qubits. Its
+/// shots are cheap (forked from a prefix, then read from the slot's
+/// outcome trie), so a slot's leases run many batches even in debug
+/// builds.
+fn clifford_job(name: &str, shots: u64, base_seed: u64) -> Job {
+    let inst = Instantiation::paper_two_qubit();
+    let program = eqasm_asm::assemble(
+        "SMIS S0, {0}\nSMIS S1, {1}\nSMIT T0, {(0, 2)}\nQWAIT 20\nH S0\nCZ T0\nX90 S1\n\
+         MEASZ S0\nMEASZ S1\nQWAIT 50\nSTOP",
+        &inst,
+    )
+    .expect("assembles");
+    Job::new(name, inst, program.instructions().to_vec())
+        .with_shots(shots)
+        .with_seed(base_seed)
+}
+
+/// Reads one counter from the process-global metrics registry.
+fn counter(name: &str) -> f64 {
+    eqasm_runtime::metrics::default_registry()
+        .encode()
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0.0)
+}
+
+/// Asserts `served` equals the engine's run of `job` on every
+/// deterministic field.
+fn assert_engine_identical(served: &JobResult, job: &Job, batch_size: u64) {
+    let engine = ShotEngine::serial()
+        .with_batch_size(batch_size)
+        .run_job(job)
+        .expect("engine runs");
+    let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(served.histogram, engine.histogram);
+    assert_eq!(served.stats, engine.stats);
+    assert_eq!(bits(&served.mean_prob1), bits(&engine.mean_prob1));
+    assert_eq!(served.non_halted, engine.non_halted);
+    assert_eq!(served.first_failure, engine.first_failure);
+}
+
+/// The ranges slots ran, in run order; `Err` marks a failed run.
+type RunLog = Arc<Mutex<Vec<Result<Range<u64>, Range<u64>>>>>;
+
+/// A local backend that logs every range it runs and hands the second
+/// batch of a lease, once, to `mid_lease`. No batch folds while a slot
+/// runs a lease, so a batch that finds its job's folded-batch count
+/// where the previous batch found it is not the first of its lease.
+struct MidLease {
+    inner: LocalBackend,
+    job: JobHandle,
+    log: RunLog,
+    last_folded: Option<usize>,
+    mid_lease: Option<Box<dyn FnOnce() -> Result<(), RuntimeError> + Send>>,
+}
+
+impl MidLease {
+    fn new(
+        job: &JobHandle,
+        log: &RunLog,
+        mid_lease: impl FnOnce() -> Result<(), RuntimeError> + Send + 'static,
+    ) -> Self {
+        MidLease {
+            inner: LocalBackend::new(0),
+            job: job.clone(),
+            log: Arc::clone(log),
+            last_folded: None,
+            mid_lease: Some(Box::new(mid_lease)),
+        }
+    }
+}
+
+impl ExecBackend for MidLease {
+    fn descriptor(&self) -> BackendDescriptor {
+        self.inner.descriptor()
+    }
+
+    fn run_range(&mut self, job: &Job, range: Range<u64>) -> Result<BatchOut, RuntimeError> {
+        let folded = self.job.progress_probe().0;
+        if self.last_folded.replace(folded) == Some(folded) {
+            if let Some(hook) = self.mid_lease.take() {
+                if let Err(err) = hook() {
+                    self.log.lock().unwrap().push(Err(range));
+                    return Err(err);
+                }
+            }
+        }
+        self.log.lock().unwrap().push(Ok(range.clone()));
+        self.inner.run_range(job, range)
+    }
+}
+
+/// A local backend that only logs the ranges it runs.
+struct Logged(LocalBackend, RunLog);
+
+impl ExecBackend for Logged {
+    fn descriptor(&self) -> BackendDescriptor {
+        self.0.descriptor()
+    }
+
+    fn run_range(&mut self, job: &Job, range: Range<u64>) -> Result<BatchOut, RuntimeError> {
+        self.1.lock().unwrap().push(Ok(range.clone()));
+        self.0.run_range(job, range)
+    }
+}
+
+/// Submits `job` to an empty held queue, so a backend built from its
+/// handle can be attached before anything runs.
+fn held_queue(job: &Job, batch_size: u64) -> (JobQueue, JobHandle) {
+    let queue = JobQueue::with_backends(
+        ServeConfig::default()
+            .with_batch_size(batch_size)
+            .with_hold_when_empty(true),
+        Vec::new(),
+    );
+    let handle = queue
+        .submit(Submission::job("tenant", job.clone()))
+        .expect("submits")
+        .remove(0);
+    (queue, handle)
+}
+
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A transport failure on a lease's second batch: the first batch
+/// folds, the failed one is the lease's only retry, and the unrun tail
+/// goes back in order and runs once.
+#[test]
+fn a_transport_failure_mid_lease_retries_one_batch() {
+    let job = clifford_job("mid-lease-failure", 400, 71);
+    let (queue, handle) = held_queue(&job, 2);
+    let log = RunLog::default();
+    let retries = counter("eqasm_batch_retries_total");
+    queue
+        .attach_backend(Box::new(MidLease::new(&handle, &log, || {
+            Err(RuntimeError::Transport {
+                backend: "local-0".to_owned(),
+                message: "injected mid-lease failure".to_owned(),
+            })
+        })))
+        .expect("attaches");
+    let served = handle.wait().expect("completes");
+    // Only this test fails a transport in this binary.
+    assert_eq!(counter("eqasm_batch_retries_total") - retries, 1.0);
+
+    let log = log.lock().unwrap();
+    let failed: Vec<_> = log.iter().filter_map(|r| r.clone().err()).collect();
+    assert_eq!(failed.len(), 1, "the failure was injected once");
+    // One slot, one job: every batch ran once, in batch order, the
+    // failed one again right where it failed and its tail after it.
+    let ran: Vec<_> = log.iter().filter_map(|r| r.clone().ok()).collect();
+    assert_eq!(ran, partition_shots(job.shots, 2));
+    assert_eq!(queue.pool_status()[0].consecutive_failures, 0);
+    assert_engine_identical(&served, &job, 2);
+}
+
+/// A slot detached mid-lease runs and folds the rest of its lease,
+/// then retires; a new slot finishes the job. No batch is lost or run
+/// twice.
+#[test]
+fn a_slot_detached_mid_lease_finishes_its_lease_then_retires() {
+    let job = clifford_job("mid-lease-detach", 400, 72);
+    let (queue, handle) = held_queue(&job, 2);
+    let queue = Arc::new(queue);
+    let log = RunLog::default();
+    let (detached_tx, detached_rx) = mpsc::channel();
+    let (detacher, probe) = (Arc::clone(&queue), handle.clone());
+    let slot = queue
+        .attach_backend(Box::new(MidLease::new(&handle, &log, move || {
+            detacher.detach_backend(0).expect("detaches");
+            let state = detacher.pool_status()[0].state;
+            detached_tx
+                .send((state, probe.progress_probe().0))
+                .expect("test listens");
+            Ok(())
+        })))
+        .expect("attaches");
+    assert_eq!(slot, 0);
+    let (state, folded_at_detach) = detached_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a lease of two or more batches ran");
+    assert_eq!(state, SlotState::Draining);
+    wait_until("the drained slot to retire", || {
+        queue.pool_status()[0].state == SlotState::Retired
+    });
+    let (folded, done) = handle.progress_probe();
+    assert!(!done, "the job outlives one lease");
+    assert!(
+        folded >= folded_at_detach + 2,
+        "the draining slot ran and folded the rest of its lease"
+    );
+    assert_eq!(folded, log.lock().unwrap().len(), "all it ran folded");
+
+    queue
+        .attach_backend(Box::new(Logged(LocalBackend::new(1), Arc::clone(&log))))
+        .expect("attaches a replacement");
+    let served = handle.wait().expect("completes");
+    let mut ran: Vec<_> = log
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|r| r.clone().expect("nothing fails"))
+        .collect();
+    ran.sort_by_key(|r| r.start);
+    assert_eq!(ran, partition_shots(job.shots, 2), "each batch ran once");
+    let status = queue.pool_status();
+    assert_eq!(
+        status[0].batches_completed + status[1].batches_completed,
+        200
+    );
+    assert_engine_identical(&served, &job, 2);
 }
